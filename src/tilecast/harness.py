@@ -84,6 +84,9 @@ class ScenarioConfig:
                 raise ValueError(f"quality {u.quality} outside ladder")
         if self.delta_deg < 0:
             raise ValueError("delta_deg must be >= 0")
+        if self.delta_deg > 0 and len(self.users) != 5:
+            raise ValueError("delta_deg > 0 needs exactly 5 users "
+                             "(the concentration shift is defined for five)")
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,9 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
     trials carry nan power and stay in the file; averages skip nan, and
     strict=True additionally drops non-converged trials from averages.
     """
+    if sweep == "delta" and len(cfg.users) != 5:
+        raise ValueError("the delta sweep needs exactly 5 users "
+                         "(the concentration shift is defined for five)")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     buf.write(CSV_HEADER + "\n")

@@ -7,7 +7,10 @@ per-message multipliers, where each subcarrier goes to the message with the
 best marginal gain and powers follow the water-filling rule. Every candidate
 assignment is repaired to exact demand feasibility by a closed-form
 water-fill, and the best feasible candidate is kept; the dual value gives a
-lower bound certifying the duality gap.
+lower bound certifying the duality gap. The ascent revisits the same argmax
+assignment many times; only its first visit takes the primal step, since a
+repeat yields the same repaired candidate and total, which cannot beat the
+incumbent twice. The dual value and multiplier update run every iteration.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -63,18 +66,6 @@ class Allocation:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class DualState:
-    """Per-message multipliers for the demand constraints."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        if np.any(self.gamma < 0):
-            raise ValueError("multipliers must be nonnegative")
-
-
 def _demands(messages) -> np.ndarray:
     out = []
     for msg in messages:
@@ -121,15 +112,14 @@ def _waterfill_exact(quotes: np.ndarray, idx: np.ndarray, demand: float,
         return power, rate
     order = finite[np.argsort(quotes[finite], kind="stable")]
     logs = np.log2(quotes[order])
-    prefix = np.cumsum(logs)
-    j_count = order.size
-    log2w = (demand / bandwidth + prefix[-1]) / j_count  # fallback: all active
-    for j in range(1, order.size + 1):
-        cand = (demand / bandwidth + prefix[j - 1]) / j
-        if cand > logs[j - 1] - 1e-15 and (j == order.size or cand <= logs[j] + 1e-15):
-            log2w = cand
-            j_count = j
-            break
+    # candidate log2 water level with the j cheapest quotes active; the
+    # level must sit above quote j and not above quote j+1
+    cands = (demand / bandwidth + np.cumsum(logs)) / np.arange(1, order.size + 1)
+    fits = cands > logs - 1e-15
+    fits[:-1] &= cands[:-1] <= logs[1:] + 1e-15
+    hits = np.flatnonzero(fits)
+    j_count = hits[0] + 1 if hits.size else order.size  # fallback: all active
+    log2w = cands[j_count - 1]
     active = order[:j_count]
     level = 2.0 ** min(log2w, 1000.0)
     rate[active] = bandwidth * (log2w - np.log2(quotes[active]))
@@ -152,14 +142,12 @@ def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
     Starved messages steal their cheapest usable subcarrier from owners
     that keep at least one. Returns None when no steal is possible.
     """
-    n_msg, n_sc = qn.shape
-    counts = np.bincount(assigned, minlength=n_msg)
+    counts = np.bincount(assigned, minlength=qn.shape[0])
     for mi in np.flatnonzero(counts == 0):
-        best_n, best_q = -1, math.inf
-        for n in range(n_sc):
-            if counts[assigned[n]] > 1 and qn[mi, n] < best_q:
-                best_q, best_n = qn[mi, n], n
-        if best_n < 0:
+        # sequential over messages: each steal changes the owners' counts
+        usable = np.where(counts[assigned] > 1, qn[mi], math.inf)
+        best_n = int(np.argmin(usable))  # first minimum, as a left-to-right scan
+        if usable[best_n] == math.inf:
             return None
         counts[assigned[best_n]] -= 1
         counts[mi] += 1
@@ -336,8 +324,9 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     window = []
     iterations = max_iter
     cache = {}
+    seen = set()
 
-    def consider(assigned_arr, ties, gamma_snap):
+    def consider(assigned_arr, gain, gamma_snap):
         nonlocal best_power, best
         key = assigned_arr.tobytes()
         hit = cache.get(key)
@@ -356,48 +345,55 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         total, cand = hit
         if cand is not None and total < best_power * (1.0 - 1e-15):
             best_power = total
-            best = (assigned_arr.copy(), cand, ties, gamma_snap.copy())
+            # the tie check is only needed for the incumbent
+            unique = True if gain is None else _assignment_ties(gain)
+            best = (assigned_arr.copy(), cand, unique, gamma_snap.copy())
 
     seed = _greedy_assignment(qn)
     if seed is not None:
-        consider(seed, True, gamma)
+        consider(seed, None, gamma)
 
     active_gain = np.zeros((n_msg, n_sc))
-    for i in range(max_iter):
-        water = gamma[:, None] / LN2
-        with np.errstate(invalid="ignore"):
+    msg_ids = np.arange(n_msg)[:, None]
+    with np.errstate(invalid="ignore"):
+        for i in range(max_iter):
+            water = gamma[:, None] / LN2
             p_star = np.maximum(0.0, water - qn)
-            ratio = np.where(p_star > 0, water / qn, 1.0)
-        np.multiply(gamma[:, None], np.log2(ratio), out=active_gain)
-        gain = active_gain - p_star
-        assigned = np.argmax(gain, axis=0)
+            log_ratio = np.log2(np.where(p_star > 0, water / qn, 1.0))
+            np.multiply(gamma[:, None], log_ratio, out=active_gain)
+            gain = active_gain - p_star
+            assigned = np.argmax(gain, axis=0)
 
-        # primal candidate: the argmax assignment, starvation-repaired;
-        # the dual update below still uses the unrepaired argmax
-        repaired = assigned
-        if np.bincount(assigned, minlength=n_msg).min() == 0:
-            repaired = _repair_starvation(assigned.copy(), qn)
-        if repaired is not None:
-            consider(repaired, _assignment_ties(gain), gamma)
+            # primal candidate: the argmax assignment, starvation-repaired,
+            # on its first visit only (a repeat gives the same candidate,
+            # which cannot beat the incumbent again); the dual update below
+            # still uses the unrepaired argmax on every iteration
+            key = assigned.tobytes()
+            if key not in seen:
+                seen.add(key)
+                repaired = assigned
+                if np.bincount(assigned, minlength=n_msg).min() == 0:
+                    repaired = _repair_starvation(assigned.copy(), qn)
+                if repaired is not None:
+                    consider(repaired, gain, gamma)
 
-        # dual value and subgradient on the demand residuals
-        rates = np.zeros((n_msg, n_sc))
-        sel = assigned[None, :] == np.arange(n_msg)[:, None]
-        rates[sel] = np.log2(ratio)[sel]
-        dual_val = float(gamma @ dn - np.where(sel, gain, 0.0).sum())
-        best_dual = max(best_dual, dual_val)
+            # dual value and subgradient on the demand residuals
+            sel = assigned == msg_ids
+            rates = np.where(sel, log_ratio, 0.0)
+            dual_val = float(gamma @ dn - np.where(sel, gain, 0.0).sum())
+            best_dual = max(best_dual, dual_val)
 
-        window.append(dual_val)
-        if len(window) > 21:
-            window.pop(0)
-            lo, hi = min(window), max(window)
-            if hi - lo <= 1e-6 * max(abs(hi), 1e-300):
-                iterations = i + 1
-                break
+            window.append(dual_val)
+            if len(window) > 21:
+                window.pop(0)
+                lo, hi = min(window), max(window)
+                if hi - lo <= 1e-6 * max(abs(hi), 1e-300):
+                    iterations = i + 1
+                    break
 
-        resid = dn - rates.sum(axis=1)
-        delta = step0 / (1.0 + i / tau)
-        gamma = np.maximum(0.0, gamma + delta * resid)
+            resid = dn - rates.sum(axis=1)
+            delta = step0 / (1.0 + i / tau)
+            gamma = np.maximum(0.0, gamma + delta * resid)
 
     if best is None:
         raise InfeasibleAllocationError("no feasible assignment found")

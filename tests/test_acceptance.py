@@ -6,6 +6,7 @@ byte-determinism contract. The shared sweeps are module-scoped fixtures so
 the ordering and trend criteria reuse one set of trials.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -20,7 +21,8 @@ from tilecast import (QualityLadder, TilingConfig, ViewDirection,
                       sample_channel, solve_quoted_allocation)
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
-                              config_to_dict, default_config, run_trial)
+                              config_to_dict, default_config, run_experiment,
+                              run_trial)
 
 B = 39e3
 MULTICAST_SCHEMES = ("proposed-asymptotic", "proposed-dc",
@@ -305,3 +307,21 @@ def test_criterion_9_run_byte_determinism(tmp_path):
     assert b1.split(b"\n")[0] == (b"scheme,sweep_param,sweep_value,trial,"
                                   b"seed,total_power_w,converged,"
                                   b"unique_argmax,iterations")
+
+
+# ---------------------------------------------------------------------------
+# output bytes pinned across commits
+# ---------------------------------------------------------------------------
+
+# Criterion 9 shows that one build is deterministic; this digest shows that
+# the bytes did not drift from the build before. A change that alters output
+# bytes on purpose updates the digest and says so in CHANGES.md.
+PAIRED_KSWEEP_SHA256 = (
+    "8face9875e11d350e592d32cb50bc952fa27a042cd683d45cef4e0688ba48bbf")
+
+
+def test_paired_ksweep_csv_bytes_pinned():
+    text = run_experiment(paired_pairs_config(1), sweep="k")
+    assert text.count("\n") == 1 + len(ALL_SCHEMES) * 5 * 3
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PAIRED_KSWEEP_SHA256

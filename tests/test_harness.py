@@ -11,6 +11,7 @@ from tilecast import (CSV_HEADER, SCHEMES, QualityLadder, ScenarioConfig,
                       TilingConfig, ViewDirection, config_from_dict,
                       config_to_dict, default_config, run_experiment,
                       run_trial, sweep_values)
+from tilecast import harness
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
                               shift_directions)
@@ -66,6 +67,21 @@ def test_config_validation():
         tiny_config(users=[UserSpec((0.0, 90.0), 7)])
     with pytest.raises(ValueError):
         tiny_config(delta_deg=-1.0)
+
+
+def test_config_rejects_shift_without_five_users():
+    with pytest.raises(ValueError, match="5 users"):
+        three_viewer_config(delta_deg=12.0)
+    assert three_viewer_config(delta_deg=0.0).delta_deg == 0.0
+
+
+def test_delta_sweep_rejected_before_first_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="5 users"):
+        run_experiment(three_viewer_config(), sweep="delta")
+    assert calls == []
 
 
 def test_config_dict_round_trip():

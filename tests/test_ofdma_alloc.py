@@ -5,14 +5,14 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilecast import (InfeasibleAllocationError, Message, NonConvergenceError,
                       assignment_gain, audit_allocation, beam_plan_asymptotic,
                       brute_force_allocation, complete_allocation,
                       sample_channel, solve_quoted_allocation, waterfill_power)
-from tilecast.ofdma_alloc import (LN2, DualState, _bisect_waterfill,
+from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _repair_starvation,
                                   _waterfill_exact)
 
 B = 39e3
@@ -52,12 +52,6 @@ def test_assignment_gain_cases():
     assert assignment_gain(1.0, float("inf"), B) == 0.0
 
 
-def test_dual_state_validation():
-    DualState(gamma=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        DualState(gamma=np.array([-1e-12]))
-
-
 # ---------------------------------------------------------------------------
 # water-fill cross-oracle
 # ---------------------------------------------------------------------------
@@ -83,6 +77,137 @@ def test_waterfill_exact_skips_infinite_quotes():
     assert power[1] == rate[1] == 0.0
     assert rate.sum() == pytest.approx(2.0 * B, rel=1e-9)
     assert _waterfill_exact(np.array([np.inf]), np.arange(1), B, B) is None
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernels against their scalar reference loops
+# ---------------------------------------------------------------------------
+
+def waterfill_reference(quotes, idx, demand, bandwidth):
+    """Scalar water-level search: the first j whose level fits between the
+    j-th and (j+1)-th cheapest quote, else all finite quotes active."""
+    n = quotes.shape[0]
+    power = np.zeros(n)
+    rate = np.zeros(n)
+    finite = idx[np.isfinite(quotes[idx])]
+    if finite.size == 0:
+        return None
+    if demand <= 0.0:
+        return power, rate
+    order = finite[np.argsort(quotes[finite], kind="stable")]
+    logs = np.log2(quotes[order])
+    prefix = np.cumsum(logs)
+    j_count = order.size
+    log2w = (demand / bandwidth + prefix[-1]) / j_count
+    for j in range(1, order.size + 1):
+        cand = (demand / bandwidth + prefix[j - 1]) / j
+        if cand > logs[j - 1] - 1e-15 and (j == order.size
+                                          or cand <= logs[j] + 1e-15):
+            log2w = cand
+            j_count = j
+            break
+    active = order[:j_count]
+    level = 2.0 ** min(log2w, 1000.0)
+    rate[active] = bandwidth * (log2w - np.log2(quotes[active]))
+    power[active] = np.maximum(0.0, level - quotes[active])
+    return power, rate
+
+
+def repair_reference(assigned, qn):
+    """Scalar starvation repair: each starved message, in index order, takes
+    the first cheapest finite-quote column whose owner keeps one."""
+    n_msg, n_sc = qn.shape
+    counts = np.bincount(assigned, minlength=n_msg)
+    for mi in np.flatnonzero(counts == 0):
+        best_n, best_q = -1, math.inf
+        for n in range(n_sc):
+            if counts[assigned[n]] > 1 and qn[mi, n] < best_q:
+                best_q, best_n = qn[mi, n], n
+        if best_n < 0:
+            return None
+        counts[assigned[best_n]] -= 1
+        counts[mi] += 1
+        assigned[best_n] = mi
+    return assigned
+
+
+# a few repeated values make tied quotes common; inf marks unusable pairs
+QUOTE_VALUES = st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf])
+
+
+@st.composite
+def waterfill_instances(draw):
+    n = draw(st.integers(1, 8))
+    quotes = np.array(draw(st.lists(
+        st.one_of(QUOTE_VALUES, st.floats(1e-3, 1e3)), min_size=n, max_size=n)))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=n, unique=True)))
+    bandwidth = draw(st.sampled_from([1.0, B]))
+    # demands far below one ulp of the log level probe the 1e-15 windows
+    demand = draw(st.one_of(st.just(0.0), st.floats(1e-18, 1e-12),
+                            st.floats(1e-6, 40.0))) * bandwidth
+    return quotes, idx, demand, bandwidth
+
+
+def assert_same_waterfill(quotes, idx, demand, bandwidth):
+    got = _waterfill_exact(quotes, idx, demand, bandwidth)
+    want = waterfill_reference(quotes, idx, demand, bandwidth)
+    if want is None:
+        assert got is None
+        return None
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
+
+
+@given(inst=waterfill_instances())
+@example(inst=(np.full(4, 2.0), np.arange(4), 3.0, 1.0))          # equal quotes
+@example(inst=(np.full(3, 2.0), np.arange(3), 1e-17, 1.0))        # level on a quote
+@example(inst=(np.array([1.5]), np.array([0]), 2.0 * B, B))       # one column
+@example(inst=(np.array([np.inf, 1.0]), np.array([0]), 1.0, 1.0))  # no finite
+@settings(max_examples=300, deadline=None)
+def test_waterfill_exact_matches_scalar_level_search(inst):
+    assert_same_waterfill(*inst)
+
+
+def test_waterfill_exact_all_active_fallback():
+    # huge quotes and a demand below their log spacing: no level passes the
+    # 1e-15 window, so both searches fall back to all columns active
+    quotes = np.array([2.0 ** 100, 2.0 ** 101, 2.0 ** 102])
+    _, rate = assert_same_waterfill(quotes, np.arange(3), 1e-300, 1.0)
+    assert rate[-1] != 0.0  # the dearest column is active too
+
+
+@st.composite
+def starvation_instances(draw):
+    n_msg = draw(st.integers(1, 5))
+    n_sc = draw(st.integers(n_msg, 9))
+    qn = np.array(draw(st.lists(QUOTE_VALUES, min_size=n_msg * n_sc,
+                                max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
+                                      min_size=n_sc, max_size=n_sc)))
+    return assigned, qn
+
+
+@given(inst=starvation_instances())
+# two starved messages; message 1 breaks a tie on columns 1 and 2
+@example(inst=(np.zeros(4, dtype=int),
+               np.array([[1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 3.0],
+                         [1.0, 1.0, 2.0, 2.0]])))
+# no owner can give a column away: no steal possible
+@example(inst=(np.array([0, 1]), np.ones((3, 2))))
+# the starved message quotes inf everywhere: no steal possible
+@example(inst=(np.zeros(3, dtype=int),
+               np.array([[1.0, 1.0, 1.0], [math.inf] * 3])))
+@settings(max_examples=300, deadline=None)
+def test_repair_starvation_matches_scalar_loop(inst):
+    assigned, qn = inst
+    got = _repair_starvation(assigned.copy(), qn)
+    want = repair_reference(assigned.copy(), qn)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
