@@ -430,15 +430,17 @@ def _polish_realloc(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
     return out, new_assigned
 
 
-def initial_point(ch, messages, mode: str = "asymptotic", seed: int = 0) -> DcState:
+def initial_point(ch, messages, mode: str = "asymptotic", seed: int = 0, *,
+                  _plan=None) -> DcState:
     """Feasible start: the large-antenna solution, or a random one.
 
     The random mode spreads every message over all subcarriers with equal
     relaxed assignment and doubles power until demands are met; it exists
-    for robustness testing, not for quality.
+    for robustness testing, not for quality. dc_solve hands in the
+    asymptotic plan it already built as _plan, so one solve builds it once.
     """
     if mode == "asymptotic":
-        plan = beam_plan_asymptotic(ch, messages)
+        plan = beam_plan_asymptotic(ch, messages) if _plan is None else _plan
         alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
         w = np.sqrt(alloc.power)[:, :, None] * plan.w
         return DcState(scaled_beams=w, assign_frac=alloc.assign.astype(float),
@@ -519,12 +521,12 @@ def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
     """
     messages = list(messages)
     ws = _Workspace(ch, messages, bandwidth)
-    state = initial_point(ch, messages, mode=mode, seed=seed)
+    plan = beam_plan_asymptotic(ch, messages)
+    state = initial_point(ch, messages, mode=mode, seed=seed, _plan=plan)
 
     # direction menu: per pair, the better of the large-antenna closed form
     # and the covariance eigenbeam; gives every pair a usable direction and
     # lets the polish move subcarriers, not just reshape beams
-    plan = beam_plan_asymptotic(ch, messages)
     plan_mrt = beam_plan_mrt(ch, messages)
     take_mrt = plan_mrt.q < plan.q
     menu_dirs = np.where(take_mrt[:, :, None], plan_mrt.w, plan.w)

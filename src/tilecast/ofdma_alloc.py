@@ -12,6 +12,15 @@ assignment many times; only its first visit takes the primal step, since a
 repeat yields the same repaired candidate and total, which cannot beat the
 incumbent twice. The dual value and multiplier update run every iteration.
 
+The best candidate is then polished by a best-improvement local search,
+whose passes score the whole neighbourhood with array operations on two
+per-message tables of exact water-fill totals: the flip table (one column
+added to or removed from the message's set) and the exchange table (one
+owned column traded for another). A message's tables are rebuilt, in one
+batched water-fill, only when its column set changes. `_waterfill_rows`
+is the one implementation of the water-fill rule; `_waterfill_exact` is
+its one-set case.
+
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
 
@@ -94,36 +103,56 @@ def assignment_gain(gamma: float, q: float, bandwidth: float) -> float:
     return gamma * bandwidth * math.log2(1.0 + p / q) - p
 
 
+def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray, bandwidth: float):
+    """Minimum-power split of each row's demand over that row's quotes.
+
+    Row r of q_sorted (shape (R, n)) holds the quotes of one column set in
+    ascending order (ties in column order), padded with inf, and at least
+    one of them is finite; demand has shape (R,) and is positive. The
+    closed-form water level sits over the cheapest quotes: the first
+    active count whose level fits wins, and every finite quote is active
+    when none fits. Returns (power, rate) in the positions of q_sorted,
+    zero off the active set. Demand is met exactly.
+    """
+    n_rows, n = q_sorted.shape
+    rows = np.arange(n_rows)
+    logs = np.log2(q_sorted)
+    # candidate log2 water level with the j cheapest quotes active; the
+    # level must sit above quote j and not above quote j+1
+    cands = ((demand[:, None] / bandwidth + np.add.accumulate(logs, axis=1))
+             / np.arange(1, n + 1))
+    fits = cands > logs - 1e-15
+    fits[:, :-1] &= cands[:, :-1] <= logs[:, 1:] + 1e-15
+    fits[rows, np.isfinite(logs).sum(axis=1) - 1] = True  # else all active
+    last = fits.argmax(axis=1)
+    log2w = cands[rows, last]
+    # a Python-float pow per row: np.power may differ from it by an ulp
+    level = np.array([2.0 ** min(v, 1000.0) for v in log2w.tolist()])
+    on = np.arange(n) <= last[:, None]
+    power = np.where(on, np.maximum(0.0, level[:, None] - q_sorted), 0.0)
+    rate = np.where(on, bandwidth * (log2w[:, None] - logs), 0.0)
+    return power, rate
+
+
 def _waterfill_exact(quotes: np.ndarray, idx: np.ndarray, demand: float,
                      bandwidth: float):
     """Split `demand` over the subcarriers `idx` at minimum power.
 
-    Closed-form water level over the active set (cheapest quotes first).
-    Returns (power, rate) as full-width arrays, or None when idx has no
-    finite quote. Demand is met exactly.
+    The one-row case of `_waterfill_rows`; ties between equal quotes go
+    to the earlier entry of idx. Returns (power, rate) as full-width
+    arrays, or None when idx has no finite quote.
     """
-    n = quotes.shape[0]
-    power = np.zeros(n)
-    rate = np.zeros(n)
-    finite = idx[np.isfinite(quotes[idx])]
-    if finite.size == 0:
+    order = idx[np.argsort(quotes[idx], kind="stable")]
+    q_sorted = quotes[order]
+    if not np.isfinite(q_sorted).any():
         return None
+    power = np.zeros(quotes.shape[0])
+    rate = np.zeros(quotes.shape[0])
     if demand <= 0.0:
         return power, rate
-    order = finite[np.argsort(quotes[finite], kind="stable")]
-    logs = np.log2(quotes[order])
-    # candidate log2 water level with the j cheapest quotes active; the
-    # level must sit above quote j and not above quote j+1
-    cands = (demand / bandwidth + np.cumsum(logs)) / np.arange(1, order.size + 1)
-    fits = cands > logs - 1e-15
-    fits[:-1] &= cands[:-1] <= logs[1:] + 1e-15
-    hits = np.flatnonzero(fits)
-    j_count = hits[0] + 1 if hits.size else order.size  # fallback: all active
-    log2w = cands[j_count - 1]
-    active = order[:j_count]
-    level = 2.0 ** min(log2w, 1000.0)
-    rate[active] = bandwidth * (log2w - np.log2(quotes[active]))
-    power[active] = np.maximum(0.0, level - quotes[active])
+    p, r = _waterfill_rows(q_sorted[None, :], np.array([demand]), bandwidth)
+    power[order] = p[0]
+    rate[order] = r[0]
     return power, rate
 
 
@@ -171,103 +200,166 @@ def _greedy_assignment(qn: np.ndarray):
     return assigned
 
 
+def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
+                owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Exact water-fill totals of many column sets in one batch.
+
+    Row r splits demand dn[owner[r]] over the columns flagged in sets[r]
+    at quotes qn[owner[r]]; perm is qn's stable argsort along each row.
+    The total is the sum of the full-width power row, as it is for a
+    `_waterfill_exact` result, or inf when the set has no finite quote.
+    """
+    rows = np.arange(owner.size)
+    order = perm[owner]
+    q_sorted = qn[owner[:, None], order]
+    # each set's finite quotes in ascending order, packed to the left
+    use = sets[rows[:, None], order] & np.isfinite(q_sorted)
+    r, p = np.nonzero(use)
+    slot = use.cumsum(axis=1)[r, p] - 1
+    packed = np.full(use.shape, math.inf)
+    packed[r, slot] = q_sorted[r, p]
+    ok = use.any(axis=1)
+    power = np.zeros(use.shape)
+    power[ok] = _waterfill_rows(packed[ok], dn[owner[ok]], 1.0)[0]
+    full = np.zeros(use.shape)
+    full[r, order[r, p]] = power[r, slot]
+    return np.where(ok, full.sum(axis=1), math.inf)
+
+
+def _first_max(gain: np.ndarray, valid: np.ndarray):
+    """Flat index and value of the first maximum over the valid, non-NaN
+    entries in C order, the scan order of the neighbourhood; -inf when
+    there is none."""
+    flat = np.where(valid & ~np.isnan(gain), gain, -math.inf).ravel()
+    i = int(np.argmax(flat))
+    return i, float(flat[i])
+
+
 def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
                   max_passes: int = 60):
     """Best-improvement descent over the assignment.
 
-    Neighborhood: move one subcarrier to another message, and (on smaller
+    Neighbourhood: move one subcarrier to another message, and (on smaller
     instances) swap the owners of two subcarriers, which single moves
-    cannot reach when every message holds exactly one. Deterministic;
-    exact per-message water-fill totals are memoized.
+    cannot reach when every message holds exactly one, and rotate the
+    owners of three. Each pass scores the whole neighbourhood from two
+    per-message tables of exact water-fill totals, rebuilt only for the
+    messages whose column set the accepted step changed:
+
+    - flip table F[mi, n]: the total of cols(mi) XOR {n}, which is the
+      removal total of a column mi owns and the addition total of one it
+      does not;
+    - exchange table E[mi, drop, add]: the total of cols(mi) - drop + add,
+      built only when swaps are on (n_sc <= 16) and read by swaps and
+      rotations alike.
+
+    The first strict maximum in scan order wins (moves by column then
+    message, swaps by column pair, rotations by column triple then
+    direction), a later kind only with a strictly greater gain.
+    Deterministic. Returns (assigned, passes, moves): the improved
+    assignment, the neighbourhood scans run and the steps accepted.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
-        return assigned
+        return assigned, 0, 0
     assigned = assigned.copy()
-    memo = {}
-
-    def total_for(mi, cols):
-        key = (mi, cols)
-        val = memo.get(key)
-        if val is None:
-            wf = _waterfill_exact(qn[mi], np.asarray(cols, dtype=int), dn[mi], 1.0)
-            val = math.inf if wf is None else float(wf[0].sum())
-            memo[key] = val
-        return val
-
-    cols_of = [tuple(int(n) for n in np.flatnonzero(assigned == mi))
-               for mi in range(n_msg)]
-    totals = [total_for(mi, cols_of[mi]) for mi in range(n_msg)]
+    msgs = np.arange(n_msg)
+    cols = np.arange(n_sc)
+    eye = np.eye(n_sc, dtype=bool)
+    usable = np.isfinite(qn)
+    perm = np.argsort(qn, axis=1, kind="stable")
     do_swaps = n_sc <= 16
     do_cycles = n_sc <= 12 and n_msg >= 3
+    totals = np.empty(n_msg)
+    flip = np.empty((n_msg, n_sc))
+    if do_swaps:
+        exch = np.full((n_msg, n_sc, n_sc), math.nan)
+    if do_cycles:
+        n1, n2, n3 = np.array(list(itertools.combinations(range(n_sc), 3))).T
+        # the column each owner takes, in either direction round the triple
+        rotations = ((n3, n1, n2), (n2, n3, n1))
 
-    def apply(owner_to_cols):
-        for mi, cols in owner_to_cols.items():
-            cols_of[mi] = tuple(sorted(cols))
-            totals[mi] = total_for(mi, cols_of[mi])
-            for n in cols_of[mi]:
-                assigned[n] = mi
-
-    for _ in range(max_passes):
-        thresh = 1e-12 * sum(totals)
-        best_gain, best_move = thresh, None
-        for n in range(n_sc):
-            a = assigned[n]
-            if len(cols_of[a]) <= 1:
-                continue
-            a_new = tuple(c for c in cols_of[a] if c != n)
-            freed = totals[a] - total_for(a, a_new)
-            for b in range(n_msg):
-                if b == a or not np.isfinite(qn[b, n]):
-                    continue
-                b_new = tuple(sorted(cols_of[b] + (n,)))
-                gain = freed - (total_for(b, b_new) - totals[b])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_move = {a: a_new, b: b_new}
+    def rebuild(changed):
+        # one batched water-fill: each changed message's own set, its flip
+        # rows and (with swaps) its exchange rows
+        base = assigned[None, :] == changed[:, None]
+        sets = [base, (base[:, None, :] ^ eye).reshape(-1, n_sc)]
+        owner = [changed, np.repeat(changed, n_sc)]
         if do_swaps:
-            for n1 in range(n_sc):
-                a = assigned[n1]
-                for n2 in range(n1 + 1, n_sc):
-                    b = assigned[n2]
-                    if a == b or not np.isfinite(qn[b, n1]) \
-                            or not np.isfinite(qn[a, n2]):
-                        continue
-                    a_new = tuple(sorted(c for c in cols_of[a] if c != n1) + [n2])
-                    b_new = tuple(sorted(c for c in cols_of[b] if c != n2) + [n1])
-                    gain = (totals[a] - total_for(a, a_new)
-                            + totals[b] - total_for(b, b_new))
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_move = {a: a_new, b: b_new}
+            which, drop, add = np.nonzero(base[:, :, None] & ~base[:, None, :])
+            sets.append(base[which] ^ eye[drop] ^ eye[add])
+            owner.append(changed[which])
+        owner = np.concatenate(owner)
+        row_total = _set_totals(qn, dn, perm, owner, np.concatenate(sets))
+        k = changed.size
+        totals[changed] = row_total[:k]
+        flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
+        if do_swaps:
+            exch[changed[which], drop, add] = row_total[k + k * n_sc:]
+
+    rebuild(msgs)
+    passes = moves = 0
+    for _ in range(max_passes):
+        passes += 1
+        thresh = 1e-12 * sum(totals.tolist())
+        held = np.bincount(assigned, minlength=n_msg)
+        own_total = totals[assigned]
+        best_gain, best = thresh, None
+
+        # move column n from its owner a to message b, scanned n then b
+        gain = ((own_total - flip[assigned, cols])[:, None]
+                - (flip - totals[:, None]).T)
+        valid = ((held[assigned] > 1)[:, None]
+                 & (assigned[:, None] != msgs[None, :]) & usable.T)
+        i, g = _first_max(gain, valid)
+        if g > best_gain:
+            best_gain = g
+            best = [divmod(i, n_msg)]
+
+        if do_swaps:
+            # a gives n1 to b and takes n2 from it, scanned n1 < n2
+            gain = (((own_total[:, None]
+                      - exch[assigned[:, None], cols[:, None], cols[None, :]])
+                     + own_total[None, :])
+                    - exch[assigned[None, :], cols[None, :], cols[:, None]])
+            valid = (np.triu(~eye, 1) & (assigned[:, None] != assigned[None, :])
+                     & usable[assigned[None, :], cols[:, None]]
+                     & usable[assigned[:, None], cols[None, :]])
+            i, g = _first_max(gain, valid)
+            if g > best_gain:
+                best_gain = g
+                n_a, n_b = divmod(i, n_sc)
+                best = [(n_a, assigned[n_b]), (n_b, assigned[n_a])]
+
         if do_cycles:
-            # rotate owners around column triples; reaches optima that
-            # strictly-improving moves and pair swaps cannot
-            for n1, n2, n3 in itertools.combinations(range(n_sc), 3):
-                owners = (assigned[n1], assigned[n2], assigned[n3])
-                if len(set(owners)) < 3:
-                    continue
-                o1, o2, o3 = owners
-                for recv in (((o2, n1), (o3, n2), (o1, n3)),
-                             ((o3, n1), (o1, n2), (o2, n3))):
-                    drop = {o1: n1, o2: n2, o3: n3}
-                    add = {mi: n for mi, n in recv}
-                    if any(not np.isfinite(qn[mi, n]) for mi, n in add.items()):
-                        continue
-                    move = {}
-                    gain = 0.0
-                    for mi in owners:
-                        new_cols = tuple(sorted(
-                            [c for c in cols_of[mi] if c != drop[mi]]
-                            + [add[mi]]))
-                        move[mi] = new_cols
-                        gain += totals[mi] - total_for(mi, new_cols)
-                    if gain > best_gain:
-                        best_gain, best_move = gain, move
-        if best_move is None:
+            # owners o1, o2, o3 of n1, n2, n3 each drop their column and
+            # take another of the triple; scanned by triple, then direction
+            owners = (assigned[n1], assigned[n2], assigned[n3])
+            o1, o2, o3 = owners
+            distinct = (o1 != o2) & (o1 != o3) & (o2 != o3)
+            gains, valids = [], []
+            for takes in rotations:
+                g = 0.0
+                ok = distinct.copy()
+                for o, drop, add in zip(owners, (n1, n2, n3), takes):
+                    g = g + (totals[o] - exch[o, drop, add])
+                    ok &= usable[o, add]
+                gains.append(g)
+                valids.append(ok)
+            i, g = _first_max(np.stack(gains, axis=1), np.stack(valids, axis=1))
+            if g > best_gain:
+                c, r = divmod(i, 2)
+                best = [(add[c], o[c]) for add, o in zip(rotations[r], owners)]
+
+        if best is None:
             break
-        apply(best_move)
-    return assigned
+        changed = np.unique([assigned[n] for n, _ in best]
+                            + [mi for _, mi in best])
+        for n, mi in best:
+            assigned[n] = mi
+        moves += 1
+        rebuild(changed)
+    return assigned, passes, moves
 
 
 def solve_quoted_allocation(messages, quotes, bandwidth: float,
@@ -399,7 +491,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         raise InfeasibleAllocationError("no feasible assignment found")
 
     assigned, cand, unique, gamma_best = best
-    polished = _local_search(assigned, qn, dn)
+    polished, ls_passes, ls_moves = _local_search(assigned, qn, dn)
     if not np.array_equal(polished, assigned):
         cand2, total2 = [], 0.0
         for mi in range(n_msg):
@@ -428,6 +520,9 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         duality_gap=float(gap),
         dual_bound=float(best_dual * q_ref),
         gamma=gamma_best * q_ref / bandwidth,
+        diagnostics={"local_search_passes": ls_passes,
+                     "local_search_moves": ls_moves,
+                     "primal_candidates": len(seen)},
     )
     if strict and not alloc.converged:
         raise NonConvergenceError(

@@ -325,3 +325,17 @@ def test_paired_ksweep_csv_bytes_pinned():
     assert text.count("\n") == 1 + len(ALL_SCHEMES) * 5 * 3
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PAIRED_KSWEEP_SHA256
+
+
+# The paired sweep runs 16 subcarriers, where the allocator's local search
+# always adds swaps; the default config's 64 subcarriers run its move-only
+# neighbourhood, so its bytes are pinned too.
+DEFAULT_ONE_TRIAL_SHA256 = (
+    "25fca82f396a6fc85d20d9ec5c55c668fe820b29cb3d7360e4269d8a91dd9066")
+
+
+def test_default_config_csv_bytes_pinned():
+    text = run_experiment(replace(default_config(), trials=1))
+    assert text.count("\n") == 1 + len(ALL_SCHEMES) * 3
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_ONE_TRIAL_SHA256

@@ -1,5 +1,6 @@
 """Subcarrier assignment and water-filled power against exhaustive oracles."""
 
+import itertools
 import math
 import types
 
@@ -12,7 +13,8 @@ from tilecast import (InfeasibleAllocationError, Message, NonConvergenceError,
                       assignment_gain, audit_allocation, beam_plan_asymptotic,
                       brute_force_allocation, complete_allocation,
                       sample_channel, solve_quoted_allocation, waterfill_power)
-from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _repair_starvation,
+from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _local_search,
+                                  _repair_starvation, _set_totals,
                                   _waterfill_exact)
 
 B = 39e3
@@ -208,6 +210,222 @@ def test_repair_starvation_matches_scalar_loop(inst):
         assert got is None
     else:
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# batched local search against the scalar neighbourhood scan
+# ---------------------------------------------------------------------------
+
+def set_total_reference(qn, dn, mi, cols):
+    """Exact water-fill total of one message's column set, inf if none."""
+    wf = waterfill_reference(qn[mi], np.asarray(cols, dtype=int), dn[mi], 1.0)
+    return math.inf if wf is None else float(wf[0].sum())
+
+
+def local_search_reference(assigned, qn, dn, max_passes=60):
+    """Scalar best-improvement descent: every move, swap and rotation is
+    scored one at a time from memoized per-set totals; the first strictly
+    best step in scan order wins. Returns (assigned, passes, moves)."""
+    n_msg, n_sc = qn.shape
+    if n_msg == 1:
+        return assigned, 0, 0
+    assigned = assigned.copy()
+    memo = {}
+
+    def total_for(mi, cols):
+        key = (mi, cols)
+        if key not in memo:
+            memo[key] = set_total_reference(qn, dn, mi, cols)
+        return memo[key]
+
+    cols_of = [tuple(int(n) for n in np.flatnonzero(assigned == mi))
+               for mi in range(n_msg)]
+    totals = [total_for(mi, cols_of[mi]) for mi in range(n_msg)]
+    do_swaps = n_sc <= 16
+    do_cycles = n_sc <= 12 and n_msg >= 3
+
+    def apply(owner_to_cols):
+        for mi, cols in owner_to_cols.items():
+            cols_of[mi] = tuple(sorted(cols))
+            totals[mi] = total_for(mi, cols_of[mi])
+            for n in cols_of[mi]:
+                assigned[n] = mi
+
+    passes = moves = 0
+    for _ in range(max_passes):
+        passes += 1
+        thresh = 1e-12 * sum(totals)
+        best_gain, best_move = thresh, None
+        for n in range(n_sc):
+            a = assigned[n]
+            if len(cols_of[a]) <= 1:
+                continue
+            a_new = tuple(c for c in cols_of[a] if c != n)
+            freed = totals[a] - total_for(a, a_new)
+            for b in range(n_msg):
+                if b == a or not np.isfinite(qn[b, n]):
+                    continue
+                b_new = tuple(sorted(cols_of[b] + (n,)))
+                gain = freed - (total_for(b, b_new) - totals[b])
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = {a: a_new, b: b_new}
+        if do_swaps:
+            for n1 in range(n_sc):
+                a = assigned[n1]
+                for n2 in range(n1 + 1, n_sc):
+                    b = assigned[n2]
+                    if a == b or not np.isfinite(qn[b, n1]) \
+                            or not np.isfinite(qn[a, n2]):
+                        continue
+                    a_new = tuple(sorted(c for c in cols_of[a] if c != n1) + [n2])
+                    b_new = tuple(sorted(c for c in cols_of[b] if c != n2) + [n1])
+                    gain = (totals[a] - total_for(a, a_new)
+                            + totals[b] - total_for(b, b_new))
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_move = {a: a_new, b: b_new}
+        if do_cycles:
+            for n1, n2, n3 in itertools.combinations(range(n_sc), 3):
+                owners = (assigned[n1], assigned[n2], assigned[n3])
+                if len(set(owners)) < 3:
+                    continue
+                o1, o2, o3 = owners
+                for recv in (((o2, n1), (o3, n2), (o1, n3)),
+                             ((o3, n1), (o1, n2), (o2, n3))):
+                    drop = {o1: n1, o2: n2, o3: n3}
+                    add = {mi: n for mi, n in recv}
+                    if any(not np.isfinite(qn[mi, n]) for mi, n in add.items()):
+                        continue
+                    move = {}
+                    gain = 0.0
+                    for mi in owners:
+                        new_cols = tuple(sorted(
+                            [c for c in cols_of[mi] if c != drop[mi]]
+                            + [add[mi]]))
+                        move[mi] = new_cols
+                        gain += totals[mi] - total_for(mi, new_cols)
+                    if gain > best_gain:
+                        best_gain, best_move = gain, move
+        if best_move is None:
+            break
+        apply(best_move)
+        moves += 1
+    return assigned, passes, moves
+
+
+# moves only (n_sc > 16), swaps (n_sc <= 16), rotations too (n_sc <= 12,
+# at least three messages)
+REGIMES = {"moves": ((2, 4), (17, 22)), "swaps": ((2, 4), (13, 16)),
+           "cycles": ((3, 5), (5, 12))}
+
+
+@st.composite
+def local_search_instances(draw):
+    regime = draw(st.sampled_from(sorted(REGIMES)))
+    (m_lo, m_hi), (s_lo, s_hi) = REGIMES[regime]
+    n_msg = draw(st.integers(m_lo, m_hi))
+    n_sc = draw(st.integers(max(s_lo, n_msg), s_hi))
+    qn = np.array(draw(st.lists(
+        st.one_of(QUOTE_VALUES, st.floats(0.05, 20.0)),
+        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    dn = np.array(draw(st.lists(
+        st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(1e-6, 8.0)),
+        min_size=n_msg, max_size=n_msg)))
+    # a feasible start, as the allocator hands over: every message holds
+    # at least one column with a finite quote
+    assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
+                                      min_size=n_sc, max_size=n_sc)))
+    own = np.array(draw(st.permutations(range(n_sc))))[:n_msg]
+    msgs = np.arange(n_msg)
+    assigned[own] = msgs
+    qn[msgs, own] = np.where(np.isfinite(qn[msgs, own]), qn[msgs, own], 1.0)
+    return assigned, qn, dn
+
+
+def tied_instance(n_msg, n_sc):
+    """Equal quotes and demands everywhere: every gain ties."""
+    assigned = np.arange(n_sc) % n_msg
+    return assigned, np.full((n_msg, n_sc), 2.0), np.full(n_msg, 1.0)
+
+
+@given(inst=local_search_instances())
+@example(inst=tied_instance(3, 20))
+@example(inst=tied_instance(3, 14))
+@example(inst=tied_instance(4, 9))
+# messages 0 and 1 each hold one column, quoted at 5.0: only a swap or a
+# rotation can take it from them
+@example(inst=(np.array([0, 1, 2, 2, 2]),
+               np.array([[5.0, 1.0, 1.0, 1.0, 3.0], [1.0, 5.0, 1.0, 2.0, 1.0],
+                         [1.0, 1.0, 5.0, 1.0, 1.0]]),
+               np.array([2.0, 2.0, 0.5])))
+@settings(max_examples=300, deadline=None)
+def test_local_search_matches_scalar_scan(inst):
+    assigned, qn, dn = inst
+    got = _local_search(assigned.copy(), qn, dn)
+    want = local_search_reference(assigned.copy(), qn, dn)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@st.composite
+def set_batches(draw):
+    n_msg = draw(st.integers(1, 4))
+    n_sc = draw(st.integers(1, 20))
+    qn = np.array(draw(st.lists(
+        st.one_of(QUOTE_VALUES, st.floats(1e-3, 1e3)),
+        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    # demands far below one ulp of the log level probe the 1e-15 windows
+    dn = np.array(draw(st.lists(st.one_of(st.floats(1e-18, 1e-12),
+                                          st.floats(1e-6, 40.0)),
+                                min_size=n_msg, max_size=n_msg)))
+    n_rows = draw(st.integers(1, 12))
+    owner = np.array(draw(st.lists(st.integers(0, n_msg - 1),
+                                   min_size=n_rows, max_size=n_rows)))
+    sets = np.array(draw(st.lists(st.booleans(), min_size=n_rows * n_sc,
+                                  max_size=n_rows * n_sc))).reshape(n_rows, n_sc)
+    return qn, dn, owner, sets
+
+
+@given(batch=set_batches())
+@example(batch=(np.full((1, 4), 2.0), np.array([1e-17]), np.zeros(2, dtype=int),
+                np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=bool)))
+@settings(max_examples=300, deadline=None)
+def test_set_totals_match_scalar_waterfill_bitwise(batch):
+    qn, dn, owner, sets = batch
+    perm = np.argsort(qn, axis=1, kind="stable")
+    got = _set_totals(qn, dn, perm, owner, sets)
+    want = np.array([set_total_reference(qn, dn, mi, np.flatnonzero(row))
+                     for mi, row in zip(owner, sets)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_local_search_counts_passes_and_moves():
+    # message 1 starts on a column it quotes at 100; one swap fixes both
+    qn = np.array([[1.0, 1.0, 100.0], [100.0, 100.0, 1.0]])
+    assigned, passes, moves = _local_search(np.array([0, 1, 0]), qn,
+                                            np.array([1.0, 1.0]))
+    assert assigned.tolist() == [0, 0, 1]
+    assert (passes, moves) == (2, 1)
+    assert _local_search(np.zeros(3, dtype=int), qn[:1], np.ones(1))[1:] == (0, 0)
+
+
+def test_solver_reports_search_counts():
+    rng = np.random.default_rng(12)
+    quotes = 10.0 ** rng.uniform(-10, -8, size=(3, 8))
+    demands = B * rng.uniform(0.5, 3.0, size=3)
+    one = solve_quoted_allocation(demands, quotes, B, max_iter=1)
+    # one dual iteration visits one argmax assignment; the search then
+    # takes two steps and a third pass finds nothing better
+    assert one.diagnostics == {"local_search_passes": 3,
+                               "local_search_moves": 2,
+                               "primal_candidates": 1}
+    full = solve_quoted_allocation(demands, quotes, B)
+    diag = full.diagnostics
+    assert diag["local_search_passes"] == diag["local_search_moves"] + 1
+    assert 1 < diag["primal_candidates"] <= full.iterations
+    single = solve_quoted_allocation([B], quotes[:1], B)
+    assert single.diagnostics["local_search_passes"] == 0
 
 
 # ---------------------------------------------------------------------------
