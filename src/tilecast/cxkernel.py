@@ -26,16 +26,3 @@ def cdot(a, b) -> complex:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
     return complex(np.vdot(a, b))
 
-
-def cnorm(a) -> float:
-    """Euclidean norm sqrt(cdot(a, a))."""
-    return float(np.linalg.norm(as_cvec(a)))
-
-
-def axpy_outer(w_prev, h, coeff: float) -> np.ndarray:
-    """Return coeff * h * (h^H w_prev), the rank-one action of h h^H on w_prev."""
-    w_prev = as_cvec(w_prev)
-    h = as_cvec(h)
-    if w_prev.shape != h.shape:
-        raise ValueError(f"length mismatch: {w_prev.shape[0]} vs {h.shape[0]}")
-    return coeff * np.vdot(h, w_prev) * h

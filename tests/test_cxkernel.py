@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tilecast import as_cvec, axpy_outer, cdot, cnorm
+from tilecast import as_cvec, cdot
 
 
 def test_as_cvec_accepts_sequences():
@@ -38,37 +38,3 @@ def test_cdot_length_mismatch():
     with pytest.raises(ValueError):
         cdot([1, 2], [1, 2, 3])
 
-
-def test_cnorm_hand_case():
-    assert cnorm([3, 4j]) == pytest.approx(5.0)
-
-
-def test_cnorm_zero_vector():
-    assert cnorm([0, 0, 0]) == 0.0
-
-
-def test_cnorm_unit_vector():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v /= np.linalg.norm(v)
-    assert abs(cnorm(v) - 1.0) <= 1e-15
-
-
-def test_axpy_outer_orthogonal_gives_zero():
-    assert np.all(axpy_outer([1, 0], [0, 1], 3.0) == 0)
-
-
-def test_axpy_outer_parallel_unit():
-    h = np.array([1.0, 0.0], dtype=complex)
-    np.testing.assert_allclose(axpy_outer(h, h, 2.0), 2.0 * h)
-
-
-def test_axpy_outer_hand_case():
-    # h^H w_prev = conj(1+1j)*1 = 1-1j, then 3*(1-1j)*(1+1j) = 6
-    out = axpy_outer([1.0, 2.0], [1 + 1j, 0.0], 3.0)
-    np.testing.assert_allclose(out, [6.0, 0.0], atol=1e-15)
-
-
-def test_axpy_outer_length_mismatch():
-    with pytest.raises(ValueError):
-        axpy_outer([1, 0], [1, 0, 0], 1.0)
