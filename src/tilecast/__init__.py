@@ -23,9 +23,7 @@ from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
                           audit_allocation, brute_force_allocation,
                           complete_allocation, solve_quoted_allocation,
                           waterfill_power)
-from .dc_solver import (DcDuals, DcState, dc_solve, feasible_beam,
-                        initial_point, pair_score, pick_assignment,
-                        price_step, priced_rate, solve_convex_approx)
+from .dc_solver import DcDuals, DcState, dc_solve, initial_point
 from .harness import (CSV_HEADER, SCHEMES, ScenarioConfig, TrialResult,
                       UserSpec, config_from_dict, config_to_dict,
                       default_config, run_experiment, run_trial,
@@ -46,9 +44,7 @@ __all__ = [
     "Allocation", "InfeasibleAllocationError", "NonConvergenceError",
     "assignment_gain", "audit_allocation", "brute_force_allocation",
     "complete_allocation", "solve_quoted_allocation", "waterfill_power",
-    "DcDuals", "DcState", "dc_solve", "feasible_beam", "initial_point",
-    "pair_score", "pick_assignment", "price_step", "priced_rate",
-    "solve_convex_approx",
+    "DcDuals", "DcState", "dc_solve", "initial_point",
     "CSV_HEADER", "SCHEMES", "ScenarioConfig", "TrialResult", "UserSpec",
     "config_from_dict", "config_to_dict", "default_config",
     "run_experiment", "run_trial", "shift_directions", "sweep_values",

@@ -6,7 +6,7 @@ Three ways to point a beam at a message's audience:
   weighted by 1/sqrt(large-scale gain) -- asymptotically optimal;
 * unicast MRT: align with the single user's channel;
 * multicast MRT: principal eigenvector of the gain-weighted channel
-  covariance (power iteration), or optionally the weighted channel sum.
+  covariance (power iteration).
 
 A quote q for a direction w is the power price of rate on that beam: sending
 power p (in the per-antenna-normalized convention used throughout) gives
@@ -89,24 +89,13 @@ def mrt_unicast(h) -> np.ndarray:
     return h / nrm
 
 
-def mrt_multicast(h_aud, beta, tol: float = 1e-10, max_iter: int = 20000,
-                  mode: str = "eig") -> np.ndarray:
-    """Multicast MRT beam for an audience.
-
-    mode "eig" (default): unit principal eigenvector of
-    sum_k beta_k h_k h_k^H by power iteration, started from the
-    largest-norm audience channel, stopped at relative eigenvalue
-    change <= tol. mode "sum": normalized beta-weighted channel sum.
+def mrt_multicast(h_aud, beta) -> np.ndarray:
+    """Multicast MRT beam for an audience: the unit principal eigenvector
+    of sum_k beta_k h_k h_k^H by power iteration, started from the
+    largest-norm audience channel, stopped at relative eigenvalue change
+    <= 1e-10 (or, with a warning, after 20,000 steps).
     """
     h, b = _audience_matrix(h_aud, beta)
-    if mode == "sum":
-        agg = (b[:, None] * h).sum(axis=0)
-        nrm = np.linalg.norm(agg)
-        if nrm == 0.0:
-            raise DegenerateChannelError("audience channels sum to zero")
-        return agg / nrm
-    if mode != "eig":
-        raise ValueError(f"unknown multicast MRT mode {mode!r}")
     if h.shape[0] == 1:
         return mrt_unicast(h[0])
 
@@ -118,14 +107,14 @@ def mrt_multicast(h_aud, beta, tol: float = 1e-10, max_iter: int = 20000,
 
     # A v = sum_k beta_k h_k (h_k^H v), never forming the m x m matrix
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(20000):
         av = (b * (h.conj() @ v)) @ h
         lam = float(np.real(np.vdot(v, av)))
         nrm = np.linalg.norm(av)
         if nrm == 0.0:
             raise DegenerateChannelError("channel covariance annihilates start vector")
         v = av / nrm
-        if abs(lam - lam_prev) <= tol * abs(lam):
+        if abs(lam - lam_prev) <= 1e-10 * abs(lam):
             return v
         lam_prev = lam
     warnings.warn("power iteration did not reach the eigenvalue tolerance")
@@ -145,11 +134,6 @@ def quote_for(w, h_aud, beta, noise_w: float) -> float:
 # ---------------------------------------------------------------------------
 # plan builders (user ids in messages are 1-based; channel row = id - 1)
 # ---------------------------------------------------------------------------
-
-def _audience_channels(ch, message, n):
-    idx = [k - 1 for k in message.audience]
-    return ch.h[n, idx, :], ch.beta[idx]
-
 
 def beam_plan_asymptotic(ch, messages) -> BeamPlan:
     """Large-antenna beams and quotes for every (message, subcarrier)."""
@@ -171,19 +155,21 @@ def beam_plan_asymptotic(ch, messages) -> BeamPlan:
     return BeamPlan(w=w, q=q)
 
 
-def beam_plan_mrt(ch, messages, mode: str = "eig") -> BeamPlan:
+def beam_plan_mrt(ch, messages) -> BeamPlan:
     """MRT beams: unicast MRT for single audiences, multicast MRT otherwise."""
     n_msg = len(messages)
     w = np.zeros((n_msg, ch.n_sc, ch.m), dtype=np.complex128)
     q = np.full((n_msg, ch.n_sc), np.inf)
     for i, msg in enumerate(messages):
+        idx = [k - 1 for k in msg.audience]
+        b = ch.beta[idx]
         for n in range(ch.n_sc):
-            h, b = _audience_channels(ch, msg, n)
+            h = ch.h[n, idx, :]
             try:
                 if len(msg.audience) == 1:
                     direction = mrt_unicast(h[0])
                 else:
-                    direction = mrt_multicast(h, b, mode=mode)
+                    direction = mrt_multicast(h, b)
                 w[i, n] = direction
                 q[i, n] = quote_for(direction, h, b, ch.noise_w)
             except (DegenerateChannelError, InfeasibleDirectionError):

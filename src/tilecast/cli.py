@@ -2,6 +2,8 @@
 re-verify a results file."""
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -40,6 +42,12 @@ def _cmd_run(args) -> int:
     n_rows = text.count("\n") - 1
     print(f"wrote {args.out}: {n_rows} rows "
           f"({len(cfg.schemes)} schemes, {cfg.trials} trials)")
+    rows = [r for r in csv.DictReader(io.StringIO(text)) if r["trial"].isdigit()]
+    failed = sum(r["total_power_w"] == "nan" for r in rows)
+    unconverged = sum(r["converged"] == "0" and r["total_power_w"] != "nan"
+                      for r in rows)
+    print(f"trials: {len(rows)}, failed (nan power): {failed}, "
+          f"not converged (of the rest): {unconverged}")
     return 0
 
 

@@ -10,10 +10,16 @@ Each pass is followed by an exact water-fill polish along the recovered beam
 directions, which both repairs feasibility and keeps the objective from
 increasing across outer iterations.
 
+The inner loop's rules each have one implementation, an array function
+over all (message, subcarrier) pairs at once: `_scores` (dual value of a
+grant, with its sentinels), `_pick` (column argmax and tie flag),
+`_priced_rate`, `_direction` and `_stretch` (stationarity beam and its
+minimal feasible stretch) and `_price_step`.
+
 Internally everything runs in scaled units: channels are premultiplied by
 sqrt(beta * p0 / (m * noise)) for a reference power p0, and rates are in
 multiples of the subcarrier bandwidth, so multipliers stay O(1) regardless
-of physical scales. The public rule functions work in original units.
+of physical scales.
 """
 
 import math
@@ -24,10 +30,14 @@ import numpy as np
 from .beamforming import (InfeasibleDirectionError, beam_plan_asymptotic,
                           beam_plan_mrt)
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
-                          solve_quoted_allocation, _waterfill_exact)
+                          solve_quoted_allocation, _waterfill_sets)
 
 LN2 = math.log(2.0)
 EXP_CAP = 500.0  # clamp on base-2 exponents; 2**500 stays finite
+OUTER_MAX = 100  # convexified solves per plan
+OUTER_TOL = 1e-4  # relative power change that ends the outer loop
+INNER_MAX = 5000  # dual iterations per convexified solve
+INNER_TOL = 1e-6  # relative drop over 20 inner iterations that ends it
 
 
 @dataclass
@@ -43,7 +53,6 @@ class DcState:
     scaled_beams: np.ndarray
     assign_frac: np.ndarray
     rate: np.ndarray
-    outer_iter: int = 0
     total_power_w: float = 0.0
 
     def __post_init__(self):
@@ -75,109 +84,16 @@ class DcDuals:
             raise ValueError("multipliers must be nonnegative")
 
 
-def pair_score(demand_price: float, price_sum: float, bandwidth: float) -> float:
-    """Dual value of granting a subcarrier to a message.
-
-    price_sum plays the role of an effective quote under the linearized
-    constraint; the score is the priced rate minus a power proxy.
-    Sentinels: price_sum = 0 scores -inf for a positive demand price
-    (unbounded rate) and 0 otherwise; a zero demand price scores price_sum.
-    """
-    if demand_price < 0 or price_sum < 0:
-        raise ValueError("prices must be nonnegative")
-    if price_sum == 0.0:
-        return -math.inf if demand_price > 0 else 0.0
-    if demand_price == 0.0:
-        return price_sum
-    return (demand_price * math.log2(demand_price / (LN2 * price_sum))
-            - demand_price * bandwidth / LN2 + price_sum)
-
-
-def pick_assignment(scores) -> tuple:
-    """Argmax with lexicographic ties; returns (index, unique flag)."""
-    scores = np.asarray(scores, dtype=float)
-    if not np.any(scores > -math.inf):
-        raise ValueError("no assignable message on this subcarrier")
-    idx = int(np.argmax(scores))
-    top = scores[idx]
-    rest = np.delete(scores, idx)
-    unique = True
-    if rest.size:
-        unique = bool(top - rest.max() > 1e-12 * (abs(top) + 1.0))
-    return idx, unique
-
-
-def priced_rate(demand_price: float, price_sum: float, assigned: float,
-                bandwidth: float) -> float:
-    """Optimal rate of an assigned pair at the given prices."""
-    if assigned not in (0, 1, 0.0, 1.0):
-        raise ValueError("assignment must be binary")
-    if not assigned or demand_price == 0.0:
-        return 0.0
-    if price_sum == 0.0:
-        return math.inf
-    return assigned * bandwidth * max(0.0, math.log2(demand_price / (LN2 * price_sum)))
-
-
-def feasible_beam(user_prices, h_aud, beta, w_prev, assigned, rate_bits,
-                  noise_w: float, bandwidth: float) -> np.ndarray:
-    """Scaled beam for one pair: the stationarity direction, stretched just
-    enough that the linearized rate constraint holds for every audience user.
-
-    Direction: sum over users of price * beta * (h^H w_prev) * h. The
-    stretch is the max over users of
-    [mu*(2^(c/(B*mu)) - 1) + beta*|h^H w_prev|^2/(m*noise)] /
-    [2*beta*Re{(h^H w_prev)^* (h^H d)}/(m*noise)].
-    """
-    h_aud = np.asarray(h_aud, dtype=np.complex128)
-    w_prev = np.asarray(w_prev, dtype=np.complex128)
-    if h_aud.ndim != 2 or h_aud.shape[1] != w_prev.shape[0]:
-        raise ValueError("channel and beam dimensions disagree")
-    prices = np.asarray(user_prices, dtype=float)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (h_aud.shape[0],))
-    m = w_prev.shape[0]
-    if not assigned:
-        return np.zeros(m, dtype=np.complex128)
-    hw = h_aud.conj() @ w_prev
-    d = (prices * beta * hw) @ h_aud
-    if not np.any(np.abs(d) > 0):
-        return np.zeros(m, dtype=np.complex128)
-    hd = h_aud.conj() @ d
-    scale = m * noise_w
-    num = (2.0 ** min(rate_bits / bandwidth, EXP_CAP) - 1.0) + beta * np.abs(hw) ** 2 / scale
-    den = 2.0 * beta * (hw.conj() * hd).real / scale
-    alpha = 0.0
-    for nk, dk in zip(num, den):
-        if nk <= 0.0:
-            continue
-        if dk <= 0.0:
-            raise InfeasibleDirectionError(
-                "linearized constraint cannot be met along this direction")
-        alpha = max(alpha, nk / dk)
-    return alpha * d
-
-
-def price_step(duals: DcDuals, rate_violation, demand_residual,
-               delta: float) -> DcDuals:
-    """Projected subgradient update: raise prices on violated constraints."""
-    if delta <= 0:
-        raise ValueError("step must be positive")
-    lam = np.maximum(0.0, duals.user_price + delta * np.asarray(rate_violation))
-    gam = np.maximum(0.0, duals.demand_price + delta * np.asarray(demand_residual))
-    return DcDuals(demand_price=gam, user_price=lam)
-
-
 class _Workspace:
     """Padded per-instance tensors in scaled units."""
 
-    def __init__(self, ch, messages, bandwidth=None):
-        self.ch = ch
-        self.messages = list(messages)
-        self.bw = float(bandwidth if bandwidth is not None else ch.bandwidth_hz)
-        self.n_msg = len(self.messages)
+    def __init__(self, ch, messages):
+        self.bw = float(ch.bandwidth_hz)
+        self.n_msg = len(messages)
         self.n_sc = ch.n_sc
         self.m = ch.m
-        aud = [[k - 1 for k in msg.audience] for msg in self.messages]
+        self.msgs = np.arange(self.n_msg)
+        aud = [[k - 1 for k in msg.audience] for msg in messages]
         self.a_max = max(len(a) for a in aud)
         self.mask = np.zeros((self.n_msg, self.a_max), dtype=bool)
         idx = np.zeros((self.n_msg, self.a_max), dtype=int)
@@ -191,16 +107,12 @@ class _Workspace:
         h_scaled = ch.h * scale  # (n_sc, k, m)
         self.hhat = np.transpose(h_scaled[:, idx, :], (1, 0, 2, 3)).copy()
         self.hhat *= self.mask[:, None, :, None]
-        self.demands = np.array([msg.demand_bits_per_s for msg in self.messages],
-                                dtype=float)
-        self.dn = self.demands / self.bw
+        self.dn = np.array([msg.demand_bits_per_s for msg in messages],
+                           dtype=float) / self.bw
         self.cols = np.arange(self.n_sc)
 
     def scale_in(self, w):
         return np.asarray(w, dtype=np.complex128) / math.sqrt(self.p0)
-
-    def scale_out(self, w):
-        return w * math.sqrt(self.p0)
 
 
 def _init_duals(ws: _Workspace, w_int: np.ndarray, assigned: np.ndarray,
@@ -221,20 +133,102 @@ def _init_duals(ws: _Workspace, w_int: np.ndarray, assigned: np.ndarray,
     lam_pair = np.where(lam_pair > 0, lam_pair, fill)
     lam = np.where(ws.mask[:, None, :], lam_pair[:, :, None], 0.0)
 
-    price_sum = lam.sum(axis=2)
-    gam = np.zeros(ws.n_msg)
-    for mi in range(ws.n_msg):
-        on = (assigned == mi) & (c_int[mi] > 0)
-        if on.any():
-            gam[mi] = LN2 * float(
-                np.max(price_sum[mi, on] * 2.0 ** np.minimum(c_int[mi, on], EXP_CAP)))
-        else:
-            gam[mi] = LN2 * fill
+    on = (assigned == ws.msgs[:, None]) & (c_int > 0)
+    top = np.where(on, lam.sum(axis=2) * 2.0 ** np.minimum(c_int, EXP_CAP),
+                   -np.inf).max(axis=1)
+    gam = LN2 * np.where(on.any(axis=1), top, fill)
     return DcDuals(demand_price=gam, user_price=lam)
 
 
+def _scores(gam: np.ndarray, price_sum: np.ndarray, live: np.ndarray):
+    """Dual value of granting each subcarrier to each message.
+
+    price_sum (n_msg, n_sc) plays the role of an effective quote under the
+    linearized constraint; the score is the priced rate minus a power proxy,
+    gam*log2(gam/(ln2*price_sum)) - gam/ln2 + price_sum. Sentinels: a pair
+    that is not live, or has price_sum = 0 and a positive demand price,
+    scores -inf; a zero demand price scores price_sum. Returns the scores
+    and the log term, which `_priced_rate` reuses.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.log2(gam[:, None] / (LN2 * np.maximum(price_sum, 1e-300)))
+        scores = np.where(
+            gam[:, None] > 0,
+            gam[:, None] * log_term - gam[:, None] / LN2 + price_sum,
+            price_sum)
+    scores = np.where((price_sum <= 0) & (gam[:, None] > 0), -np.inf, scores)
+    scores = np.where(live, scores, -np.inf)
+    return scores, log_term
+
+
+def _pick(scores: np.ndarray, incumbent: np.ndarray):
+    """Per subcarrier, the best-scoring message (the first on ties); a
+    column where every message scores -inf keeps its incumbent. The flag
+    is False when some column's top two scores are within 1e-12 relative."""
+    assigned = incumbent.copy()
+    free = np.any(scores > -np.inf, axis=0)
+    if free.any():
+        assigned[free] = np.argmax(scores[:, free], axis=0)
+    if scores.shape[0] > 1 and free.any():
+        part = np.sort(scores[:, free], axis=0)
+        with np.errstate(invalid="ignore"):
+            gapped = part[-1] - part[-2] > 1e-12 * (np.abs(part[-1]) + 1.0)
+        return assigned, bool(np.all(gapped | ~np.isfinite(part[-2])))
+    return assigned, True
+
+
+def _priced_rate(log_term: np.ndarray, sel: np.ndarray,
+                 gam: np.ndarray) -> np.ndarray:
+    """Optimal rate (in multiples of B) of each selected pair at the given
+    prices: the log term floored at 0 and capped at EXP_CAP, which is also
+    the rate of price_sum = 0; zero off the selection and for a zero
+    demand price."""
+    return np.where(sel & (gam[:, None] > 0),
+                    np.clip(log_term, 0.0, EXP_CAP), 0.0)
+
+
+def _direction(lam_sel: np.ndarray, hw_sel: np.ndarray, hhat_sel: np.ndarray):
+    """Stationarity direction of each subcarrier's pair and the linearized
+    gain it gives each audience user.
+
+    Direction: d = sum_k lam_k (h_k^H w_prev) h_k over the audience, from
+    the prices lam_sel (n_sc, a), the gains h_k^H w_prev in hw_sel and the
+    channels hhat_sel (n_sc, a, m). Gain: 2 Re{(h_k^H w_prev)^* (h_k^H d)}.
+    """
+    dvec = np.einsum("nk,nkm->nm", lam_sel * hw_sel, hhat_sel)
+    hd_sel = np.einsum("nkm,nm->nk", hhat_sel.conj(), dvec)
+    return dvec, 2.0 * (hw_sel.conj() * hd_sel).real
+
+
+def _stretch(c_sel: np.ndarray, gsq_sel: np.ndarray, den: np.ndarray,
+             mask_sel: np.ndarray):
+    """Least stretch of each direction that meets every audience user's
+    linearized rate constraint: the max over users of
+    [(2^c - 1) + |h^H w_prev|^2] / den, den being the `_direction` gain.
+    Users off mask_sel, and users with nothing to cover, impose nothing.
+    None when a user with something to cover has den <= 0: no stretch of
+    that direction reaches them.
+    """
+    num = (2.0 ** c_sel[:, None] - 1.0) + gsq_sel
+    num *= mask_sel
+    need = num > 1e-300
+    if np.any(need & (den <= 0.0)):
+        return None
+    with np.errstate(invalid="ignore"):
+        ratios = np.where(need, num / np.where(den > 0, den, 1.0), 0.0)
+    return ratios.max(axis=1)
+
+
+def _price_step(lam: np.ndarray, gam: np.ndarray, viol: np.ndarray,
+                resid: np.ndarray, delta: float):
+    """Projected subgradient step: raise the prices of violated
+    constraints, lower the others, never below zero."""
+    return (np.maximum(0.0, lam + delta * viol),
+            np.maximum(0.0, gam + delta * resid))
+
+
 def _inner(ws: _Workspace, w_int: np.ndarray, assigned0: np.ndarray,
-           c_prev: np.ndarray, duals: DcDuals, max_iter: int, tol: float):
+           c_prev: np.ndarray, duals: DcDuals):
     """Dual loop over the convex approximation at linearization point w_int.
 
     Tracks the best feasible candidate; the start point itself is the first
@@ -255,100 +249,60 @@ def _inner(ws: _Workspace, w_int: np.ndarray, assigned0: np.ndarray,
             "energy": e_prev, "unique": True}
     step0 = 1.0 / max(ws.dn.max(), 1.0)
     window = []
-    iters = max_iter
+    iters = INNER_MAX
 
-    for i in range(max_iter):
+    for i in range(INNER_MAX):
         price_sum = (lam * mask_all).sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_term = np.log2(gam[:, None] / (LN2 * np.maximum(price_sum, 1e-300)))
-            scores = np.where(
-                gam[:, None] > 0,
-                gam[:, None] * log_term - gam[:, None] / LN2 + price_sum,
-                price_sum)
-        scores = np.where((price_sum <= 0) & (gam[:, None] > 0), -np.inf, scores)
-        scores = np.where(live, scores, -np.inf)
+        scores, log_term = _scores(gam, price_sum, live)
+        assigned, unique = _pick(scores, assigned0)
 
-        assigned = assigned0.copy()
-        free = np.any(scores > -np.inf, axis=0)
-        if free.any():
-            assigned[free] = np.argmax(scores[:, free], axis=0)
-        if ws.n_msg > 1 and free.any():
-            part = np.sort(scores[:, free], axis=0)
-            with np.errstate(invalid="ignore"):
-                gapped = part[-1] - part[-2] > 1e-12 * (np.abs(part[-1]) + 1.0)
-            unique = bool(np.all(gapped | ~np.isfinite(part[-2])))
-        else:
-            unique = True
+        sel = (assigned == ws.msgs[:, None]) & live
+        c = _priced_rate(log_term, sel, gam)
 
-        sel = np.zeros((ws.n_msg, ws.n_sc), dtype=bool)
-        sel[assigned, ws.cols] = True
-        sel &= live
-        c = np.where(sel & (gam[:, None] > 0),
-                     np.clip(log_term, 0.0, EXP_CAP), 0.0)
-
-        # candidate recovery: exact-demand rates, then minimal beam stretch
+        # candidate recovery: exact-demand rates (scaled up, or spread
+        # evenly where the priced rates are all zero), then minimal stretch
         tot = c.sum(axis=1)
         counts = sel.sum(axis=1)
-        c_rep = np.zeros_like(c)
         ok = bool(np.all(counts > 0))
         if ok:
-            for mi in range(ws.n_msg):
-                if tot[mi] > 0:
-                    c_rep[mi] = c[mi] * (ws.dn[mi] / tot[mi])
-                else:
-                    c_rep[mi, sel[mi]] = ws.dn[mi] / counts[mi]
-            if np.any(c_rep > EXP_CAP):
-                ok = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c_rep = np.where(tot[:, None] > 0, c * (ws.dn / tot)[:, None],
+                                 np.where(sel, (ws.dn / counts)[:, None], 0.0))
+            ok = not np.any(c_rep > EXP_CAP)
 
         mask_sel = ws.mask[assigned]                      # (n_sc, a_max)
-        lam_sel = lam[assigned, ws.cols] * mask_sel
         hw_sel = hw[assigned, ws.cols]
-        hhat_sel = ws.hhat[assigned, ws.cols]
         gsq_sel = gsq[assigned, ws.cols]
-        dvec = np.einsum("nk,nkm->nm", lam_sel * hw_sel, hhat_sel)
-        hd_sel = np.einsum("nkm,nm->nk", hhat_sel.conj(), dvec)
-        den = 2.0 * (hw_sel.conj() * hd_sel).real
+        dvec, den = _direction(lam[assigned, ws.cols] * mask_sel, hw_sel,
+                               ws.hhat[assigned, ws.cols])
 
-        if ok:
-            c_sel = c_rep[assigned, ws.cols]
-            num = (2.0 ** c_sel[:, None] - 1.0) + gsq_sel
-            num *= mask_sel
-            need = num > 1e-300
-            if np.any(need & (den <= 0.0)):
-                ok = False
-            else:
-                with np.errstate(invalid="ignore"):
-                    ratios = np.where(need, num / np.where(den > 0, den, 1.0), 0.0)
-                alpha = ratios.max(axis=1)
-                w_cand = alpha[:, None] * dvec
-                energy = float((np.abs(w_cand) ** 2).sum())
-                if energy < best["energy"] * (1.0 - 1e-15):
-                    w_full = np.zeros_like(w_int)
-                    w_full[assigned, ws.cols] = w_cand
-                    best = {"assigned": assigned.copy(), "c": c_rep.copy(),
-                            "w": w_full, "energy": energy, "unique": unique}
+        alpha = (_stretch(c_rep[assigned, ws.cols], gsq_sel, den, mask_sel)
+                 if ok else None)
+        if alpha is not None:
+            w_cand = alpha[:, None] * dvec
+            energy = float((np.abs(w_cand) ** 2).sum())
+            if energy < best["energy"] * (1.0 - 1e-15):
+                w_full = np.zeros_like(w_int)
+                w_full[assigned, ws.cols] = w_cand
+                best = {"assigned": assigned.copy(), "c": c_rep.copy(),
+                        "w": w_full, "energy": energy, "unique": unique}
 
         window.append(best["energy"])
         if len(window) > 20:
             window.pop(0)
-            if window[0] - window[-1] <= tol * max(window[-1], 1e-300):
+            if window[0] - window[-1] <= INNER_TOL * max(window[-1], 1e-300):
                 iters = i + 1
                 break
 
         # price updates: rate-constraint residuals are evaluated at the
         # dual-stationary beam (the unstretched direction)
-        lin = 2.0 * (hw_sel.conj() * hd_sel).real - gsq_sel
-        c_dual_sel = c[assigned, ws.cols]
-        viol_sel = (2.0 ** c_dual_sel[:, None] - 1.0) - lin
+        viol_sel = (2.0 ** c[assigned, ws.cols][:, None] - 1.0) - (den - gsq_sel)
         live_sel = live[assigned, ws.cols]
         viol = np.zeros((ws.n_msg, ws.n_sc, ws.a_max))
         viol[assigned, ws.cols] = np.where(
             mask_sel & live_sel[:, None], viol_sel, 0.0)
         resid = ws.dn - c.sum(axis=1)
-
-        delta = step0 / (1.0 + i / 50.0)
-        lam = np.maximum(0.0, lam + delta * viol)
-        gam = np.maximum(0.0, gam + delta * resid)
+        lam, gam = _price_step(lam, gam, viol, resid, step0 / (1.0 + i / 50.0))
 
     return best, DcDuals(demand_price=gam, user_price=lam), iters
 
@@ -376,14 +330,11 @@ def _polish(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
 
     quotes = np.full((ws.n_msg, ws.n_sc), np.inf)
     quotes[assigned, ws.cols] = q_cols
-    power = np.zeros((ws.n_msg, ws.n_sc))
-    rate = np.zeros((ws.n_msg, ws.n_sc))
-    for mi in range(ws.n_msg):
-        cols = np.flatnonzero(assigned == mi)
-        wf = _waterfill_exact(quotes[mi], cols, ws.dn[mi], 1.0)
-        if wf is None:
-            return None
-        power[mi], rate[mi] = wf
+    power, rate, ok = _waterfill_sets(
+        quotes, ws.dn, np.argsort(quotes, axis=1, kind="stable"), ws.msgs,
+        assigned == ws.msgs[:, None])
+    if not ok.all():
+        return None
     w_next = np.zeros_like(w_int)
     w_next[assigned, ws.cols] = np.sqrt(power[assigned, ws.cols])[:, None] * dirs
     return {"power": power, "rate": rate, "w": w_next, "dirs": dirs,
@@ -430,88 +381,18 @@ def _polish_realloc(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
     return out, new_assigned
 
 
-def initial_point(ch, messages, mode: str = "asymptotic", seed: int = 0, *,
-                  _plan=None) -> DcState:
-    """Feasible start: the large-antenna solution, or a random one.
-
-    The random mode spreads every message over all subcarriers with equal
-    relaxed assignment and doubles power until demands are met; it exists
-    for robustness testing, not for quality. dc_solve hands in the
+def initial_point(ch, messages, *, _plan=None) -> DcState:
+    """Feasible start: the large-antenna solution. dc_solve hands in the
     asymptotic plan it already built as _plan, so one solve builds it once.
     """
-    if mode == "asymptotic":
-        plan = beam_plan_asymptotic(ch, messages) if _plan is None else _plan
-        alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-        w = np.sqrt(alloc.power)[:, :, None] * plan.w
-        return DcState(scaled_beams=w, assign_frac=alloc.assign.astype(float),
-                       rate=alloc.rate.copy(), outer_iter=0,
-                       total_power_w=alloc.power_sum / ch.m)
-    if mode != "random":
-        raise ValueError(f"unknown start mode: {mode!r}")
-
-    rng = np.random.default_rng(seed)
-    n_msg, n_sc, m = len(messages), ch.n_sc, ch.m
-    dirs = rng.standard_normal((n_msg, n_sc, m)) + 1j * rng.standard_normal(
-        (n_msg, n_sc, m))
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    mu = np.full((n_msg, n_sc), 1.0 / n_msg)
-    w = np.zeros((n_msg, n_sc, m), dtype=np.complex128)
-    rate = np.zeros((n_msg, n_sc))
-    for mi, msg in enumerate(messages):
-        idx = [k - 1 for k in msg.audience]
-        proj = np.einsum("nam,nm->na", ch.h[:, idx, :].conj(), dirs[mi])
-        gains = ch.beta[idx][None, :] * np.abs(proj) ** 2
-        gmin = gains.min(axis=1)
-        frac = mu[mi]
-        p = 1e-3
-        r = np.zeros(n_sc)
-        for _ in range(400):
-            r = frac * ch.bandwidth_hz * np.log2(
-                1.0 + gmin * p / (frac * ch.m * ch.noise_w))
-            if r.sum() >= msg.demand_bits_per_s:
-                break
-            p *= 2.0
-        rate[mi] = r
-        w[mi] = math.sqrt(p) * dirs[mi]
-    return DcState(scaled_beams=w, assign_frac=mu, rate=rate, outer_iter=0,
-                   total_power_w=float((np.abs(w) ** 2).sum()) / ch.m)
+    plan = beam_plan_asymptotic(ch, messages) if _plan is None else _plan
+    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    w = np.sqrt(alloc.power)[:, :, None] * plan.w
+    return DcState(scaled_beams=w, assign_frac=alloc.assign.astype(float),
+                   rate=alloc.rate.copy(), total_power_w=alloc.power_sum / ch.m)
 
 
-def solve_convex_approx(w_prev, ch, messages, bandwidth=None,
-                        max_iter: int = 5000, tol: float = 1e-6,
-                        duals: DcDuals = None):
-    """One convexified solve at linearization point w_prev (a DcState).
-
-    Returns (state, duals, info): the best feasible point of the
-    approximation, warm-startable multipliers, and iteration metadata.
-    """
-    if not isinstance(w_prev, DcState):
-        raise TypeError("linearization point must be a DcState")
-    ws = _Workspace(ch, messages, bandwidth)
-    w_int = ws.scale_in(w_prev.scaled_beams)
-    tiebreak = 1e-12 * np.abs(w_prev.scaled_beams).sum(axis=2)
-    assigned0 = np.argmax(w_prev.assign_frac + tiebreak, axis=0)
-    c_prev = w_prev.rate / ws.bw
-    if duals is None:
-        duals = _init_duals(ws, w_int, assigned0, c_prev)
-    best, duals_out, iters = _inner(ws, w_int, assigned0, c_prev, duals,
-                                    max_iter, tol)
-    assign = np.zeros((ws.n_msg, ws.n_sc))
-    assign[best["assigned"], ws.cols] = 1.0
-    state = DcState(
-        scaled_beams=ws.scale_out(best["w"]),
-        assign_frac=assign,
-        rate=best["c"] * ws.bw,
-        outer_iter=w_prev.outer_iter + 1,
-        total_power_w=best["energy"] * ws.p0 / ws.m)
-    info = {"iterations": iters, "unique_argmax": best["unique"],
-            "converged": iters < max_iter}
-    return state, duals_out, info
-
-
-def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
-             tol: float = 1e-4, inner_max: int = 5000, inner_tol: float = 1e-6,
-             mode: str = "asymptotic", seed: int = 0) -> Allocation:
+def dc_solve(ch, messages) -> Allocation:
     """Full plan for the general case: iterate convexified solves until the
     total power stabilizes, polishing every pass with an exact water-fill.
 
@@ -520,9 +401,9 @@ def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
     Diagnostics carry the outer power trace in watts (non-increasing).
     """
     messages = list(messages)
-    ws = _Workspace(ch, messages, bandwidth)
+    ws = _Workspace(ch, messages)
     plan = beam_plan_asymptotic(ch, messages)
-    state = initial_point(ch, messages, mode=mode, seed=seed, _plan=plan)
+    state = initial_point(ch, messages, _plan=plan)
 
     # direction menu: per pair, the better of the large-antenna closed form
     # and the covariance eigenbeam; gives every pair a usable direction and
@@ -550,12 +431,11 @@ def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
     converged = False
     unique = True
     inner_ok = True
-    for _ in range(outer_max):
-        cand, duals, iters = _inner(ws, w_int, assigned, c_int, duals,
-                                    inner_max, inner_tol)
+    for _ in range(OUTER_MAX):
+        cand, duals, iters = _inner(ws, w_int, assigned, c_int, duals)
         total_inner += iters
         unique = unique and cand["unique"]
-        inner_ok = inner_ok and (iters < inner_max)
+        inner_ok = inner_ok and (iters < INNER_MAX)
         pol, pol_assigned = _polish_realloc(ws, cand["assigned"], cand["w"],
                                             menu_dirs, menu_q)
         if pol is None:
@@ -569,14 +449,13 @@ def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
         best_pol = pol
         e_prev, energy = energy, pol["energy"]
         e_trace.append(energy * ws.p0 / ws.m)
-        if abs(e_prev - energy) <= tol * max(energy, 1e-300):
+        if abs(e_prev - energy) <= OUTER_TOL * max(energy, 1e-300):
             converged = True
             break
 
     power = best_pol["power"] * ws.p0
     rate = best_pol["rate"] * ws.bw
-    assign = np.zeros((ws.n_msg, ws.n_sc), dtype=int)
-    assign[assigned, ws.cols] = 1
+    assign = (assigned == ws.msgs[:, None]).astype(int)
     return Allocation(
         assign=assign, power=power, rate=rate,
         power_sum=float(power.sum()),
@@ -588,6 +467,5 @@ def dc_solve(ch, messages, bandwidth=None, outer_max: int = 100,
         duality_gap=float("nan"),
         dual_bound=float("nan"),
         diagnostics={"e_trace": e_trace,
-                     "outer_iterations": len(e_trace) - 1,
-                     "start_mode": mode},
+                     "outer_iterations": len(e_trace) - 1},
     )

@@ -18,8 +18,9 @@ per-message tables of exact water-fill totals: the flip table (one column
 added to or removed from the message's set) and the exchange table (one
 owned column traded for another). A message's tables are rebuilt, in one
 batched water-fill, only when its column set changes. `_waterfill_rows`
-is the one implementation of the water-fill rule; `_waterfill_exact` is
-its one-set case.
+is the one implementation of the water-fill rule, and `_waterfill_sets`
+applies it to any batch of column sets: every candidate assignment, every
+table row and the DC planner's polish go through it.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LN2 = math.log(2.0)
+STEP_DECAY = 50.0  # dual step size decays as 1 / (1 + iteration / STEP_DECAY)
 
 
 class InfeasibleAllocationError(ValueError):
@@ -103,12 +105,13 @@ def assignment_gain(gamma: float, q: float, bandwidth: float) -> float:
     return gamma * bandwidth * math.log2(1.0 + p / q) - p
 
 
-def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray, bandwidth: float):
+def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
     """Minimum-power split of each row's demand over that row's quotes.
 
     Row r of q_sorted (shape (R, n)) holds the quotes of one column set in
     ascending order (ties in column order), padded with inf, and at least
-    one of them is finite; demand has shape (R,) and is positive. The
+    one of them is finite; demand has shape (R,), is positive and is in
+    multiples of the bandwidth, as are the returned rates. The
     closed-form water level sits over the cheapest quotes: the first
     active count whose level fits wins, and every finite quote is active
     when none fits. Returns (power, rate) in the positions of q_sorted,
@@ -119,7 +122,7 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray, bandwidth: float):
     logs = np.log2(q_sorted)
     # candidate log2 water level with the j cheapest quotes active; the
     # level must sit above quote j and not above quote j+1
-    cands = ((demand[:, None] / bandwidth + np.add.accumulate(logs, axis=1))
+    cands = ((demand[:, None] + np.add.accumulate(logs, axis=1))
              / np.arange(1, n + 1))
     fits = cands > logs - 1e-15
     fits[:, :-1] &= cands[:, :-1] <= logs[:, 1:] + 1e-15
@@ -130,29 +133,7 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray, bandwidth: float):
     level = np.array([2.0 ** min(v, 1000.0) for v in log2w.tolist()])
     on = np.arange(n) <= last[:, None]
     power = np.where(on, np.maximum(0.0, level[:, None] - q_sorted), 0.0)
-    rate = np.where(on, bandwidth * (log2w[:, None] - logs), 0.0)
-    return power, rate
-
-
-def _waterfill_exact(quotes: np.ndarray, idx: np.ndarray, demand: float,
-                     bandwidth: float):
-    """Split `demand` over the subcarriers `idx` at minimum power.
-
-    The one-row case of `_waterfill_rows`; ties between equal quotes go
-    to the earlier entry of idx. Returns (power, rate) as full-width
-    arrays, or None when idx has no finite quote.
-    """
-    order = idx[np.argsort(quotes[idx], kind="stable")]
-    q_sorted = quotes[order]
-    if not np.isfinite(q_sorted).any():
-        return None
-    power = np.zeros(quotes.shape[0])
-    rate = np.zeros(quotes.shape[0])
-    if demand <= 0.0:
-        return power, rate
-    p, r = _waterfill_rows(q_sorted[None, :], np.array([demand]), bandwidth)
-    power[order] = p[0]
-    rate[order] = r[0]
+    rate = np.where(on, log2w[:, None] - logs, 0.0)
     return power, rate
 
 
@@ -200,14 +181,16 @@ def _greedy_assignment(qn: np.ndarray):
     return assigned
 
 
-def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
-                owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Exact water-fill totals of many column sets in one batch.
+def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
+                    owner: np.ndarray, sets: np.ndarray):
+    """Exact water-fill of many column sets in one batch.
 
-    Row r splits demand dn[owner[r]] over the columns flagged in sets[r]
-    at quotes qn[owner[r]]; perm is qn's stable argsort along each row.
-    The total is the sum of the full-width power row, as it is for a
-    `_waterfill_exact` result, or inf when the set has no finite quote.
+    Row r splits demand dn[owner[r]] (in multiples of the bandwidth) over
+    the columns flagged in sets[r] at quotes qn[owner[r]]; perm is qn's
+    stable argsort along each row, so equal quotes fill in column order.
+    Returns full-width (power, rate) rows, zero off each set, and a flag
+    per row that is False, with zero rows, when the set has no finite
+    quote.
     """
     rows = np.arange(owner.size)
     order = perm[owner]
@@ -219,11 +202,19 @@ def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     packed = np.full(use.shape, math.inf)
     packed[r, slot] = q_sorted[r, p]
     ok = use.any(axis=1)
-    power = np.zeros(use.shape)
-    power[ok] = _waterfill_rows(packed[ok], dn[owner[ok]], 1.0)[0]
-    full = np.zeros(use.shape)
-    full[r, order[r, p]] = power[r, slot]
-    return np.where(ok, full.sum(axis=1), math.inf)
+    by_slot = np.zeros((2,) + use.shape)    # power and rate, packed
+    by_slot[:, ok] = _waterfill_rows(packed[ok], dn[owner[ok]])
+    by_col = np.zeros((2,) + use.shape)     # back in column positions
+    by_col[:, r, order[r, p]] = by_slot[:, r, slot]
+    return by_col[0], by_col[1], ok
+
+
+def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
+                owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Water-fill total of each `_waterfill_sets` row: the sum of its
+    full-width power row, or inf when the set has no finite quote."""
+    power, _, ok = _waterfill_sets(qn, dn, perm, owner, sets)
+    return np.where(ok, power.sum(axis=1), math.inf)
 
 
 def _first_max(gain: np.ndarray, valid: np.ndarray):
@@ -364,7 +355,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
 
 def solve_quoted_allocation(messages, quotes, bandwidth: float,
                             max_iter: int = 5000, tol: float = 1e-3,
-                            step0: float = None, tau: float = 50.0,
                             strict: bool = False) -> Allocation:
     """Minimum-power assignment and power split against a quote matrix.
 
@@ -406,9 +396,8 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
 
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
     gamma = LN2 * qmin * 2.0 ** np.minimum(dn / n_sc, 500.0)
-    if step0 is None:
-        # keep one update around a tenth of the multiplier scale
-        step0 = 0.1 * float(np.mean(gamma)) / max(float(dn.max()), 1e-12)
+    # keep one update around a tenth of the multiplier scale
+    step0 = 0.1 * float(np.mean(gamma)) / max(float(dn.max()), 1e-12)
 
     best_power = math.inf
     best = None
@@ -417,23 +406,25 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     iterations = max_iter
     cache = {}
     seen = set()
+    msgs = np.arange(n_msg)
+    perm = np.argsort(qn, axis=1, kind="stable")
+
+    def fill(assigned_arr):
+        # (total, (power, rate)) of every message's exact water-fill, the
+        # total summing the rows in message order; (inf, None) when some
+        # message has no finite quote
+        power, rate, ok = _waterfill_sets(qn, dn, perm, msgs,
+                                          assigned_arr == msgs[:, None])
+        if not ok.all():
+            return math.inf, None
+        return sum(power.sum(axis=1).tolist()), (power, rate)
 
     def consider(assigned_arr, gain, gamma_snap):
         nonlocal best_power, best
         key = assigned_arr.tobytes()
         hit = cache.get(key)
         if hit is None:
-            total = 0.0
-            cand = []
-            for mi in range(n_msg):
-                idx = np.flatnonzero(assigned_arr == mi)
-                wf = _waterfill_exact(qn[mi], idx, dn[mi], 1.0)
-                if wf is None:
-                    cache[key] = (math.inf, None)
-                    return
-                cand.append(wf)
-                total += wf[0].sum()
-            cache[key] = hit = (total, cand)
+            cache[key] = hit = fill(assigned_arr)
         total, cand = hit
         if cand is not None and total < best_power * (1.0 - 1e-15):
             best_power = total
@@ -446,7 +437,6 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         consider(seed, None, gamma)
 
     active_gain = np.zeros((n_msg, n_sc))
-    msg_ids = np.arange(n_msg)[:, None]
     with np.errstate(invalid="ignore"):
         for i in range(max_iter):
             water = gamma[:, None] / LN2
@@ -470,7 +460,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
                     consider(repaired, gain, gamma)
 
             # dual value and subgradient on the demand residuals
-            sel = assigned == msg_ids
+            sel = assigned == msgs[:, None]
             rates = np.where(sel, log_ratio, 0.0)
             dual_val = float(gamma @ dn - np.where(sel, gain, 0.0).sum())
             best_dual = max(best_dual, dual_val)
@@ -484,7 +474,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
                     break
 
             resid = dn - rates.sum(axis=1)
-            delta = step0 / (1.0 + i / tau)
+            delta = step0 / (1.0 + i / STEP_DECAY)
             gamma = np.maximum(0.0, gamma + delta * resid)
 
     if best is None:
@@ -493,22 +483,13 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     assigned, cand, unique, gamma_best = best
     polished, ls_passes, ls_moves = _local_search(assigned, qn, dn)
     if not np.array_equal(polished, assigned):
-        cand2, total2 = [], 0.0
-        for mi in range(n_msg):
-            wf = _waterfill_exact(qn[mi], np.flatnonzero(polished == mi),
-                                  dn[mi], 1.0)
-            cand2.append(wf)
-            total2 += wf[0].sum()
+        total2, cand2 = fill(polished)
         if total2 < best_power:
             assigned, cand, best_power = polished, cand2, total2
 
-    assign = np.zeros((n_msg, n_sc), dtype=int)
-    power = np.zeros((n_msg, n_sc))
-    rate = np.zeros((n_msg, n_sc))
-    for mi in range(n_msg):
-        assign[mi, assigned == mi] = 1
-        power[mi] = cand[mi][0] * q_ref
-        rate[mi] = cand[mi][1] * bandwidth
+    assign = (assigned == msgs[:, None]).astype(int)
+    power = cand[0] * q_ref
+    rate = cand[1] * bandwidth
 
     gap = max(0.0, (best_power - best_dual) / max(best_power, 1e-300))
     alloc = Allocation(

@@ -158,17 +158,6 @@ def test_mrt_multicast_matches_dense_eigensolver():
         assert rayleigh >= (1 - 1e-8) * lam_max
 
 
-def test_mrt_multicast_sum_mode():
-    rng = np.random.default_rng(9)
-    h = crandn(rng, 3, 4)
-    beta = np.array([1.0, 2.0, 0.5])
-    w = mrt_multicast(h, beta, mode="sum")
-    agg = (beta[:, None] * h).sum(axis=0)
-    assert align(w, agg / np.linalg.norm(agg)) >= 1 - 1e-12
-    with pytest.raises(ValueError):
-        mrt_multicast(h, beta, mode="median")
-
-
 def test_quote_for_single_user_mrt():
     rng = np.random.default_rng(10)
     m = 7

@@ -1,5 +1,6 @@
 """Experiment harness: configs, sweeps, pairing, CSV contract, CLI."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -297,6 +298,24 @@ def test_cli_run_and_audit_round_trip(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     assert cli_main(["audit", "--config", cfg_path, "--out", out]) == 0
     assert "byte-identical" in capsys.readouterr().out
+
+
+def test_cli_run_counts_failed_and_unconverged_trials(tmp_path, capsys):
+    # two subcarriers cannot carry the multicast scheme's messages, so its
+    # trial fails; the unicast trial is planned
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(tiny_config(n_sc=2, trials=1))))
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.DictReader(fh)
+                if r["trial"] not in ("mean", "stderr")]
+    failed = sum(r["total_power_w"] == "nan" for r in rows)
+    unconverged = sum(r["converged"] == "0" and r["total_power_w"] != "nan"
+                      for r in rows)
+    assert (len(rows), failed) == (2, 1)
+    assert (f"trials: 2, failed (nan power): 1, not converged (of the "
+            f"rest): {unconverged}") in capsys.readouterr().out
 
 
 def test_cli_audit_detects_tampering(tmp_path, capsys):

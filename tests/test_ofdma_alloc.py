@@ -15,7 +15,7 @@ from tilecast import (InfeasibleAllocationError, Message, NonConvergenceError,
                       sample_channel, solve_quoted_allocation, waterfill_power)
 from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _local_search,
                                   _repair_starvation, _set_totals,
-                                  _waterfill_exact)
+                                  _waterfill_sets)
 
 B = 39e3
 
@@ -58,6 +58,22 @@ def test_assignment_gain_cases():
 # water-fill cross-oracle
 # ---------------------------------------------------------------------------
 
+def waterfill_one(quotes, idx, demand, bandwidth):
+    """`_waterfill_sets` on one row, the columns idx of quotes, in original
+    units: (power, rate) full-width rows, or None when idx has no finite
+    quote."""
+    sets = np.zeros((1, quotes.size), dtype=bool)
+    sets[0, idx] = True
+    perm = np.argsort(quotes, kind="stable")[None, :]
+    power, rate, ok = _waterfill_sets(quotes[None, :],
+                                      np.array([demand / bandwidth]), perm,
+                                      np.zeros(1, dtype=int), sets)
+    if not ok[0]:
+        assert not power.any() and not rate.any()
+        return None
+    return power[0], rate[0] * bandwidth
+
+
 @given(seed=st.integers(0, 2 ** 16), d_over_b=st.floats(0.05, 6.0),
        n=st.integers(1, 6))
 @settings(max_examples=120, deadline=None)
@@ -65,7 +81,7 @@ def test_waterfill_exact_matches_bisection(seed, d_over_b, n):
     rng = np.random.default_rng(seed)
     quotes = 10.0 ** rng.uniform(-10, -8, size=n)
     demand = d_over_b * B
-    power, rate = _waterfill_exact(quotes, np.arange(n), demand, B)
+    power, rate = waterfill_one(quotes, np.arange(n), demand, B)
     total_oracle, p_oracle = _bisect_waterfill(quotes, demand, B)
     assert rate.sum() == pytest.approx(demand, rel=1e-9)
     assert power.sum() == pytest.approx(total_oracle, rel=1e-6)
@@ -75,10 +91,10 @@ def test_waterfill_exact_matches_bisection(seed, d_over_b, n):
 
 def test_waterfill_exact_skips_infinite_quotes():
     quotes = np.array([1e-9, np.inf, 2e-9])
-    power, rate = _waterfill_exact(quotes, np.arange(3), 2.0 * B, B)
+    power, rate = waterfill_one(quotes, np.arange(3), 2.0 * B, B)
     assert power[1] == rate[1] == 0.0
     assert rate.sum() == pytest.approx(2.0 * B, rel=1e-9)
-    assert _waterfill_exact(np.array([np.inf]), np.arange(1), B, B) is None
+    assert waterfill_one(np.array([np.inf]), np.arange(1), B, B) is None
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +161,18 @@ def waterfill_instances(draw):
     idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1,
                                  max_size=n, unique=True)))
     bandwidth = draw(st.sampled_from([1.0, B]))
-    # demands far below one ulp of the log level probe the 1e-15 windows
-    demand = draw(st.one_of(st.just(0.0), st.floats(1e-18, 1e-12),
+    # demands far below one ulp of the log level probe the 1e-15 windows;
+    # every caller passes a positive demand
+    demand = draw(st.one_of(st.floats(1e-18, 1e-12),
                             st.floats(1e-6, 40.0))) * bandwidth
     return quotes, idx, demand, bandwidth
 
 
 def assert_same_waterfill(quotes, idx, demand, bandwidth):
-    got = _waterfill_exact(quotes, idx, demand, bandwidth)
+    # a column set has no order of its own: equal quotes fill in column
+    # order, which is the reference's rule for a sorted idx
+    idx = np.sort(idx)
+    got = waterfill_one(quotes, idx, demand, bandwidth)
     want = waterfill_reference(quotes, idx, demand, bandwidth)
     if want is None:
         assert got is None
@@ -398,6 +418,14 @@ def test_set_totals_match_scalar_waterfill_bitwise(batch):
     want = np.array([set_total_reference(qn, dn, mi, np.flatnonzero(row))
                      for mi, row in zip(owner, sets)])
     assert got.tobytes() == want.tobytes()
+    # and every row of the batch is the scalar water-fill of its set
+    power, rate, ok = _waterfill_sets(qn, dn, perm, owner, sets)
+    for r, (mi, row) in enumerate(zip(owner, sets)):
+        wf = waterfill_reference(qn[mi], np.flatnonzero(row), dn[mi], 1.0)
+        assert ok[r] == (wf is not None)
+        if wf is not None:
+            assert power[r].tobytes() == wf[0].tobytes()
+            assert rate[r].tobytes() == wf[1].tobytes()
 
 
 def test_local_search_counts_passes_and_moves():
