@@ -13,11 +13,9 @@ from .geometry import TileId, TilingConfig, ViewDirection, compute_tile_set, \
 from .partition import Message, QualityLadder, TilePartition, \
     build_messages, build_partition, unicast_messages
 from .channel import ChannelState, derive_trial_seed, sample_channel
-from .cxkernel import as_cvec, cdot
 from .beamforming import (BeamPlan, DegenerateChannelError,
-                          InfeasibleDirectionError, asymptotic_beam,
-                          beam_plan_asymptotic, beam_plan_mrt, mrt_multicast,
-                          mrt_unicast, quote_for)
+                          InfeasibleDirectionError, beam_plan_asymptotic,
+                          beam_plan_mrt, mrt_multicast, mrt_unicast, quote_for)
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
                           NonConvergenceError, assignment_gain,
                           audit_allocation, brute_force_allocation,
@@ -37,9 +35,8 @@ __all__ = [
     "Message", "QualityLadder", "TilePartition", "build_messages",
     "build_partition", "unicast_messages",
     "ChannelState", "derive_trial_seed", "sample_channel",
-    "as_cvec", "cdot",
     "BeamPlan", "DegenerateChannelError", "InfeasibleDirectionError",
-    "asymptotic_beam", "beam_plan_asymptotic", "beam_plan_mrt",
+    "beam_plan_asymptotic", "beam_plan_mrt",
     "mrt_multicast", "mrt_unicast", "quote_for",
     "Allocation", "InfeasibleAllocationError", "NonConvergenceError",
     "assignment_gain", "audit_allocation", "brute_force_allocation",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _audience
+
 
 class DegenerateChannelError(ValueError):
     """Audience channels cancel; no beam direction exists."""
@@ -48,36 +50,6 @@ def _audience_matrix(h_aud, beta):
     if np.any(b <= 0):
         raise ValueError("large-scale gains must be positive")
     return h, b
-
-
-def asymptotic_beam(h_aud, beta, noise_w: float):
-    """Large-antenna beam and quote for one audience on one subcarrier.
-
-    Parameters
-    ----------
-    h_aud : (a, m) complex
-        Channel vectors of the audience users.
-    beta : scalar or (a,)
-        Large-scale gains.
-    noise_w : float
-        Noise power.
-
-    Returns
-    -------
-    (w, q) : unit direction (m,) and quote q = m*noise / min_k beta_k|h_k^H w|^2.
-    """
-    h, b = _audience_matrix(h_aud, beta)
-    m = h.shape[1]
-    agg = (h / np.sqrt(b)[:, None]).sum(axis=0)
-    nrm = np.linalg.norm(agg)
-    if nrm == 0.0:
-        raise DegenerateChannelError("audience channels sum to zero")
-    w = agg / nrm
-    gains = b * np.abs(h.conj() @ w) ** 2
-    gmin = gains.min()
-    if gmin == 0.0:
-        raise InfeasibleDirectionError("audience channel orthogonal to beam")
-    return w, m * noise_w / gmin
 
 
 def mrt_unicast(h) -> np.ndarray:
@@ -135,24 +107,27 @@ def quote_for(w, h_aud, beta, noise_w: float) -> float:
 # plan builders (user ids in messages are 1-based; channel row = id - 1)
 # ---------------------------------------------------------------------------
 
+def _quotes(ch, h, beta, mask, w) -> np.ndarray:
+    """Quote of each (message, subcarrier) direction for its audience:
+    m*noise / min over audience users of beta|h^H w|^2, inf where that
+    minimum is 0. h, beta and mask come from `channel._audience`."""
+    gains = beta[:, None, :] * np.abs(np.einsum("inam,inm->ina", h.conj(), w)) ** 2
+    gmin = np.where(mask[:, None, :], gains, np.inf).min(axis=2)
+    q = np.full(gmin.shape, np.inf)
+    pos = gmin > 0.0
+    q[pos] = ch.m * ch.noise_w / gmin[pos]
+    return q
+
+
 def beam_plan_asymptotic(ch, messages) -> BeamPlan:
     """Large-antenna beams and quotes for every (message, subcarrier)."""
-    n_msg = len(messages)
-    w = np.zeros((n_msg, ch.n_sc, ch.m), dtype=np.complex128)
-    q = np.full((n_msg, ch.n_sc), np.inf)
-    for i, msg in enumerate(messages):
-        idx = [k - 1 for k in msg.audience]
-        h = ch.h[:, idx, :]                                   # (n_sc, a, m)
-        b = ch.beta[idx]
-        agg = (h / np.sqrt(b)[None, :, None]).sum(axis=1)     # (n_sc, m)
-        nrm = np.linalg.norm(agg, axis=1)
-        ok = nrm > 0.0
-        w[i, ok] = agg[ok] / nrm[ok, None]
-        gains = b[None, :] * np.abs(np.einsum("nam,nm->na", h.conj(), w[i])) ** 2
-        gmin = gains.min(axis=1)
-        pos = ok & (gmin > 0.0)
-        q[i, pos] = ch.m * ch.noise_w / gmin[pos]
-    return BeamPlan(w=w, q=q)
+    h, beta, mask = _audience(ch, messages)
+    agg = (h / np.sqrt(beta)[:, None, :, None]).sum(axis=2)  # (n_msg, n_sc, m)
+    nrm = np.linalg.norm(agg, axis=2)
+    ok = nrm > 0.0
+    w = np.zeros_like(agg)
+    w[ok] = agg[ok] / nrm[ok, None]
+    return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
 
 def beam_plan_mrt(ch, messages) -> BeamPlan:

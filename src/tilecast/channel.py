@@ -73,6 +73,23 @@ def sample_channel(seed: int, m: int, n_sc: int, k_users: int,
                         noise_w=float(noise_w), beta=beta_arr, h=h)
 
 
+def _audience(ch: ChannelState, messages):
+    """Each message's audience channels, padded to the largest audience.
+
+    User ids in messages are 1-based (channel row = id - 1). Returns h of
+    shape (n_msg, n_sc, a_max, m), zero off the mask; beta of shape
+    (n_msg, a_max), one off the mask; and the (n_msg, a_max) mask of real
+    audience slots.
+    """
+    sizes = np.array([len(msg.audience) for msg in messages], dtype=int)
+    mask = np.arange(sizes.max(initial=0))[None, :] < sizes[:, None]
+    idx = np.zeros(mask.shape, dtype=int)
+    idx[mask] = [k - 1 for msg in messages for k in msg.audience]
+    h = np.transpose(ch.h[:, idx, :], (1, 0, 2, 3)) * mask[:, None, :, None]
+    beta = np.where(mask, ch.beta[idx], 1.0)
+    return h, beta, mask
+
+
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:
     """Stable injective per-trial seed: (base_seed << 32) + trial_index.
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .beamforming import (InfeasibleDirectionError, beam_plan_asymptotic,
                           beam_plan_mrt)
+from .channel import _audience
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
                           solve_quoted_allocation, _waterfill_sets)
 
@@ -93,20 +94,12 @@ class _Workspace:
         self.n_sc = ch.n_sc
         self.m = ch.m
         self.msgs = np.arange(self.n_msg)
-        aud = [[k - 1 for k in msg.audience] for msg in messages]
-        self.a_max = max(len(a) for a in aud)
-        self.mask = np.zeros((self.n_msg, self.a_max), dtype=bool)
-        idx = np.zeros((self.n_msg, self.a_max), dtype=int)
-        for i, a in enumerate(aud):
-            self.mask[i, :len(a)] = True
-            idx[i, :len(a)] = a
+        h, beta, self.mask = _audience(ch, messages)
+        self.a_max = self.mask.shape[1]
 
         gains = ch.beta[None, :] * (np.abs(ch.h) ** 2).sum(axis=2)  # (n_sc, k)
         self.p0 = ch.m * ch.noise_w / float(np.median(gains))
-        scale = np.sqrt(ch.beta[None, :, None] * self.p0 / (ch.m * ch.noise_w))
-        h_scaled = ch.h * scale  # (n_sc, k, m)
-        self.hhat = np.transpose(h_scaled[:, idx, :], (1, 0, 2, 3)).copy()
-        self.hhat *= self.mask[:, None, :, None]
+        self.hhat = h * np.sqrt(beta * self.p0 / (ch.m * ch.noise_w))[:, None, :, None]
         self.dn = np.array([msg.demand_bits_per_s for msg in messages],
                            dtype=float) / self.bw
         self.cols = np.arange(self.n_sc)

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import _audience
+
 LN2 = math.log(2.0)
 STEP_DECAY = 50.0  # dual step size decays as 1 / (1 + iteration / STEP_DECAY)
 
@@ -609,16 +611,14 @@ def complete_allocation(alloc: Allocation, plan) -> Allocation:
     The subcarrier's beam is the assigned message's direction; physical
     total power divides the stored power sum by the antenna count.
     """
-    n_msg, n_sc = alloc.assign.shape
+    n_sc = alloc.assign.shape[1]
     m = plan.w.shape[2]
-    beams = np.zeros((n_sc, m), dtype=np.complex128)
-    for n in range(n_sc):
-        mi = int(np.argmax(alloc.assign[:, n]))
-        w = plan.w[mi, n]
-        nrm = np.linalg.norm(w)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"missing or non-unit beam for message {mi}, subcarrier {n}")
-        beams[n] = w
+    assigned = np.argmax(alloc.assign, axis=0)
+    beams = plan.w[assigned, np.arange(n_sc)]
+    bad = np.abs(np.linalg.norm(beams, axis=1) - 1.0) > 1e-9
+    if bad.any():
+        n = int(np.argmax(bad))
+        raise ValueError(f"missing or non-unit beam for message {assigned[n]}, subcarrier {n}")
     alloc.beams = beams
     alloc.total_power_w = alloc.power_sum / m
     return alloc
@@ -646,17 +646,15 @@ def audit_allocation(alloc: Allocation, ch, messages, rel: float = 1e-6) -> list
         norms = np.linalg.norm(alloc.beams, axis=1)
         if np.any(np.abs(norms - 1.0) > rel):
             problems.append("non-unit beam")
-        for mi, msg in enumerate(messages):
-            idx = [k - 1 for k in msg.audience]
-            cols = np.flatnonzero(alloc.assign[mi] == 1)
-            for n in cols:
-                if rate[mi, n] <= 0:
-                    continue
-                g = ch.beta[idx] * np.abs(ch.h[n, idx, :].conj() @ alloc.beams[n]) ** 2
-                snr = power[mi, n] * g / (ch.m * ch.noise_w)
-                user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
-                if np.any(user_rates < rate[mi, n] * (1.0 - rel)):
-                    problems.append(f"user rate below message rate at ({mi}, {n})")
+        h, beta, mask = _audience(ch, messages)
+        g = beta[:, None, :] * np.abs(
+            np.einsum("inam,nm->ina", h.conj(), alloc.beams)) ** 2
+        snr = power[:, :, None] * g / (ch.m * ch.noise_w)
+        with np.errstate(invalid="ignore"):  # negative power is flagged above
+            user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
+        below = (user_rates < rate[:, :, None] * (1.0 - rel)) & mask[:, None, :]
+        for mi, n in np.argwhere((assign == 1) & (rate > 0) & below.any(axis=2)):
+            problems.append(f"user rate below message rate at ({mi}, {n})")
 
     demands = _demands(messages)
     short = rate.sum(axis=1) < demands * (1.0 - rel)

@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tilecast import (QualityLadder, TilingConfig, ViewDirection,
-                      asymptotic_beam, audit_allocation, brute_force_allocation,
-                      build_messages, build_partition, compute_tile_set,
-                      dc_solve, derive_trial_seed, mrt_unicast, quote_for,
-                      sample_channel, solve_quoted_allocation)
+from tilecast import (ChannelState, Message, QualityLadder, TilingConfig,
+                      ViewDirection, audit_allocation, beam_plan_asymptotic,
+                      beam_plan_mrt, brute_force_allocation, build_messages,
+                      build_partition, compute_tile_set, dc_solve,
+                      derive_trial_seed, sample_channel,
+                      solve_quoted_allocation)
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
                               config_to_dict, default_config, run_experiment,
@@ -103,6 +104,18 @@ def test_criterion_1_partition_exactness():
 # criterion 2: beamformer identities
 # ---------------------------------------------------------------------------
 
+def one_subcarrier(builder, h_aud, beta, noise_w):
+    """(w, q) of `builder` for one message whose audience is every row of
+    h_aud, on a one-subcarrier channel with just those users."""
+    a, m = h_aud.shape
+    users = tuple(range(1, a + 1))
+    ch = ChannelState(m=m, n_sc=1, k_users=a, bandwidth_hz=B, noise_w=noise_w,
+                      beta=np.broadcast_to(beta, (a,)), h=h_aud[None])
+    plan = builder(ch, [Message(subset=users, level=1, audience=users,
+                                tile_count=1, demand_bits_per_s=B)])
+    return plan.w[0, 0], plan.q[0, 0]
+
+
 def test_criterion_2_beamformer_identities():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -113,8 +126,9 @@ def test_criterion_2_beamformer_identities():
         h = crandn(rng, 1, m)
         beta = float(rng.uniform(0.2, 5.0))
         noise = 10.0 ** rng.uniform(-10, -8)
-        w, q = asymptotic_beam(h, beta, noise)
-        assert abs(np.vdot(w, mrt_unicast(h[0]))) >= 1 - 1e-12
+        w, q = one_subcarrier(beam_plan_asymptotic, h, beta, noise)
+        w_mrt, _ = one_subcarrier(beam_plan_mrt, h, beta, noise)
+        assert abs(np.vdot(w, w_mrt)) >= 1 - 1e-12
         ref = m * noise / (beta * np.linalg.norm(h[0]) ** 2)
         assert abs(q - ref) <= 1e-12 * ref
 
@@ -125,7 +139,7 @@ def test_criterion_2_beamformer_identities():
         basis, _ = np.linalg.qr(crandn(rng, m, m))
         h = basis[:, :a].T * float(rng.uniform(0.5, 2.0))
         beta = rng.uniform(0.2, 4.0, size=a)
-        w, _ = asymptotic_beam(h, beta, 1e-9)
+        w, _ = one_subcarrier(beam_plan_asymptotic, h, beta, 1e-9)
         gains = beta * np.abs(h.conj() @ w) ** 2
         assert gains.max() - gains.min() <= 1e-9 * gains.max()
 
@@ -136,10 +150,10 @@ def test_criterion_2_beamformer_identities():
         h = crandn(rng, a, m)
         beta = rng.uniform(0.3, 3.0, size=a)
         noise = 10.0 ** rng.uniform(-10, -8)
-        w, q = asymptotic_beam(h, beta, noise)
+        w, q = one_subcarrier(beam_plan_asymptotic, h, beta, noise)
         gmin = (beta * np.abs(h.conj() @ w) ** 2).min()
         assert abs(gmin * q / (m * noise) - 1.0) <= 1e-9
-        assert abs(quote_for(w, h, beta, noise) - q) <= 1e-12 * q
+        assert abs(m * noise / gmin - q) <= 1e-12 * q
 
     assert time.perf_counter() - start < 10.0
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tilecast import ChannelState, derive_trial_seed, sample_channel
+from tilecast import ChannelState, Message, derive_trial_seed, sample_channel
+from tilecast.channel import _audience
 
 
 def reference_channel(seed, m, n_sc, k):
@@ -138,3 +139,21 @@ def test_trial_seed_range_checks():
         derive_trial_seed(1, 2 ** 32)
     with pytest.raises(ValueError):
         derive_trial_seed(-1, 0)
+
+
+def test_audience_gather_pads():
+    ch = sample_channel(5, m=3, n_sc=4, k_users=4, beta=[1.0, 2.0, 3.0, 4.0])
+    audiences = [(2,), (1, 3, 4), (1, 4)]
+    messages = [Message(subset=(1, 2, 3, 4), level=1, audience=a,
+                        tile_count=1, demand_bits_per_s=1.0)
+                for a in audiences]
+    h, beta, mask = _audience(ch, messages)
+    assert h.shape == (3, 4, 3, 3) and beta.shape == mask.shape == (3, 3)
+    np.testing.assert_array_equal(mask.sum(axis=1), [1, 3, 2])
+    for i, aud in enumerate(audiences):
+        a = len(aud)
+        idx = [k - 1 for k in aud]
+        np.testing.assert_array_equal(h[i, :, :a], ch.h[:, idx])
+        np.testing.assert_array_equal(beta[i, :a], ch.beta[idx])
+        assert np.all(h[i, :, a:] == 0) and np.all(beta[i, a:] == 1.0)
+        assert mask[i, :a].all() and not mask[i, a:].any()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from tilecast import (InfeasibleAllocationError, Message, NonConvergenceError,
                       assignment_gain, audit_allocation, beam_plan_asymptotic,
-                      brute_force_allocation, complete_allocation,
+                      beam_plan_mrt, brute_force_allocation,
+                      complete_allocation,
                       sample_channel, solve_quoted_allocation, waterfill_power)
-from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _local_search,
+from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _demands,
+                                  _local_search,
                                   _repair_starvation, _set_totals,
                                   _waterfill_sets)
 
@@ -659,3 +662,88 @@ def test_audit_flags_tampering():
     doubled.assign = doubled.assign.copy()
     doubled.assign[:, 0] = 1                # subcarrier 0 assigned twice
     assert audit_allocation(doubled, ch, messages)
+
+
+def test_complete_allocation_names_first_bad_subcarrier():
+    ch = sample_channel(34, m=3, n_sc=6, k_users=2)
+    messages = _two_messages(ch)
+    plan = beam_plan_asymptotic(ch, messages)
+    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    owner = np.argmax(alloc.assign, axis=0)
+    w = plan.w.copy()
+    w[owner[4], 4] = 0.0
+    w[owner[2], 2] *= 1.5
+    bad = types.SimpleNamespace(w=w, q=plan.q)
+    with pytest.raises(ValueError, match=(
+            f"^missing or non-unit beam for message {owner[2]}, subcarrier 2$")):
+        complete_allocation(alloc, bad)
+
+
+def audit_reference(alloc, ch, messages, rel=1e-6):
+    """The audit with its user-rate check as a loop over assigned pairs and
+    their audience lists: the reference of the gathered check."""
+    problems = []
+    assign, power, rate = alloc.assign, alloc.power, alloc.rate
+    if not np.all((assign == 0) | (assign == 1)):
+        problems.append("assignment not binary")
+    if not np.all(assign.sum(axis=0) == 1):
+        problems.append("some subcarrier not assigned exactly once")
+    if np.any(power < 0) or not np.all(np.isfinite(power)):
+        problems.append("negative or non-finite power")
+    if np.any(rate < 0):
+        problems.append("negative rate")
+    if np.any((assign == 0) & (power > 0)):
+        problems.append("power on unassigned pair")
+
+    if alloc.beams is not None:
+        norms = np.linalg.norm(alloc.beams, axis=1)
+        if np.any(np.abs(norms - 1.0) > rel):
+            problems.append("non-unit beam")
+        for mi, msg in enumerate(messages):
+            idx = [k - 1 for k in msg.audience]
+            cols = np.flatnonzero(alloc.assign[mi] == 1)
+            for n in cols:
+                if rate[mi, n] <= 0:
+                    continue
+                g = ch.beta[idx] * np.abs(ch.h[n, idx, :].conj() @ alloc.beams[n]) ** 2
+                snr = power[mi, n] * g / (ch.m * ch.noise_w)
+                user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
+                if np.any(user_rates < rate[mi, n] * (1.0 - rel)):
+                    problems.append(f"user rate below message rate at ({mi}, {n})")
+
+    short = rate.sum(axis=1) < _demands(messages) * (1.0 - rel)
+    if np.any(short):
+        problems.append(f"demand not met for messages {np.flatnonzero(short).tolist()}")
+    return problems
+
+
+def test_audit_matches_loop_reference():
+    # mixed audiences (so the gather pads), clean and tampered plans from
+    # both beam plans: the same problems in the same order
+    rng = np.random.default_rng(35)
+    for seed in range(4):
+        ch = sample_channel(35 + seed, m=4, n_sc=8, k_users=3,
+                            beta=[1.0, 0.4, 2.5])
+        messages = [
+            Message(subset=(1, 2, 3), level=1, audience=(1, 2, 3),
+                    tile_count=1, demand_bits_per_s=1.1 * B),
+            Message(subset=(1, 2), level=2, audience=(2,), tile_count=1,
+                    demand_bits_per_s=0.7 * B),
+            Message(subset=(1, 3), level=1, audience=(1, 3), tile_count=1,
+                    demand_bits_per_s=1.6 * B),
+        ]
+        for builder in (beam_plan_asymptotic, beam_plan_mrt):
+            plan = builder(ch, messages)
+            clean = complete_allocation(
+                solve_quoted_allocation(messages, plan.q, B), plan)
+            doubled = clean.assign.copy()
+            doubled[:, 0] = 1
+            rotated = clean.beams.copy()
+            rotated[[1, 4, 6]] *= np.exp(2j * np.pi * rng.random((3, ch.m)))
+            assert audit_allocation(clean, ch, messages) == []
+            for alloc in (clean, replace(clean, power=clean.power * 0.5),
+                          replace(clean, assign=doubled),
+                          replace(clean, beams=rotated)):
+                got = audit_allocation(alloc, ch, messages)
+                assert got == audit_reference(alloc, ch, messages)
+                assert (alloc is clean) or got
