@@ -13,9 +13,8 @@ from .geometry import TileId, TilingConfig, ViewDirection, compute_tile_set, \
 from .partition import Message, QualityLadder, TilePartition, \
     build_messages, build_partition, unicast_messages
 from .channel import ChannelState, derive_trial_seed, sample_channel
-from .beamforming import (BeamPlan, DegenerateChannelError,
-                          InfeasibleDirectionError, beam_plan_asymptotic,
-                          beam_plan_mrt, mrt_multicast, mrt_unicast, quote_for)
+from .beamforming import (BeamPlan, InfeasibleDirectionError,
+                          beam_plan_asymptotic, beam_plan_mrt)
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
                           NonConvergenceError, assignment_gain,
                           audit_allocation, brute_force_allocation,
@@ -35,9 +34,8 @@ __all__ = [
     "Message", "QualityLadder", "TilePartition", "build_messages",
     "build_partition", "unicast_messages",
     "ChannelState", "derive_trial_seed", "sample_channel",
-    "BeamPlan", "DegenerateChannelError", "InfeasibleDirectionError",
-    "beam_plan_asymptotic", "beam_plan_mrt",
-    "mrt_multicast", "mrt_unicast", "quote_for",
+    "BeamPlan", "InfeasibleDirectionError", "beam_plan_asymptotic",
+    "beam_plan_mrt",
     "Allocation", "InfeasibleAllocationError", "NonConvergenceError",
     "assignment_gain", "audit_allocation", "brute_force_allocation",
     "complete_allocation", "solve_quoted_allocation", "waterfill_power",

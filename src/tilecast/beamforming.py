@@ -6,7 +6,10 @@ Three ways to point a beam at a message's audience:
   weighted by 1/sqrt(large-scale gain) -- asymptotically optimal;
 * unicast MRT: align with the single user's channel;
 * multicast MRT: principal eigenvector of the gain-weighted channel
-  covariance (power iteration).
+  covariance, by batched `eigh` over every (message, subcarrier).
+
+Both plans read every audience from one padded tensor
+(`channel._audience`) and share one quote rule.
 
 A quote q for a direction w is the power price of rate on that beam: sending
 power p (in the per-antenna-normalized convention used throughout) gives
@@ -14,7 +17,6 @@ every audience member at least B*log2(1 + p/q), with equality for the
 bottleneck user. Smaller quotes are better.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +24,9 @@ import numpy as np
 from .channel import _audience
 
 
-class DegenerateChannelError(ValueError):
-    """Audience channels cancel; no beam direction exists."""
-
-
 class InfeasibleDirectionError(ValueError):
-    """Some audience channel is orthogonal to the beam; quote is infinite."""
+    """No beam direction serves some message: every quote it can use is
+    infinite. The plans mark such pairs inf; dc_solve raises this."""
 
 
 @dataclass
@@ -42,69 +41,8 @@ class BeamPlan:
     q: np.ndarray
 
 
-def _audience_matrix(h_aud, beta):
-    h = np.asarray(h_aud, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] < 1:
-        raise ValueError("audience channels must have shape (audience, m)")
-    b = np.broadcast_to(np.asarray(beta, dtype=float), (h.shape[0],))
-    if np.any(b <= 0):
-        raise ValueError("large-scale gains must be positive")
-    return h, b
-
-
-def mrt_unicast(h) -> np.ndarray:
-    """Unit beam along a single user's channel."""
-    h = np.asarray(h, dtype=np.complex128)
-    nrm = np.linalg.norm(h)
-    if nrm == 0.0:
-        raise DegenerateChannelError("zero channel")
-    return h / nrm
-
-
-def mrt_multicast(h_aud, beta) -> np.ndarray:
-    """Multicast MRT beam for an audience: the unit principal eigenvector
-    of sum_k beta_k h_k h_k^H by power iteration, started from the
-    largest-norm audience channel, stopped at relative eigenvalue change
-    <= 1e-10 (or, with a warning, after 20,000 steps).
-    """
-    h, b = _audience_matrix(h_aud, beta)
-    if h.shape[0] == 1:
-        return mrt_unicast(h[0])
-
-    norms = np.linalg.norm(h, axis=1)
-    if norms.max() == 0.0:
-        raise DegenerateChannelError("all audience channels zero")
-    v = h[int(np.argmax(norms))].copy()
-    v /= np.linalg.norm(v)
-
-    # A v = sum_k beta_k h_k (h_k^H v), never forming the m x m matrix
-    lam_prev = 0.0
-    for _ in range(20000):
-        av = (b * (h.conj() @ v)) @ h
-        lam = float(np.real(np.vdot(v, av)))
-        nrm = np.linalg.norm(av)
-        if nrm == 0.0:
-            raise DegenerateChannelError("channel covariance annihilates start vector")
-        v = av / nrm
-        if abs(lam - lam_prev) <= 1e-10 * abs(lam):
-            return v
-        lam_prev = lam
-    warnings.warn("power iteration did not reach the eigenvalue tolerance")
-    return v
-
-
-def quote_for(w, h_aud, beta, noise_w: float) -> float:
-    """Quote of an arbitrary unit direction for an audience."""
-    h, b = _audience_matrix(h_aud, beta)
-    w = np.asarray(w, dtype=np.complex128)
-    gmin = (b * np.abs(h.conj() @ w) ** 2).min()
-    if gmin == 0.0:
-        raise InfeasibleDirectionError("audience channel orthogonal to beam")
-    return h.shape[1] * noise_w / gmin
-
-
 # ---------------------------------------------------------------------------
-# plan builders (user ids in messages are 1-based; channel row = id - 1)
+# plan builders
 # ---------------------------------------------------------------------------
 
 def _quotes(ch, h, beta, mask, w) -> np.ndarray:
@@ -131,22 +69,13 @@ def beam_plan_asymptotic(ch, messages) -> BeamPlan:
 
 
 def beam_plan_mrt(ch, messages) -> BeamPlan:
-    """MRT beams: unicast MRT for single audiences, multicast MRT otherwise."""
-    n_msg = len(messages)
-    w = np.zeros((n_msg, ch.n_sc, ch.m), dtype=np.complex128)
-    q = np.full((n_msg, ch.n_sc), np.inf)
-    for i, msg in enumerate(messages):
-        idx = [k - 1 for k in msg.audience]
-        b = ch.beta[idx]
-        for n in range(ch.n_sc):
-            h = ch.h[n, idx, :]
-            try:
-                if len(msg.audience) == 1:
-                    direction = mrt_unicast(h[0])
-                else:
-                    direction = mrt_multicast(h, b)
-                w[i, n] = direction
-                q[i, n] = quote_for(direction, h, b, ch.noise_w)
-            except (DegenerateChannelError, InfeasibleDirectionError):
-                pass  # leave q at inf; the allocator routes around it
-    return BeamPlan(w=w, q=q)
+    """MRT beams: the unit channel direction for single-user audiences, the
+    principal eigenvector of the audience's gain-weighted channel
+    covariance otherwise."""
+    h, beta, mask = _audience(ch, messages)
+    cov = np.einsum("ia,inak,inal->inkl", beta, h, h.conj())
+    w = np.linalg.eigh(cov)[1][..., -1].copy()            # (n_msg, n_sc, m)
+    single = mask.sum(axis=1) == 1
+    nrm = np.linalg.norm(h[single, :, 0], axis=2, keepdims=True)
+    w[single] = np.divide(h[single, :, 0], nrm, out=w[single], where=nrm > 0.0)
+    return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))

@@ -331,7 +331,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "8face9875e11d350e592d32cb50bc952fa27a042cd683d45cef4e0688ba48bbf")
+    "fd2032a63222f7edf9692e591fb84f34698b741c4c2a4ae51057548f1ec3387c")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -345,7 +345,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "25fca82f396a6fc85d20d9ec5c55c668fe820b29cb3d7360e4269d8a91dd9066")
+    "66f3cccb7b0ad3e82ccd81a340f9f5182a830c4907806446ffe5c3f00fa0fe73")
 
 
 def test_default_config_csv_bytes_pinned():

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecast import (DegenerateChannelError, InfeasibleDirectionError,
-                      Message, beam_plan_asymptotic, beam_plan_mrt,
-                      mrt_multicast, mrt_unicast, quote_for, sample_channel)
+from tilecast import (Message, beam_plan_asymptotic, beam_plan_mrt,
+                      sample_channel)
 from tilecast.channel import ChannelState
 
 
@@ -153,36 +152,43 @@ def test_beats_random_direction_search():
 # ---------------------------------------------------------------------------
 
 def test_mrt_unicast_basics():
-    np.testing.assert_allclose(mrt_unicast([2.0, 0.0]), [1.0, 0.0])
+    w, _ = one_subcarrier(beam_plan_mrt, [[2.0, 0.0]])
+    np.testing.assert_allclose(w, [1.0, 0.0])
     rng = np.random.default_rng(5)
     h = crandn(rng, 6)
-    w = mrt_unicast(h)
+    w, _ = one_subcarrier(beam_plan_mrt, [h])
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     ip = np.vdot(h, w)
     assert ip.real > 0 and abs(ip.imag) <= 1e-12 * ip.real
-    with pytest.raises(DegenerateChannelError):
-        mrt_unicast([0.0, 0.0])
+    w, q = one_subcarrier(beam_plan_mrt, [[0.0, 0.0]])
+    assert q == np.inf and np.linalg.norm(w) == pytest.approx(1.0)
 
 
 def test_mrt_multicast_single_user():
-    rng = np.random.default_rng(6)
-    h = crandn(rng, 1, 5)
-    w = mrt_multicast(h, 1.0)
-    assert align(w, mrt_unicast(h[0])) >= 1 - 1e-12
+    # single-user audiences keep the closed form h/|h| (real, positive
+    # h^H w), also next to multi-user audiences in one plan
+    ch = sample_channel(6, m=5, n_sc=3, k_users=3)
+    plan = beam_plan_mrt(ch, [_msg((1, 2), (1, 2)), _msg((3,), (3,)),
+                              _msg((1, 2, 3), (1,))])
+    for i, k in ((1, 2), (2, 0)):
+        for n in range(ch.n_sc):
+            h = ch.h[n, k]
+            ip = np.vdot(h, plan.w[i, n])
+            assert ip.real == pytest.approx(np.linalg.norm(h), rel=1e-12)
+            assert abs(ip.imag) <= 1e-12 * ip.real
 
 
 def test_mrt_multicast_identical_channels():
     rng = np.random.default_rng(7)
     h0 = crandn(rng, 5)
-    h = np.stack([h0, h0])
-    w = mrt_multicast(h, 1.0)
+    w, _ = one_subcarrier(beam_plan_mrt, np.stack([h0, h0]))
     assert align(w, h0 / np.linalg.norm(h0)) >= 1 - 1e-10
 
 
 def test_mrt_multicast_orthogonal_dominance():
     # stronger of two orthogonal users owns the principal direction
     h = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
-    w = mrt_multicast(h, 1.0)
+    w, _ = one_subcarrier(beam_plan_mrt, h)
     assert align(w, np.array([1.0, 0.0, 0.0])) >= 1 - 1e-10
 
 
@@ -193,7 +199,7 @@ def test_mrt_multicast_matches_dense_eigensolver():
         a = int(rng.integers(2, 5))
         h = crandn(rng, a, m)
         beta = rng.uniform(0.3, 3.0, size=a)
-        w = mrt_multicast(h, beta)
+        w, _ = one_subcarrier(beam_plan_mrt, h, beta)
         cov = (beta[:, None, None] *
                (h[:, :, None] * h[:, None, :].conj())).sum(axis=0)
         lam_max = np.linalg.eigvalsh(cov)[-1]
@@ -206,15 +212,17 @@ def test_quote_for_single_user_mrt():
     m = 7
     h = crandn(rng, 1, m)
     beta, noise = 1.7, 2e-9
-    q = quote_for(mrt_unicast(h[0]), h, beta, noise)
+    _, q = one_subcarrier(beam_plan_mrt, h, beta, noise)
     assert q == pytest.approx(m * noise / (beta * np.linalg.norm(h[0]) ** 2),
                               rel=1e-12)
 
 
 def test_quote_for_orthogonal_direction():
-    h = np.array([[1.0, 0.0]], dtype=complex)
-    with pytest.raises(InfeasibleDirectionError):
-        quote_for(np.array([0.0, 1.0], dtype=complex), h, 1.0, 1e-9)
+    # the weaker user is orthogonal to the principal direction
+    h = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
+    w, q = one_subcarrier(beam_plan_mrt, h)
+    assert align(w, np.array([1.0, 0.0])) >= 1 - 1e-12
+    assert q == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +232,24 @@ def test_quote_for_orthogonal_direction():
 @st.composite
 def padded_instances(draw):
     """A channel and a message list whose audiences differ in size, so the
-    plan pads them: 1-6 users, m 1-16, 1-4 subcarriers; optionally some
-    users share one channel, a channel is zeroed, or one user cancels
-    another."""
-    k = draw(st.integers(1, 6))
+    plan pads them: 1-5 users, m 1-16, 1-4 subcarriers; optionally two
+    users share one channel, are orthogonal, or cancel, or one channel is
+    zero."""
+    k = draw(st.integers(1, 5))
     m = draw(st.integers(1, 16))
     n_sc = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     beta = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
     ch = sample_channel(seed, m=m, n_sc=n_sc, k_users=k, beta=beta)
     if k > 1:
-        shape = draw(st.sampled_from(["iid", "identical", "zero", "cancel"]))
+        shape = draw(st.sampled_from(
+            ["iid", "identical", "cancel", "orthogonal", "zero"]))
         if shape in ("identical", "cancel"):
             ch.beta[1] = ch.beta[0]
             ch.h[:, 1] = ch.h[:, 0] if shape == "identical" else -ch.h[:, 0]
+        elif shape == "orthogonal" and m > 1:
+            ch.h[:, :2, 2:] = 0.0
+            ch.h[:, 0, 1] = ch.h[:, 1, 0] = 0.0
         elif shape == "zero":
             ch.h[:, 1] = 0.0
     audiences = draw(st.lists(
@@ -259,18 +271,29 @@ def test_plan_asymptotic_matches_pointwise(instance):
         assert np.array_equal(plan.q[i], q)
 
 
-def test_plan_mrt_matches_pointwise():
-    ch = sample_channel(22, m=4, n_sc=3, k_users=3)
-    messages = [_msg((2,), (2,)), _msg((1, 3), (1, 3))]
+@settings(max_examples=300, deadline=None)
+@given(padded_instances())
+def test_plan_mrt_matches_pointwise(instance):
+    # against a dense eigendecomposition of each pair's covariance
+    ch, messages = instance
     plan = beam_plan_mrt(ch, messages)
-    for n in range(ch.n_sc):
-        w0 = mrt_unicast(ch.h[n, 1, :])
-        assert align(plan.w[0, n], w0) >= 1 - 1e-12
-        h = ch.h[n, [0, 2], :]
-        w1 = mrt_multicast(h, ch.beta[[0, 2]])
-        assert align(plan.w[1, n], w1) >= 1 - 1e-10
-        assert plan.q[1, n] == pytest.approx(
-            quote_for(w1, h, ch.beta[[0, 2]], ch.noise_w), rel=1e-9)
+    assert plan.w.shape == (len(messages), ch.n_sc, ch.m)
+    for i, msg in enumerate(messages):
+        idx = [k - 1 for k in msg.audience]
+        beta = ch.beta[idx]
+        for n in range(ch.n_sc):
+            h, w = ch.h[n, idx], plan.w[i, n]
+            cov = (beta[:, None, None] *
+                   (h[:, :, None] * h[:, None, :].conj())).sum(axis=0)
+            lam_max = np.linalg.eigvalsh(cov)[-1]
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+            assert np.vdot(w, cov @ w).real >= (1 - 1e-12) * lam_max
+            gmin = (beta * np.abs(h.conj() @ w) ** 2).min()
+            if gmin == 0.0:
+                assert plan.q[i, n] == np.inf
+            else:
+                assert plan.q[i, n] == pytest.approx(ch.m * ch.noise_w / gmin,
+                                                     rel=1e-12)
 
 
 def test_plan_marks_degenerate_slots_infinite():
