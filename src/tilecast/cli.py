@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    """Random small instances: dual solver vs exhaustive enumeration."""
+    """Random small instances: the allocator vs the bisection brute force."""
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
     trials = args.trials if args.trials is not None else 25
     bw = 39e3

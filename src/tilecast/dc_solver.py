@@ -356,8 +356,7 @@ def _polish_realloc(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
     dirs_full[rows, cols] = pol["dirs"][better]
 
     try:
-        alloc = solve_quoted_allocation(ws.dn, q_full, 1.0,
-                                        max_iter=1500, tol=1e-3)
+        alloc = solve_quoted_allocation(ws.dn, q_full, 1.0)
     except InfeasibleAllocationError:
         return pol, assigned
     if alloc.power_sum >= pol["energy"] * (1.0 - 1e-12):

@@ -2,25 +2,36 @@
 
 Given a per-(message, subcarrier) quote matrix, pick one message per
 subcarrier and split power so every message's rate demand is met at minimum
-total power. Solved by dual decomposition: a projected-subgradient ascent on
-per-message multipliers, where each subcarrier goes to the message with the
-best marginal gain and powers follow the water-filling rule. Every candidate
-assignment is repaired to exact demand feasibility by a closed-form
-water-fill, and the best feasible candidate is kept; the dual value gives a
-lower bound certifying the duality gap. The ascent revisits the same argmax
-assignment many times; only its first visit takes the primal step, since a
-repeat yields the same repaired candidate and total, which cannot beat the
-incumbent twice. The dual value and multiplier update run every iteration.
+total power.
 
-The best candidate is then polished by a best-improvement local search,
-whose passes score the whole neighbourhood with array operations on two
-per-message tables of exact water-fill totals: the flip table (one column
-added to or removed from the message's set) and the exchange table (one
-owned column traded for another). A message's tables are rebuilt, in one
-batched water-fill, only when its column set changes. `_waterfill_rows`
-is the one implementation of the water-fill rule, and `_waterfill_sets`
-applies it to any batch of column sets: every candidate assignment, every
-table row and the DC planner's polish go through it.
+Instances with at most ENUMERATE_MAX assignments are solved exactly: every
+assignment is water-filled in one batched call and the cheapest is kept,
+with gap 0. Larger ones go through the Lagrangian dual over per-message
+multipliers gamma, D(gamma) = gamma.d - sum_n max_m g_mn(gamma_m), where
+g_mn is the gain of granting subcarrier n to message m at its
+water-filling power. Every gamma >= 0 makes D(gamma) a lower bound on the
+optimum. The max over messages is smoothed by a log-sum-exp at a
+temperature, and the smoothed dual is maximized in u = log gamma by damped
+Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
+message's fair share of the subcarriers, and the temperature is annealed
+down to a fixed floor, each level warm-started from the last. The exact
+dual at the final multipliers is the reported bound; the gap between it
+and the plan is mostly the problem's integrality gap, which no dual method
+closes, so `converged` (gap within tol) is honest.
+
+Two starts are then polished by a best-improvement local search: the
+argmax assignment at the final multipliers, repaired so that no message is
+starved, and a greedy seed. The cheaper result wins, ties going to the
+dual start. The search's passes score the whole neighbourhood with array
+operations on two per-message tables of exact water-fill totals: the flip
+table (one column added to or removed from the message's set) and the
+exchange table (one owned column traded for another). A message's tables
+are rebuilt, in one batched water-fill, only when its column set changes.
+The search runs to a local optimum; its pass bound is a safety cap whose
+hit is reported. `_waterfill_rows` is the one implementation of the
+water-fill rule, and `_waterfill_sets` applies it to any batch of column
+sets: the enumeration, every start, every table row and the DC planner's
+polish go through it.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -40,7 +51,15 @@ import numpy as np
 from .channel import _audience
 
 LN2 = math.log(2.0)
-STEP_DECAY = 50.0  # dual step size decays as 1 / (1 + iteration / STEP_DECAY)
+ENUMERATE_MAX = 81          # solve exactly when n_msg ** n_sc is at most this
+# smoothing temperatures, in units of the start's mean per-subcarrier gain;
+# the last one is the floor the returned multipliers are optimal for
+TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+DUAL_TOL = 1e-6             # a level ends when Newton predicts a rise below
+                            # DUAL_TOL * n_sc * temperature
+MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
+MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
+PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
 
 
 class InfeasibleAllocationError(ValueError):
@@ -229,7 +248,7 @@ def _first_max(gain: np.ndarray, valid: np.ndarray):
 
 
 def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
-                  max_passes: int = 60):
+                  max_passes: int = None):
     """Best-improvement descent over the assignment.
 
     Neighbourhood: move one subcarrier to another message, and (on smaller
@@ -249,12 +268,17 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
     direction), a later kind only with a strictly greater gain.
-    Deterministic. Returns (assigned, passes, moves): the improved
-    assignment, the neighbourhood scans run and the steps accepted.
+    Deterministic. At most max_passes scans run (default
+    PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
+    passes, moves): the improved assignment, the neighbourhood scans run
+    and the steps accepted; moves == passes > 0 means the bound stopped a
+    search that was still improving.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
         return assigned, 0, 0
+    if max_passes is None:
+        max_passes = PASSES_PER_SUBCARRIER * n_sc
     assigned = assigned.copy()
     msgs = np.arange(n_msg)
     cols = np.arange(n_sc)
@@ -355,8 +379,109 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     return assigned, passes, moves
 
 
+def _gains(gamma: np.ndarray, qn: np.ndarray):
+    """Dual gain of every (message, subcarrier) pair at multipliers gamma.
+
+    The pair's water-filling power is p = max(0, gamma/ln2 - q) and its
+    rate r = log2(1 + p/q), in multiples of the bandwidth; the gain is
+    gamma*r - p. Returns (gain, rate, active), zero off the active pairs.
+    """
+    water = gamma[:, None] / LN2
+    active = water > qn
+    rate = np.log2(np.where(active, water / qn, 1.0))
+    gain = np.where(active, gamma[:, None] * rate - (water - qn), 0.0)
+    return gain, rate, active
+
+
+def _smoothed_dual(u: np.ndarray, qn: np.ndarray, dn: np.ndarray, tau: float):
+    """The dual with each subcarrier's max over messages replaced by a
+    log-sum-exp at temperature tau, at gamma = exp(u): (value, gradient,
+    Hessian), the last two in u. The value is at most n_sc*tau*ln(n_msg)
+    below the exact dual."""
+    gamma = np.exp(u)
+    gain, rate, active = _gains(gamma, qn)
+    top = gain.max(axis=0)
+    e = np.exp((gain - top) / tau)
+    z = e.sum(axis=0)
+    value = float(gamma @ dn - (top + tau * np.log(z)).sum())
+    share = e / z                                 # softmax over messages
+    d1 = gamma[:, None] * rate                    # d gain / du
+    d2 = np.where(active, d1 + gamma[:, None] / LN2, 0.0)
+    w1 = share * d1
+    grad = gamma * dn - w1.sum(axis=1)
+    hess = (w1 @ w1.T) / tau
+    hess[np.diag_indices_from(hess)] = (
+        gamma * dn - (share * d2).sum(axis=1)
+        - (w1 * (1.0 - share) * d1).sum(axis=1) / tau)
+    return value, grad, hess
+
+
+def _dual_solve(qn: np.ndarray, dn: np.ndarray):
+    """Maximize the smoothed dual by damped Newton steps in u = log gamma.
+
+    Starts each message at its fair share of the subcarriers and anneals
+    the temperature through TEMPERATURES (times the start's mean
+    per-subcarrier gain), warm-starting each level. Each step is Newton's
+    on the Hessian with its eigenvalues made negative (their magnitude
+    kept), capped at MAX_LOG_STEP per coordinate and halved until the
+    smoothed value rises enough. Returns (gamma, steps, tau): the final
+    multipliers, the steps taken and the floor temperature.
+    """
+    n_msg, n_sc = qn.shape
+    qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
+    u = np.log(LN2 * qmin) + LN2 * np.minimum(dn * n_msg / n_sc, 500.0)
+    scale = float(_gains(np.exp(u), qn)[0].max(axis=0).mean())
+    steps = 0
+    for rel in TEMPERATURES:
+        tau = rel * scale
+        value, grad, hess = _smoothed_dual(u, qn, dn, tau)
+        while steps < MAX_DUAL_STEPS:
+            lam, vec = np.linalg.eigh(-hess)
+            lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max() + 1e-300)
+            proj = vec.T @ grad
+            # squared Newton decrement: twice the rise the step predicts
+            decrement = float(proj @ (proj / lam))
+            if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
+                break
+            step = vec @ (proj / lam)
+            step *= min(1.0, MAX_LOG_STEP / np.abs(step).max())
+            slope = float(grad @ step)
+            steps += 1
+            for _ in range(40):
+                trial = _smoothed_dual(u + step, qn, dn, tau)
+                if trial[0] >= value + 1e-4 * slope:
+                    break
+                step *= 0.5
+                slope *= 0.5
+            else:
+                break                               # no rise left to find
+            u = u + step
+            value, grad, hess = trial
+    return np.exp(u), steps, tau
+
+
+def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
+    """Cheapest assignment by exhaustive search, all assignments scored in
+    one batched water-fill; the first minimum in enumeration order wins.
+    Returns (assigned, unique), unique False when another assignment is
+    within 1e-12 of it; assigned is None when every assignment starves a
+    message."""
+    n_msg, n_sc = qn.shape
+    maps = np.array(list(itertools.product(range(n_msg), repeat=n_sc)))
+    msgs = np.arange(n_msg)
+    sets = (maps[:, None, :] == msgs[None, :, None]).reshape(-1, n_sc)
+    totals = _set_totals(qn, dn, perm, np.tile(msgs, len(maps)),
+                         sets).reshape(len(maps), n_msg).sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    best = totals[order[0]]
+    if not math.isfinite(best):
+        return None, True
+    unique = order.size < 2 or totals[order[1]] - best > 1e-12 * best
+    return maps[order[0]], bool(unique)
+
+
 def solve_quoted_allocation(messages, quotes, bandwidth: float,
-                            max_iter: int = 5000, tol: float = 1e-3,
+                            tol: float = 1e-3,
                             strict: bool = False) -> Allocation:
     """Minimum-power assignment and power split against a quote matrix.
 
@@ -395,118 +520,72 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     q_ref = float(np.median(quotes[np.isfinite(quotes)]))
     qn = quotes / q_ref
     dn = demands / bandwidth
-
-    qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
-    gamma = LN2 * qmin * 2.0 ** np.minimum(dn / n_sc, 500.0)
-    # keep one update around a tenth of the multiplier scale
-    step0 = 0.1 * float(np.mean(gamma)) / max(float(dn.max()), 1e-12)
-
-    best_power = math.inf
-    best = None
-    best_dual = -math.inf
-    window = []
-    iterations = max_iter
-    cache = {}
-    seen = set()
     msgs = np.arange(n_msg)
     perm = np.argsort(qn, axis=1, kind="stable")
 
     def fill(assigned_arr):
-        # (total, (power, rate)) of every message's exact water-fill, the
-        # total summing the rows in message order; (inf, None) when some
-        # message has no finite quote
+        # (total, power, rate) of every message's exact water-fill, the
+        # total summing the rows in message order; inf when some message
+        # has no finite quote
         power, rate, ok = _waterfill_sets(qn, dn, perm, msgs,
                                           assigned_arr == msgs[:, None])
-        if not ok.all():
-            return math.inf, None
-        return sum(power.sum(axis=1).tolist()), (power, rate)
+        total = sum(power.sum(axis=1).tolist()) if ok.all() else math.inf
+        return total, power, rate
 
-    def consider(assigned_arr, gain, gamma_snap):
-        nonlocal best_power, best
-        key = assigned_arr.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            cache[key] = hit = fill(assigned_arr)
-        total, cand = hit
-        if cand is not None and total < best_power * (1.0 - 1e-15):
-            best_power = total
-            # the tie check is only needed for the incumbent
-            unique = True if gain is None else _assignment_ties(gain)
-            best = (assigned_arr.copy(), cand, unique, gamma_snap.copy())
+    gamma = None
+    steps = passes = moves = 0
+    capped = False
+    if n_msg ** n_sc <= ENUMERATE_MAX:
+        assigned, unique = _enumerate(qn, dn, perm)
+        starts = [("enumerated", assigned)]
+    else:
+        gamma, steps, tau = _dual_solve(qn, dn)
+        gain = _gains(gamma, qn)[0]
+        # the exact dual at any gamma >= 0 bounds the optimum from below
+        bound = float(gamma @ dn - gain.max(axis=0).sum())
+        unique = _assignment_ties(gain)
+        rounded = np.argmax(gain, axis=0)
+        if np.bincount(rounded, minlength=n_msg).min() == 0:
+            rounded = _repair_starvation(rounded, qn)
+        starts = [("dual", rounded), ("greedy", _greedy_assignment(qn))]
 
-    seed = _greedy_assignment(qn)
-    if seed is not None:
-        consider(seed, None, gamma)
-
-    active_gain = np.zeros((n_msg, n_sc))
-    with np.errstate(invalid="ignore"):
-        for i in range(max_iter):
-            water = gamma[:, None] / LN2
-            p_star = np.maximum(0.0, water - qn)
-            log_ratio = np.log2(np.where(p_star > 0, water / qn, 1.0))
-            np.multiply(gamma[:, None], log_ratio, out=active_gain)
-            gain = active_gain - p_star
-            assigned = np.argmax(gain, axis=0)
-
-            # primal candidate: the argmax assignment, starvation-repaired,
-            # on its first visit only (a repeat gives the same candidate,
-            # which cannot beat the incumbent again); the dual update below
-            # still uses the unrepaired argmax on every iteration
-            key = assigned.tobytes()
-            if key not in seen:
-                seen.add(key)
-                repaired = assigned
-                if np.bincount(assigned, minlength=n_msg).min() == 0:
-                    repaired = _repair_starvation(assigned.copy(), qn)
-                if repaired is not None:
-                    consider(repaired, gain, gamma)
-
-            # dual value and subgradient on the demand residuals
-            sel = assigned == msgs[:, None]
-            rates = np.where(sel, log_ratio, 0.0)
-            dual_val = float(gamma @ dn - np.where(sel, gain, 0.0).sum())
-            best_dual = max(best_dual, dual_val)
-
-            window.append(dual_val)
-            if len(window) > 21:
-                window.pop(0)
-                lo, hi = min(window), max(window)
-                if hi - lo <= 1e-6 * max(abs(hi), 1e-300):
-                    iterations = i + 1
-                    break
-
-            resid = dn - rates.sum(axis=1)
-            delta = step0 / (1.0 + i / STEP_DECAY)
-            gamma = np.maximum(0.0, gamma + delta * resid)
-
-    if best is None:
+    best = (math.inf,)
+    for name, start in starts:
+        if start is None:
+            continue
+        if name != "enumerated":
+            start, p, m = _local_search(start, qn, dn)
+            passes, moves = passes + p, moves + m
+            capped |= 0 < p == m
+        total, power, rate = fill(start)
+        if total < best[0]:
+            best = (total, name, start, power, rate)
+    if not math.isfinite(best[0]):
         raise InfeasibleAllocationError("no feasible assignment found")
+    total, won, assigned, power, rate = best
 
-    assigned, cand, unique, gamma_best = best
-    polished, ls_passes, ls_moves = _local_search(assigned, qn, dn)
-    if not np.array_equal(polished, assigned):
-        total2, cand2 = fill(polished)
-        if total2 < best_power:
-            assigned, cand, best_power = polished, cand2, total2
-
-    assign = (assigned == msgs[:, None]).astype(int)
-    power = cand[0] * q_ref
-    rate = cand[1] * bandwidth
-
-    gap = max(0.0, (best_power - best_dual) / max(best_power, 1e-300))
+    power = power * q_ref
     alloc = Allocation(
-        assign=assign, power=power, rate=rate,
+        assign=(assigned == msgs[:, None]).astype(int),
+        power=power, rate=rate * bandwidth,
         power_sum=float(power.sum()),
-        converged=bool(gap <= tol),
         unique_argmax=unique,
-        iterations=iterations,
-        duality_gap=float(gap),
-        dual_bound=float(best_dual * q_ref),
-        gamma=gamma_best * q_ref / bandwidth,
-        diagnostics={"local_search_passes": ls_passes,
-                     "local_search_moves": ls_moves,
-                     "primal_candidates": len(seen)},
+        iterations=steps,
+        diagnostics={"dual_steps": steps, "start": won,
+                     "local_search_passes": passes,
+                     "local_search_moves": moves,
+                     "local_search_capped": capped},
     )
+    if gamma is None:           # exhaustive: the optimum is its own bound
+        alloc.dual_bound = alloc.power_sum
+    else:
+        alloc.dual_bound = bound * q_ref
+        alloc.gamma = gamma * q_ref / bandwidth
+        alloc.diagnostics["dual_temperature"] = tau * q_ref
+    gap = max(0.0, (alloc.power_sum - alloc.dual_bound)
+              / max(alloc.power_sum, 1e-300))
+    alloc.duality_gap = float(gap)
+    alloc.converged = bool(gap <= tol and not capped)
     if strict and not alloc.converged:
         raise NonConvergenceError(
             f"duality gap {gap:.3e} above tol {tol:.1e}", allocation=alloc)

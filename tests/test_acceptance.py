@@ -331,7 +331,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "fd2032a63222f7edf9692e591fb84f34698b741c4c2a4ae51057548f1ec3387c")
+    "0735464dc3ab9359c02a33e0b81cffabcae7b36f581214285d14d9baeb177ee3")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -345,7 +345,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "66f3cccb7b0ad3e82ccd81a340f9f5182a830c4907806446ffe5c3f00fa0fe73")
+    "2028341f73abedb6305467bb9a8e4786876a9a4aa3323cd685ebb6da56c10682")
 
 
 def test_default_config_csv_bytes_pinned():

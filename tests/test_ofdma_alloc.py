@@ -15,8 +15,9 @@ from tilecast import (InfeasibleAllocationError, Message, NonConvergenceError,
                       beam_plan_mrt, brute_force_allocation,
                       complete_allocation,
                       sample_channel, solve_quoted_allocation, waterfill_power)
-from tilecast.ofdma_alloc import (LN2, _bisect_waterfill, _demands,
-                                  _local_search,
+from tilecast import ofdma_alloc
+from tilecast.ofdma_alloc import (ENUMERATE_MAX, LN2, PASSES_PER_SUBCARRIER,
+                                  _bisect_waterfill, _demands, _local_search,
                                   _repair_starvation, _set_totals,
                                   _waterfill_sets)
 
@@ -245,11 +246,13 @@ def set_total_reference(qn, dn, mi, cols):
     return math.inf if wf is None else float(wf[0].sum())
 
 
-def local_search_reference(assigned, qn, dn, max_passes=60):
+def local_search_reference(assigned, qn, dn):
     """Scalar best-improvement descent: every move, swap and rotation is
     scored one at a time from memoized per-set totals; the first strictly
-    best step in scan order wins. Returns (assigned, passes, moves)."""
+    best step in scan order wins, for at most PASSES_PER_SUBCARRIER * n_sc
+    passes. Returns (assigned, passes, moves)."""
     n_msg, n_sc = qn.shape
+    max_passes = PASSES_PER_SUBCARRIER * n_sc
     if n_msg == 1:
         return assigned, 0, 0
     assigned = assigned.copy()
@@ -441,22 +444,57 @@ def test_local_search_counts_passes_and_moves():
     assert _local_search(np.zeros(3, dtype=int), qn[:1], np.ones(1))[1:] == (0, 0)
 
 
+def test_local_search_runs_to_a_local_optimum_past_sixty_moves():
+    # message 1 needs nearly every column but starts with one; with swaps
+    # off (70 columns) each pass moves a single column
+    qn = np.ones((2, 70))
+    dn = np.array([0.5, 30.0])
+    start = np.zeros(70, dtype=int)
+    start[0] = 1
+    assigned, passes, moves = _local_search(start, qn, dn)
+    assert moves > 60 and passes == moves + 1
+    # no move improves on the result
+    assert local_search_reference(assigned, qn, dn)[1:] == (1, 0)
+    # a bound below the moves needed stops the search while it improves
+    assert _local_search(start, qn, dn, max_passes=60)[1:] == (60, 60)
+
+
 def test_solver_reports_search_counts():
     rng = np.random.default_rng(12)
     quotes = 10.0 ** rng.uniform(-10, -8, size=(3, 8))
     demands = B * rng.uniform(0.5, 3.0, size=3)
-    one = solve_quoted_allocation(demands, quotes, B, max_iter=1)
-    # one dual iteration visits one argmax assignment; the search then
-    # takes two steps and a third pass finds nothing better
-    assert one.diagnostics == {"local_search_passes": 3,
-                               "local_search_moves": 2,
-                               "primal_candidates": 1}
-    full = solve_quoted_allocation(demands, quotes, B)
-    diag = full.diagnostics
-    assert diag["local_search_passes"] == diag["local_search_moves"] + 1
-    assert 1 < diag["primal_candidates"] <= full.iterations
+    alloc = solve_quoted_allocation(demands, quotes, B)
+    diag = alloc.diagnostics
+    assert diag["start"] in ("dual", "greedy")
+    assert diag["dual_steps"] == alloc.iterations > 0
+    # two searches, the dual start's and the greedy seed's, each ending on
+    # a pass that finds nothing better
+    assert diag["local_search_passes"] == diag["local_search_moves"] + 2
+    assert not diag["local_search_capped"]
+    assert diag["dual_temperature"] > 0
+    small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
+    assert 2 ** 6 <= ENUMERATE_MAX
+    assert small.diagnostics == {"dual_steps": 0, "start": "enumerated",
+                                 "local_search_passes": 0,
+                                 "local_search_moves": 0,
+                                 "local_search_capped": False}
     single = solve_quoted_allocation([B], quotes[:1], B)
+    assert single.diagnostics["start"] == "enumerated"
     assert single.diagnostics["local_search_passes"] == 0
+
+
+def test_capped_local_search_is_not_converged(monkeypatch):
+    rng = np.random.default_rng(2)
+    quotes = 10.0 ** rng.uniform(-10, -8, size=(2, 8))
+    demands = B * rng.uniform(0.5, 4.0, size=2)
+    free = solve_quoted_allocation(demands, quotes, B)
+    assert free.converged and free.diagnostics["local_search_moves"] > 0
+    search = ofdma_alloc._local_search
+    monkeypatch.setattr(ofdma_alloc, "_local_search",
+                        lambda a, qn, dn: search(a, qn, dn, max_passes=1))
+    capped = solve_quoted_allocation(demands, quotes, B)
+    assert capped.diagnostics["local_search_capped"]
+    assert not capped.converged
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +544,65 @@ def test_matches_brute_force_twenty_seeds():
         assert fast.power_sum <= slow.power_sum * (1 + 1e-3)
         assert fast.power_sum >= slow.power_sum * (1 - 1e-9)
         assert fast.dual_bound <= fast.power_sum * (1 + 1e-9)
+
+
+def test_small_instances_solved_exactly():
+    # instance 118 of `tilecast oracle-check --seed 7`, 3 messages x 4
+    # subcarriers: exhaustive search returns the optimum with gap 0
+    rng = np.random.default_rng(7)
+    for _ in range(119):
+        n_msg = int(rng.integers(1, 4))
+        n_sc = int(rng.integers(n_msg, 5))
+        quotes = 10.0 ** rng.uniform(-10.0, -8.0, size=(n_msg, n_sc))
+        demands = B * rng.uniform(0.5, 4.0, size=n_msg)
+    assert quotes.shape == (3, 4) and 3 ** 4 <= ENUMERATE_MAX
+    got = solve_quoted_allocation(demands, quotes, B)
+    want = brute_force_allocation(demands, quotes, B)
+    assert got.power_sum == pytest.approx(want.power_sum, rel=1e-9)
+    np.testing.assert_array_equal(got.assign, want.assign)
+    assert got.diagnostics["start"] == "enumerated"
+    assert got.duality_gap == 0.0 and got.converged
+    assert got.dual_bound == got.power_sum
+    assert got.unique_argmax == want.unique_argmax
+
+
+def exact_dual_reference(gamma, quotes, demands, bandwidth):
+    """The Lagrangian dual at multipliers gamma (per bit/s), scored pair by
+    pair with the scalar assignment_gain: gamma.d - sum_n max_m gain."""
+    n_msg, n_sc = quotes.shape
+    best = [max(0.0, max(assignment_gain(gamma[mi], quotes[mi, n], bandwidth)
+                         for mi in range(n_msg))) for n in range(n_sc)]
+    return float(gamma @ demands) - math.fsum(best)
+
+
+@given(seed=st.integers(0, 2 ** 16),
+       shape=st.sampled_from([(2, 7), (2, 8), (3, 5), (3, 6)]))
+@settings(max_examples=30, deadline=None)
+def test_dual_bound_valid_and_stationary(seed, shape):
+    rng = np.random.default_rng(seed)
+    n_msg, n_sc = shape
+    quotes = 10.0 ** rng.uniform(-10, -8, size=shape)
+    demands = B * rng.uniform(0.5, 4.0, size=n_msg)
+    assert n_msg ** n_sc > ENUMERATE_MAX
+    alloc = solve_quoted_allocation(demands, quotes, B)
+    optimum = brute_force_allocation(demands, quotes, B).power_sum
+    assert alloc.dual_bound <= optimum * (1 + 1e-9)
+    gamma = alloc.gamma
+    dual = exact_dual_reference(gamma, quotes, demands, B)
+    assert dual == pytest.approx(alloc.dual_bound, rel=1e-9)
+    # the returned multipliers maximize the dual smoothed at temperature
+    # tau, which sits at most n_sc * tau * ln(n_msg) below the exact dual;
+    # so no multiplier moved alone raises the exact dual by more than that,
+    # plus the rise the Newton stop leaves and float rounding
+    tau = alloc.diagnostics["dual_temperature"]
+    slack = (n_sc * tau * (math.log(n_msg) + ofdma_alloc.DUAL_TOL)
+             + 1e-12 * float(gamma @ demands))
+    for mi in range(n_msg):
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            moved = gamma.copy()
+            moved[mi] *= factor
+            assert (exact_dual_reference(moved, quotes, demands, B)
+                    <= dual + slack)
 
 
 def test_brute_force_single_message_closed_form():
@@ -588,14 +685,21 @@ def test_strict_mode_carries_best_feasible():
     rng = np.random.default_rng(7)
     quotes = 10.0 ** rng.uniform(-10, -8, size=(3, 6))
     demands = B * rng.uniform(1.0, 3.0, size=3)
+    # 3 ** 6 assignments is past exhaustive search, and this instance's
+    # integrality gap keeps the honest duality gap above tol
+    assert 3 ** 6 > ENUMERATE_MAX
     with pytest.raises(NonConvergenceError) as exc_info:
-        solve_quoted_allocation(demands, quotes, B, max_iter=1, strict=True)
+        solve_quoted_allocation(demands, quotes, B, strict=True)
     carried = exc_info.value.allocation
     assert carried is not None
     assert not carried.converged
+    assert carried.duality_gap > 1e-3
     assert np.all(carried.rate.sum(axis=1) >= demands * (1 - 1e-6))
+    # it is the best feasible plan nonetheless
+    best = brute_force_allocation(demands, quotes, B).power_sum
+    assert carried.power_sum == pytest.approx(best, rel=1e-9)
     # non-strict call on the same instance returns instead of raising
-    loose = solve_quoted_allocation(demands, quotes, B, max_iter=1)
+    loose = solve_quoted_allocation(demands, quotes, B)
     assert not loose.converged
     assert loose.power_sum == pytest.approx(carried.power_sum, rel=1e-12)
 
