@@ -562,7 +562,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
             best = (total, name, start, power, rate)
     if not math.isfinite(best[0]):
         raise InfeasibleAllocationError("no feasible assignment found")
-    total, won, assigned, power, rate = best
+    _, won, assigned, power, rate = best
 
     power = power * q_ref
     alloc = Allocation(
