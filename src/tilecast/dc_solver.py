@@ -38,7 +38,7 @@ EXP_CAP = 500.0  # clamp on base-2 exponents; 2**500 stays finite
 OUTER_MAX = 100  # convexified solves per plan
 OUTER_TOL = 1e-4  # relative power change that ends the outer loop
 INNER_MAX = 5000  # dual iterations per convexified solve
-INNER_TOL = 1e-6  # relative drop over 20 inner iterations that ends it
+INNER_TOL = 1e-3  # relative drop over 20 inner iterations that ends it
 
 
 @dataclass

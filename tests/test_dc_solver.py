@@ -9,19 +9,23 @@ the references are called with unit bandwidth, unit beta and m * noise = 1.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tilecast import (InfeasibleDirectionError, Message, audit_allocation,
-                      dc_solve, sample_channel, solve_quoted_allocation)
+from tilecast import (InfeasibleDirectionError, Message, TilingConfig,
+                      ViewDirection, audit_allocation, dc_solve,
+                      sample_channel, solve_quoted_allocation)
 from tilecast.beamforming import beam_plan_asymptotic
-from tilecast.dc_solver import (EXP_CAP, DcDuals, DcState, _direction,
-                                _init_duals, _inner, _pick, _price_step,
-                                _priced_rate, _scores, _stretch, _Workspace,
-                                initial_point)
+from tilecast.dc_solver import (EXP_CAP, INNER_MAX, DcDuals, DcState,
+                                _direction, _init_duals, _inner, _pick,
+                                _price_step, _priced_rate, _scores, _stretch,
+                                _Workspace, initial_point)
+from tilecast.harness import (UserSpec, _subset_for_trial, default_config,
+                              run_trial)
 
 LN2 = math.log(2.0)
 B = 39e3
@@ -626,6 +630,28 @@ def test_dc_solve_never_worse_than_start():
     start = initial_point(ch, messages)
     alloc = dc_solve(ch, messages)
     assert alloc.total_power_w <= start.total_power_w * (1 + 1e-9)
+
+
+def test_dc_solve_one_message_passes_end_before_the_cap():
+    # paired k-sweep point k = 2 of base seed 4, trial 6: two viewers of one
+    # cluster share one message. When a pass ran until 20 steps gained
+    # under 1e-6, the first pass hit INNER_MAX and the solve took 12,146
+    # steps for its last fraction of a per cent.
+    cfg = replace(
+        default_config(),
+        tiling=TilingConfig(u_h=8, u_v=4, fov_h_deg=100.0, fov_v_deg=100.0,
+                            margin_deg=15.0),
+        users=[UserSpec(ViewDirection(67.5, 67.5), 3),
+               UserSpec(ViewDirection(67.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 2)],
+        n_sc=16, m=4, base_seed=4)
+    result = run_trial(cfg, "proposed-dc", 6,
+                       user_subset=_subset_for_trial(cfg, 6, 2))
+    assert math.isfinite(result.total_power_w)
+    assert result.converged
+    assert result.iterations < INNER_MAX
 
 
 def test_dc_solve_single_user_matches_asymptotic():
