@@ -16,10 +16,8 @@ from .channel import ChannelState, derive_trial_seed, sample_channel
 from .beamforming import (BeamPlan, InfeasibleDirectionError,
                           beam_plan_asymptotic, beam_plan_mrt)
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
-                          NonConvergenceError, assignment_gain,
                           audit_allocation, brute_force_allocation,
-                          complete_allocation, solve_quoted_allocation,
-                          waterfill_power)
+                          complete_allocation, solve_quoted_allocation)
 from .dc_solver import DcDuals, DcState, dc_solve, initial_point
 from .harness import (CSV_HEADER, SCHEMES, ScenarioConfig, TrialResult,
                       UserSpec, config_from_dict, config_to_dict,
@@ -36,9 +34,8 @@ __all__ = [
     "ChannelState", "derive_trial_seed", "sample_channel",
     "BeamPlan", "InfeasibleDirectionError", "beam_plan_asymptotic",
     "beam_plan_mrt",
-    "Allocation", "InfeasibleAllocationError", "NonConvergenceError",
-    "assignment_gain", "audit_allocation", "brute_force_allocation",
-    "complete_allocation", "solve_quoted_allocation", "waterfill_power",
+    "Allocation", "InfeasibleAllocationError", "audit_allocation",
+    "brute_force_allocation", "complete_allocation", "solve_quoted_allocation",
     "DcDuals", "DcState", "dc_solve", "initial_point",
     "CSV_HEADER", "SCHEMES", "ScenarioConfig", "TrialResult", "UserSpec",
     "config_from_dict", "config_to_dict", "default_config",

@@ -17,12 +17,12 @@ message's fair share of the subcarriers, and the temperature is annealed
 down to a fixed floor, each level warm-started from the last. The exact
 dual at the final multipliers is the reported bound; the gap between it
 and the plan is mostly the problem's integrality gap, which no dual method
-closes, so `converged` (gap within tol) is honest.
+closes, so `converged` (gap within GAP_TOL) is honest.
 
-Two starts are then polished by a best-improvement local search: the
-argmax assignment at the final multipliers, repaired so that no message is
-starved, and a greedy seed. The cheaper result wins, ties going to the
-dual start. The search's passes score the whole neighbourhood with array
+The argmax assignment at the final multipliers, repaired so that every
+message holds a subcarrier it can use, is then polished by one
+best-improvement local search. When no such repair exists, a greedy seed
+is searched instead. The search's passes score the whole neighbourhood with array
 operations on two per-message tables of exact water-fill totals: the flip
 table (one column added to or removed from the message's set) and the
 exchange table (one owned column traded for another). A message's tables
@@ -30,7 +30,7 @@ are rebuilt, in one batched water-fill, only when its column set changes.
 The search runs to a local optimum; its pass bound is a safety cap whose
 hit is reported. `_waterfill_rows` is the one implementation of the
 water-fill rule, and `_waterfill_sets` applies it to any batch of column
-sets: the enumeration, every start, every table row and the DC planner's
+sets: the enumeration, the start, every table row and the DC planner's
 polish go through it.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
@@ -60,18 +60,11 @@ DUAL_TOL = 1e-6             # a level ends when Newton predicts a rise below
 MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
 MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
 PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
+GAP_TOL = 1e-3              # relative duality gap reported as converged
 
 
 class InfeasibleAllocationError(ValueError):
     """No assignment can meet the demands (structurally infeasible)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Solver stopped above its gap tolerance; carries the best allocation."""
-
-    def __init__(self, message, allocation=None):
-        super().__init__(message)
-        self.allocation = allocation
 
 
 @dataclass
@@ -107,23 +100,6 @@ def _demands(messages) -> np.ndarray:
     if np.any(d <= 0):
         raise ValueError("demands must be positive")
     return d
-
-
-def waterfill_power(gamma: float, q: float, bandwidth: float) -> float:
-    """Power of one subcarrier at multiplier gamma: max(0, gamma*B/ln2 - q)."""
-    if q <= 0:
-        raise ValueError("quote must be positive")
-    return max(0.0, gamma * bandwidth / LN2 - q)
-
-
-def assignment_gain(gamma: float, q: float, bandwidth: float) -> float:
-    """Dual improvement of granting the subcarrier: gamma*B*log2(1+p/q) - p."""
-    if q <= 0:
-        raise ValueError("quote must be positive")
-    p = waterfill_power(gamma, q, bandwidth)
-    if p == 0.0 or not math.isfinite(q):
-        return 0.0
-    return gamma * bandwidth * math.log2(1.0 + p / q) - p
 
 
 def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
@@ -168,27 +144,33 @@ def _assignment_ties(gain: np.ndarray) -> bool:
 
 
 def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
-    """Give every message at least one subcarrier.
+    """Give every message a subcarrier it can use (a finite quote).
 
-    Starved messages steal their cheapest usable subcarrier from owners
-    that keep at least one. Returns None when no steal is possible.
+    Starved messages, in index order, steal their cheapest usable
+    subcarrier from an owner that cannot use it or keeps another it can.
+    Returns None when no steal is possible.
     """
-    counts = np.bincount(assigned, minlength=qn.shape[0])
-    for mi in np.flatnonzero(counts == 0):
+    usable = np.isfinite(qn)
+    own_usable = usable[assigned, np.arange(assigned.size)]
+    held = np.bincount(assigned[own_usable], minlength=qn.shape[0])
+    for mi in np.flatnonzero(held == 0):
         # sequential over messages: each steal changes the owners' counts
-        usable = np.where(counts[assigned] > 1, qn[mi], math.inf)
-        best_n = int(np.argmin(usable))  # first minimum, as a left-to-right scan
-        if usable[best_n] == math.inf:
+        spare = (held[assigned] > 1) | ~own_usable
+        cand = np.where(spare, qn[mi], math.inf)
+        best_n = int(np.argmin(cand))  # first minimum, as a left-to-right scan
+        if cand[best_n] == math.inf:
             return None
-        counts[assigned[best_n]] -= 1
-        counts[mi] += 1
+        held[assigned[best_n]] -= own_usable[best_n]
+        held[mi] += 1
         assigned[best_n] = mi
+        own_usable[best_n] = True
     return assigned
 
 
 def _greedy_assignment(qn: np.ndarray):
-    """Deterministic seed: each message takes its cheapest free subcarrier,
-    leftovers go to whoever quotes them lowest."""
+    """Fallback start: each message takes its cheapest free subcarrier,
+    leftovers go to whoever quotes them lowest. None when some message
+    finds no free subcarrier it can use."""
     n_msg, n_sc = qn.shape
     assigned = np.full(n_sc, -1, dtype=int)
     for mi in range(n_msg):
@@ -480,9 +462,7 @@ def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
     return maps[order[0]], bool(unique)
 
 
-def solve_quoted_allocation(messages, quotes, bandwidth: float,
-                            tol: float = 1e-3,
-                            strict: bool = False) -> Allocation:
+def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     """Minimum-power assignment and power split against a quote matrix.
 
     Parameters
@@ -494,11 +474,9 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         least one finite quote.
     bandwidth : float
         Per-subcarrier bandwidth in Hz.
-    tol : float
-        Relative duality-gap target; the converged flag reports it.
-    strict : bool
-        Raise NonConvergenceError (carrying the best allocation) instead of
-        returning with converged=False.
+
+    The plan is flagged converged when its relative duality gap is at most
+    GAP_TOL and the local search ended below its safety cap.
     """
     demands = _demands(messages)
     quotes = np.asarray(quotes, dtype=float)
@@ -523,46 +501,32 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     msgs = np.arange(n_msg)
     perm = np.argsort(qn, axis=1, kind="stable")
 
-    def fill(assigned_arr):
-        # (total, power, rate) of every message's exact water-fill, the
-        # total summing the rows in message order; inf when some message
-        # has no finite quote
-        power, rate, ok = _waterfill_sets(qn, dn, perm, msgs,
-                                          assigned_arr == msgs[:, None])
-        total = sum(power.sum(axis=1).tolist()) if ok.all() else math.inf
-        return total, power, rate
-
     gamma = None
     steps = passes = moves = 0
-    capped = False
     if n_msg ** n_sc <= ENUMERATE_MAX:
         assigned, unique = _enumerate(qn, dn, perm)
-        starts = [("enumerated", assigned)]
+        start = "enumerated"
     else:
         gamma, steps, tau = _dual_solve(qn, dn)
         gain = _gains(gamma, qn)[0]
         # the exact dual at any gamma >= 0 bounds the optimum from below
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)
-        rounded = np.argmax(gain, axis=0)
-        if np.bincount(rounded, minlength=n_msg).min() == 0:
-            rounded = _repair_starvation(rounded, qn)
-        starts = [("dual", rounded), ("greedy", _greedy_assignment(qn))]
-
-    best = (math.inf,)
-    for name, start in starts:
-        if start is None:
-            continue
-        if name != "enumerated":
-            start, p, m = _local_search(start, qn, dn)
-            passes, moves = passes + p, moves + m
-            capped |= 0 < p == m
-        total, power, rate = fill(start)
-        if total < best[0]:
-            best = (total, name, start, power, rate)
-    if not math.isfinite(best[0]):
+        assigned = _repair_starvation(np.argmax(gain, axis=0), qn)
+        start = "dual"
+        if assigned is None:
+            # no steal serves every message, which takes inf quotes; the
+            # greedy seed can still find a feasible start
+            assigned, start = _greedy_assignment(qn), "greedy"
+    if assigned is None:
         raise InfeasibleAllocationError("no feasible assignment found")
-    _, won, assigned, power, rate = best
+    if gamma is not None:
+        assigned, passes, moves = _local_search(assigned, qn, dn)
+    capped = 0 < passes == moves
+    # every start gives each message a column it can use, and no search
+    # step takes the last one away, so every row's water-fill is feasible
+    power, rate, _ = _waterfill_sets(qn, dn, perm, msgs,
+                                     assigned == msgs[:, None])
 
     power = power * q_ref
     alloc = Allocation(
@@ -571,7 +535,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
         power_sum=float(power.sum()),
         unique_argmax=unique,
         iterations=steps,
-        diagnostics={"dual_steps": steps, "start": won,
+        diagnostics={"dual_steps": steps, "start": start,
                      "local_search_passes": passes,
                      "local_search_moves": moves,
                      "local_search_capped": capped},
@@ -585,10 +549,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float,
     gap = max(0.0, (alloc.power_sum - alloc.dual_bound)
               / max(alloc.power_sum, 1e-300))
     alloc.duality_gap = float(gap)
-    alloc.converged = bool(gap <= tol and not capped)
-    if strict and not alloc.converged:
-        raise NonConvergenceError(
-            f"duality gap {gap:.3e} above tol {tol:.1e}", allocation=alloc)
+    alloc.converged = bool(gap <= GAP_TOL and not capped)
     return alloc
 
 
