@@ -82,6 +82,14 @@ class ScenarioConfig:
         for u in self.users:
             if not 1 <= u.quality <= self.ladder.levels:
                 raise ValueError(f"quality {u.quality} outside ladder")
+        if self.m < 1 or self.n_sc < 1:
+            raise ValueError("m and n_sc must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        for name in ("bandwidth_hz", "noise_w", "beta"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value) & (value > 0)):
+                raise ValueError(f"{name} must be finite and positive")
         if self.delta_deg < 0:
             raise ValueError("delta_deg must be >= 0")
         if self.delta_deg > 0 and len(self.users) != 5:

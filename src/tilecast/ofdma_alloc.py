@@ -14,24 +14,31 @@ optimum. The max over messages is smoothed by a log-sum-exp at a
 temperature, and the smoothed dual is maximized in u = log gamma by damped
 Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
 message's fair share of the subcarriers, and the temperature is annealed
-down to a fixed floor, each level warm-started from the last. The exact
-dual at the final multipliers is the reported bound; the gap between it
-and the plan is mostly the problem's integrality gap, which no dual method
-closes, so `converged` (gap within GAP_TOL) is honest.
+down to a fixed floor, each level warm-started from the last. The line
+search halves a step on the smoothed value alone; the gradient and
+Hessian are computed once per accepted step, from that value's
+intermediates. The exact dual at the final multipliers is the reported
+bound; the gap between it and the plan is mostly the problem's
+integrality gap, which no dual method closes, so `converged` (gap within
+GAP_TOL) is honest.
 
 The argmax assignment at the final multipliers, repaired so that every
-message holds a subcarrier it can use, is then polished by one
-best-improvement local search. When no such repair exists, a greedy seed
-is searched instead. The search's passes score the whole neighbourhood with array
-operations on two per-message tables of exact water-fill totals: the flip
-table (one column added to or removed from the message's set) and the
-exchange table (one owned column traded for another). A message's tables
-are rebuilt, in one batched water-fill, only when its column set changes.
-The search runs to a local optimum; its pass bound is a safety cap whose
-hit is reported. `_waterfill_rows` is the one implementation of the
-water-fill rule, and `_waterfill_sets` applies it to any batch of column
-sets: the enumeration, the start, every table row and the DC planner's
-polish go through it.
+message holds a subcarrier it can use (by a direct steal, or else by an
+augmenting path), is then polished by one best-improvement local search.
+The search's passes score the whole neighbourhood with array operations
+on two per-message tables of exact water-fill totals: the flip table (one
+column added to or removed from the message's set) and the exchange
+table (one owned column traded for another). A message's tables are
+rebuilt, in one batched water-fill, only when its column set changes,
+and each row is built from the message's own sorted finite quotes with
+one removed or one inserted at its rank, so it is about |set| + 1 quotes
+wide rather than n_sc; its power is summed in column positions, so the
+totals equal `_set_totals` bit for bit. The search runs to a local
+optimum; its pass bound is a safety cap whose hit is reported.
+`_waterfill_rows` is the one implementation of the water-fill rule:
+`_waterfill_sets` applies it to any batch of column sets (the
+enumeration, the final fill and the DC planner's polish), and
+`_table_rows` to the search's table rows.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -148,7 +155,12 @@ def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
 
     Starved messages, in index order, steal their cheapest usable
     subcarrier from an owner that cannot use it or keeps another it can.
-    Returns None when no steal is possible.
+    When no such steal exists, a breadth-first search over columns in
+    index order finds an augmenting path: the starved message takes a
+    column, its owner, left with no other usable column, takes another
+    one it can use, and so on until an owner can spare the column taken.
+    Returns None only when no assignment gives every message a usable
+    column.
     """
     usable = np.isfinite(qn)
     own_usable = usable[assigned, np.arange(assigned.size)]
@@ -158,30 +170,46 @@ def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
         spare = (held[assigned] > 1) | ~own_usable
         cand = np.where(spare, qn[mi], math.inf)
         best_n = int(np.argmin(cand))  # first minimum, as a left-to-right scan
-        if cand[best_n] == math.inf:
-            return None
-        held[assigned[best_n]] -= own_usable[best_n]
+        if cand[best_n] < math.inf:
+            path = [best_n]
+        else:
+            path = _augmenting_path(mi, assigned, usable, spare)
+            if path is None:
+                return None
+        # each column on the path passes to the message before it; only
+        # the first taker and the last owner change their usable counts
         held[mi] += 1
-        assigned[best_n] = mi
-        own_usable[best_n] = True
+        held[assigned[path[-1]]] -= own_usable[path[-1]]
+        taker = mi
+        for n in path:
+            taker, assigned[n] = assigned[n], taker
+        own_usable[path] = True
     return assigned
 
 
-def _greedy_assignment(qn: np.ndarray):
-    """Fallback start: each message takes its cheapest free subcarrier,
-    leftovers go to whoever quotes them lowest. None when some message
-    finds no free subcarrier it can use."""
-    n_msg, n_sc = qn.shape
-    assigned = np.full(n_sc, -1, dtype=int)
-    for mi in range(n_msg):
-        free = np.flatnonzero(assigned < 0)
-        usable = free[np.isfinite(qn[mi, free])]
-        if usable.size == 0:
-            return None
-        assigned[usable[np.argmin(qn[mi, usable])]] = mi
-    for n in np.flatnonzero(assigned < 0):
-        assigned[n] = int(np.argmin(qn[:, n]))
-    return assigned
+def _augmenting_path(mi, assigned, usable, spare):
+    """Columns n1, n2, ... such that mi takes n1, n1's owner takes n2, and
+    so on, where every owner but the last has no other usable column and
+    the last can spare its column; None when there is none."""
+    came_from = {}                       # column -> the column its taker holds
+    frontier = [(mi, None)]
+    while frontier:
+        nxt = []
+        for taker, via in frontier:
+            for n in np.flatnonzero(usable[taker]).tolist():
+                if n in came_from:
+                    continue
+                came_from[n] = via
+                if spare[n]:
+                    path = [n]
+                    while came_from[path[-1]] is not None:
+                        path.append(came_from[path[-1]])
+                    return path[::-1]
+                # n is the only usable column of its owner, reached for
+                # the first time: that owner must take another one
+                nxt.append((int(assigned[n]), n))
+        frontier = nxt
+    return None
 
 
 def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
@@ -218,6 +246,77 @@ def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     full-width power row, or inf when the set has no finite quote."""
     power, _, ok = _waterfill_sets(qn, dn, perm, owner, sets)
     return np.where(ok, power.sum(axis=1), math.inf)
+
+
+def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
+                assigned: np.ndarray, changed: np.ndarray, swaps: bool):
+    """Water-fill totals of the local-search table rows of the messages
+    `changed`, built from each message's own column set S.
+
+    Returns (which, drop, add, total): row r is S of message
+    changed[which[r]] with column drop[r] (in S) removed and column add[r]
+    (outside S) inserted, -1 for none. The rows are each message's own
+    set, then its flips (S XOR {n}, message-major, n ascending), then,
+    with swaps, its exchanges (every drop in S with every add outside).
+    A row holds only its set's finite quotes, in perm order, with one
+    removed or one inserted at its rank, so it is |S| + 1 quotes wide,
+    not n_sc. Its power is put back in column positions and summed over
+    the full width, so total[r] is bit-identical to `_set_totals` of the
+    same set: a pairwise sum depends on where the nonzeros sit.
+    """
+    n_sc = qn.shape[1]
+    k = changed.size
+    msg = np.arange(k)[:, None]
+    member = assigned[None, :] == changed[:, None]
+    order = perm[changed]
+    q_sorted = qn[changed[:, None], order]
+    # S's finite quotes in perm order, and for every column the number of
+    # them ranked before it: a member's slot, or a non-member's insert slot
+    keep = member[msg, order] & np.isfinite(q_sorted)
+    before_sorted = keep.cumsum(axis=1) - keep
+    before = np.empty((k, n_sc), dtype=int)
+    before[msg, order] = before_sorted
+    size = keep.sum(axis=1)
+    width = int(size.max()) + 1
+    r, t = np.nonzero(keep)
+    # inf-padded past S, with a spare slot for the reads one past a drop
+    own_q = np.full((k, width + 1), math.inf)
+    own_col = np.zeros((k, width + 1), dtype=int)
+    own_q[r, before_sorted[r, t]] = q_sorted[r, t]
+    own_col[r, before_sorted[r, t]] = order[r, t]
+
+    flips, flip_cols = member.ravel(), np.tile(np.arange(n_sc), k)
+    which = [np.arange(k), np.repeat(np.arange(k), n_sc)]
+    drop = [np.full(k, -1), np.where(flips, flip_cols, -1)]
+    add = [np.full(k, -1), np.where(flips, -1, flip_cols)]
+    if swaps:
+        w, d, a = np.nonzero(member[:, :, None] & ~member[:, None, :])
+        which.append(w)
+        drop.append(d)
+        add.append(a)
+    which, drop, add = map(np.concatenate, (which, drop, add))
+
+    mi = changed[which]
+    usable = np.isfinite(qn)
+    drops = (drop >= 0) & usable[mi, drop]
+    adds = (add >= 0) & usable[mi, add]
+    j = np.where(drops, before[which, drop], width + 1)
+    p = np.where(adds, before[which, add], width + 1)
+    p -= j < p                              # the insert slot once j is gone
+    slots = np.arange(width)
+    kept = slots - (slots > p[:, None])     # index into S less the drop
+    src = kept + (kept >= j[:, None])       # index into S
+    inserted = slots == p[:, None]
+    q = np.where(inserted, qn[mi, add][:, None], own_q[which[:, None], src])
+    col = np.where(inserted, add[:, None], own_col[which[:, None], src])
+    length = size[which] - drops + adds
+    ok = length > 0
+    power = np.zeros(q.shape)
+    power[ok] = _waterfill_rows(q[ok], dn[mi[ok]])[0]
+    rr, tt = np.nonzero(slots < length[:, None])
+    full = np.zeros((which.size, n_sc))
+    full[rr, col[rr, tt]] = power[rr, tt]
+    return which, drop, add, np.where(ok, full.sum(axis=1), math.inf)
 
 
 def _first_max(gain: np.ndarray, valid: np.ndarray):
@@ -281,20 +380,14 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     def rebuild(changed):
         # one batched water-fill: each changed message's own set, its flip
         # rows and (with swaps) its exchange rows
-        base = assigned[None, :] == changed[:, None]
-        sets = [base, (base[:, None, :] ^ eye).reshape(-1, n_sc)]
-        owner = [changed, np.repeat(changed, n_sc)]
-        if do_swaps:
-            which, drop, add = np.nonzero(base[:, :, None] & ~base[:, None, :])
-            sets.append(base[which] ^ eye[drop] ^ eye[add])
-            owner.append(changed[which])
-        owner = np.concatenate(owner)
-        row_total = _set_totals(qn, dn, perm, owner, np.concatenate(sets))
+        which, drop, add, row_total = _table_rows(qn, dn, perm, assigned,
+                                                  changed, do_swaps)
         k = changed.size
         totals[changed] = row_total[:k]
         flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
         if do_swaps:
-            exch[changed[which], drop, add] = row_total[k + k * n_sc:]
+            ex = slice(k + k * n_sc, None)
+            exch[changed[which[ex]], drop[ex], add[ex]] = row_total[ex]
 
     rebuild(msgs)
     passes = moves = 0
@@ -375,27 +468,34 @@ def _gains(gamma: np.ndarray, qn: np.ndarray):
     return gain, rate, active
 
 
-def _smoothed_dual(u: np.ndarray, qn: np.ndarray, dn: np.ndarray, tau: float):
+def _dual_value(u: np.ndarray, qn: np.ndarray, dn: np.ndarray, tau: float):
     """The dual with each subcarrier's max over messages replaced by a
-    log-sum-exp at temperature tau, at gamma = exp(u): (value, gradient,
-    Hessian), the last two in u. The value is at most n_sc*tau*ln(n_msg)
-    below the exact dual."""
+    log-sum-exp at temperature tau, at gamma = exp(u). Returns (value,
+    parts), parts being what `_dual_derivatives` needs. The value is at
+    most n_sc*tau*ln(n_msg) below the exact dual."""
     gamma = np.exp(u)
     gain, rate, active = _gains(gamma, qn)
     top = gain.max(axis=0)
     e = np.exp((gain - top) / tau)
     z = e.sum(axis=0)
     value = float(gamma @ dn - (top + tau * np.log(z)).sum())
+    return value, (gamma, rate, active, e, z)
+
+
+def _dual_derivatives(dn: np.ndarray, tau: float, parts):
+    """Gradient and Hessian in u of the smoothed dual, from the parts
+    `_dual_value` returned at the same point and temperature."""
+    gamma, rate, active, e, z = parts
     share = e / z                                 # softmax over messages
     d1 = gamma[:, None] * rate                    # d gain / du
     d2 = np.where(active, d1 + gamma[:, None] / LN2, 0.0)
     w1 = share * d1
     grad = gamma * dn - w1.sum(axis=1)
     hess = (w1 @ w1.T) / tau
-    hess[np.diag_indices_from(hess)] = (
+    hess.flat[::gamma.size + 1] = (
         gamma * dn - (share * d2).sum(axis=1)
         - (w1 * (1.0 - share) * d1).sum(axis=1) / tau)
-    return value, grad, hess
+    return grad, hess
 
 
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
@@ -406,18 +506,22 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     per-subcarrier gain), warm-starting each level. Each step is Newton's
     on the Hessian with its eigenvalues made negative (their magnitude
     kept), capped at MAX_LOG_STEP per coordinate and halved until the
-    smoothed value rises enough. Returns (gamma, steps, tau): the final
-    multipliers, the steps taken and the floor temperature.
+    smoothed value rises enough; a trial step costs one value, and the
+    derivatives are taken once per accepted step. Returns (gamma, steps,
+    evaluations, tau): the final multipliers, the steps taken, the
+    smoothed-dual values computed and the floor temperature.
     """
     n_msg, n_sc = qn.shape
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
     u = np.log(LN2 * qmin) + LN2 * np.minimum(dn * n_msg / n_sc, 500.0)
     scale = float(_gains(np.exp(u), qn)[0].max(axis=0).mean())
-    steps = 0
+    steps = evaluations = 0
     for rel in TEMPERATURES:
         tau = rel * scale
-        value, grad, hess = _smoothed_dual(u, qn, dn, tau)
+        value, parts = _dual_value(u, qn, dn, tau)
+        evaluations += 1
         while steps < MAX_DUAL_STEPS:
+            grad, hess = _dual_derivatives(dn, tau, parts)
             lam, vec = np.linalg.eigh(-hess)
             lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max() + 1e-300)
             proj = vec.T @ grad
@@ -430,16 +534,17 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
             slope = float(grad @ step)
             steps += 1
             for _ in range(40):
-                trial = _smoothed_dual(u + step, qn, dn, tau)
-                if trial[0] >= value + 1e-4 * slope:
+                trial, trial_parts = _dual_value(u + step, qn, dn, tau)
+                evaluations += 1
+                if trial >= value + 1e-4 * slope:
                     break
                 step *= 0.5
                 slope *= 0.5
             else:
                 break                               # no rise left to find
             u = u + step
-            value, grad, hess = trial
-    return np.exp(u), steps, tau
+            value, parts = trial, trial_parts
+    return np.exp(u), steps, evaluations, tau
 
 
 def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
@@ -502,22 +607,18 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     perm = np.argsort(qn, axis=1, kind="stable")
 
     gamma = None
-    steps = passes = moves = 0
+    steps = evaluations = passes = moves = 0
     if n_msg ** n_sc <= ENUMERATE_MAX:
         assigned, unique = _enumerate(qn, dn, perm)
         start = "enumerated"
     else:
-        gamma, steps, tau = _dual_solve(qn, dn)
+        gamma, steps, evaluations, tau = _dual_solve(qn, dn)
         gain = _gains(gamma, qn)[0]
         # the exact dual at any gamma >= 0 bounds the optimum from below
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)
         assigned = _repair_starvation(np.argmax(gain, axis=0), qn)
         start = "dual"
-        if assigned is None:
-            # no steal serves every message, which takes inf quotes; the
-            # greedy seed can still find a feasible start
-            assigned, start = _greedy_assignment(qn), "greedy"
     if assigned is None:
         raise InfeasibleAllocationError("no feasible assignment found")
     if gamma is not None:
@@ -535,7 +636,8 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
         power_sum=float(power.sum()),
         unique_argmax=unique,
         iterations=steps,
-        diagnostics={"dual_steps": steps, "start": start,
+        diagnostics={"dual_steps": steps, "dual_evaluations": evaluations,
+                     "start": start,
                      "local_search_passes": passes,
                      "local_search_moves": moves,
                      "local_search_capped": capped},

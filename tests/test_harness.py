@@ -70,6 +70,19 @@ def test_config_validation():
         tiny_config(delta_deg=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 0), ("m", -2), ("n_sc", 0), ("bandwidth_hz", 0.0),
+    ("bandwidth_hz", math.nan), ("noise_w", 0.0), ("noise_w", -1e-9),
+    ("beta", 0.0), ("beta", -1.0), ("base_seed", -1)])
+def test_config_rejects_link_parameters_that_crash_a_trial(field, value):
+    # each of these was accepted once and crashed the first trial
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value})
+    # a sweep re-checks every point it builds, and each m point passes
+    for m in SWEEP_M_VALUES:
+        assert replace(tiny_config(), m=m).m == m
+
+
 def test_config_rejects_shift_without_five_users():
     with pytest.raises(ValueError, match="5 users"):
         three_viewer_config(delta_deg=12.0)

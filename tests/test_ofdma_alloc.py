@@ -16,10 +16,10 @@ from tilecast import (InfeasibleAllocationError, Message, audit_allocation,
                       sample_channel, solve_quoted_allocation)
 from tilecast import ofdma_alloc
 from tilecast.ofdma_alloc import (ENUMERATE_MAX, GAP_TOL, LN2,
-                                  PASSES_PER_SUBCARRIER, _bisect_waterfill,
-                                  _demands, _gains, _local_search,
-                                  _repair_starvation, _set_totals,
-                                  _waterfill_sets)
+                                  PASSES_PER_SUBCARRIER, TEMPERATURES,
+                                  _bisect_waterfill, _demands, _gains,
+                                  _local_search, _repair_starvation,
+                                  _set_totals, _table_rows, _waterfill_sets)
 
 B = 39e3
 
@@ -268,13 +268,33 @@ def starvation_instances(draw):
                np.array([[math.inf, 2.0, 3.0], [1.0, 1.0, 1.0]])))
 @settings(max_examples=300, deadline=None)
 def test_repair_starvation_matches_scalar_loop(inst):
+    # wherever the scalar loop of direct steals succeeds the repair is that
+    # loop; past it, the repair fails only when no assignment gives every
+    # message a usable column (Hall's condition over message subsets)
     assigned, qn = inst
     got = _repair_starvation(assigned.copy(), qn)
     want = repair_reference(assigned.copy(), qn)
-    if want is None:
-        assert got is None
-    else:
+    if want is not None:
         assert np.array_equal(got, want)
+        return
+    usable = np.isfinite(qn)
+    n_msg = qn.shape[0]
+    feasible = all(usable[list(sub)].any(axis=0).sum() >= len(sub)
+                   for r in range(1, n_msg + 1)
+                   for sub in itertools.combinations(range(n_msg), r))
+    assert (got is not None) == feasible
+    if got is not None:
+        held = usable[got, np.arange(got.size)]
+        assert np.all(np.bincount(got[held], minlength=n_msg) > 0)
+
+
+def test_repair_follows_an_augmenting_path():
+    # message 0's one usable column is message 1's only usable one, so no
+    # steal serves it: message 1 moves on to column 1, which 2 can spare
+    qn = np.array([[1.0, math.inf, math.inf], [1.0, 1.0, math.inf],
+                   [math.inf, 1.0, 1.0]])
+    assert repair_reference(np.array([1, 2, 2]), qn) is None
+    assert _repair_starvation(np.array([1, 2, 2]), qn).tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +495,61 @@ def test_set_totals_match_scalar_waterfill_bitwise(batch):
             assert rate[r].tobytes() == wf[1].tobytes()
 
 
+@st.composite
+def table_instances(draw):
+    # moves only or with swaps, as the search picks by n_sc; inf and tied
+    # quotes, and demands far below one ulp of the log level
+    swaps = draw(st.booleans())
+    n_msg = draw(st.integers(1, 4))
+    n_sc = draw(st.integers(1, 16 if swaps else 24))
+    qn = np.array(draw(st.lists(
+        st.one_of(QUOTE_VALUES, st.floats(1e-3, 1e3)),
+        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    dn = np.array(draw(st.lists(st.one_of(st.floats(1e-18, 1e-12),
+                                          st.floats(1e-6, 40.0)),
+                                min_size=n_msg, max_size=n_msg)))
+    assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
+                                      min_size=n_sc, max_size=n_sc)))
+    changed = np.array(sorted(draw(st.sets(st.integers(0, n_msg - 1),
+                                           min_size=1))))
+    return qn, dn, assigned, changed, swaps
+
+
+@given(inst=table_instances())
+# message 0's only finite quote is column 0: flipping or dropping it
+# leaves no usable column
+@example(inst=(np.array([[1.0, math.inf, 2.0], [1.0, 1.0, 1.0]]),
+               np.array([1.0, 1.0]), np.array([0, 0, 1]), np.array([0, 1]),
+               True))
+@example(inst=(np.full((2, 20), 2.0), np.array([1e-18, 3.0]),    # all tied
+               np.arange(20) % 2, np.array([0, 1]), False))
+@example(inst=(np.full((3, 9), 0.5), np.array([1e-17, 1.0, 1e-12]),
+               np.array([0, 1, 2, 0, 1, 2, 0, 0, 0]), np.array([0, 2]),
+               True))
+@settings(max_examples=300, deadline=None)
+def test_table_rows_match_set_totals_bitwise(inst):
+    qn, dn, assigned, changed, swaps = inst
+    n_sc = qn.shape[1]
+    perm = np.argsort(qn, axis=1, kind="stable")
+    which, drop, add, total = _table_rows(qn, dn, perm, assigned, changed,
+                                          swaps)
+    # own sets, then flips, then exchanges, each in scan order
+    k = changed.size
+    owns = [[n for n in range(n_sc) if assigned[n] == mi] for mi in changed]
+    want = [(c, -1, -1) for c in range(k)]
+    want += [(c, n, -1) if n in owns[c] else (c, -1, n)
+             for c in range(k) for n in range(n_sc)]
+    if swaps:
+        want += [(c, d, a) for c in range(k) for d in owns[c]
+                 for a in range(n_sc) if a not in owns[c]]
+    assert list(zip(which.tolist(), drop.tolist(), add.tolist())) == want
+    sets = np.zeros((len(want), n_sc), dtype=bool)
+    for r, (c, d, a) in enumerate(want):
+        sets[r, [n for n in owns[c] + [a] if n not in (d, -1)]] = True
+    assert total.tobytes() == _set_totals(qn, dn, perm, changed[which],
+                                          sets).tobytes()
+
+
 def test_local_search_counts_passes_and_moves():
     # message 1 starts on a column it quotes at 100; one swap fixes both
     qn = np.array([[1.0, 1.0, 100.0], [100.0, 100.0, 1.0]])
@@ -508,13 +583,19 @@ def test_solver_reports_search_counts():
     diag = alloc.diagnostics
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == alloc.iterations > 0
+    # one value per level start and per trial step, each step tried once at
+    # least; 94 is the count the line search took before the derivatives
+    # were split from the value
+    assert diag["dual_evaluations"] >= diag["dual_steps"] + len(TEMPERATURES)
+    assert diag["dual_evaluations"] == 94
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert not diag["local_search_capped"]
     assert diag["dual_temperature"] > 0
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     assert 2 ** 6 <= ENUMERATE_MAX
-    assert small.diagnostics == {"dual_steps": 0, "start": "enumerated",
+    assert small.diagnostics == {"dual_steps": 0, "dual_evaluations": 0,
+                                 "start": "enumerated",
                                  "local_search_passes": 0,
                                  "local_search_moves": 0,
                                  "local_search_capped": False}
@@ -540,21 +621,23 @@ def test_capped_local_search_is_not_converged(monkeypatch):
     assert not capped.converged
 
 
-def test_greedy_fallback_when_repair_fails():
-    # 3 x 5 with inf quotes, past exhaustive search: no steal from the
-    # argmax assignment at the final multipliers serves every message, so
-    # the greedy seed is the start, and the search improves on it
+def test_augmenting_repair_when_no_steal_serves():
+    # 3 x 5 with inf quotes, past exhaustive search: no direct steal from
+    # the argmax assignment at the final multipliers serves every message,
+    # so the repair follows an augmenting path, and the search improves on
+    # the repaired start
     rng = np.random.default_rng(1084)
     quotes = 10.0 ** rng.uniform(-10, -8, size=(3, 5))
     quotes[rng.random((3, 5)) < 0.5] = np.inf
     demands = B * rng.uniform(0.5, 4.0, size=3)
     assert 3 ** 5 > ENUMERATE_MAX
     q_ref = float(np.median(quotes[np.isfinite(quotes)]))
-    gamma, _, _ = ofdma_alloc._dual_solve(quotes / q_ref, demands / B)
+    gamma = ofdma_alloc._dual_solve(quotes / q_ref, demands / B)[0]
     rounded = np.argmax(_gains(gamma, quotes / q_ref)[0], axis=0)
-    assert _repair_starvation(rounded, quotes / q_ref) is None
+    assert repair_reference(rounded.copy(), quotes / q_ref) is None
+    assert _repair_starvation(rounded, quotes / q_ref) is not None
     alloc = solve_quoted_allocation(demands, quotes, B)
-    assert alloc.diagnostics["start"] == "greedy"
+    assert alloc.diagnostics["start"] == "dual"
     assert alloc.diagnostics["local_search_moves"] > 0
     np.testing.assert_array_equal(alloc.assign.sum(axis=0), np.ones(5))
     assert np.all(alloc.power[~np.isfinite(quotes)] == 0)
