@@ -26,7 +26,7 @@ from .channel import _audience
 
 class InfeasibleDirectionError(ValueError):
     """No beam direction serves some message: every quote it can use is
-    infinite. The plans mark such pairs inf; dc_solve raises this."""
+    infinite. The plans mark such pairs inf."""
 
 
 @dataclass

@@ -6,9 +6,11 @@ of the combined beam variable (beam direction scaled by the square root of
 its power). Linearizing that quadratic at the current point gives a convex
 inner problem whose KKT conditions have closed forms; a projected
 subgradient on the multipliers drives assignment, rates, and beams jointly.
-Each pass is followed by an exact water-fill polish along the recovered beam
-directions, which both repairs feasibility and keeps the objective from
-increasing across outer iterations.
+The start is one quoted allocation on the direction menu (per pair, the
+cheaper of the large-antenna and eigenbeam quotes). After each pass a
+local search re-assigns subcarriers against the cheaper of the recovered
+and the menu quotes, and an exact water-fill splits the power; this
+repairs feasibility and keeps the objective from increasing across passes.
 
 The inner loop's rules each have one implementation, an array function
 over all (message, subcarrier) pairs at once: `_scores` (dual value of a
@@ -23,15 +25,14 @@ of physical scales.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import (InfeasibleDirectionError, beam_plan_asymptotic,
-                          beam_plan_mrt)
+from .beamforming import beam_plan_asymptotic, beam_plan_mrt
 from .channel import _audience
-from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
-                          solve_quoted_allocation, _waterfill_sets)
+from .ofdma_alloc import (Allocation, solve_quoted_allocation, _local_search,
+                          _waterfill_sets)
 
 LN2 = math.log(2.0)
 EXP_CAP = 500.0  # clamp on base-2 exponents; 2**500 stays finite
@@ -49,12 +50,14 @@ class DcState:
     (message, subcarrier) entry is that pair's power in the quote
     convention (physical watts are norm^2 / m). assign_frac is the relaxed
     assignment (binary after recovery), rate the per-pair rates in bits/s.
+    diagnostics holds those of the allocation the state came from.
     """
 
     scaled_beams: np.ndarray
     assign_frac: np.ndarray
     rate: np.ndarray
     total_power_w: float = 0.0
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.scaled_beams = np.asarray(self.scaled_beams, dtype=np.complex128)
@@ -103,9 +106,6 @@ class _Workspace:
         self.dn = np.array([msg.demand_bits_per_s for msg in messages],
                            dtype=float) / self.bw
         self.cols = np.arange(self.n_sc)
-
-    def scale_in(self, w):
-        return np.asarray(w, dtype=np.complex128) / math.sqrt(self.p0)
 
 
 def _init_duals(ws: _Workspace, w_int: np.ndarray, assigned: np.ndarray,
@@ -300,18 +300,38 @@ def _inner(ws: _Workspace, w_int: np.ndarray, assigned0: np.ndarray,
     return best, DcDuals(demand_price=gam, user_price=lam), iters
 
 
-def _polish(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
-            fallback: np.ndarray):
-    """Exact water-fill along the candidate's beam directions.
+def _fill(ws: _Workspace, quotes: np.ndarray, assigned: np.ndarray,
+          dirs: np.ndarray):
+    """Exact water-fill of every message's demand over its subcarriers at
+    `quotes`, with beams along `dirs` (one per subcarrier). Returns None
+    when some message has no usable subcarrier."""
+    power, rate, ok = _waterfill_sets(
+        quotes, ws.dn, np.argsort(quotes, axis=1, kind="stable"), ws.msgs,
+        assigned == ws.msgs[:, None])
+    if not ok.all():
+        return None
+    w = np.zeros((ws.n_msg, ws.n_sc, ws.m), dtype=np.complex128)
+    w[assigned, ws.cols] = np.sqrt(power[assigned, ws.cols])[:, None] * dirs
+    return {"power": power, "rate": rate, "w": w, "dirs": dirs,
+            "energy": float(power.sum())}
 
-    Keeps each pair's direction (falling back to the start direction on
-    zero-power pairs), requotes it, and re-splits every message's demand in
-    closed form. Returns None when some message has no usable subcarrier.
+
+def _polish(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
+            menu_dirs: np.ndarray, menu_q: np.ndarray):
+    """Exact water-fill along a pass's beam directions, after a local
+    search re-assigns subcarriers.
+
+    Each candidate pair keeps its direction (the menu's on zero-power
+    pairs), requoted by its weakest audience user; every pair takes the
+    cheaper of that quote and its menu quote. The search starts from the
+    candidate's assignment and only descends, so the plan never costs
+    more than the candidate's own water-fill. Returns (plan or None,
+    assignment, search passes, search moves).
     """
     w_cols = w_int[assigned, ws.cols]
     norms = np.linalg.norm(w_cols, axis=1)
     use_fb = norms <= 1e-150
-    dirs = np.where(use_fb[:, None], fallback[assigned, ws.cols],
+    dirs = np.where(use_fb[:, None], menu_dirs[assigned, ws.cols],
                     w_cols / np.where(use_fb, 1.0, norms)[:, None])
 
     hhat_sel = ws.hhat[assigned, ws.cols]
@@ -321,98 +341,64 @@ def _polish(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
     with np.errstate(divide="ignore"):
         q_cols = np.where(gmin > 0, 1.0 / np.maximum(gmin, 1e-300), np.inf)
 
-    quotes = np.full((ws.n_msg, ws.n_sc), np.inf)
-    quotes[assigned, ws.cols] = q_cols
-    power, rate, ok = _waterfill_sets(
-        quotes, ws.dn, np.argsort(quotes, axis=1, kind="stable"), ws.msgs,
-        assigned == ws.msgs[:, None])
-    if not ok.all():
-        return None
-    w_next = np.zeros_like(w_int)
-    w_next[assigned, ws.cols] = np.sqrt(power[assigned, ws.cols])[:, None] * dirs
-    return {"power": power, "rate": rate, "w": w_next, "dirs": dirs,
-            "q_cols": q_cols, "energy": float(power.sum())}
+    q_full, dirs_full = menu_q.copy(), menu_dirs.copy()
+    better = q_cols < q_full[assigned, ws.cols]
+    at = assigned[better], ws.cols[better]
+    q_full[at] = q_cols[better]
+    dirs_full[at] = dirs[better]
+
+    assigned, passes, moves = _local_search(assigned, q_full, ws.dn)
+    plan = _fill(ws, q_full, assigned, dirs_full[assigned, ws.cols])
+    return plan, assigned, passes, moves
 
 
-def _polish_realloc(ws: _Workspace, assigned: np.ndarray, w_int: np.ndarray,
-                    menu_dirs: np.ndarray, menu_q: np.ndarray):
-    """Polish that may also move subcarriers between messages.
+def _direction_menu(ch, messages):
+    """Per pair, the better of the large-antenna closed form and the
+    covariance eigenbeam: (unit directions, quotes). Lets the passes move
+    subcarriers, not just reshape beams."""
+    plan = beam_plan_asymptotic(ch, messages)
+    plan_mrt = beam_plan_mrt(ch, messages)
+    take_mrt = plan_mrt.q < plan.q
+    return (np.where(take_mrt[:, :, None], plan_mrt.w, plan.w),
+            np.minimum(plan.q, plan_mrt.q))
 
-    First the plain directional water-fill on the incumbent assignment.
-    Then the full allocator is re-run against the elementwise best quotes
-    (refined directions where available, precomputed closed-form beams
-    elsewhere); its plan replaces the incumbent only when cheaper, so the
-    outer power trace stays non-increasing.
+
+def initial_point(ch, messages, *, _menu=None) -> DcState:
+    """Feasible start: the quoted allocation on the direction menu. dc_solve
+    hands in the menu it already built as _menu, so one solve builds it
+    once. The state's diagnostics are the allocation's, with its duality
+    gap.
     """
-    pol = _polish(ws, assigned, w_int, menu_dirs)
-    if pol is None:
-        return None, assigned
-
-    dirs_full = menu_dirs.copy()
-    q_full = menu_q.copy()
-    better = pol["q_cols"] < q_full[assigned, ws.cols]
-    rows, cols = assigned[better], ws.cols[better]
-    q_full[rows, cols] = pol["q_cols"][better]
-    dirs_full[rows, cols] = pol["dirs"][better]
-
-    try:
-        alloc = solve_quoted_allocation(ws.dn, q_full, 1.0)
-    except InfeasibleAllocationError:
-        return pol, assigned
-    if alloc.power_sum >= pol["energy"] * (1.0 - 1e-12):
-        return pol, assigned
-
-    new_assigned = np.argmax(alloc.assign, axis=0)
-    sel_dirs = dirs_full[new_assigned, ws.cols]
-    w_next = np.zeros_like(w_int)
-    w_next[new_assigned, ws.cols] = (
-        np.sqrt(alloc.power[new_assigned, ws.cols])[:, None] * sel_dirs)
-    out = {"power": alloc.power, "rate": alloc.rate, "w": w_next,
-           "dirs": sel_dirs, "q_cols": q_full[new_assigned, ws.cols],
-           "energy": float(alloc.power_sum)}
-    return out, new_assigned
-
-
-def initial_point(ch, messages, *, _plan=None) -> DcState:
-    """Feasible start: the large-antenna solution. dc_solve hands in the
-    asymptotic plan it already built as _plan, so one solve builds it once.
-    """
-    plan = beam_plan_asymptotic(ch, messages) if _plan is None else _plan
-    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-    w = np.sqrt(alloc.power)[:, :, None] * plan.w
+    dirs, q = _direction_menu(ch, messages) if _menu is None else _menu
+    alloc = solve_quoted_allocation(messages, q, ch.bandwidth_hz)
+    w = np.sqrt(alloc.power)[:, :, None] * dirs
     return DcState(scaled_beams=w, assign_frac=alloc.assign.astype(float),
-                   rate=alloc.rate.copy(), total_power_w=alloc.power_sum / ch.m)
+                   rate=alloc.rate.copy(), total_power_w=alloc.power_sum / ch.m,
+                   diagnostics={**alloc.diagnostics,
+                                "duality_gap": alloc.duality_gap})
 
 
 def dc_solve(ch, messages) -> Allocation:
-    """Full plan for the general case: iterate convexified solves until the
-    total power stabilizes, polishing every pass with an exact water-fill.
+    """Full plan for the general case: one quoted allocation on the
+    direction menu, then convexified passes until the total power
+    stabilizes, each polished by an exact water-fill and re-assigned by
+    local search.
 
     The returned allocation has binary assignment, per-pair powers in the
     quote convention, demand-exact rates, and one unit beam per subcarrier.
-    Diagnostics carry the outer power trace in watts (non-increasing).
+    Diagnostics carry the outer power trace in watts (non-increasing), the
+    start allocation's diagnostics and each pass's local-search moves.
     """
     messages = list(messages)
     ws = _Workspace(ch, messages)
-    plan = beam_plan_asymptotic(ch, messages)
-    state = initial_point(ch, messages, _plan=plan)
+    menu = _direction_menu(ch, messages)
+    state = initial_point(ch, messages, _menu=menu)
+    menu_dirs, menu_q = menu[0], menu[1] / ws.p0
 
-    # direction menu: per pair, the better of the large-antenna closed form
-    # and the covariance eigenbeam; gives every pair a usable direction and
-    # lets the polish move subcarriers, not just reshape beams
-    plan_mrt = beam_plan_mrt(ch, messages)
-    take_mrt = plan_mrt.q < plan.q
-    menu_dirs = np.where(take_mrt[:, :, None], plan_mrt.w, plan.w)
-    menu_q = np.minimum(plan.q, plan_mrt.q) / ws.p0
-
-    w_int = ws.scale_in(state.scaled_beams)
-    tiebreak = 1e-12 * np.abs(state.scaled_beams).sum(axis=2)
-    assigned = np.argmax(state.assign_frac + tiebreak, axis=0)
-
-    # polish the start so the trace begins at an exactly-feasible point
-    pol, assigned = _polish_realloc(ws, assigned, w_int, menu_dirs, menu_q)
-    if pol is None:
-        raise InfeasibleDirectionError("start point leaves a message unserved")
+    assigned = np.argmax(state.assign_frac, axis=0)
+    # water-fill the start in scaled units, so the trace begins at an
+    # exactly-feasible point
+    pol = _fill(ws, menu_q, assigned, menu_dirs[assigned, ws.cols])
     w_int, c_int = pol["w"], pol["rate"]
     best_pol = pol
     energy = pol["energy"]
@@ -423,13 +409,17 @@ def dc_solve(ch, messages) -> Allocation:
     converged = False
     unique = True
     inner_ok = True
+    capped = state.diagnostics["local_search_capped"]
+    pass_moves = []
     for _ in range(OUTER_MAX):
         cand, duals, iters = _inner(ws, w_int, assigned, c_int, duals)
         total_inner += iters
         unique = unique and cand["unique"]
         inner_ok = inner_ok and (iters < INNER_MAX)
-        pol, pol_assigned = _polish_realloc(ws, cand["assigned"], cand["w"],
-                                            menu_dirs, menu_q)
+        pol, pol_assigned, passes, moves = _polish(
+            ws, cand["assigned"], cand["w"], menu_dirs, menu_q)
+        pass_moves.append(moves)
+        capped = capped or 0 < passes == moves
         if pol is None:
             break
         if pol["energy"] > energy * (1.0 + 1e-12):
@@ -453,11 +443,13 @@ def dc_solve(ch, messages) -> Allocation:
         power_sum=float(power.sum()),
         beams=best_pol["dirs"].copy(),
         total_power_w=float(power.sum()) / ws.m,
-        converged=bool(converged and inner_ok),
+        converged=bool(converged and inner_ok and not capped),
         unique_argmax=unique,
         iterations=total_inner,
         duality_gap=float("nan"),
         dual_bound=float("nan"),
         diagnostics={"e_trace": e_trace,
-                     "outer_iterations": len(e_trace) - 1},
+                     "outer_iterations": len(e_trace) - 1,
+                     "start_allocation": state.diagnostics,
+                     "pass_moves": pass_moves},
     )

@@ -390,6 +390,10 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             exch[changed[which[ex]], drop[ex], add[ex]] = row_total[ex]
 
     rebuild(msgs)
+    if not np.isfinite(totals).all():
+        # a message holds no usable column: the acceptance threshold is
+        # inf, so no step can win, and the gains would be inf - inf
+        return assigned, min(1, max_passes), 0
     passes = moves = 0
     for _ in range(max_passes):
         passes += 1

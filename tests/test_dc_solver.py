@@ -9,6 +9,7 @@ the references are called with unit bandwidth, unit beta and m * noise = 1.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from tilecast import (InfeasibleDirectionError, Message, TilingConfig,
                       ViewDirection, audit_allocation, dc_solve,
                       sample_channel, solve_quoted_allocation)
-from tilecast.beamforming import beam_plan_asymptotic
+from tilecast import dc_solver
+from tilecast.beamforming import beam_plan_asymptotic, beam_plan_mrt
 from tilecast.dc_solver import (EXP_CAP, INNER_MAX, DcDuals, DcState,
                                 _direction, _init_duals, _inner, _pick,
                                 _price_step, _priced_rate, _scores, _stretch,
@@ -358,7 +360,7 @@ def convex_start(ch, messages):
     at the initial point, ready for one convexified solve."""
     state = initial_point(ch, messages)
     ws = _Workspace(ch, messages)
-    w_int = ws.scale_in(state.scaled_beams)
+    w_int = state.scaled_beams / math.sqrt(ws.p0)
     tiebreak = 1e-12 * np.abs(state.scaled_beams).sum(axis=2)
     assigned = np.argmax(state.assign_frac + tiebreak, axis=0)
     c = state.rate / ws.bw
@@ -551,8 +553,11 @@ def test_initial_point_energy_matches_quoted_solution():
     ch = sample_channel(41, m=4, n_sc=6, k_users=2)
     messages = [_msg((1,), (1,), 1.5 * B), _msg((1, 2), (1, 2), 2.0 * B)]
     state = initial_point(ch, messages)
-    plan = beam_plan_asymptotic(ch, messages)
-    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    # the start is the allocation on the direction menu: per pair, the
+    # cheaper of the asymptotic and MRT quotes
+    menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
+                        beam_plan_mrt(ch, messages).q)
+    alloc = solve_quoted_allocation(messages, menu_q, ch.bandwidth_hz)
     assert state.total_power_w == pytest.approx(alloc.power_sum / ch.m,
                                                 rel=1e-12)
     np.testing.assert_array_equal(state.assign_frac.sum(axis=0),
@@ -652,6 +657,77 @@ def test_dc_solve_one_message_passes_end_before_the_cap():
     assert math.isfinite(result.total_power_w)
     assert result.converged
     assert result.iterations < INNER_MAX
+
+
+def test_dc_solve_makes_one_allocator_solve(monkeypatch):
+    # the start is the only dual solve; passes re-assign by local search
+    calls = []
+    solve = dc_solver.solve_quoted_allocation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dc_solver, "solve_quoted_allocation", counted)
+    cfg = default_config()
+    for t in range(4):
+        calls.clear()
+        dc = run_trial(cfg, "proposed-dc", t)
+        assert len(calls) == 1, t
+        asym = run_trial(cfg, "proposed-asymptotic", t)
+        assert dc.total_power_w <= asym.total_power_w * (1 + 1e-9), t
+
+
+def test_dc_solve_diagnostics():
+    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((2, 3), (2, 3), 2.0 * B),
+                _msg((1, 2, 3), (2,), 1.0 * B)]
+    diag = dc_solve(ch, messages).diagnostics
+    start = diag["start_allocation"]
+    assert start["start"] == "dual"
+    assert start["dual_steps"] > 0
+    assert start["dual_evaluations"] >= start["dual_steps"]
+    assert start["duality_gap"] >= 0.0
+    assert start["local_search_passes"] == start["local_search_moves"] + 1
+    # one search per pass; accepted passes add to the trace
+    assert len(diag["pass_moves"]) >= diag["outer_iterations"] >= 1
+    assert all(moves >= 0 for moves in diag["pass_moves"])
+
+
+def test_capped_pass_search_is_not_converged(monkeypatch):
+    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((2, 3), (2, 3), 2.0 * B),
+                _msg((1, 2, 3), (2,), 1.0 * B)]
+    assert dc_solve(ch, messages).converged
+    search = dc_solver._local_search
+
+    def capped(assigned, qn, dn):
+        # one pass that moved: the report of a search stopped by its cap
+        return search(assigned, qn, dn)[0], 1, 1
+
+    monkeypatch.setattr(dc_solver, "_local_search", capped)
+    assert not dc_solve(ch, messages).converged
+
+
+def test_dc_solve_inf_masked_menu_without_warnings():
+    # user 2 gets nothing on subcarriers 0-2, so every message it watches
+    # quotes inf there under both plans, and the passes search over those
+    # inf quotes
+    ch = sample_channel(50, m=4, n_sc=8, k_users=3)
+    ch.h[:3, 1] = 0.0
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((2, 3), (2, 3), 2.0 * B),
+                _msg((1, 2, 3), (2,), 1.0 * B)]
+    menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
+                        beam_plan_mrt(ch, messages).q)
+    assert np.isinf(menu_q[1:, :3]).all() and np.isfinite(menu_q[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = dc_solve(ch, messages)
+    assert np.all(alloc.assign[1:, :3] == 0)
+    assert audit_allocation(alloc, ch, messages) == []
 
 
 def test_dc_solve_single_user_matches_asymptotic():

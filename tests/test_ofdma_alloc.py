@@ -3,6 +3,7 @@
 import itertools
 import math
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -558,6 +559,26 @@ def test_local_search_counts_passes_and_moves():
     assert assigned.tolist() == [0, 0, 1]
     assert (passes, moves) == (2, 1)
     assert _local_search(np.zeros(3, dtype=int), qn[:1], np.ones(1))[1:] == (0, 0)
+
+
+def test_inf_masked_instance_plans_without_warnings():
+    # message 2 starts on column 3, which no message can use: its set has
+    # no finite quote, so its totals are inf and the move, swap and
+    # rotation gains would all be inf - inf
+    inf = math.inf
+    qn = np.array([[1.987, inf, 1.301, inf, 0.03, 0.434],
+                   [inf, 0.115, 0.058, inf, 1.09, inf],
+                   [0.228, 2.182, inf, inf, 0.518, inf]])
+    dn = np.array([1.7, 0.85, 0.98])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assigned, passes, moves = _local_search(
+            np.array([0, 0, 0, 2, 1, 1]), qn, dn)
+        alloc = solve_quoted_allocation(dn, qn, 1.0)
+    # the assignments and counts the search gave when it still warned
+    assert assigned.tolist() == [0, 0, 0, 2, 1, 1]
+    assert (passes, moves) == (1, 0)
+    assert np.argmax(alloc.assign, axis=0).tolist() == [2, 0, 1, 0, 0, 0]
 
 
 def test_local_search_runs_to_a_local_optimum_past_sixty_moves():
