@@ -26,19 +26,26 @@ The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (by a direct steal, or else by an
 augmenting path), is then polished by one best-improvement local search.
 The search's passes score the whole neighbourhood with array operations
-on two per-message tables of exact water-fill totals: the flip table (one
+on two per-message tables of water-fill totals: the flip table (one
 column added to or removed from the message's set) and the exchange
 table (one owned column traded for another). A message's tables are
-rebuilt, in one batched water-fill, only when its column set changes,
-and each row is built from the message's own sorted finite quotes with
-one removed or one inserted at its rank, so it is about |set| + 1 quotes
-wide rather than n_sc; its power is summed in column positions, so the
-totals equal `_set_totals` bit for bit. The search runs to a local
-optimum; its pass bound is a safety cap whose hit is reported.
-`_waterfill_rows` is the one implementation of the water-fill rule:
-`_waterfill_sets` applies it to any batch of column sets (the
-enumeration, the final fill and the DC planner's polish), and
-`_table_rows` to the search's table rows.
+rebuilt only when its column set changes. With swaps (n_sc <= 16) every
+row is exact: built from the message's own sorted finite quotes with one
+removed or one inserted at its rank, so it is about |set| + 1 quotes
+wide rather than n_sc, and water-filled in one batch, with its power
+summed in column positions so the totals equal `_set_totals` bit for
+bit. Moves alone (n_sc > 16) read the flip table in closed form where a
+row's quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a
+bound on its rounding error; other rows are exact as above. Each pass
+takes a move only when the bounds certify it as the exact tables' first
+maximum above the acceptance threshold, and otherwise rescores the
+near-tied moves exactly and decides on those, so the search takes the
+same steps as on exact tables. It runs to a local optimum; its pass
+bound is a safety cap whose hit is reported. `_waterfill_rows` is the
+one implementation of the water-fill rule: `_waterfill_sets` applies it
+to any batch of column sets (the enumeration, the final fill, the
+search's rescoring and the DC planner's polish), and `_table_rows` to
+the search's table rows.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -68,10 +75,14 @@ MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
 MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
 PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
 GAP_TOL = 1e-3              # relative duality gap reported as converged
+EPS = float(np.finfo(float).eps)
 
 
 class InfeasibleAllocationError(ValueError):
-    """No assignment can meet the demands (structurally infeasible)."""
+    """No plan can be found: no assignment can meet the demands
+    (structurally infeasible), or the allocator's dual diverged to
+    non-finite values, as when the demands need powers past the range of
+    floating point."""
 
 
 @dataclass
@@ -249,7 +260,8 @@ def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
 
 
 def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
-                assigned: np.ndarray, changed: np.ndarray, swaps: bool):
+                assigned: np.ndarray, changed: np.ndarray, swaps: bool,
+                rows: np.ndarray = None):
     """Water-fill totals of the local-search table rows of the messages
     `changed`, built from each message's own column set S.
 
@@ -257,7 +269,8 @@ def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     changed[which[r]] with column drop[r] (in S) removed and column add[r]
     (outside S) inserted, -1 for none. The rows are each message's own
     set, then its flips (S XOR {n}, message-major, n ascending), then,
-    with swaps, its exchanges (every drop in S with every add outside).
+    with swaps, its exchanges (every drop in S with every add outside);
+    a boolean mask `rows` over them keeps only the rows it flags.
     A row holds only its set's finite quotes, in perm order, with one
     removed or one inserted at its rank, so it is |S| + 1 quotes wide,
     not n_sc. Its power is put back in column positions and summed over
@@ -295,6 +308,8 @@ def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
         drop.append(d)
         add.append(a)
     which, drop, add = map(np.concatenate, (which, drop, add))
+    if rows is not None:
+        which, drop, add = which[rows], drop[rows], add[rows]
 
     mi = changed[which]
     usable = np.isfinite(qn)
@@ -319,6 +334,72 @@ def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     return which, drop, add, np.where(ok, full.sum(axis=1), math.inf)
 
 
+def _flip_closed_form(qn: np.ndarray, logq: np.ndarray, dn: np.ndarray,
+                      assigned: np.ndarray, changed: np.ndarray):
+    """Closed-form water-fill totals of each changed message's own set S
+    (column 0) and of its flips S XOR {n} (column 1 + n).
+
+    When every quote of a set lies below its water level 2^x, with
+    x = (d + L) / k over its k finite quotes, L their sum of log2 and Q
+    their sum, the total is k 2^x - Q. A flip changes k, L and Q by one
+    term each, and its largest quote follows from S's two largest.
+    Returns (total, err, closed), each of shape (changed.size, n_sc + 1):
+    where closed is True, |total - `_set_totals`| <= err (zero for a set
+    with no finite quote, whose total is inf); the other rows (a quote
+    within a margin of the level, or a level near `_waterfill_rows`'s
+    2^1000 cap) need `_table_rows`.
+
+    err bounds the rounding of both computations. On either side x is a
+    sum of at most n_sc + 2 rounded terms divided by k, so its error is
+    below dx = EPS ((n_sc + 10) (A + d) / k + 2 |x|), A being the sum of
+    |log2 q| (log2 and exp2 taken as within 4 ulp). Each side's 2^x then
+    moves by ln 2 dx relatively, and its sums and differences add
+    EPS (n_sc + 8) relative to k 2^x + Q (Q of S plus the flipped quote,
+    which a flip may cancel); err is twice that, one share per side. A
+    level above the largest quote by a margin of 4 dx + 1e-9 in log2
+    makes `_waterfill_rows` take every quote active as well.
+    """
+    n_sc = qn.shape[1]
+    k = changed.size
+    msg = np.arange(k)
+    usable = np.isfinite(qn[changed])
+    member = (assigned == changed[:, None]) & usable
+    # a member leaves (step -1), a usable non-member joins (+1), and an
+    # unusable column changes nothing; column 0, S itself, has step 0
+    q, lg, step = np.zeros((3, k, n_sc + 1))
+    np.copyto(q[:, 1:], qn[changed], where=usable)
+    np.copyto(lg[:, 1:], logq[changed], where=usable)
+    step[:, 1:] = usable - 2.0 * member
+    on = step < 0
+    log_sum, abs_log_sum, q_sum = (np.stack([lg, np.abs(lg), q]) * on).sum(2)
+    count = on.sum(axis=1)[:, None] + step
+    # the largest quote: S's largest, or its second where the flip drops
+    # the largest, or the joining one
+    big = np.where(on, q, 0.0)
+    top = big.argmax(axis=1)
+    q1 = big[msg, top]
+    big[msg, top] = 0.0
+    qmax = np.maximum(q1[:, None], q)
+    qmax[msg, top] = np.where(on[msg, top], big.max(axis=1), q1)
+
+    d = dn[changed][:, None]
+    per = np.maximum(count, 1.0)
+    x = (d + log_sum[:, None] + step * lg) / per
+    level = np.exp2(np.clip(x, -1000.0, 1000.0))
+    total = count * level - (q_sum[:, None] + step * q)
+    dx = EPS * ((n_sc + 10) * (abs_log_sum[:, None] + np.abs(lg) + d) / per
+                + 2.0 * np.abs(x))
+    err = (2.0 * (count * level + q_sum[:, None] + q)
+           * (LN2 * dx + EPS * (n_sc + 8)))
+    # qmax < 2^(x - margin), as 1 - margin < 2^-margin
+    closed = (qmax < level * (1.0 - 1e-9 - 4.0 * dx)) & (np.abs(x) < 999.0)
+    empty = count == 0
+    total[empty] = math.inf
+    err[empty] = 0.0
+    closed |= empty
+    return total, err, closed
+
+
 def _first_max(gain: np.ndarray, valid: np.ndarray):
     """Flat index and value of the first maximum over the valid, non-NaN
     entries in C order, the scan order of the neighbourhood; -inf when
@@ -326,6 +407,17 @@ def _first_max(gain: np.ndarray, valid: np.ndarray):
     flat = np.where(valid & ~np.isnan(gain), gain, -math.inf).ravel()
     i = int(np.argmax(flat))
     return i, float(flat[i])
+
+
+class _Search(tuple):
+    """A local search's (assigned, passes, moves), with the count of its
+    passes whose choice was made on exactly rescored totals as
+    `rescored`."""
+
+    def __new__(cls, assigned, passes, moves, rescored):
+        self = super().__new__(cls, (assigned, passes, moves))
+        self.rescored = rescored
+        return self
 
 
 def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
@@ -336,7 +428,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     instances) swap the owners of two subcarriers, which single moves
     cannot reach when every message holds exactly one, and rotate the
     owners of three. Each pass scores the whole neighbourhood from two
-    per-message tables of exact water-fill totals, rebuilt only for the
+    per-message tables of water-fill totals, rebuilt only for the
     messages whose column set the accepted step changed:
 
     - flip table F[mi, n]: the total of cols(mi) XOR {n}, which is the
@@ -346,6 +438,18 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
       built only when swaps are on (n_sc <= 16) and read by swaps and
       rotations alike.
 
+    With swaps every entry is exact (`_table_rows`). Without them, an
+    own or flip total comes from `_flip_closed_form`, with an error
+    bound, wherever all its quotes are active, and from `_table_rows`
+    elsewhere. A move's gain is then known to within the sum of its four
+    entries' bounds (plus the gain formula's rounding), and the threshold
+    to within its own totals' bounds. When exactly one move can reach the
+    best lower bound, and that bound clears the threshold, the move is
+    certified; when no move can reach the threshold, the search ends.
+    Otherwise the closed-form entries of the own sets and of the moves
+    that can still win are rescored exactly (`_set_totals`, bit-identical
+    to `_table_rows`), and those moves' exact gains decide as below.
+
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
     direction), a later kind only with a strictly greater gain.
@@ -353,11 +457,12 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
     passes, moves): the improved assignment, the neighbourhood scans run
     and the steps accepted; moves == passes > 0 means the bound stopped a
-    search that was still improving.
+    search that was still improving. Its `rescored` attribute counts the
+    passes whose choice was made on rescored totals.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
-        return assigned, 0, 0
+        return _Search(assigned, 0, 0, 0)
     if max_passes is None:
         max_passes = PASSES_PER_SUBCARRIER * n_sc
     assigned = assigned.copy()
@@ -370,31 +475,109 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     do_cycles = n_sc <= 12 and n_msg >= 3
     totals = np.empty(n_msg)
     flip = np.empty((n_msg, n_sc))
+    # bounds on each entry's distance from its exact value: zero but for
+    # the closed-form entries of the move-only search
+    totals_err = np.zeros(n_msg)
+    flip_err = np.zeros((n_msg, n_sc))
     if do_swaps:
         exch = np.full((n_msg, n_sc, n_sc), math.nan)
+    else:
+        logq = np.log2(qn)
     if do_cycles:
         n1, n2, n3 = np.array(list(itertools.combinations(range(n_sc), 3))).T
         # the column each owner takes, in either direction round the triple
         rotations = ((n3, n1, n2), (n2, n3, n1))
 
     def rebuild(changed):
-        # one batched water-fill: each changed message's own set, its flip
-        # rows and (with swaps) its exchange rows
-        which, drop, add, row_total = _table_rows(qn, dn, perm, assigned,
-                                                  changed, do_swaps)
+        # each changed message's own set, its flip rows and (with swaps)
+        # its exchange rows; without swaps, the closed form where it holds
+        # and one batched water-fill for the other rows
         k = changed.size
-        totals[changed] = row_total[:k]
-        flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
         if do_swaps:
+            which, drop, add, row_total = _table_rows(qn, dn, perm, assigned,
+                                                      changed, True)
             ex = slice(k + k * n_sc, None)
             exch[changed[which[ex]], drop[ex], add[ex]] = row_total[ex]
+            totals[changed] = row_total[:k]
+            flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
+        else:
+            total, err, closed = _flip_closed_form(qn, logq, dn, assigned,
+                                                   changed)
+            if not closed.all():
+                # `_table_rows` lays out the own sets first, then the flips
+                bad = ~closed
+                exact = _table_rows(qn, dn, perm, assigned, changed, False,
+                                    np.append(bad[:, 0], bad[:, 1:]))[3]
+                own_bad = int(bad[:, 0].sum())
+                total[bad[:, 0], 0] = exact[:own_bad]
+                total[:, 1:][bad[:, 1:]] = exact[own_bad:]
+                err[bad] = 0.0
+            totals[changed], flip[changed] = total[:, 0], total[:, 1:]
+            totals_err[changed], flip_err[changed] = err[:, 0], err[:, 1:]
+
+    def rescore(near):
+        # exact totals, as `_table_rows` gives them, of every closed-form
+        # own set (for the threshold) and of the closed-form flip entries
+        # the near-tied moves read; True when there were any
+        n, b = np.nonzero(near)
+        key = np.unique(np.concatenate([assigned[n], b]) * n_sc
+                        + np.concatenate([n, n]))
+        fm, fn = np.divmod(key, n_sc)
+        pick = flip_err[fm, fn] > 0
+        fm, fn = fm[pick], fn[pick]
+        om = np.flatnonzero(totals_err > 0)
+        if om.size + fm.size == 0:
+            return False
+        sets = np.concatenate([assigned == om[:, None],
+                               (assigned == fm[:, None])
+                               ^ (cols == fn[:, None])])
+        exact = _set_totals(qn, dn, perm, np.concatenate([om, fm]), sets)
+        totals[om], totals_err[om] = exact[:om.size], 0.0
+        flip[fm, fn], flip_err[fm, fn] = exact[om.size:], 0.0
+        return True
+
+    def move_gains():
+        # move column n from its owner a to message b, scanned n then b
+        return ((totals[assigned] - flip[assigned, cols])[:, None]
+                - (flip - totals[:, None]).T)
+
+    def choose_move(gain, valid, thresh):
+        # the flat index of the move the exact tables would take, or None:
+        # each gain lies within tol of its exact value (its four entries'
+        # bounds and the rounding of the gain formula), the threshold
+        # within slack of its own
+        nonlocal rescored
+        ok = valid & np.isfinite(gain)
+        own = totals_err + 4.0 * EPS * np.abs(totals)
+        per_flip = flip_err + 4.0 * EPS * np.abs(flip)
+        tol = np.where(ok, (own[assigned] + per_flip[assigned, cols])[:, None]
+                       + (per_flip + own[:, None]).T, 0.0)
+        lo = np.where(ok, gain - tol, -math.inf)
+        hi = np.where(ok, gain + tol, -math.inf)
+        err_sum = float(totals_err.sum())
+        slack = (1e-12 * (err_sum + 2 * n_msg * EPS * sum(totals.tolist()))
+                 if err_sum > 0 else 0.0)
+        # the moves that can still be the exact first maximum
+        best_lo = lo.max()
+        near = (hi >= best_lo) & (hi > thresh - slack)
+        if near.sum() == 1 and best_lo > thresh + slack:
+            return int(np.argmax(near))
+        if not near.any():
+            return None
+        # near-tied, or too close to the threshold: decide on exact values
+        if rescore(near):
+            rescored += 1
+            thresh = 1e-12 * sum(totals.tolist())
+            gain = move_gains()
+        i, g = _first_max(gain, near)
+        return i if g > thresh else None
 
     rebuild(msgs)
     if not np.isfinite(totals).all():
         # a message holds no usable column: the acceptance threshold is
         # inf, so no step can win, and the gains would be inf - inf
-        return assigned, min(1, max_passes), 0
-    passes = moves = 0
+        return _Search(assigned, min(1, max_passes), 0, 0)
+    passes = moves = rescored = 0
     for _ in range(max_passes):
         passes += 1
         thresh = 1e-12 * sum(totals.tolist())
@@ -402,14 +585,18 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         own_total = totals[assigned]
         best_gain, best = thresh, None
 
-        # move column n from its owner a to message b, scanned n then b
-        gain = ((own_total - flip[assigned, cols])[:, None]
-                - (flip - totals[:, None]).T)
+        gain = move_gains()
         valid = ((held[assigned] > 1)[:, None]
                  & (assigned[:, None] != msgs[None, :]) & usable.T)
-        i, g = _first_max(gain, valid)
-        if g > best_gain:
-            best_gain = g
+        if do_swaps:
+            i, g = _first_max(gain, valid)
+            if g > best_gain:
+                best_gain = g
+                best = [divmod(i, n_msg)]
+        else:
+            i = choose_move(gain, valid, thresh)
+            if i is None:
+                break
             best = [divmod(i, n_msg)]
 
         if do_swaps:
@@ -455,7 +642,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             assigned[n] = mi
         moves += 1
         rebuild(changed)
-    return assigned, passes, moves
+    return _Search(assigned, passes, moves, rescored)
 
 
 def _gains(gamma: np.ndarray, qn: np.ndarray):
@@ -502,6 +689,7 @@ def _dual_derivatives(dn: np.ndarray, tau: float, parts):
     return grad, hess
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     """Maximize the smoothed dual by damped Newton steps in u = log gamma.
 
@@ -513,7 +701,10 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     smoothed value rises enough; a trial step costs one value, and the
     derivatives are taken once per accepted step. Returns (gamma, steps,
     evaluations, tau): the final multipliers, the steps taken, the
-    smoothed-dual values computed and the floor temperature.
+    smoothed-dual values computed and the floor temperature. Raises
+    InfeasibleAllocationError when the smoothed value, its gradient or
+    its Hessian is not finite, as when the demands need multipliers past
+    floating point; the overflows on the way there are not warned about.
     """
     n_msg, n_sc = qn.shape
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
@@ -526,11 +717,21 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
         evaluations += 1
         while steps < MAX_DUAL_STEPS:
             grad, hess = _dual_derivatives(dn, tau, parts)
-            lam, vec = np.linalg.eigh(-hess)
+            try:
+                lam, vec = np.linalg.eigh(-hess)
+            except np.linalg.LinAlgError:           # a non-finite Hessian
+                lam, vec = np.full(n_msg, math.nan), np.eye(n_msg)
             lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max() + 1e-300)
             proj = vec.T @ grad
             # squared Newton decrement: twice the rise the step predicts
             decrement = float(proj @ (proj / lam))
+            # a non-finite value, gradient or Hessian shows in one of these
+            if not (math.isfinite(value) and math.isfinite(decrement)
+                    and math.isfinite(lam[0])):
+                raise InfeasibleAllocationError(
+                    f"the allocator's dual diverged after {steps} Newton "
+                    f"steps: its smoothed value, gradient or Hessian at "
+                    f"temperature {tau:.3g} is not finite")
             if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
                 break
             step = vec @ (proj / lam)
@@ -611,7 +812,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     perm = np.argsort(qn, axis=1, kind="stable")
 
     gamma = None
-    steps = evaluations = passes = moves = 0
+    steps = evaluations = passes = moves = rescored = 0
     if n_msg ** n_sc <= ENUMERATE_MAX:
         assigned, unique = _enumerate(qn, dn, perm)
         start = "enumerated"
@@ -626,7 +827,9 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     if assigned is None:
         raise InfeasibleAllocationError("no feasible assignment found")
     if gamma is not None:
-        assigned, passes, moves = _local_search(assigned, qn, dn)
+        search = _local_search(assigned, qn, dn)
+        assigned, passes, moves = search
+        rescored = search.rescored
     capped = 0 < passes == moves
     # every start gives each message a column it can use, and no search
     # step takes the last one away, so every row's water-fill is feasible
@@ -644,6 +847,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
                      "start": start,
                      "local_search_passes": passes,
                      "local_search_moves": moves,
+                     "local_search_rescored": rescored,
                      "local_search_capped": capped},
     )
     if gamma is None:           # exhaustive: the optimum is its own bound

@@ -209,6 +209,27 @@ def test_run_trial_infeasible_gives_nan():
     assert not r.converged
 
 
+@pytest.mark.parametrize("middle_rate", [1e6, 5e5])
+def test_diverged_allocator_dual_gives_nan_rows(middle_rate):
+    # 16 messages on 16 subcarriers at one antenna, the largest asking for
+    # about 2,600 bits per hertz: the allocator's dual overflows, which
+    # used to raise LinAlgError from the quoted schemes mid-sweep
+    cfg = replace(
+        default_config(), m=1, n_sc=16, trials=1,
+        ladder=QualityLadder((4e4, middle_rate, 1.07e6)),
+        users=[UserSpec(ViewDirection(yaw, pitch), quality)
+               for yaw, pitch, quality in ((165.6, 120.9, 2),
+                                           (190.6, 124.3, 2),
+                                           (149.3, 118.1, 3),
+                                           (335.5, 43.8, 3),
+                                           (262.4, 141.3, 3))])
+    rows = list(csv.DictReader(run_experiment(cfg).splitlines()))
+    data = [r for r in rows if r["trial"] == "0"]
+    assert [r["scheme"] for r in data] == list(SCHEMES)
+    assert all(r["total_power_w"] == "nan" and r["converged"] == "0"
+               for r in data)
+
+
 # ---------------------------------------------------------------------------
 # experiment CSV
 # ---------------------------------------------------------------------------

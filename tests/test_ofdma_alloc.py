@@ -19,8 +19,9 @@ from tilecast import ofdma_alloc
 from tilecast.ofdma_alloc import (ENUMERATE_MAX, GAP_TOL, LN2,
                                   PASSES_PER_SUBCARRIER, TEMPERATURES,
                                   _bisect_waterfill, _demands, _gains,
-                                  _local_search, _repair_starvation,
-                                  _set_totals, _table_rows, _waterfill_sets)
+                                  _flip_closed_form, _local_search,
+                                  _repair_starvation, _set_totals,
+                                  _table_rows, _waterfill_sets)
 
 B = 39e3
 
@@ -403,9 +404,10 @@ def local_search_reference(assigned, qn, dn):
 
 
 # moves only (n_sc > 16), swaps (n_sc <= 16), rotations too (n_sc <= 12,
-# at least three messages)
+# at least three messages); at high SNR every quote of a set is active,
+# so the move-only search reads closed-form totals
 REGIMES = {"moves": ((2, 4), (17, 22)), "swaps": ((2, 4), (13, 16)),
-           "cycles": ((3, 5), (5, 12))}
+           "cycles": ((3, 5), (5, 12)), "high-snr": ((2, 4), (17, 22))}
 
 
 @st.composite
@@ -414,12 +416,18 @@ def local_search_instances(draw):
     (m_lo, m_hi), (s_lo, s_hi) = REGIMES[regime]
     n_msg = draw(st.integers(m_lo, m_hi))
     n_sc = draw(st.integers(max(s_lo, n_msg), s_hi))
-    qn = np.array(draw(st.lists(
-        st.one_of(QUOTE_VALUES, st.floats(0.05, 20.0)),
-        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
-    dn = np.array(draw(st.lists(
-        st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(1e-6, 8.0)),
-        min_size=n_msg, max_size=n_msg)))
+    if regime == "high-snr":
+        quotes, demands = st.floats(0.5, 2.0), st.floats(20.0, 300.0)
+    else:
+        quotes = st.one_of(QUOTE_VALUES, st.floats(0.05, 20.0))
+        demands = st.one_of(st.sampled_from([0.5, 1.0, 3.0]),
+                            st.floats(1e-6, 8.0))
+    qn = np.array(draw(st.lists(quotes, min_size=n_msg * n_sc,
+                                max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    dn = np.array(draw(st.lists(demands, min_size=n_msg, max_size=n_msg)))
+    if regime == "high-snr" and draw(st.booleans()):
+        # twin messages: identical quote rows and demands
+        qn[1], dn[1] = qn[0], dn[0]
     # a feasible start, as the allocator hands over: every message holds
     # at least one column with a finite quote
     assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
@@ -437,10 +445,38 @@ def tied_instance(n_msg, n_sc):
     return assigned, np.full((n_msg, n_sc), 2.0), np.full(n_msg, 1.0)
 
 
+def starved_instance():
+    """Message 2 starts on one column with a demand of 150 bits per hertz:
+    its total is about 2^150, so every column offered to it ties at the
+    closed form's precision."""
+    rng = np.random.default_rng(5)
+    assigned = np.arange(20) % 2
+    assigned[7] = 2
+    return assigned, rng.uniform(0.5, 2.0, (3, 20)), np.array([30.0, 40.0,
+                                                                150.0])
+
+
+def near_twin_instance():
+    """Quotes equal along each row to within a few ulps, and messages 0
+    and 1 twins to within two more: moves of different columns, or to
+    either twin, gain the same to within the closed form's error, so the
+    exact first maximum is decided by the last bits."""
+    rng = np.random.default_rng(48)
+    eps = np.finfo(float).eps
+    qn = (rng.uniform(0.5, 2.0, 3)[:, None]
+          * (1.0 + 4 * eps * rng.integers(-3, 4, (3, 17))))
+    qn[1] = qn[0] * (1.0 + 2 * eps)
+    dn = rng.uniform(20.0, 300.0, 3)
+    dn[1] = dn[0]
+    return np.arange(17) % 3, qn, dn
+
+
 @given(inst=local_search_instances())
 @example(inst=tied_instance(3, 20))
 @example(inst=tied_instance(3, 14))
 @example(inst=tied_instance(4, 9))
+@example(inst=starved_instance())
+@example(inst=near_twin_instance())
 # messages 0 and 1 each hold one column, quoted at 5.0: only a swap or a
 # rotation can take it from them
 @example(inst=(np.array([0, 1, 2, 2, 2]),
@@ -551,6 +587,50 @@ def test_table_rows_match_set_totals_bitwise(inst):
                                           sets).tobytes()
 
 
+@st.composite
+def closed_form_instances(draw):
+    # move-only table rows of every message; quotes from a tight high-SNR
+    # band to a wide one, inf among them, and demands from 1e-6 to 1e3
+    n_msg = draw(st.integers(1, 4))
+    n_sc = draw(st.integers(1, 24))
+    qn = np.array(draw(st.lists(
+        st.one_of(QUOTE_VALUES, st.floats(0.5, 2.0), st.floats(1e-3, 1e3)),
+        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
+    dn = np.array(draw(st.lists(st.one_of(st.floats(1e-6, 1.0),
+                                          st.floats(1.0, 1e3)),
+                                min_size=n_msg, max_size=n_msg)))
+    assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
+                                      min_size=n_sc, max_size=n_sc)))
+    return qn, dn, assigned
+
+
+@given(inst=closed_form_instances())
+# sets of one and two columns, at high and at tiny demand
+@example(inst=(np.array([[1.5, 0.7, 1.1], [0.9, 1.3, 2.0]]),
+               np.array([200.0, 1e-6]), np.array([0, 1, 1])))
+@example(inst=(np.array([[1.5, 0.7, math.inf, 1.1], [0.9, 1.3, 2.0, 0.6]]),
+               np.array([1e-6, 900.0]), np.array([0, 0, 1, 1])))
+# dropping the larger quote cancels most of the set's quote sum
+@example(inst=(np.array([[1.0, 0.001]]), np.array([0.25]), np.array([0, 0])))
+@settings(max_examples=300, deadline=None)
+def test_flip_closed_form_within_its_bound(inst):
+    qn, dn, assigned = inst
+    n_msg, n_sc = qn.shape
+    msgs = np.arange(n_msg)
+    total, err, closed = _flip_closed_form(qn, np.log2(qn), dn, assigned,
+                                           msgs)
+    # per message, its own set, then its flip at each column
+    member = assigned == msgs[:, None]
+    flips = np.vstack([np.zeros(n_sc, dtype=bool), np.eye(n_sc, dtype=bool)])
+    sets = (member[:, None, :] ^ flips).reshape(-1, n_sc)
+    exact = _set_totals(qn, dn, np.argsort(qn, axis=1, kind="stable"),
+                        np.repeat(msgs, n_sc + 1), sets).reshape(total.shape)
+    assert np.array_equal(np.isinf(total[closed]), np.isinf(exact[closed]))
+    assert np.all(err[np.isinf(exact) & closed] == 0)
+    fin = closed & np.isfinite(exact)
+    assert np.all(np.abs(total[fin] - exact[fin]) <= err[fin])
+
+
 def test_local_search_counts_passes_and_moves():
     # message 1 starts on a column it quotes at 100; one swap fixes both
     qn = np.array([[1.0, 1.0, 100.0], [100.0, 100.0, 1.0]])
@@ -613,13 +693,21 @@ def test_solver_reports_search_counts():
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert not diag["local_search_capped"]
     assert diag["dual_temperature"] > 0
+    # 8 subcarriers: the search swaps on exact tables, nothing to rescore
+    assert diag["local_search_rescored"] == 0
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     assert 2 ** 6 <= ENUMERATE_MAX
     assert small.diagnostics == {"dual_steps": 0, "dual_evaluations": 0,
                                  "start": "enumerated",
                                  "local_search_passes": 0,
                                  "local_search_moves": 0,
+                                 "local_search_rescored": 0,
                                  "local_search_capped": False}
+    # moves only, on closed-form totals: equal quotes in a row tie every
+    # column, so some choice is rescored exactly
+    tied = solve_quoted_allocation(demands, np.repeat(quotes[:, :1], 20, 1), B)
+    diag = tied.diagnostics
+    assert 0 < diag["local_search_rescored"] <= diag["local_search_passes"]
     single = solve_quoted_allocation([B], quotes[:1], B)
     assert single.diagnostics["start"] == "enumerated"
     assert single.diagnostics["local_search_passes"] == 0
@@ -685,6 +773,35 @@ def test_searched_plans_reach_the_oracle_or_say_not():
                 misses += 1
                 assert not alloc.converged
     assert misses >= 2
+
+
+def count_oracle(q, dn, n_sc):
+    """Least total power when every quote of message m is q[m]: only the
+    subcarrier counts matter, and n q (2^(d/n) - 1) is convex in n, so
+    marginal greedy over the counts is exact (Ibaraki & Katoh, Resource
+    Allocation Problems, 1988)."""
+    counts = np.ones(q.size)
+
+    def cost(n):
+        return n * q * (2.0 ** (dn / n) - 1.0)
+
+    for _ in range(n_sc - q.size):
+        counts[np.argmax(cost(counts) - cost(counts + 1))] += 1
+    return float(cost(counts).sum())
+
+
+def test_row_constant_headline_size_reaches_count_oracle():
+    # 10 x 64, the headline size, past every exhaustive oracle; every move
+    # ties with the same move of another column, so the search decides on
+    # exactly rescored totals. Power only: such optimal plans can report
+    # converged=False, their gap being the counts' integrality
+    rng = np.random.default_rng(0)
+    q = 10.0 ** rng.uniform(-10, -8, size=10)
+    demands = B * rng.uniform(5.0, 40.0, size=10)
+    alloc = solve_quoted_allocation(demands, np.repeat(q[:, None], 64, 1), B)
+    assert alloc.diagnostics["local_search_rescored"] > 0
+    assert alloc.power_sum == pytest.approx(count_oracle(q, demands / B, 64),
+                                            rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +1002,17 @@ def test_gap_above_tol_still_returns_best_feasible():
     # it is the best feasible plan nonetheless
     best = brute_force_allocation(demands, quotes, B).power_sum
     assert alloc.power_sum == pytest.approx(best, rel=1e-9)
+
+
+def test_diverged_dual_raises_infeasible():
+    # 16 messages on 16 subcarriers, 520 bits per hertz each: the
+    # multipliers pass floating point before the dual converges, which
+    # used to raise LinAlgError from the eigendecomposition
+    quotes = 10.0 ** np.random.default_rng(0).uniform(-0.5, 0.5, (16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleAllocationError, match="dual diverged"):
+            solve_quoted_allocation(np.full(16, 520.0 * B), quotes, B)
 
 
 def test_message_objects_accepted():
