@@ -13,8 +13,7 @@ from .geometry import TileId, TilingConfig, ViewDirection, compute_tile_set, \
 from .partition import Message, QualityLadder, TilePartition, \
     build_messages, build_partition, unicast_messages
 from .channel import ChannelState, derive_trial_seed, sample_channel
-from .beamforming import (BeamPlan, InfeasibleDirectionError,
-                          beam_plan_asymptotic, beam_plan_mrt)
+from .beamforming import BeamPlan, beam_plan_asymptotic, beam_plan_mrt
 from .ofdma_alloc import (Allocation, InfeasibleAllocationError,
                           audit_allocation, brute_force_allocation,
                           complete_allocation, solve_quoted_allocation)
@@ -32,8 +31,7 @@ __all__ = [
     "Message", "QualityLadder", "TilePartition", "build_messages",
     "build_partition", "unicast_messages",
     "ChannelState", "derive_trial_seed", "sample_channel",
-    "BeamPlan", "InfeasibleDirectionError", "beam_plan_asymptotic",
-    "beam_plan_mrt",
+    "BeamPlan", "beam_plan_asymptotic", "beam_plan_mrt",
     "Allocation", "InfeasibleAllocationError", "audit_allocation",
     "brute_force_allocation", "complete_allocation", "solve_quoted_allocation",
     "DcDuals", "DcState", "dc_solve", "initial_point",

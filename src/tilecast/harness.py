@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import (InfeasibleDirectionError, beam_plan_asymptotic,
-                          beam_plan_mrt)
+from .beamforming import beam_plan_asymptotic, beam_plan_mrt
 from .channel import ChannelState, derive_trial_seed, sample_channel
 from .dc_solver import dc_solve
 from .geometry import TilingConfig, ViewDirection, compute_tile_set
@@ -262,7 +261,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
                 plan = beam_plan_mrt(ch, messages)
             alloc = solve_quoted_allocation(messages, plan.q, cfg.bandwidth_hz)
             alloc = complete_allocation(alloc, plan)
-    except (InfeasibleAllocationError, InfeasibleDirectionError):
+    except InfeasibleAllocationError:
         return _failed(scheme, trial_index, seed)
 
     problems = audit_allocation(alloc, ch, messages)

@@ -14,13 +14,16 @@ optimum. The max over messages is smoothed by a log-sum-exp at a
 temperature, and the smoothed dual is maximized in u = log gamma by damped
 Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
 message's fair share of the subcarriers, and the temperature is annealed
-down to a fixed floor, each level warm-started from the last. The line
-search halves a step on the smoothed value alone; the gradient and
-Hessian are computed once per accepted step, from that value's
-intermediates. The exact dual at the final multipliers is the reported
-bound; the gap between it and the plan is mostly the problem's
+down to a fixed floor, each level warm-started from the last; only the
+floor level is solved to DUAL_TOL, the others to the looser LEVEL_TOL.
+The line search shrinks a step on the smoothed value alone, to the peak
+of the quadratic through the value, the slope and the rejected trial;
+the gradient and Hessian are computed once per accepted step, from that
+value's intermediates. The exact dual at the final multipliers is the
+reported bound; the gap between it and the plan is mostly the problem's
 integrality gap, which no dual method closes, so `converged` (gap within
-GAP_TOL) is honest.
+GAP_TOL) is honest. A plan whose water level would pass the water-fill's
+2^1000 cap is refused as infeasible.
 
 The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (by a direct steal, or else by an
@@ -69,8 +72,9 @@ ENUMERATE_MAX = 81          # solve exactly when n_msg ** n_sc is at most this
 # smoothing temperatures, in units of the start's mean per-subcarrier gain;
 # the last one is the floor the returned multipliers are optimal for
 TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-DUAL_TOL = 1e-6             # a level ends when Newton predicts a rise below
-                            # DUAL_TOL * n_sc * temperature
+DUAL_TOL = 1e-6             # the floor level ends when Newton predicts a
+                            # rise below DUAL_TOL * n_sc * temperature
+LEVEL_TOL = 1e-2            # the same for every level above the floor
 MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
 MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
 PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
@@ -695,12 +699,16 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
 
     Starts each message at its fair share of the subcarriers and anneals
     the temperature through TEMPERATURES (times the start's mean
-    per-subcarrier gain), warm-starting each level. Each step is Newton's
-    on the Hessian with its eigenvalues made negative (their magnitude
-    kept), capped at MAX_LOG_STEP per coordinate and halved until the
-    smoothed value rises enough; a trial step costs one value, and the
-    derivatives are taken once per accepted step. Returns (gamma, steps,
-    evaluations, tau): the final multipliers, the steps taken, the
+    per-subcarrier gain), warm-starting each level. A level above the
+    floor only warm-starts the next, so it ends at the looser LEVEL_TOL;
+    the floor ends at DUAL_TOL. Each step is Newton's on the Hessian with
+    its eigenvalues made negative (their magnitude kept), capped at
+    MAX_LOG_STEP per coordinate and shrunk until the smoothed value rises
+    enough: to the peak of the quadratic through the value, the slope and
+    the rejected trial's value, kept within [0.1, 0.5] of the step (a
+    halving when the trial is not finite). A trial step costs one value,
+    and the derivatives are taken once per accepted step. Returns (gamma,
+    steps, evaluations, tau): the final multipliers, the steps taken, the
     smoothed-dual values computed and the floor temperature. Raises
     InfeasibleAllocationError when the smoothed value, its gradient or
     its Hessian is not finite, as when the demands need multipliers past
@@ -713,6 +721,7 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     steps = evaluations = 0
     for rel in TEMPERATURES:
         tau = rel * scale
+        tol = DUAL_TOL if rel == TEMPERATURES[-1] else LEVEL_TOL
         value, parts = _dual_value(u, qn, dn, tau)
         evaluations += 1
         while steps < MAX_DUAL_STEPS:
@@ -732,7 +741,7 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
                     f"the allocator's dual diverged after {steps} Newton "
                     f"steps: its smoothed value, gradient or Hessian at "
                     f"temperature {tau:.3g} is not finite")
-            if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
+            if decrement <= 2.0 * tol * n_sc * tau:
                 break
             step = vec @ (proj / lam)
             step *= min(1.0, MAX_LOG_STEP / np.abs(step).max())
@@ -743,8 +752,13 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
                 evaluations += 1
                 if trial >= value + 1e-4 * slope:
                     break
-                step *= 0.5
-                slope *= 0.5
+                # the peak of value + slope t + c t^2 through the trial at
+                # t = 1, where c = trial - value - slope < 0
+                shrink = (min(0.5, max(0.1, 0.5 * slope
+                                       / (value + slope - trial)))
+                          if math.isfinite(trial) else 0.5)
+                step *= shrink
+                slope *= shrink
             else:
                 break                               # no rise left to find
             u = u + step
@@ -835,6 +849,14 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     # step takes the last one away, so every row's water-fill is feasible
     power, rate, _ = _waterfill_sets(qn, dn, perm, msgs,
                                      assigned == msgs[:, None])
+    # a row's log2 water level is rate + log2 q on its active columns;
+    # `_waterfill_rows` cuts a level past 2^1000, and the power then falls
+    # short of the rate the row claims
+    level = np.where(rate > 0.0, rate + np.log2(qn), -math.inf).max(axis=1)
+    if (level >= 1000.0).any():
+        raise InfeasibleAllocationError(
+            f"message {int(np.argmax(level))} needs a water level past "
+            f"2^1000 times the median quote")
 
     power = power * q_ref
     alloc = Allocation(

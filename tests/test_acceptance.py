@@ -331,7 +331,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "0735464dc3ab9359c02a33e0b81cffabcae7b36f581214285d14d9baeb177ee3")
+    "44063538c67a633499ffe57f3999d6e23f4b135c8deb579971ec0a876d2e25d1")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -345,7 +345,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "2028341f73abedb6305467bb9a8e4786876a9a4aa3323cd685ebb6da56c10682")
+    "80093e5c2aa5096497651afb5d5854d96d96a75a88b9252bb86e20b5a2f00ec4")
 
 
 def test_default_config_csv_bytes_pinned():

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecast import (Message, beam_plan_asymptotic, beam_plan_mrt,
-                      sample_channel)
+from tilecast import (InfeasibleAllocationError, Message,
+                      beam_plan_asymptotic, beam_plan_mrt, default_config,
+                      run_trial, sample_channel)
+from tilecast import harness
 from tilecast.channel import ChannelState
 
 
@@ -205,6 +207,83 @@ def test_mrt_multicast_matches_dense_eigensolver():
         lam_max = np.linalg.eigvalsh(cov)[-1]
         rayleigh = float(np.real(np.vdot(w, cov @ w)))
         assert rayleigh >= (1 - 1e-8) * lam_max
+
+
+def dense_principal(h, beta, noise_w):
+    """Reference: the top eigenvector of the audience's gain-weighted
+    covariance by a dense `eigh`, its eigenvalue, and its quote."""
+    cov = (beta[:, None, None] * (h[:, :, None] * h[:, None, :].conj())).sum(0)
+    lam, vec = np.linalg.eigh(cov)
+    gmin = (beta * np.abs(h.conj() @ vec[:, -1]) ** 2).min()
+    q = h.shape[1] * noise_w / gmin if gmin > 0.0 else np.inf
+    return vec[:, -1], lam[-1], q, cov
+
+
+def test_mrt_two_users_match_dense_eigh():
+    # the 2-user closed form against a dense eigendecomposition, on
+    # orthogonal, parallel, unequal-gain, one-zero and both-zero channels
+    rng = np.random.default_rng(11)
+    m, noise = 4, 1e-9
+    h1 = crandn(rng, m)
+    cases = [
+        (np.stack([np.r_[h1[:2], 0, 0], np.r_[0, 0, h1[2:]]]),
+         [1.0, 1.0]),                                      # orthogonal
+        (np.stack([h1, (0.3 - 1.2j) * h1]), [1.0, 1.0]),    # parallel
+        (crandn(rng, 2, m), [0.2, 5.0]),                    # unequal beta
+        (np.stack([h1, np.zeros(m)]), [1.0, 2.0]),          # one zero
+        (np.stack([np.zeros(m), h1]), [1.0, 2.0]),
+        (np.zeros((2, m)), [1.0, 1.0]),                     # both zero
+    ] + [(crandn(rng, 2, m), rng.uniform(0.3, 3.0, size=2)) for _ in range(20)]
+    for h, beta in cases:
+        h, beta = np.asarray(h, dtype=complex), np.asarray(beta)
+        w, q = one_subcarrier(beam_plan_mrt, h, beta, noise)
+        w_ref, lam_max, q_ref, cov = dense_principal(h, beta, noise)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert np.vdot(w, cov @ w).real >= (1 - 1e-12) * lam_max
+        if np.isinf(q_ref):
+            assert q == np.inf
+        else:
+            assert q == pytest.approx(q_ref, rel=1e-12)
+        if not h.any():
+            assert np.array_equal(w, w_ref)                 # e_{m-1}
+
+
+def count_eigh(monkeypatch):
+    """Record the number of matrices of every `np.linalg.eigh` call."""
+    counts = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counts
+
+
+def test_mrt_default_trial_runs_no_eigh(monkeypatch):
+    # default_config() trial 0: every unicast and multicast audience has
+    # one or two users, so its MRT plans need no eigendecomposition
+    counts = count_eigh(monkeypatch)
+    sizes = []
+
+    def stop(messages, quotes, bandwidth):
+        sizes.extend(len(msg.audience) for msg in messages)
+        raise InfeasibleAllocationError("stop after the beam plan")
+
+    monkeypatch.setattr(harness, "solve_quoted_allocation", stop)
+    for scheme in ("baseline1-unicast", "baseline2-multicast"):
+        run_trial(default_config(), scheme, 0)
+    assert sorted(set(sizes)) == [1, 2]
+    assert counts == []
+
+
+def test_mrt_eigh_only_for_three_or_more_users(monkeypatch):
+    counts = count_eigh(monkeypatch)
+    ch = sample_channel(6, m=4, n_sc=3, k_users=5)
+    audiences = [(1,), (1, 2), (1, 2, 3), (2, 3, 4, 5), (4, 5)]
+    beam_plan_mrt(ch, [_msg(aud, aud) for aud in audiences])
+    assert counts == [2 * ch.n_sc]
 
 
 def test_quote_for_single_user_mrt():

@@ -17,9 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tilecast import (InfeasibleDirectionError, Message, TilingConfig,
-                      ViewDirection, audit_allocation, dc_solve,
-                      sample_channel, solve_quoted_allocation)
+from tilecast import (Message, TilingConfig, ViewDirection, audit_allocation,
+                      dc_solve, sample_channel, solve_quoted_allocation)
 from tilecast import dc_solver
 from tilecast.beamforming import beam_plan_asymptotic, beam_plan_mrt
 from tilecast.dc_solver import (EXP_CAP, INNER_MAX, DcDuals, DcState,
@@ -86,6 +85,11 @@ def priced_rate(demand_price: float, price_sum: float, assigned: float,
     return assigned * bandwidth * max(0.0, math.log2(demand_price / (LN2 * price_sum)))
 
 
+class NoFeasibleStep(ValueError):
+    """The reference's linearized constraint cannot be met along its
+    direction."""
+
+
 def feasible_beam(user_prices, h_aud, beta, w_prev, assigned, rate_bits,
                   noise_w: float, bandwidth: float) -> np.ndarray:
     """Scaled beam for one pair: the stationarity direction, stretched just
@@ -118,7 +122,7 @@ def feasible_beam(user_prices, h_aud, beta, w_prev, assigned, rate_bits,
         if nk <= 0.0:
             continue
         if dk <= 0.0:
-            raise InfeasibleDirectionError(
+            raise NoFeasibleStep(
                 "linearized constraint cannot be met along this direction")
         alpha = max(alpha, nk / dk)
     return alpha * d
@@ -499,7 +503,7 @@ def test_stretch_matches_feasible_beam(cols):
         try:
             want = feasible_beam(prices[n, on], h[n, on], 1.0, w_prev, 1, c[n],
                                  1.0 / w_prev.size, 1.0)
-        except InfeasibleDirectionError:
+        except NoFeasibleStep:
             want = None
         assert (a is None) == (want is None)
         if want is not None:

@@ -12,7 +12,7 @@ from tilecast import (CSV_HEADER, SCHEMES, QualityLadder, ScenarioConfig,
                       TilingConfig, ViewDirection, config_from_dict,
                       config_to_dict, default_config, run_experiment,
                       run_trial, sweep_values)
-from tilecast import harness
+from tilecast import cli, harness
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
                               shift_directions)
@@ -387,6 +387,30 @@ def test_cli_rejects_unknown_scheme(tmp_path):
 def test_cli_oracle_check(capsys):
     assert cli_main(["oracle-check", "--trials", "5", "--seed", "3"]) == 0
     assert "worst relative gap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("excess, converged, code, line", [
+    (1.01, True, 1, "exceeds 1e-3, converged=True"),
+    (1.01, False, 0, "exceeds 1e-3, converged=False"),
+    (1.0, False, 0, "but converged=False"),
+])
+def test_cli_oracle_check_fails_only_on_converged_miss(
+        monkeypatch, capsys, excess, converged, code, line):
+    # every plan is made `excess` times the optimum and flagged
+    # `converged`; only a miss that claims convergence fails the check
+    real = cli.solve_quoted_allocation
+
+    def solve(*args):
+        alloc = real(*args)
+        alloc.power_sum *= excess
+        alloc.converged = converged
+        return alloc
+
+    monkeypatch.setattr(cli, "solve_quoted_allocation", solve)
+    monkeypatch.setattr(cli, "brute_force_allocation", real)
+    assert cli_main(["oracle-check", "--trials", "2", "--seed", "3"]) == code
+    out = capsys.readouterr().out
+    assert out.count(line) == 2
 
 
 def test_cli_requires_subcommand():

@@ -685,10 +685,10 @@ def test_solver_reports_search_counts():
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == alloc.iterations > 0
     # one value per level start and per trial step, each step tried once at
-    # least; 94 is the count the line search took before the derivatives
-    # were split from the value
+    # least; 60 with LEVEL_TOL above the floor and the quadratic step
+    # shrink, 94 with DUAL_TOL at every level and plain halving
     assert diag["dual_evaluations"] >= diag["dual_steps"] + len(TEMPERATURES)
-    assert diag["dual_evaluations"] == 94
+    assert diag["dual_evaluations"] == 60
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert not diag["local_search_capped"]
@@ -1013,6 +1013,17 @@ def test_diverged_dual_raises_infeasible():
         warnings.simplefilter("error")
         with pytest.raises(InfeasibleAllocationError, match="dual diverged"):
             solve_quoted_allocation(np.full(16, 520.0 * B), quotes, B)
+
+
+def test_level_past_the_cap_raises_infeasible():
+    # 5,000 bits per hertz per message on 4 x 16 quotes: each message's
+    # water level passes the water-fill's 2^1000 cap, which used to cut
+    # its power to a fifth of the rate the plan claimed
+    quotes = 10.0 ** np.random.default_rng(0).uniform(-0.5, 0.5, (4, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleAllocationError, match="2\\^1000"):
+            solve_quoted_allocation(np.full(4, 5000.0 * B), quotes, B)
 
 
 def test_message_objects_accepted():
