@@ -9,7 +9,7 @@ directions.
 
 Schemes:
   proposed-asymptotic  large-antenna beams + quoted allocation
-  proposed-dc          successive-convexification planner
+  proposed-dc          max-min-fair beams + quoted allocation
   baseline1-unicast    per-user MRT, every tile sent per user
   baseline2-multicast  audience MRT (principal direction), shared tiles
 """

@@ -331,7 +331,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "44063538c67a633499ffe57f3999d6e23f4b135c8deb579971ec0a876d2e25d1")
+    "f0e246593a08f9754bbd625fd727e8d305e01a251002a35827c9def0d76ad8ed")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -345,7 +345,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "80093e5c2aa5096497651afb5d5854d96d96a75a88b9252bb86e20b5a2f00ec4")
+    "0b0403f342d51befad8169faa1609b9b3d80b0fcc99668517baba317e674c800")
 
 
 def test_default_config_csv_bytes_pinned():

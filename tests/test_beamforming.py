@@ -5,8 +5,9 @@ computed with before every audience shared one padded tensor, kept below
 as the bit-for-bit reference of `beam_plan_asymptotic`; a
 dense-eigendecomposition reference for the multicast MRT direction; and a
 10^4-point random direction search that the large-antenna closed form has
-to beat up to 5%. The hand cases call the plan builders on one-subcarrier
-channels whose users are the audience.
+to beat up to 5%; and a dense grid of unit directions at m = 2 that the
+two-user max-min closed form has to match. The hand cases call the plan
+builders on one-subcarrier channels whose users are the audience.
 """
 
 import numpy as np
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecast import (InfeasibleAllocationError, Message,
-                      beam_plan_asymptotic, beam_plan_mrt, default_config,
-                      run_trial, sample_channel)
+                      beam_plan_asymptotic, beam_plan_maxmin, beam_plan_mrt,
+                      build_messages, build_partition, compute_tile_set,
+                      default_config, derive_trial_seed, run_trial,
+                      sample_channel)
 from tilecast import harness
 from tilecast.channel import ChannelState
 
@@ -389,3 +392,108 @@ def test_plan_marks_degenerate_slots_infinite():
     # principal direction exists but leaves one user orthogonal? it does not
     # here: both users share a line, so MRT serves both
     assert np.isfinite(plan2.q[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# max-min fair beams
+# ---------------------------------------------------------------------------
+
+def unit_grid(steps_t=181, steps_phi=361):
+    """Unit vectors (cos t, e^{i phi} sin t) of C^2 on a dense grid: every
+    direction up to a common phase."""
+    t, phi = np.meshgrid(np.linspace(0.0, np.pi / 2, steps_t),
+                         np.linspace(0.0, 2 * np.pi, steps_phi), indexing="ij")
+    return np.stack([np.cos(t), np.exp(1j * phi) * np.sin(t)],
+                    axis=-1).reshape(-1, 2)
+
+
+def test_maxmin_two_users_match_dense_grid():
+    # no grid direction serves the weaker of two users better than the
+    # closed form, and the closed form's gain is (ab - rho^2)/(a + b - 2 rho)
+    # whenever it equalizes the two
+    rng = np.random.default_rng(21)
+    grid = unit_grid()
+    for _ in range(40):
+        h = crandn(rng, 2, 2)
+        beta = rng.uniform(0.2, 3.0, size=2)
+        w, q = one_subcarrier(beam_plan_maxmin, h, beta, 0.5)
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        gmin = (beta * np.abs(h.conj() @ w) ** 2).min()
+        assert q == pytest.approx(1.0 / gmin, rel=1e-12)
+        best = (beta * np.abs(grid @ h.conj().T) ** 2).min(axis=1).max()
+        assert gmin >= best * (1 - 1e-12)
+        ht = np.sqrt(beta)[:, None] * h
+        a, b = (np.abs(ht) ** 2).sum(axis=1)
+        rho = abs(np.vdot(ht[0], ht[1]))
+        if rho < min(a, b):
+            assert gmin == pytest.approx((a * b - rho ** 2) / (a + b - 2 * rho),
+                                         rel=1e-12)
+
+
+def test_maxmin_two_user_hand_cases():
+    # orthogonal: equal gains ab/(a + b); parallel, or one user covering
+    # the other: the weaker user's MRT; a zero channel quotes inf
+    h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
+    w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
+    assert q == pytest.approx((1.0 + 4.0) / 4.0, rel=1e-12)
+    h = np.array([[1.0, 1.0j], [2.0, 2.0j]], dtype=complex)
+    w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
+    assert align(w, h[0] / np.linalg.norm(h[0])) == pytest.approx(1.0, abs=1e-12)
+    assert q == pytest.approx(0.5, rel=1e-12)
+    h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
+    assert q == np.inf and abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+
+def default_trial(t):
+    """Channel and multicast messages of default_config() trial t."""
+    cfg = default_config()
+    ch = sample_channel(derive_trial_seed(cfg.base_seed, t), cfg.m, cfg.n_sc,
+                        len(cfg.users), beta=cfg.beta, noise_w=cfg.noise_w,
+                        bandwidth_hz=cfg.bandwidth_hz)
+    tile_sets = {k: compute_tile_set(u.direction, cfg.tiling)
+                 for k, u in enumerate(cfg.users, start=1)}
+    qualities = {k: u.quality for k, u in enumerate(cfg.users, start=1)}
+    return ch, build_messages(build_partition(tile_sets), qualities,
+                              cfg.ladder)
+
+
+def test_maxmin_quotes_below_both_menu_plans_on_default_trials():
+    for t in range(4):
+        ch, messages = default_trial(t)
+        two = np.array([len(msg.audience) == 2 for msg in messages])
+        assert two.any()
+        q = beam_plan_maxmin(ch, messages).q[two]
+        menu = np.minimum(beam_plan_asymptotic(ch, messages).q,
+                          beam_plan_mrt(ch, messages).q)[two]
+        assert np.all(q <= menu * (1 + 1e-12)), t
+
+
+def test_maxmin_single_user_is_mrt_bitwise():
+    ch = sample_channel(6, m=4, n_sc=3, k_users=5)
+    audiences = [(1,), (1, 2), (1, 2, 3), (4,), (2, 3, 4, 5)]
+    messages = [_msg(aud, aud) for aud in audiences]
+    plan, mrt = beam_plan_maxmin(ch, messages), beam_plan_mrt(ch, messages)
+    for i in (0, 3):
+        assert plan.w[i].tobytes() == mrt.w[i].tobytes()
+        assert plan.q[i].tobytes() == mrt.q[i].tobytes()
+
+
+@pytest.mark.parametrize("beta", [(1.0, 1.0), (1.0, 0.1)])
+def test_asymptotic_beam_approaches_maxmin_as_antennas_grow(beta):
+    # the paper calls the large-antenna beam asymptotically optimal: on
+    # i.i.d. Rayleigh two-user pairs its quote never beats the max-min
+    # quote, and the median ratio of the two rises towards 1 with m
+    rng = np.random.default_rng(256)
+    medians = []
+    for m in (16, 64, 256):
+        n = 400
+        ch = ChannelState(m=m, n_sc=n, k_users=2, bandwidth_hz=39e3,
+                          noise_w=1e-9, beta=np.array(beta),
+                          h=crandn(rng, n, 2, m))
+        messages = [_msg((1, 2), (1, 2))]
+        ratio = (beam_plan_maxmin(ch, messages).q
+                 / beam_plan_asymptotic(ch, messages).q)
+        assert np.all(ratio <= 1 + 1e-12), m
+        medians.append(float(np.median(ratio)))
+    assert medians[0] < medians[1] < medians[2], medians

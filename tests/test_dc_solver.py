@@ -1,13 +1,17 @@
-"""Rules and outer loop of the successive-convexification planner.
+"""The convex-concave procedure (CCP) of the max-min beams, and the
+planner built on them.
 
-The inner loop's rules are array functions over every (message,
-subcarrier) pair at once. Each is checked on hand cases and, under
-hypothesis, against the scalar formula kept here as its reference. The
-rules run in the planner's scaled units: rates in multiples of the
-bandwidth, and channels that already carry sqrt(beta / (m * noise)), so
-the references are called with unit bandwidth, unit beta and m * noise = 1.
+`_price_step`, the Lawson-Hanson solve inside each CCP step, is checked on
+hand cases and, under hypothesis, against an enumeration of its active
+sets. `_ccp_step` is checked against the linearized constraints its beam
+must meet and, under hypothesis, against a scalar least-norm reference.
+The CCP is checked for its monotonicity and its fixed point, and
+`dc_solve` for its start, its trace, its flags and its audit. The CCP
+runs in units that fold sqrt(beta) into the channels, so the references
+take the channels as they are.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,18 +21,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tilecast import (Message, TilingConfig, ViewDirection, audit_allocation,
+from tilecast import (InfeasibleAllocationError, Message, TilingConfig,
+                      ViewDirection, audit_allocation, beam_plan_maxmin,
                       dc_solve, sample_channel, solve_quoted_allocation)
-from tilecast import dc_solver
-from tilecast.beamforming import beam_plan_asymptotic, beam_plan_mrt
-from tilecast.dc_solver import (EXP_CAP, INNER_MAX, DcDuals, DcState,
-                                _direction, _init_duals, _inner, _pick,
-                                _price_step, _priced_rate, _scores, _stretch,
-                                _Workspace, initial_point)
+from tilecast import beamforming, dc_solver
+from tilecast.beamforming import (CCP_MAX_SWEEPS, CCP_TOL, _bottleneck,
+                                  _ccp, _ccp_step, _price_step,
+                                  beam_plan_asymptotic, beam_plan_mrt)
+from tilecast.channel import _audience
+from tilecast.dc_solver import _pick, initial_point
 from tilecast.harness import (UserSpec, _subset_for_trial, default_config,
                               run_trial)
+from tilecast.ofdma_alloc import GAP_TOL
 
-LN2 = math.log(2.0)
 B = 39e3
 
 
@@ -37,27 +42,529 @@ def _msg(subset, audience, demand):
                    demand_bits_per_s=demand)
 
 
+def crandn(rng, *shape):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2)
+
+
+def three_user_instance():
+    """A unicast, a two-user and a three-user message on 3 users x 6
+    subcarriers: the three-user pairs run the CCP."""
+    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((2, 3), (2, 3), 2.0 * B),
+                _msg((1, 2, 3), (1, 2, 3), 1.0 * B)]
+    return ch, messages
+
+
+def ccp_pairs(ch, messages):
+    """The CCP's inputs for every pair of the three-or-more-user
+    messages: channels with sqrt(beta) folded in, masks and the start
+    beams (the better of the MRT and asymptotic plans)."""
+    h, beta, mask = _audience(ch, messages)
+    big = mask.sum(axis=1) >= 3
+    start = beamforming._better(beam_plan_mrt(ch, messages),
+                                beam_plan_asymptotic(ch, messages))
+    ht = (h * np.sqrt(beta)[:, None, :, None])[big]
+    n_sc = ch.n_sc
+    return (ht.reshape((-1,) + ht.shape[2:]),
+            np.repeat(mask[big], n_sc, axis=0),
+            start.w[big].reshape(-1, ch.m))
+
+
 # ---------------------------------------------------------------------------
-# scalar reference formulas, one pair at a time, in original units
+# prices of one step
 # ---------------------------------------------------------------------------
 
-def pair_score(demand_price: float, price_sum: float, bandwidth: float) -> float:
-    """Dual value of granting a subcarrier to a message.
+def prices(gram, rhs, on=None):
+    gram = np.asarray(gram, dtype=float)[None]
+    rhs = np.asarray(rhs, dtype=float)[None]
+    on = np.ones(rhs.shape, dtype=bool) if on is None else np.array([on])
+    return _price_step(gram, rhs, on)[0]
 
-    price_sum plays the role of an effective quote under the linearized
-    constraint; the score is the priced rate minus a power proxy.
-    Sentinels: price_sum = 0 scores -inf for a positive demand price
-    (unbounded rate) and 0 otherwise; a zero demand price scores price_sum.
-    """
-    if demand_price < 0 or price_sum < 0:
-        raise ValueError("prices must be nonnegative")
-    if price_sum == 0.0:
-        return -math.inf if demand_price > 0 else 0.0
-    if demand_price == 0.0:
-        return price_sum
-    return (demand_price * math.log2(demand_price / (LN2 * price_sum))
-            - demand_price * bandwidth / LN2 + price_sum)
 
+def test_price_step_hand_case():
+    # orthogonal slots decouple: y_k = rhs_k / G_kk; slot 2 is off the
+    # audience and keeps price 0
+    y = prices([[1.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
+               [2.0, 2.0, 0.0], [True, True, False])
+    assert y.tolist() == [2.0, 0.5, 0.0]
+
+
+def test_price_step_projects_to_zero():
+    # E = [[1, 1], [0, 1]] and f = (1, 0): slot 0 alone leaves a residual
+    # on which slot 1's gradient is negative, so slot 1 is priced at 0
+    e = np.array([[1.0, 1.0], [0.0, 1.0]])
+    y = prices(e.T @ e, e.T @ np.array([1.0, 0.0]))
+    assert y[1] == 0.0
+    assert y[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_price_step_zero_residuals_unchanged():
+    # a single user linearized at its own scaled MRT beam: the step's
+    # constraint binds there already, so the step returns that beam
+    rng = np.random.default_rng(4)
+    h = crandn(rng, 1, 1, 5)
+    x = h[:, 0] / np.linalg.norm(h) ** 2
+    v = _ccp_step(h, np.ones((1, 1), dtype=bool), x)
+    np.testing.assert_allclose(v, x, rtol=1e-12, atol=0.0)
+
+
+def price_reference(gram, rhs):
+    """Scalar reference of `_price_step` on one pair: every active set is
+    tried and the first whose solution meets the KKT conditions is kept;
+    all zero when none does."""
+    a = rhs.size
+    scale = np.abs(gram).max() + np.abs(rhs).max()
+    for k in range(1, a + 1):
+        for act in itertools.combinations(range(a), k):
+            idx = list(act)
+            sub = gram[np.ix_(idx, idx)]
+            if np.linalg.cond(sub) > 1e10:
+                continue
+            s = np.linalg.solve(sub, rhs[idx])
+            if np.any(s <= 0.0):
+                continue
+            y = np.zeros(a)
+            y[idx] = s
+            if np.all(gram @ y >= rhs - 1e-9 * scale * (1.0 + y.sum())):
+                return y
+    return np.zeros(a)
+
+
+COMPONENT = st.one_of(st.just(0.0), st.floats(1e-2, 2.0), st.floats(-2.0, -1e-2))
+
+
+@st.composite
+def least_squares(draw):
+    """Normal equations E^T E, E^T f of small least-squares problems,
+    with slots off the mask zeroed as the CCP stores them."""
+    rows = draw(st.integers(1, 4))
+    a = draw(st.integers(1, 4))
+    e = np.array(draw(st.lists(COMPONENT, min_size=rows * a,
+                               max_size=rows * a))).reshape(rows, a)
+    f = np.array(draw(st.lists(COMPONENT, min_size=rows, max_size=rows)))
+    on = np.array(draw(st.lists(st.booleans(), min_size=a, max_size=a)))
+    e = e * on
+    return e.T @ e, e.T @ f, on
+
+
+@given(problem=least_squares())
+# slot 1 is a copy of slot 0, and slot 2 is off the mask
+@example(problem=(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                  np.array([1.0, 1.0, 0.0]), np.array([True, True, False])))
+@settings(max_examples=300, deadline=None)
+def test_price_step_matches_reference(problem):
+    # tolerance: both sides solve the same small systems in another
+    # order, so the objectives agree to 1e-9 of their scale
+    gram, rhs, on = problem
+    got = prices(gram, rhs, on)
+    want = price_reference(gram, rhs)
+    assert np.all(got >= 0.0) and np.all(got[~on] == 0.0)
+
+    def objective(y):
+        return 0.5 * y @ gram @ y - rhs @ y
+
+    scale = 1.0 + np.abs(gram).max() * (1.0 + want.sum()) ** 2 \
+        + np.abs(rhs).max() * (1.0 + want.sum())
+    assert objective(got) <= objective(want) + 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the step's beam
+# ---------------------------------------------------------------------------
+
+def step_of(h, x):
+    """`_ccp_step` for one pair whose audience is every row of h."""
+    h = np.asarray(h, dtype=complex)
+    return _ccp_step(h[None], np.ones((1, h.shape[0]), dtype=bool),
+                     np.asarray(x, dtype=complex)[None])[0]
+
+
+def lin_slack(h, x, v):
+    """Slack of each user's linearized constraint at x; >= 0 is met."""
+    g = h.conj() @ x
+    return 2.0 * (g.conj() * (h.conj() @ v)).real - (1.0 + np.abs(g) ** 2)
+
+
+def scaled(h, w):
+    """w scaled so its weakest user of h has gain 1."""
+    return w / np.sqrt((np.abs(h.conj() @ w) ** 2).min())
+
+
+def test_feasible_beam_unassigned_is_zero():
+    # the plan spends power only where it assigns, and every subcarrier
+    # carries the unit beam of the message it is assigned to
+    ch, messages = three_user_instance()
+    alloc = dc_solve(ch, messages)
+    assert np.all(alloc.power[alloc.assign == 0] == 0.0)
+    np.testing.assert_allclose(np.linalg.norm(alloc.beams, axis=1), 1.0,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_feasible_beam_orthogonal_linearization_point():
+    # a start that misses a user cannot be scaled to gain 1: the CCP
+    # leaves that pair alone, and runs the other as usual
+    rng = np.random.default_rng(8)
+    ht = crandn(rng, 2, 3, 4)
+    ht[0, 1] = [1.0, 0.0, 0.0, 0.0]
+    w = np.array([[0.0, 1.0, 0.0, 0.0], ht[1].sum(axis=0)])
+    w[1] /= np.linalg.norm(w[1])
+    out, sweeps, capped = _ccp(ht, np.ones((2, 3), dtype=bool), w, 50)
+    assert np.array_equal(out[0], w[0])
+    assert sweeps >= 1 and not capped
+    assert (_bottleneck(ht[1:], np.ones((1, 3), dtype=bool), out[1:])[0]
+            > _bottleneck(ht[1:], np.ones((1, 3), dtype=bool), w[1:])[0])
+
+
+def test_feasible_beam_single_user_algebra():
+    rng = np.random.default_rng(5)
+    h = 1.6 * crandn(rng, 1, 3)
+    x = scaled(h, crandn(rng, 3))
+    v = step_of(h, x)
+    # the step points along the user's own channel
+    cos = abs(np.vdot(v, h[0])) / (np.linalg.norm(v) * np.linalg.norm(h[0]))
+    assert cos == pytest.approx(1.0, abs=1e-12)
+    # and puts the user exactly on its linearized constraint
+    assert lin_slack(h, x, v)[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_feasible_beam_zero_rate_still_covers_offset():
+    # user 1 is slack at the step (price 0), yet its constraint, which
+    # carries the offset |g|^2 = 4 of its gain at x, still holds
+    h = np.array([[1.0, 0.0], [2.0, 0.2]], dtype=complex)
+    x = scaled(h, np.array([1.0, 0.0], dtype=complex))
+    v = step_of(h, x)
+    slack = lin_slack(h, x, v)
+    assert slack[0] == pytest.approx(0.0, abs=1e-12)
+    assert slack[1] > 0.0
+    assert np.all(np.abs(h.conj() @ v) ** 2 >= 1.0 - 1e-12)
+
+
+def test_feasible_beam_multiuser_feasible_with_equality_at_binding_user():
+    rng = np.random.default_rng(7)
+    a, m = 3, 5
+    h = crandn(rng, a, m) * np.sqrt(rng.uniform(0.5, 2.0, size=a))[:, None]
+    x = scaled(h, crandn(rng, m))
+    v = step_of(h, x)
+    slack = lin_slack(h, x, v)
+    scale = 1.0 + (np.abs(h.conj() @ x) ** 2).max()
+    assert np.all(slack >= -1e-9 * scale)
+    assert slack.min() == pytest.approx(0.0, abs=1e-9 * scale)
+    # the linearized constraints imply the true ones, at no larger norm
+    assert np.all(np.abs(h.conj() @ v) ** 2 >= 1.0 - 1e-9)
+    assert np.linalg.norm(v) <= np.linalg.norm(x) * (1 + 1e-12)
+
+
+def test_feasible_beam_unreachable_user_raises():
+    # user 3 gets nothing on any subcarrier: the three-user message quotes
+    # inf everywhere, keeps a unit beam, and no plan can serve it
+    ch, messages = three_user_instance()
+    ch.h[:, 2] = 0.0
+    plan = beam_plan_maxmin(ch, messages)
+    assert np.isinf(plan.q[1:]).all() and np.isfinite(plan.q[0]).all()
+    np.testing.assert_allclose(np.linalg.norm(plan.w, axis=2), 1.0,
+                               rtol=0.0, atol=1e-12)
+    with pytest.raises(InfeasibleAllocationError):
+        dc_solve(ch, messages)
+
+
+def step_reference(h, x):
+    """Scalar reference of `_ccp_step`: the least-norm v with
+    2 Re{u_k^H v} >= 1 + |g_k|^2, u_k = g_k h_k, g_k = h_k^H x, found by
+    trying every set of binding users; None if no set meets the KKT
+    conditions."""
+    g = h.conj() @ x
+    u = g[:, None] * h
+    b = 1.0 + np.abs(g) ** 2
+    a = b.size
+    for k in range(1, a + 1):
+        for act in itertools.combinations(range(a), k):
+            idx = list(act)
+            gram = 2.0 * (u[idx].conj() @ u[idx].T).real
+            if np.linalg.cond(gram) > 1e10:
+                continue
+            mu = np.linalg.solve(gram, b[idx])
+            if np.any(mu < 0.0):
+                continue
+            v = mu @ u[idx]
+            if np.all(lin_slack(h, x, v) >= -1e-9 * b.max()):
+                return v
+    return None
+
+
+@st.composite
+def step_pairs(draw):
+    """Pairs of one batch: padded audiences (zero channels off the mask,
+    as the CCP stores them) and start beams."""
+    p = draw(st.integers(1, 3))
+    a_max = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    size = p * a_max * m
+    re = np.array(draw(st.lists(COMPONENT, min_size=size, max_size=size)))
+    im = np.array(draw(st.lists(COMPONENT, min_size=size, max_size=size)))
+    h = (re + 1j * im).reshape(p, a_max, m)
+    re = np.array(draw(st.lists(COMPONENT, min_size=p * m, max_size=p * m)))
+    im = np.array(draw(st.lists(COMPONENT, min_size=p * m, max_size=p * m)))
+    w = (re + 1j * im).reshape(p, m)
+    counts = draw(st.lists(st.integers(1, a_max), min_size=p, max_size=p))
+    mask = np.arange(a_max)[None, :] < np.array(counts)[:, None]
+    return h * mask[:, :, None], mask, w
+
+
+@given(pairs=step_pairs())
+# three users in one antenna: every linearized constraint is parallel
+@example(pairs=(np.array([[[1.0], [0.5j], [-2.0]]], dtype=complex),
+                np.ones((1, 3), dtype=bool), np.array([[1.0]], dtype=complex)))
+@settings(max_examples=300, deadline=None)
+def test_stretch_matches_feasible_beam(pairs):
+    # each start is stretched so its weakest user has gain 1, then one
+    # batched step is compared with the scalar reference pair by pair.
+    # tolerance: the two solve different systems, so beams agree to
+    # 1e-6 of their norm; draws whose weakest gain is under 1e-3 of the
+    # strongest, or whose binding systems are ill-conditioned, are skipped
+    h, mask, w = pairs
+    gains = np.where(mask, np.abs(np.einsum("pam,pm->pa", h.conj(), w)) ** 2,
+                     np.inf)
+    top = np.where(mask, gains, 0.0).max(axis=1)
+    assume(np.all(gains.min(axis=1) > 1e-3 * top))
+    x = w / np.sqrt(gains.min(axis=1))[:, None]
+    got = _ccp_step(h, mask, x)
+    for i in range(h.shape[0]):
+        on = mask[i]
+        want = step_reference(h[i, on], x[i])
+        assume(want is not None)
+        np.testing.assert_allclose(got[i], want, rtol=0.0,
+                                   atol=1e-6 * np.linalg.norm(want))
+
+
+# ---------------------------------------------------------------------------
+# the whole procedure
+# ---------------------------------------------------------------------------
+
+def test_convex_approx_single_user_near_waterfill():
+    # one sweep takes a single user to its MRT gain from any start, and a
+    # single-user plan is the water-fill of the MRT quotes
+    rng = np.random.default_rng(45)
+    ht = crandn(rng, 6, 1, 3)
+    w = crandn(rng, 6, 3)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    out, _, _ = _ccp(ht, np.ones((6, 1), dtype=bool), w, 1)
+    gain = _bottleneck(ht, np.ones((6, 1), dtype=bool), out)
+    np.testing.assert_allclose(gain, (np.abs(ht[:, 0]) ** 2).sum(axis=1),
+                               rtol=1e-12)
+
+    ch = sample_channel(45, m=3, n_sc=4, k_users=1)
+    messages = [_msg((1,), (1,), 2.0 * B)]
+    ref = solve_quoted_allocation(messages, beam_plan_mrt(ch, messages).q,
+                                  ch.bandwidth_hz)
+    assert dc_solve(ch, messages).power_sum == ref.power_sum
+
+
+def test_convex_approx_fixed_point():
+    # run to its end, the CCP sits at a fixed point: one more sweep
+    # raises no pair's bottleneck gain by CCP_TOL
+    ch, messages = three_user_instance()
+    ht, mask, w = ccp_pairs(ch, messages)
+    out, sweeps, capped = _ccp(ht, mask, w, CCP_MAX_SWEEPS)
+    assert sweeps >= 2 and not capped
+    again, _, _ = _ccp(ht, mask, out, 1)
+    before = _bottleneck(ht, mask, out)
+    assert np.all(_bottleneck(ht, mask, again) <= before * (1 + CCP_TOL))
+
+
+def test_ccp_gains_never_fall_sweep_by_sweep():
+    ch, messages = three_user_instance()
+    ht, mask, w = ccp_pairs(ch, messages)
+    prev = _bottleneck(ht, mask, w)
+    for cap in range(1, 8):
+        out, sweeps, _ = _ccp(ht, mask, w, cap)
+        gain = _bottleneck(ht, mask, out)
+        assert np.all(gain >= prev), cap
+        prev = gain
+    # and the plan's three-user quotes end no higher than the start's
+    plan = beam_plan_maxmin(ch, messages)
+    start = np.minimum(beam_plan_mrt(ch, messages).q,
+                       beam_plan_asymptotic(ch, messages).q)
+    assert np.all(plan.q[2] <= start[2])
+    assert np.all(plan.q[2] < start[2] * (1 - 1e-3))
+
+
+# ---------------------------------------------------------------------------
+# start point
+# ---------------------------------------------------------------------------
+
+def test_initial_point_energy_matches_quoted_solution():
+    ch = sample_channel(41, m=4, n_sc=6, k_users=2)
+    messages = [_msg((1,), (1,), 1.5 * B), _msg((1, 2), (1, 2), 2.0 * B)]
+    plan = beam_plan_maxmin(ch, messages)
+    start = initial_point(ch, messages, plan)
+    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    assert start.power_sum == alloc.power_sum
+    assert start.total_power_w == alloc.power_sum / ch.m
+    np.testing.assert_array_equal(start.assign, alloc.assign)
+    assigned = np.argmax(alloc.assign, axis=0)
+    np.testing.assert_array_equal(start.beams,
+                                  plan.w[assigned, np.arange(ch.n_sc)])
+
+
+def test_initial_point_single_user_beams_are_mrt():
+    ch = sample_channel(42, m=3, n_sc=4, k_users=1)
+    messages = [_msg((1,), (1,), 2.5 * B)]
+    start = initial_point(ch, messages, beam_plan_maxmin(ch, messages))
+    np.testing.assert_array_equal(start.beams,
+                                  beam_plan_mrt(ch, messages).w[0])
+
+
+# ---------------------------------------------------------------------------
+# full planner
+# ---------------------------------------------------------------------------
+
+def test_dc_solve_small_instance():
+    ch, messages = three_user_instance()
+    alloc = dc_solve(ch, messages)
+    trace = alloc.diagnostics["e_trace"]
+    assert len(trace) == 2
+    assert trace[1] <= trace[0]
+    assert set(np.unique(alloc.assign)) <= {0, 1}
+    assert audit_allocation(alloc, ch, messages) == []
+    assert alloc.total_power_w == trace[-1]
+    # converged: the allocation's gap is within GAP_TOL and no search and
+    # no CCP stopped at its cap
+    plan = beam_plan_maxmin(ch, messages)
+    assert alloc.converged == (alloc.duality_gap <= GAP_TOL
+                               and not plan.capped
+                               and not alloc.diagnostics["local_search_capped"])
+
+
+def test_dc_solve_never_worse_than_start():
+    # the plan ends no higher than the allocation on its start, nor than
+    # the allocation on the better of the MRT and asymptotic quotes
+    ch, messages = three_user_instance()
+    alloc = dc_solve(ch, messages)
+    menu = beamforming._better(beam_plan_mrt(ch, messages),
+                               beam_plan_asymptotic(ch, messages))
+    start = initial_point(ch, messages, menu)
+    assert alloc.diagnostics["e_trace"][0] <= start.total_power_w
+    assert alloc.total_power_w <= alloc.diagnostics["e_trace"][0]
+    assert alloc.total_power_w < start.total_power_w * (1 - 1e-3)
+
+
+def test_dc_solve_one_message_passes_end_before_the_cap():
+    # paired k-sweep point k = 2 of base seed 4, trial 6: two viewers of one
+    # cluster share one message. The convexified passes that planned it
+    # before took 12,146 steps; the max-min plan is one closed form and
+    # one allocation, and must give a finite power.
+    cfg = replace(
+        default_config(),
+        tiling=TilingConfig(u_h=8, u_v=4, fov_h_deg=100.0, fov_v_deg=100.0,
+                            margin_deg=15.0),
+        users=[UserSpec(ViewDirection(67.5, 67.5), 3),
+               UserSpec(ViewDirection(67.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 3),
+               UserSpec(ViewDirection(202.5, 67.5), 2)],
+        n_sc=16, m=4, base_seed=4)
+    result = run_trial(cfg, "proposed-dc", 6,
+                       user_subset=_subset_for_trial(cfg, 6, 2))
+    assert math.isfinite(result.total_power_w)
+    assert result.total_power_w > 0.0
+
+
+def test_dc_solve_makes_one_allocator_solve(monkeypatch):
+    # the allocation on the plan is the only dual solve
+    calls = []
+    solve = dc_solver.solve_quoted_allocation
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dc_solver, "solve_quoted_allocation", counted)
+    cfg = default_config()
+    for t in range(4):
+        calls.clear()
+        dc = run_trial(cfg, "proposed-dc", t)
+        assert len(calls) == 1, t
+        asym = run_trial(cfg, "proposed-asymptotic", t)
+        assert dc.total_power_w <= asym.total_power_w * (1 + 1e-9), t
+    ch, messages = three_user_instance()
+    calls.clear()
+    dc_solve(ch, messages)
+    assert len(calls) == 1
+
+
+def test_dc_solve_diagnostics():
+    ch, messages = three_user_instance()
+    alloc = dc_solve(ch, messages)
+    diag = alloc.diagnostics
+    assert diag["start"] == "dual"
+    assert diag["dual_steps"] == alloc.iterations > 0
+    assert diag["dual_evaluations"] >= diag["dual_steps"]
+    assert diag["local_search_passes"] == diag["local_search_moves"] + 1
+    assert diag["outer_iterations"] == beam_plan_maxmin(ch, messages).sweeps
+    assert diag["outer_iterations"] >= 1
+    # no audience of three: no CCP sweep, and the trace is the allocation
+    two = dc_solve(ch, messages[:2])
+    assert two.diagnostics["outer_iterations"] == 0
+    assert two.diagnostics["e_trace"] == [two.total_power_w]
+
+
+def test_capped_pass_search_is_not_converged(monkeypatch):
+    # 2 messages x 6 subcarriers are enumerated, so the gap is 0 and only
+    # a cap can clear `converged`
+    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((1, 2, 3), (1, 2, 3), 2.0 * B)]
+    assert dc_solve(ch, messages).converged
+    search = dc_solver._local_search
+
+    def capped(assigned, qn, dn):
+        # one pass that moved: the report of a search stopped by its cap
+        return search(assigned, qn, dn)[0], 1, 1
+
+    monkeypatch.setattr(dc_solver, "_local_search", capped)
+    assert not dc_solve(ch, messages).converged
+    monkeypatch.undo()
+    monkeypatch.setattr(beamforming, "CCP_MAX_SWEEPS", 1)
+    assert beam_plan_maxmin(ch, messages).capped
+    assert not dc_solve(ch, messages).converged
+
+
+def test_dc_solve_inf_masked_menu_without_warnings():
+    # user 2 gets nothing on subcarriers 0-2, so every message it watches
+    # quotes inf there, the three-user CCP skips those pairs, and the
+    # allocation and the re-assigning search run over inf quotes
+    ch = sample_channel(50, m=4, n_sc=8, k_users=3)
+    ch.h[:3, 1] = 0.0
+    messages = [_msg((1,), (1,), 1.5 * B),
+                _msg((2, 3), (2, 3), 2.0 * B),
+                _msg((1, 2, 3), (1, 2, 3), 1.0 * B)]
+    menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
+                        beam_plan_mrt(ch, messages).q)
+    assert np.isinf(menu_q[1:, :3]).all() and np.isfinite(menu_q[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = dc_solve(ch, messages)
+    assert alloc.diagnostics["outer_iterations"] >= 1
+    assert np.all(alloc.assign[1:, :3] == 0)
+    assert audit_allocation(alloc, ch, messages) == []
+
+
+def test_dc_solve_single_user_matches_asymptotic():
+    ch = sample_channel(49, m=4, n_sc=6, k_users=1)
+    messages = [_msg((1,), (1,), 3.0 * B)]
+    alloc = dc_solve(ch, messages)
+    plan = beam_plan_asymptotic(ch, messages)
+    ref = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    ref_w = ref.power_sum / ch.m
+    assert alloc.total_power_w <= ref_w * (1 + 1e-9)
+    assert alloc.total_power_w >= ref_w * 0.98
+    assert audit_allocation(alloc, ch, messages) == []
+
+
+# ---------------------------------------------------------------------------
+# column pick
+# ---------------------------------------------------------------------------
 
 def pick_assignment(scores) -> tuple:
     """Argmax with lexicographic ties; returns (index, unique flag)."""
@@ -71,103 +578,6 @@ def pick_assignment(scores) -> tuple:
     if rest.size:
         unique = bool(top - rest.max() > 1e-12 * (abs(top) + 1.0))
     return idx, unique
-
-
-def priced_rate(demand_price: float, price_sum: float, assigned: float,
-                bandwidth: float) -> float:
-    """Optimal rate of an assigned pair at the given prices."""
-    if assigned not in (0, 1, 0.0, 1.0):
-        raise ValueError("assignment must be binary")
-    if not assigned or demand_price == 0.0:
-        return 0.0
-    if price_sum == 0.0:
-        return math.inf
-    return assigned * bandwidth * max(0.0, math.log2(demand_price / (LN2 * price_sum)))
-
-
-class NoFeasibleStep(ValueError):
-    """The reference's linearized constraint cannot be met along its
-    direction."""
-
-
-def feasible_beam(user_prices, h_aud, beta, w_prev, assigned, rate_bits,
-                  noise_w: float, bandwidth: float) -> np.ndarray:
-    """Scaled beam for one pair: the stationarity direction, stretched just
-    enough that the linearized rate constraint holds for every audience user.
-
-    Direction: sum over users of price * beta * (h^H w_prev) * h. The
-    stretch is the max over users of
-    [mu*(2^(c/(B*mu)) - 1) + beta*|h^H w_prev|^2/(m*noise)] /
-    [2*beta*Re{(h^H w_prev)^* (h^H d)}/(m*noise)].
-    """
-    h_aud = np.asarray(h_aud, dtype=np.complex128)
-    w_prev = np.asarray(w_prev, dtype=np.complex128)
-    if h_aud.ndim != 2 or h_aud.shape[1] != w_prev.shape[0]:
-        raise ValueError("channel and beam dimensions disagree")
-    prices = np.asarray(user_prices, dtype=float)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (h_aud.shape[0],))
-    m = w_prev.shape[0]
-    if not assigned:
-        return np.zeros(m, dtype=np.complex128)
-    hw = h_aud.conj() @ w_prev
-    d = (prices * beta * hw) @ h_aud
-    if not np.any(np.abs(d) > 0):
-        return np.zeros(m, dtype=np.complex128)
-    hd = h_aud.conj() @ d
-    scale = m * noise_w
-    num = (2.0 ** min(rate_bits / bandwidth, EXP_CAP) - 1.0) + beta * np.abs(hw) ** 2 / scale
-    den = 2.0 * beta * (hw.conj() * hd).real / scale
-    alpha = 0.0
-    for nk, dk in zip(num, den):
-        if nk <= 0.0:
-            continue
-        if dk <= 0.0:
-            raise NoFeasibleStep(
-                "linearized constraint cannot be met along this direction")
-        alpha = max(alpha, nk / dk)
-    return alpha * d
-
-
-def price_step(duals: DcDuals, rate_violation, demand_residual,
-               delta: float) -> DcDuals:
-    """Projected subgradient update: raise prices on violated constraints."""
-    if delta <= 0:
-        raise ValueError("step must be positive")
-    lam = np.maximum(0.0, duals.user_price + delta * np.asarray(rate_violation))
-    gam = np.maximum(0.0, duals.demand_price + delta * np.asarray(demand_residual))
-    return DcDuals(demand_price=gam, user_price=lam)
-
-
-# ---------------------------------------------------------------------------
-# scoring and assignment rules
-# ---------------------------------------------------------------------------
-
-def scores_of(gam, price_sum, live=None):
-    price_sum = np.asarray(price_sum, dtype=float)
-    if live is None:
-        live = np.ones(price_sum.shape, dtype=bool)
-    return _scores(np.asarray(gam, dtype=float), price_sum, live)
-
-
-def test_pair_score_zero_demand_price():
-    assert scores_of([0.0], [[3.25]])[0][0, 0] == 3.25
-
-
-def test_pair_score_log_term_vanishes():
-    lam_sum = 0.7
-    gamma = LN2 * lam_sum
-    scores, log_term = scores_of([gamma], [[lam_sum]])
-    assert log_term[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert scores[0, 0] == pytest.approx(-gamma / LN2 + lam_sum, abs=1e-12)
-
-
-def test_pair_score_zero_price_sum():
-    scores, _ = scores_of([1.0, 0.0], [[0.0], [0.0]])
-    assert scores[0, 0] == -math.inf
-    assert scores[1, 0] == 0.0
-    # a pair the linearization point spends no power on is blocked
-    blocked, _ = scores_of([0.0], [[3.25]], live=np.array([[False]]))
-    assert blocked[0, 0] == -math.inf
 
 
 def pick_column(scores, incumbent=0):
@@ -197,83 +607,6 @@ def test_pick_matches_independent_scan():
     assigned, unique = _pick(scores, np.zeros(100, dtype=int))
     np.testing.assert_array_equal(assigned, np.argmax(scores, axis=0))
     assert unique
-
-
-def rate_of(gam, price_sum, sel=True):
-    gam = np.array([gam])
-    _, log_term = _scores(gam, np.array([[price_sum]]), np.ones((1, 1), dtype=bool))
-    return _priced_rate(log_term, np.array([[sel]]), gam)[0, 0]
-
-
-def test_priced_rate_cases():
-    lam_sum = 0.5
-    gamma = 2.0 * LN2 * lam_sum           # price ratio 2, log2 gives 1
-    assert rate_of(gamma, lam_sum) == pytest.approx(1.0)
-    assert rate_of(gamma, lam_sum, sel=False) == 0.0
-    assert rate_of(0.5 * LN2 * lam_sum, lam_sum) == 0.0
-    assert rate_of(1.0, 0.0) == EXP_CAP   # unbounded rate, capped
-    assert rate_of(0.0, 0.7) == 0.0
-
-
-# demand prices and price sums: zero is the sentinel, the rest stays well
-# inside the range where the array rule's 1e-300 floor is never reached
-PRICES = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0]),
-                   st.floats(1e-3, 1e3))
-
-
-@st.composite
-def price_grids(draw):
-    n_msg = draw(st.integers(1, 4))
-    n_sc = draw(st.integers(1, 5))
-    gam = np.array(draw(st.lists(PRICES, min_size=n_msg, max_size=n_msg)))
-    size = n_msg * n_sc
-    price_sum = np.array(draw(st.lists(PRICES, min_size=size, max_size=size)))
-    flags = np.array(draw(st.lists(st.booleans(), min_size=2 * size,
-                                   max_size=2 * size)))
-    return (gam, price_sum.reshape(n_msg, n_sc),
-            flags[:size].reshape(n_msg, n_sc), flags[size:].reshape(n_msg, n_sc))
-
-
-SENTINEL_GRID = (np.array([0.0, 2.0, 1.0]),                # zero demand price
-                 np.array([[0.0, 1.0], [0.0, 3.0], [0.5, 0.0]]),
-                 np.array([[True, False], [True, False], [True, False]]),
-                 np.array([[True, True], [True, False], [False, True]]))
-
-
-@given(grid=price_grids())
-@example(grid=SENTINEL_GRID)
-@settings(max_examples=300, deadline=None)
-def test_scores_match_pair_score(grid):
-    # tolerance: np.log2 and math.log2 may differ in the last place, and
-    # the three terms may cancel, so the bound scales with the terms
-    gam, price_sum, live, _ = grid
-    scores, _ = _scores(gam, price_sum, live)
-    for (mi, n), got in np.ndenumerate(scores):
-        g, ps = gam[mi], price_sum[mi, n]
-        if not live[mi, n]:
-            assert got == -math.inf
-            continue
-        want = pair_score(g, ps, 1.0)
-        if g == 0.0 or ps == 0.0:
-            assert got == want
-            continue
-        terms = abs(g * math.log2(g / (LN2 * ps))) + g / LN2 + ps
-        assert abs(got - want) <= 1e-13 * terms
-
-
-@given(grid=price_grids())
-@example(grid=SENTINEL_GRID)
-@settings(max_examples=300, deadline=None)
-def test_priced_rate_matches_reference(grid):
-    # tolerance: the same last-place log2 difference; price_sum = 0 gives
-    # the reference's unbounded rate, which the array rule caps at EXP_CAP
-    gam, price_sum, live, sel = grid
-    _, log_term = _scores(gam, price_sum, live)
-    got = _priced_rate(log_term, sel, gam)
-    for (mi, n), r in np.ndenumerate(got):
-        want = min(priced_rate(gam[mi], price_sum[mi, n], int(sel[mi, n]), 1.0),
-                   EXP_CAP)
-        assert abs(r - want) <= 1e-13 * max(1.0, want)
 
 
 SCORES = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 1.0, 2.5]),
@@ -310,437 +643,3 @@ def test_pick_matches_pick_assignment(grid):
         assert assigned[n] == idx
         flags.append(flag)
     assert unique == all(flags)
-
-
-@st.composite
-def price_updates(draw):
-    n_msg = draw(st.integers(1, 3))
-    size = n_msg * draw(st.integers(1, 3)) * draw(st.integers(1, 3))
-    moves = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
-    lam = draw(st.lists(PRICES, min_size=size, max_size=size))
-    gam = draw(st.lists(PRICES, min_size=n_msg, max_size=n_msg))
-    viol = draw(st.lists(moves, min_size=size, max_size=size))
-    resid = draw(st.lists(moves, min_size=n_msg, max_size=n_msg))
-    delta = draw(st.floats(1e-6, 2.0))
-    return tuple(np.array(v) for v in (lam, gam, viol, resid)) + (delta,)
-
-
-@given(update=price_updates())
-@settings(max_examples=200, deadline=None)
-def test_price_step_matches_reference(update):
-    lam, gam, viol, resid, delta = update
-    got_lam, got_gam = _price_step(lam, gam, viol, resid, delta)
-    want = price_step(DcDuals(demand_price=gam, user_price=lam), viol, resid,
-                      delta)
-    assert got_lam.tobytes() == want.user_price.tobytes()
-    assert got_gam.tobytes() == want.demand_price.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# beam restoration
-# ---------------------------------------------------------------------------
-
-def array_beam(prices, h, w_prev, c):
-    """One subcarrier's beam through `_direction` and `_stretch`, in scaled
-    units; None when no stretch of the direction reaches every user."""
-    h = np.asarray(h, dtype=complex)
-    hw = h.conj() @ w_prev
-    dvec, den = _direction(np.asarray(prices, dtype=float)[None, :],
-                           hw[None, :], h[None])
-    alpha = _stretch(np.array([c]), (np.abs(hw) ** 2)[None, :], den,
-                     np.ones((1, h.shape[0]), dtype=bool))
-    return None if alpha is None else alpha[0] * dvec[0]
-
-
-def _lin_slack(h, w_prev, w, c):
-    """Slack of the linearized per-user rate constraint; >= 0 is feasible."""
-    hw = h.conj() @ w_prev
-    hv = h.conj() @ w
-    return 2.0 * (hw.conj() * hv).real - ((2.0 ** c - 1.0) + np.abs(hw) ** 2)
-
-
-def convex_start(ch, messages):
-    """Workspace, scaled beams, assignment, rates and seeded multipliers
-    at the initial point, ready for one convexified solve."""
-    state = initial_point(ch, messages)
-    ws = _Workspace(ch, messages)
-    w_int = state.scaled_beams / math.sqrt(ws.p0)
-    tiebreak = 1e-12 * np.abs(state.scaled_beams).sum(axis=2)
-    assigned = np.argmax(state.assign_frac + tiebreak, axis=0)
-    c = state.rate / ws.bw
-    return ws, w_int, assigned, c, _init_duals(ws, w_int, assigned, c)
-
-
-def test_feasible_beam_unassigned_is_zero():
-    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B), _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (2,), 1.0 * B)]
-    ws, w_int, assigned, c, duals = convex_start(ch, messages)
-    best, _, _ = _inner(ws, w_int, assigned, c, duals)
-    off = np.ones((ws.n_msg, ws.n_sc), dtype=bool)
-    off[best["assigned"], ws.cols] = False
-    assert np.all(best["w"][off] == 0)
-
-
-def test_feasible_beam_orthogonal_linearization_point():
-    h = np.array([[1.0, 0.0]], dtype=complex)
-    w_prev = np.array([0.0, 1.0], dtype=complex)
-    # the direction vanishes: a positive rate cannot be covered, zero can
-    assert array_beam([1.0], h, w_prev, 2.0) is None
-    assert np.all(array_beam([1.0], h, w_prev, 0.0) == 0)
-
-
-def test_feasible_beam_single_user_algebra():
-    rng = np.random.default_rng(5)
-    h0 = 1.6 * (rng.normal(size=3) + 1j * rng.normal(size=3)) / np.sqrt(2)
-    h = h0[None, :]
-    c = 1.7
-    w_prev = h0 / np.linalg.norm(h0)
-    w = array_beam([1.0], h, w_prev, c)
-    # direction is the user's own channel
-    cos = abs(np.vdot(w, h0)) / (np.linalg.norm(w) * np.linalg.norm(h0))
-    assert cos == pytest.approx(1.0, abs=1e-12)
-    # and the stretch puts the single user exactly on the constraint
-    slack = _lin_slack(h, w_prev, w, c)
-    assert slack[0] == pytest.approx(0.0, abs=1e-9 * (2.0 ** c))
-
-
-def test_feasible_beam_zero_rate_still_covers_offset():
-    rng = np.random.default_rng(6)
-    h0 = (rng.normal(size=4) + 1j * rng.normal(size=4)) / np.sqrt(2)
-    h = h0[None, :]
-    w_prev = h0 / np.linalg.norm(h0)
-    w = array_beam([2.0], h, w_prev, 0.0)
-    slack = _lin_slack(h, w_prev, w, 0.0)
-    assert slack[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_feasible_beam_multiuser_feasible_with_equality_at_binding_user():
-    rng = np.random.default_rng(7)
-    a, m = 3, 5
-    h = (rng.normal(size=(a, m)) + 1j * rng.normal(size=(a, m))) / np.sqrt(2)
-    h *= np.sqrt(rng.uniform(0.5, 2.0, size=a))[:, None]
-    prices = rng.uniform(0.1, 1.0, size=a)
-    w_prev = (rng.normal(size=m) + 1j * rng.normal(size=m))
-    w_prev /= np.linalg.norm(w_prev)
-    c = 1.2
-    w = array_beam(prices, h, w_prev, c)
-    slack = _lin_slack(h, w_prev, w, c)
-    scale = np.abs(slack).max() + 2.0 ** c
-    assert np.all(slack >= -1e-9 * scale)
-    assert slack.min() == pytest.approx(0.0, abs=1e-9 * scale)
-
-
-def test_feasible_beam_unreachable_user_raises():
-    h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-    w_prev = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    # all price weight on user 2: direction misses user 1 entirely
-    assert array_beam([0.0, 1.0], h, w_prev, 1.5) is None
-
-
-COMPONENT = st.one_of(st.just(0.0), st.floats(1e-2, 2.0), st.floats(-2.0, -1e-2))
-
-
-@st.composite
-def beam_columns(draw):
-    """Subcarriers of one selection: padded audiences (zero channels and
-    prices off the mask, as the workspace stores them), prices, rates."""
-    n_sc = draw(st.integers(1, 3))
-    a_max = draw(st.integers(1, 3))
-    m = draw(st.sampled_from([1, 2, 4]))   # m * (1 / m) == 1 exactly
-    size = n_sc * a_max * m
-    re = np.array(draw(st.lists(COMPONENT, min_size=size, max_size=size)))
-    im = np.array(draw(st.lists(COMPONENT, min_size=size, max_size=size)))
-    h = (re + 1j * im).reshape(n_sc, a_max, m)
-    re = np.array(draw(st.lists(COMPONENT, min_size=m, max_size=m)))
-    im = np.array(draw(st.lists(COMPONENT, min_size=m, max_size=m)))
-    w_prev = re + 1j * im
-    counts = draw(st.lists(st.integers(1, a_max), min_size=n_sc, max_size=n_sc))
-    mask = np.arange(a_max)[None, :] < np.array(counts)[:, None]
-    prices = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 5.0)),
-                                    min_size=n_sc * a_max,
-                                    max_size=n_sc * a_max))).reshape(n_sc, a_max)
-    c = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)),
-                               min_size=n_sc, max_size=n_sc)))
-    return h * mask[:, :, None], w_prev, prices * mask, mask, c
-
-
-@given(cols=beam_columns())
-# all prices zero on subcarrier 0 (no direction), user 2 unreachable on 1
-@example(cols=(np.array([[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]],
-                        dtype=complex),
-               np.array([1.0, 0.0], dtype=complex),
-               np.array([[0.0, 0.0], [1.0, 0.0]]),
-               np.ones((2, 2), dtype=bool), np.array([1.0, 1.0])))
-@settings(max_examples=300, deadline=None)
-def test_stretch_matches_feasible_beam(cols):
-    # tolerance: einsum and matmul sum in different orders, so the beams
-    # agree to rtol 1e-8; draws where a user with something to cover has
-    # a linearized gain within 1e-4 of its scale 2|h^H w_prev||h||d| are
-    # skipped, as rounding alone sets that gain's sign
-    h, w_prev, prices, mask, c = cols
-    hw = np.einsum("nkm,m->nk", h.conj(), w_prev)
-    gsq = np.abs(hw) ** 2
-    dvec, den = _direction(prices, hw, h)
-    alpha = _stretch(c, gsq, den, mask)
-    per_col = [_stretch(c[n:n + 1], gsq[n:n + 1], den[n:n + 1], mask[n:n + 1])
-               for n in range(c.size)]
-    # one unreachable subcarrier sinks the whole selection
-    assert (alpha is None) == any(a is None for a in per_col)
-    for n, a in enumerate(per_col):
-        on = mask[n]
-        need = ((2.0 ** c[n] - 1.0) + gsq[n]) * on > 0.0
-        if not np.any(dvec[n]):
-            # no direction: the reference returns a zero beam, the array
-            # rule a zero beam only when no user needs covering
-            assert (a is None) == bool(np.any(need))
-            if a is not None:
-                assert np.all(a[0] * dvec[n] == 0)
-            continue
-        scale = (2.0 * np.abs(hw[n]) * np.linalg.norm(h[n], axis=1)
-                 * np.linalg.norm(dvec[n]))
-        assume(not np.any(need & (scale > 0) & (np.abs(den[n]) <= 1e-4 * scale)))
-        try:
-            want = feasible_beam(prices[n, on], h[n, on], 1.0, w_prev, 1, c[n],
-                                 1.0 / w_prev.size, 1.0)
-        except NoFeasibleStep:
-            want = None
-        assert (a is None) == (want is None)
-        if want is not None:
-            np.testing.assert_allclose(a[0] * dvec[n], want, rtol=1e-8,
-                                       atol=1e-12 * np.linalg.norm(want))
-
-
-# ---------------------------------------------------------------------------
-# price updates and state containers
-# ---------------------------------------------------------------------------
-
-def test_price_step_zero_residuals_unchanged():
-    lam, gam = _price_step(np.array([0.5]), np.array([1.0, 2.0]),
-                           np.array([0.0]), np.array([0.0, 0.0]), 0.1)
-    assert lam.tolist() == [0.5]
-    assert gam.tolist() == [1.0, 2.0]
-
-
-def test_price_step_projects_to_zero():
-    lam, gam = _price_step(np.array([0.0]), np.array([0.1]),
-                           np.array([-5.0]), np.array([-5.0]), 1.0)
-    assert gam[0] == 0.0
-    assert lam[0] == 0.0
-
-
-def test_price_step_hand_case():
-    lam, gam = _price_step(np.array([2.0]), np.array([1.0]),
-                           np.array([0.25]), np.array([-0.5]), 2.0)
-    assert lam[0] == pytest.approx(2.5)
-    assert gam[0] == 0.0
-
-
-def test_state_validation():
-    w = np.zeros((2, 3, 4), dtype=complex)
-    mu = np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
-    rate = np.zeros((2, 3))
-    DcState(scaled_beams=w, assign_frac=mu, rate=rate)
-    with pytest.raises(ValueError):
-        DcState(scaled_beams=w, assign_frac=0.5 * mu, rate=rate)
-    with pytest.raises(ValueError):
-        DcState(scaled_beams=w, assign_frac=mu, rate=rate - 1.0)
-    with pytest.raises(ValueError):
-        DcDuals(demand_price=np.array([-1.0]), user_price=np.array([0.0]))
-
-
-# ---------------------------------------------------------------------------
-# start point
-# ---------------------------------------------------------------------------
-
-def test_initial_point_energy_matches_quoted_solution():
-    ch = sample_channel(41, m=4, n_sc=6, k_users=2)
-    messages = [_msg((1,), (1,), 1.5 * B), _msg((1, 2), (1, 2), 2.0 * B)]
-    state = initial_point(ch, messages)
-    # the start is the allocation on the direction menu: per pair, the
-    # cheaper of the asymptotic and MRT quotes
-    menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
-                        beam_plan_mrt(ch, messages).q)
-    alloc = solve_quoted_allocation(messages, menu_q, ch.bandwidth_hz)
-    assert state.total_power_w == pytest.approx(alloc.power_sum / ch.m,
-                                                rel=1e-12)
-    np.testing.assert_array_equal(state.assign_frac.sum(axis=0),
-                                  np.ones(ch.n_sc))
-
-
-def test_initial_point_single_user_beams_are_mrt():
-    ch = sample_channel(42, m=3, n_sc=4, k_users=1)
-    messages = [_msg((1,), (1,), 2.5 * B)]
-    state = initial_point(ch, messages)
-    for n in range(ch.n_sc):
-        v = state.scaled_beams[0, n]
-        p = np.linalg.norm(v) ** 2
-        if p == 0:
-            continue
-        hn = ch.h[n, 0]
-        cos = abs(np.vdot(v, hn)) / (np.linalg.norm(v) * np.linalg.norm(hn))
-        assert cos == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# one convexified solve
-# ---------------------------------------------------------------------------
-
-def test_convex_approx_single_user_near_waterfill():
-    ch = sample_channel(45, m=3, n_sc=4, k_users=1)
-    messages = [_msg((1,), (1,), 2.0 * B)]
-    ws, w_int, assigned, c, duals = convex_start(ch, messages)
-    best, _, iters = _inner(ws, w_int, assigned, c, duals)
-    plan = beam_plan_asymptotic(ch, messages)    # single user: MRT quotes
-    ref = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-    assert best["energy"] * ws.p0 / ws.m <= (ref.power_sum / ch.m) * (1 + 1e-3)
-    np.testing.assert_array_equal(best["assigned"], np.zeros(ch.n_sc))
-    assert iters >= 1
-
-
-def test_convex_approx_fixed_point():
-    ch = sample_channel(46, m=3, n_sc=4, k_users=2)
-    messages = [_msg((1,), (1,), 1.2 * B), _msg((1, 2), (1, 2), 1.5 * B)]
-    ws, w, assigned, c, duals = convex_start(ch, messages)
-    prev = float((np.abs(w) ** 2).sum())
-    for _ in range(40):
-        best, duals, _ = _inner(ws, w, assigned, c, duals)
-        w, assigned, c = best["w"], best["assigned"], best["c"]
-        if abs(prev - best["energy"]) <= 1e-8 * prev:
-            break
-        prev = best["energy"]
-    again, _, _ = _inner(ws, w, assigned, c, duals)
-    assert again["energy"] == pytest.approx(best["energy"], rel=5e-4)
-
-
-# ---------------------------------------------------------------------------
-# full outer loop
-# ---------------------------------------------------------------------------
-
-def test_dc_solve_small_instance():
-    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (2,), 1.0 * B)]
-    alloc = dc_solve(ch, messages)
-    trace = alloc.diagnostics["e_trace"]
-    assert len(trace) >= 1
-    for a, b in zip(trace, trace[1:]):
-        assert b <= a * (1 + 1e-8)
-    assert set(np.unique(alloc.assign)) <= {0, 1}
-    assert audit_allocation(alloc, ch, messages) == []
-    assert alloc.total_power_w == pytest.approx(trace[-1], rel=1e-9)
-    assert alloc.converged
-
-
-def test_dc_solve_never_worse_than_start():
-    ch = sample_channel(48, m=4, n_sc=5, k_users=2)
-    messages = [_msg((1,), (1,), 1.0 * B), _msg((1, 2), (1, 2), 2.0 * B)]
-    start = initial_point(ch, messages)
-    alloc = dc_solve(ch, messages)
-    assert alloc.total_power_w <= start.total_power_w * (1 + 1e-9)
-
-
-def test_dc_solve_one_message_passes_end_before_the_cap():
-    # paired k-sweep point k = 2 of base seed 4, trial 6: two viewers of one
-    # cluster share one message. When a pass ran until 20 steps gained
-    # under 1e-6, the first pass hit INNER_MAX and the solve took 12,146
-    # steps for its last fraction of a per cent.
-    cfg = replace(
-        default_config(),
-        tiling=TilingConfig(u_h=8, u_v=4, fov_h_deg=100.0, fov_v_deg=100.0,
-                            margin_deg=15.0),
-        users=[UserSpec(ViewDirection(67.5, 67.5), 3),
-               UserSpec(ViewDirection(67.5, 67.5), 3),
-               UserSpec(ViewDirection(202.5, 67.5), 3),
-               UserSpec(ViewDirection(202.5, 67.5), 3),
-               UserSpec(ViewDirection(202.5, 67.5), 2)],
-        n_sc=16, m=4, base_seed=4)
-    result = run_trial(cfg, "proposed-dc", 6,
-                       user_subset=_subset_for_trial(cfg, 6, 2))
-    assert math.isfinite(result.total_power_w)
-    assert result.converged
-    assert result.iterations < INNER_MAX
-
-
-def test_dc_solve_makes_one_allocator_solve(monkeypatch):
-    # the start is the only dual solve; passes re-assign by local search
-    calls = []
-    solve = dc_solver.solve_quoted_allocation
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(dc_solver, "solve_quoted_allocation", counted)
-    cfg = default_config()
-    for t in range(4):
-        calls.clear()
-        dc = run_trial(cfg, "proposed-dc", t)
-        assert len(calls) == 1, t
-        asym = run_trial(cfg, "proposed-asymptotic", t)
-        assert dc.total_power_w <= asym.total_power_w * (1 + 1e-9), t
-
-
-def test_dc_solve_diagnostics():
-    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (2,), 1.0 * B)]
-    diag = dc_solve(ch, messages).diagnostics
-    start = diag["start_allocation"]
-    assert start["start"] == "dual"
-    assert start["dual_steps"] > 0
-    assert start["dual_evaluations"] >= start["dual_steps"]
-    assert start["duality_gap"] >= 0.0
-    assert start["local_search_passes"] == start["local_search_moves"] + 1
-    # one search per pass; accepted passes add to the trace
-    assert len(diag["pass_moves"]) >= diag["outer_iterations"] >= 1
-    assert all(moves >= 0 for moves in diag["pass_moves"])
-
-
-def test_capped_pass_search_is_not_converged(monkeypatch):
-    ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (2,), 1.0 * B)]
-    assert dc_solve(ch, messages).converged
-    search = dc_solver._local_search
-
-    def capped(assigned, qn, dn):
-        # one pass that moved: the report of a search stopped by its cap
-        return search(assigned, qn, dn)[0], 1, 1
-
-    monkeypatch.setattr(dc_solver, "_local_search", capped)
-    assert not dc_solve(ch, messages).converged
-
-
-def test_dc_solve_inf_masked_menu_without_warnings():
-    # user 2 gets nothing on subcarriers 0-2, so every message it watches
-    # quotes inf there under both plans, and the passes search over those
-    # inf quotes
-    ch = sample_channel(50, m=4, n_sc=8, k_users=3)
-    ch.h[:3, 1] = 0.0
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (2,), 1.0 * B)]
-    menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
-                        beam_plan_mrt(ch, messages).q)
-    assert np.isinf(menu_q[1:, :3]).all() and np.isfinite(menu_q[0]).all()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        alloc = dc_solve(ch, messages)
-    assert np.all(alloc.assign[1:, :3] == 0)
-    assert audit_allocation(alloc, ch, messages) == []
-
-
-def test_dc_solve_single_user_matches_asymptotic():
-    ch = sample_channel(49, m=4, n_sc=6, k_users=1)
-    messages = [_msg((1,), (1,), 3.0 * B)]
-    alloc = dc_solve(ch, messages)
-    plan = beam_plan_asymptotic(ch, messages)
-    ref = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-    ref_w = ref.power_sum / ch.m
-    assert alloc.total_power_w <= ref_w * (1 + 1e-9)
-    assert alloc.total_power_w >= ref_w * 0.98
-    assert audit_allocation(alloc, ch, messages) == []

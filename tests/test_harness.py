@@ -290,22 +290,30 @@ def test_nan_trials_kept_in_rows_skipped_in_mean():
 
 
 def test_strict_mode_drops_flagged_trials():
-    cfg = three_viewer_config(schemes=("proposed-asymptotic", "proposed-dc"))
-    loose = run_experiment(cfg)
-    strict = run_experiment(cfg, strict=True)
-
     def mean_of(text, scheme):
         row = next(l for l in text.splitlines()
                    if l.startswith(scheme) and ",mean," in l)
         return row.split(",")[5]
 
-    # the dual gap on this crowded scenario stays honest: the quoted-
-    # allocation scheme reports non-convergence on every trial, the
-    # outer-loop planner converges; strict averaging blanks the former only
-    assert mean_of(loose, "proposed-asymptotic") != "nan"
-    assert mean_of(strict, "proposed-asymptotic") == "nan"
-    assert mean_of(strict, "proposed-dc") == mean_of(loose, "proposed-dc")
-    assert mean_of(strict, "proposed-dc") != "nan"
+    # the dual gap on this crowded scenario stays honest: both schemes
+    # allocate by the dual and report non-convergence on every trial, so
+    # strict averaging blanks both
+    cfg = three_viewer_config(schemes=("proposed-asymptotic", "proposed-dc"))
+    loose = run_experiment(cfg)
+    strict = run_experiment(cfg, strict=True)
+    for scheme in cfg.schemes:
+        assert mean_of(loose, scheme) != "nan"
+        assert mean_of(strict, scheme) == "nan"
+
+    # two viewers of one viewport share one message, so the allocator
+    # enumerates every assignment, the gap is 0 and strict keeps the rows
+    small = tiny_config(schemes=("proposed-dc",),
+                        users=[UserSpec(ViewDirection(100.0, 90.0), 2),
+                               UserSpec(ViewDirection(100.0, 90.0), 2)])
+    kept = run_experiment(small, strict=True)
+    assert mean_of(kept, "proposed-dc") == mean_of(run_experiment(small),
+                                                   "proposed-dc")
+    assert mean_of(kept, "proposed-dc") != "nan"
 
     # per-trial data rows are unaffected by strictness
     keep = [l for l in loose.splitlines() if ",mean," not in l
