@@ -413,17 +413,6 @@ def _first_max(gain: np.ndarray, valid: np.ndarray):
     return i, float(flat[i])
 
 
-class _Search(tuple):
-    """A local search's (assigned, passes, moves), with the count of its
-    passes whose choice was made on exactly rescored totals as
-    `rescored`."""
-
-    def __new__(cls, assigned, passes, moves, rescored):
-        self = super().__new__(cls, (assigned, passes, moves))
-        self.rescored = rescored
-        return self
-
-
 def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
                   max_passes: int = None):
     """Best-improvement descent over the assignment.
@@ -459,14 +448,14 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     direction), a later kind only with a strictly greater gain.
     Deterministic. At most max_passes scans run (default
     PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
-    passes, moves): the improved assignment, the neighbourhood scans run
-    and the steps accepted; moves == passes > 0 means the bound stopped a
-    search that was still improving. Its `rescored` attribute counts the
-    passes whose choice was made on rescored totals.
+    passes, moves, rescored): the improved assignment, the neighbourhood
+    scans run, the steps accepted (moves == passes > 0 means the bound
+    stopped a search that was still improving) and the passes whose
+    choice was made on rescored totals.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
-        return _Search(assigned, 0, 0, 0)
+        return assigned, 0, 0, 0
     if max_passes is None:
         max_passes = PASSES_PER_SUBCARRIER * n_sc
     assigned = assigned.copy()
@@ -580,7 +569,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     if not np.isfinite(totals).all():
         # a message holds no usable column: the acceptance threshold is
         # inf, so no step can win, and the gains would be inf - inf
-        return _Search(assigned, min(1, max_passes), 0, 0)
+        return assigned, min(1, max_passes), 0, 0
     passes = moves = rescored = 0
     for _ in range(max_passes):
         passes += 1
@@ -646,7 +635,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             assigned[n] = mi
         moves += 1
         rebuild(changed)
-    return _Search(assigned, passes, moves, rescored)
+    return assigned, passes, moves, rescored
 
 
 def _gains(gamma: np.ndarray, qn: np.ndarray):
@@ -841,9 +830,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     if assigned is None:
         raise InfeasibleAllocationError("no feasible assignment found")
     if gamma is not None:
-        search = _local_search(assigned, qn, dn)
-        assigned, passes, moves = search
-        rescored = search.rescored
+        assigned, passes, moves, rescored = _local_search(assigned, qn, dn)
     capped = 0 < passes == moves
     # every start gives each message a column it can use, and no search
     # step takes the last one away, so every row's water-fill is feasible

@@ -11,7 +11,7 @@ _CRITERIA = {
     1: "partition exactness on the three-viewer overlap fixture",
     2: "beamformer identities (single-user MRT, equalization, bottleneck)",
     3: "subcarrier allocator matches the exhaustive oracle",
-    4: "DC planner: monotone energy, feasible binary solutions",
+    4: "DC planner: no dearer than its CCP start, feasible binary solutions",
     5: "scheme ordering with 95% paired confidence",
     6: "mean power non-decreasing in the user count",
     7: "mean power non-increasing in the antenna count",

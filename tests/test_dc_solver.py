@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 from tilecast import (InfeasibleAllocationError, Message, TilingConfig,
                       ViewDirection, audit_allocation, beam_plan_maxmin,
                       dc_solve, sample_channel, solve_quoted_allocation)
-from tilecast import beamforming, dc_solver
+from tilecast import beamforming, dc_solver, ofdma_alloc
 from tilecast.beamforming import (CCP_MAX_SWEEPS, CCP_TOL, _bottleneck,
                                   _ccp, _ccp_step, _price_step,
                                   beam_plan_asymptotic, beam_plan_mrt)
 from tilecast.channel import _audience
-from tilecast.dc_solver import _pick, initial_point
+from tilecast.dc_solver import initial_point
 from tilecast.harness import (UserSpec, _subset_for_trial, default_config,
                               run_trial)
 from tilecast.ofdma_alloc import GAP_TOL
@@ -423,11 +423,9 @@ def test_dc_solve_small_instance():
     ch, messages = three_user_instance()
     alloc = dc_solve(ch, messages)
     trace = alloc.diagnostics["e_trace"]
-    assert len(trace) == 2
-    assert trace[1] <= trace[0]
+    assert trace == [alloc.total_power_w]
     assert set(np.unique(alloc.assign)) <= {0, 1}
     assert audit_allocation(alloc, ch, messages) == []
-    assert alloc.total_power_w == trace[-1]
     # converged: the allocation's gap is within GAP_TOL and no search and
     # no CCP stopped at its cap
     plan = beam_plan_maxmin(ch, messages)
@@ -437,8 +435,8 @@ def test_dc_solve_small_instance():
 
 
 def test_dc_solve_never_worse_than_start():
-    # the plan ends no higher than the allocation on its start, nor than
-    # the allocation on the better of the MRT and asymptotic quotes
+    # on this instance the plan costs less than the allocation on the
+    # better of the MRT and asymptotic quotes, the CCP's start
     ch, messages = three_user_instance()
     alloc = dc_solve(ch, messages)
     menu = beamforming._better(beam_plan_mrt(ch, messages),
@@ -471,15 +469,26 @@ def test_dc_solve_one_message_passes_end_before_the_cap():
 
 
 def test_dc_solve_makes_one_allocator_solve(monkeypatch):
-    # the allocation on the plan is the only dual solve
-    calls = []
+    # the allocation on the plan is the only dual solve, and the only
+    # place a local search runs
+    calls, inside, searches = [], [], []
     solve = dc_solver.solve_quoted_allocation
+    search = ofdma_alloc._local_search
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        inside.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def seen(*args, **kwargs):
+        searches.append(bool(inside))
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(dc_solver, "solve_quoted_allocation", counted)
+    monkeypatch.setattr(ofdma_alloc, "_local_search", seen)
     cfg = default_config()
     for t in range(4):
         calls.clear()
@@ -489,8 +498,10 @@ def test_dc_solve_makes_one_allocator_solve(monkeypatch):
         assert dc.total_power_w <= asym.total_power_w * (1 + 1e-9), t
     ch, messages = three_user_instance()
     calls.clear()
+    searches.clear()
     dc_solve(ch, messages)
     assert len(calls) == 1
+    assert searches == [True]
 
 
 def test_dc_solve_diagnostics():
@@ -510,21 +521,12 @@ def test_dc_solve_diagnostics():
 
 
 def test_capped_pass_search_is_not_converged(monkeypatch):
-    # 2 messages x 6 subcarriers are enumerated, so the gap is 0 and only
-    # a cap can clear `converged`
+    # 2 messages x 6 subcarriers are enumerated, so the gap is 0, no
+    # search runs, and only the CCP's cap can clear `converged`
     ch = sample_channel(47, m=4, n_sc=6, k_users=3)
     messages = [_msg((1,), (1,), 1.5 * B),
                 _msg((1, 2, 3), (1, 2, 3), 2.0 * B)]
     assert dc_solve(ch, messages).converged
-    search = dc_solver._local_search
-
-    def capped(assigned, qn, dn):
-        # one pass that moved: the report of a search stopped by its cap
-        return search(assigned, qn, dn)[0], 1, 1
-
-    monkeypatch.setattr(dc_solver, "_local_search", capped)
-    assert not dc_solve(ch, messages).converged
-    monkeypatch.undo()
     monkeypatch.setattr(beamforming, "CCP_MAX_SWEEPS", 1)
     assert beam_plan_maxmin(ch, messages).capped
     assert not dc_solve(ch, messages).converged
@@ -533,7 +535,7 @@ def test_capped_pass_search_is_not_converged(monkeypatch):
 def test_dc_solve_inf_masked_menu_without_warnings():
     # user 2 gets nothing on subcarriers 0-2, so every message it watches
     # quotes inf there, the three-user CCP skips those pairs, and the
-    # allocation and the re-assigning search run over inf quotes
+    # allocation runs over inf quotes
     ch = sample_channel(50, m=4, n_sc=8, k_users=3)
     ch.h[:3, 1] = 0.0
     messages = [_msg((1,), (1,), 1.5 * B),
@@ -560,86 +562,3 @@ def test_dc_solve_single_user_matches_asymptotic():
     assert alloc.total_power_w <= ref_w * (1 + 1e-9)
     assert alloc.total_power_w >= ref_w * 0.98
     assert audit_allocation(alloc, ch, messages) == []
-
-
-# ---------------------------------------------------------------------------
-# column pick
-# ---------------------------------------------------------------------------
-
-def pick_assignment(scores) -> tuple:
-    """Argmax with lexicographic ties; returns (index, unique flag)."""
-    scores = np.asarray(scores, dtype=float)
-    if not np.any(scores > -math.inf):
-        raise ValueError("no assignable message on this subcarrier")
-    idx = int(np.argmax(scores))
-    top = scores[idx]
-    rest = np.delete(scores, idx)
-    unique = True
-    if rest.size:
-        unique = bool(top - rest.max() > 1e-12 * (abs(top) + 1.0))
-    return idx, unique
-
-
-def pick_column(scores, incumbent=0):
-    assigned, unique = _pick(np.asarray(scores, dtype=float)[:, None],
-                             np.array([incumbent]))
-    return int(assigned[0]), unique
-
-
-def test_pick_unique_max():
-    assert pick_column([1.0, 3.0, 2.0]) == (1, True)
-
-
-def test_pick_tie_prefers_smaller_id():
-    idx, unique = pick_column([5.0, 5.0, 1.0])
-    assert idx == 0
-    assert not unique
-
-
-def test_pick_all_blocked():
-    # no message can take the column: it keeps its incumbent
-    assert pick_column([-math.inf, -math.inf], incumbent=1) == (1, True)
-
-
-def test_pick_matches_independent_scan():
-    rng = np.random.default_rng(3)
-    scores = rng.normal(size=(5, 100))
-    assigned, unique = _pick(scores, np.zeros(100, dtype=int))
-    np.testing.assert_array_equal(assigned, np.argmax(scores, axis=0))
-    assert unique
-
-
-SCORES = st.one_of(st.just(-math.inf), st.sampled_from([0.0, 1.0, 2.5]),
-                   st.floats(-1e3, 1e3))
-
-
-@st.composite
-def score_grids(draw):
-    n_msg = draw(st.integers(1, 4))
-    n_sc = draw(st.integers(1, 6))
-    scores = np.array(draw(st.lists(SCORES, min_size=n_msg * n_sc,
-                                    max_size=n_msg * n_sc)))
-    incumbent = np.array(draw(st.lists(st.integers(0, n_msg - 1),
-                                       min_size=n_sc, max_size=n_sc)))
-    return scores.reshape(n_msg, n_sc), incumbent
-
-
-@given(grid=score_grids())
-# column 1 is blocked for every message; column 0 ties
-@example(grid=(np.array([[2.0, -math.inf], [2.0, -math.inf]]), np.array([0, 1])))
-# a gap of 1e-10 is no tie: the flag's threshold is 1e-12 relative
-@example(grid=(np.array([[1.0], [1.0 + 1e-10]]), np.array([0])))
-@settings(max_examples=300, deadline=None)
-def test_pick_matches_pick_assignment(grid):
-    scores, incumbent = grid
-    assigned, unique = _pick(scores, incumbent)
-    flags = []
-    for n in range(scores.shape[1]):
-        try:
-            idx, flag = pick_assignment(scores[:, n])
-        except ValueError:
-            assert assigned[n] == incumbent[n]   # all blocked: incumbent stays
-            continue
-        assert assigned[n] == idx
-        flags.append(flag)
-    assert unique == all(flags)

@@ -486,10 +486,10 @@ def near_twin_instance():
 @settings(max_examples=300, deadline=None)
 def test_local_search_matches_scalar_scan(inst):
     assigned, qn, dn = inst
-    got = _local_search(assigned.copy(), qn, dn)
+    got, passes, moves, _ = _local_search(assigned.copy(), qn, dn)
     want = local_search_reference(assigned.copy(), qn, dn)
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+    assert np.array_equal(got, want[0])
+    assert (passes, moves) == want[1:]
 
 
 @st.composite
@@ -634,11 +634,12 @@ def test_flip_closed_form_within_its_bound(inst):
 def test_local_search_counts_passes_and_moves():
     # message 1 starts on a column it quotes at 100; one swap fixes both
     qn = np.array([[1.0, 1.0, 100.0], [100.0, 100.0, 1.0]])
-    assigned, passes, moves = _local_search(np.array([0, 1, 0]), qn,
-                                            np.array([1.0, 1.0]))
+    assigned, passes, moves, _ = _local_search(np.array([0, 1, 0]), qn,
+                                               np.array([1.0, 1.0]))
     assert assigned.tolist() == [0, 0, 1]
     assert (passes, moves) == (2, 1)
-    assert _local_search(np.zeros(3, dtype=int), qn[:1], np.ones(1))[1:] == (0, 0)
+    assert _local_search(np.zeros(3, dtype=int), qn[:1],
+                         np.ones(1))[1:] == (0, 0, 0)
 
 
 def test_inf_masked_instance_plans_without_warnings():
@@ -652,7 +653,7 @@ def test_inf_masked_instance_plans_without_warnings():
     dn = np.array([1.7, 0.85, 0.98])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assigned, passes, moves = _local_search(
+        assigned, passes, moves, _ = _local_search(
             np.array([0, 0, 0, 2, 1, 1]), qn, dn)
         alloc = solve_quoted_allocation(dn, qn, 1.0)
     # the assignments and counts the search gave when it still warned
@@ -668,12 +669,12 @@ def test_local_search_runs_to_a_local_optimum_past_sixty_moves():
     dn = np.array([0.5, 30.0])
     start = np.zeros(70, dtype=int)
     start[0] = 1
-    assigned, passes, moves = _local_search(start, qn, dn)
+    assigned, passes, moves, _ = _local_search(start, qn, dn)
     assert moves > 60 and passes == moves + 1
     # no move improves on the result
     assert local_search_reference(assigned, qn, dn)[1:] == (1, 0)
     # a bound below the moves needed stops the search while it improves
-    assert _local_search(start, qn, dn, max_passes=60)[1:] == (60, 60)
+    assert _local_search(start, qn, dn, max_passes=60)[1:3] == (60, 60)
 
 
 def test_solver_reports_search_counts():

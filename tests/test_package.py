@@ -1,8 +1,16 @@
-"""The package's export list."""
+"""The package's export list, and the names the benchmark's tracer looks
+up in it."""
 
+import importlib.util
+import pathlib
 import types
+from dataclasses import replace
 
 import tilecast
+from tilecast import SCHEMES, harness
+from tilecast.harness import default_config
+
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def test_all_matches_public_names():
@@ -16,3 +24,22 @@ def test_all_matches_public_names():
               and not isinstance(value, types.ModuleType)}
     assert set(tilecast.__all__) == public | {"__version__"}
     assert len(tilecast.__all__) == len(set(tilecast.__all__))
+
+
+def test_perfbench_tracer_finds_every_name():
+    # perfbench/tracing.py wraps pipeline functions by module attribute
+    # and reads diagnostics keys of their results: a renamed or dropped
+    # name fails here, and not only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = replace(default_config(), n_sc=16)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, tracing.tilecast_targets()):
+        for scheme in SCHEMES:
+            harness.run_trial(cfg, scheme, 0)
+    assert not any(s.raised for s in tracer.spans)
+    assert {s.name for s in tracer.spans} >= {"dc_solve", "initial_point",
+                                               "solve_quoted_allocation"}
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert list(metrics) == list(tracing.LAYER_METRICS)
