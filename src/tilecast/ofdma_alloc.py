@@ -19,11 +19,12 @@ floor level is solved to DUAL_TOL, the others to the looser LEVEL_TOL.
 The line search shrinks a step on the smoothed value alone, to the peak
 of the quadratic through the value, the slope and the rejected trial;
 the gradient and Hessian are computed once per accepted step, from that
-value's intermediates. The exact dual at the final multipliers is the
-reported bound; the gap between it and the plan is mostly the problem's
-integrality gap, which no dual method closes, so `converged` (gap within
-GAP_TOL) is honest. A plan whose water level would pass the water-fill's
-2^1000 cap is refused as infeasible.
+value's intermediates, and the pair gains once per point: a level starts
+from the last accepted point's. The exact dual at the final multipliers
+is the reported bound; the gap between it and the plan is mostly the
+problem's integrality gap, which no dual method closes, so `converged`
+(gap within GAP_TOL) is honest. A plan whose water level would pass the
+water-fill's 2^1000 cap is refused as infeasible.
 
 The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (by a direct steal, or else by an
@@ -39,16 +40,17 @@ wide rather than n_sc, and water-filled in one batch, with its power
 summed in column positions so the totals equal `_set_totals` bit for
 bit. Moves alone (n_sc > 16) read the flip table in closed form where a
 row's quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a
-bound on its rounding error; other rows are exact as above. Each pass
-takes a move only when the bounds certify it as the exact tables' first
-maximum above the acceptance threshold, and otherwise rescores the
-near-tied moves exactly and decides on those, so the search takes the
-same steps as on exact tables. It runs to a local optimum; its pass
-bound is a safety cap whose hit is reported. `_waterfill_rows` is the
-one implementation of the water-fill rule: `_waterfill_sets` applies it
-to any batch of column sets (the enumeration, the final fill, the
-search's rescoring and the DC planner's polish), and `_table_rows` to
-the search's table rows.
+bound on its rounding error, from per-column data padded once per solve;
+other rows are exact as above. Each pass takes a move only when the
+bounds certify it as the exact tables' first maximum above the
+acceptance threshold, and otherwise rescores exactly the own sets and
+the flip rows the near-tied moves read, each |set| + 1 quotes wide, and
+decides on those, so the search takes the same steps as on exact
+tables. It runs to a local optimum; its pass bound is a safety cap
+whose hit is reported. `_waterfill_rows` is the one implementation of
+the water-fill rule: `_waterfill_sets` applies it to any batch of
+column sets (the enumeration and the final fill), and `_table_rows` to
+the search's table rows and its rescoring.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -154,6 +156,16 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
     power = np.where(on, np.maximum(0.0, level[:, None] - q_sorted), 0.0)
     rate = np.where(on, log2w[:, None] - logs, 0.0)
     return power, rate
+
+
+def _median(values: np.ndarray) -> float:
+    """The median of a non-empty 1-d array, bit for bit as `np.median`
+    gives it, from one sort: the middle entry, or the mean of the two
+    middle ones. `np.median` imports numpy.ma on its first call in a
+    process, which costs more than a plan."""
+    s = np.sort(values)
+    h = s.size // 2
+    return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
 
 def _assignment_ties(gain: np.ndarray) -> bool:
@@ -338,10 +350,26 @@ def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     return which, drop, add, np.where(ok, full.sum(axis=1), math.inf)
 
 
-def _flip_closed_form(qn: np.ndarray, logq: np.ndarray, dn: np.ndarray,
+def _flip_columns(qn: np.ndarray) -> np.ndarray:
+    """The per-column data `_flip_closed_form` reads, padded once per
+    solve: for each message, log2 q, |log2 q|, q and the join flag (1 where
+    q is usable) at column 0, its own set, where all are zero, and at
+    columns 1 + n, where all are zero for an unusable q. Shape
+    (n_msg, 4, n_sc + 1)."""
+    usable = np.isfinite(qn)
+    out = np.zeros((qn.shape[0], 4, qn.shape[1] + 1))
+    out[:, 0, 1:] = np.where(usable, np.log2(qn), 0.0)
+    out[:, 1, 1:] = np.abs(out[:, 0, 1:])
+    out[:, 2, 1:] = np.where(usable, qn, 0.0)
+    out[:, 3, 1:] = usable
+    return out
+
+
+def _flip_closed_form(columns: np.ndarray, dn: np.ndarray,
                       assigned: np.ndarray, changed: np.ndarray):
     """Closed-form water-fill totals of each changed message's own set S
-    (column 0) and of its flips S XOR {n} (column 1 + n).
+    (column 0) and of its flips S XOR {n} (column 1 + n), from the
+    `_flip_columns` of the quotes.
 
     When every quote of a set lies below its water level 2^x, with
     x = (d + L) / k over its k finite quotes, L their sum of log2 and Q
@@ -363,35 +391,29 @@ def _flip_closed_form(qn: np.ndarray, logq: np.ndarray, dn: np.ndarray,
     level above the largest quote by a margin of 4 dx + 1e-9 in log2
     makes `_waterfill_rows` take every quote active as well.
     """
-    n_sc = qn.shape[1]
-    k = changed.size
-    msg = np.arange(k)
-    usable = np.isfinite(qn[changed])
-    member = (assigned == changed[:, None]) & usable
-    # a member leaves (step -1), a usable non-member joins (+1), and an
-    # unusable column changes nothing; column 0, S itself, has step 0
-    q, lg, step = np.zeros((3, k, n_sc + 1))
-    np.copyto(q[:, 1:], qn[changed], where=usable)
-    np.copyto(lg[:, 1:], logq[changed], where=usable)
-    step[:, 1:] = usable - 2.0 * member
-    on = step < 0
-    log_sum, abs_log_sum, q_sum = (np.stack([lg, np.abs(lg), q]) * on).sum(2)
+    n_sc = assigned.size
+    data = columns[changed]
+    lg, abs_lg, q, join = data.transpose(1, 0, 2)
+    # the members of S; a member leaves (step -1), a usable non-member
+    # joins (+1), and an unusable column changes nothing
+    on = np.zeros(join.shape, dtype=bool)
+    on[:, 1:] = assigned == changed[:, None]
+    on &= join > 0
+    step = join - 2.0 * on
+    log_sum, abs_log_sum, q_sum = (data[:, :3] * on[:, None]).sum(2).T
     count = on.sum(axis=1)[:, None] + step
     # the largest quote: S's largest, or its second where the flip drops
     # the largest, or the joining one
-    big = np.where(on, q, 0.0)
-    top = big.argmax(axis=1)
-    q1 = big[msg, top]
-    big[msg, top] = 0.0
-    qmax = np.maximum(q1[:, None], q)
-    qmax[msg, top] = np.where(on[msg, top], big.max(axis=1), q1)
+    top2 = np.partition(np.where(on, q, 0.0), -2, axis=1)
+    q2, q1 = top2[:, -2:-1], top2[:, -1:]
+    qmax = np.where(on & (q == q1), q2, np.maximum(q1, q))
 
     d = dn[changed][:, None]
     per = np.maximum(count, 1.0)
     x = (d + log_sum[:, None] + step * lg) / per
-    level = np.exp2(np.clip(x, -1000.0, 1000.0))
+    level = np.exp2(np.minimum(np.maximum(x, -1000.0), 1000.0))
     total = count * level - (q_sum[:, None] + step * q)
-    dx = EPS * ((n_sc + 10) * (abs_log_sum[:, None] + np.abs(lg) + d) / per
+    dx = EPS * ((n_sc + 10) * (abs_log_sum[:, None] + abs_lg + d) / per
                 + 2.0 * np.abs(x))
     err = (2.0 * (count * level + q_sum[:, None] + q)
            * (LN2 * dx + EPS * (n_sc + 8)))
@@ -434,14 +456,19 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     With swaps every entry is exact (`_table_rows`). Without them, an
     own or flip total comes from `_flip_closed_form`, with an error
     bound, wherever all its quotes are active, and from `_table_rows`
-    elsewhere. A move's gain is then known to within the sum of its four
-    entries' bounds (plus the gain formula's rounding), and the threshold
-    to within its own totals' bounds. When exactly one move can reach the
-    best lower bound, and that bound clears the threshold, the move is
+    elsewhere; a rebuild gathers each changed message's column data once
+    from `_flip_columns`, padded per solve. A move's gain is then known to
+    within the sum of its four entries' bounds (plus the gain formula's
+    rounding), and the threshold to within its own totals' bounds. Each
+    entry's tolerance is kept beside the table and recomputed only for
+    the rows a step or a rescoring changes; the owners' column counts
+    are updated with each step. When exactly one move can reach the best
+    lower bound, and that bound clears the threshold, the move is
     certified; when no move can reach the threshold, the search ends.
     Otherwise the closed-form entries of the own sets and of the moves
-    that can still win are rescored exactly (`_set_totals`, bit-identical
-    to `_table_rows`), and those moves' exact gains decide as below.
+    that can still win are rescored exactly, as `_table_rows` rows only
+    |set| + 1 quotes wide (bit-identical to `_set_totals`), and those
+    moves' exact gains decide as below.
 
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
@@ -466,20 +493,49 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     perm = np.argsort(qn, axis=1, kind="stable")
     do_swaps = n_sc <= 16
     do_cycles = n_sc <= 12 and n_msg >= 3
-    totals = np.empty(n_msg)
-    flip = np.empty((n_msg, n_sc))
-    # bounds on each entry's distance from its exact value: zero but for
-    # the closed-form entries of the move-only search
-    totals_err = np.zeros(n_msg)
-    flip_err = np.zeros((n_msg, n_sc))
+    # each message's own total (column 0) and flip totals (column 1 + n),
+    # with bounds on each entry's distance from its exact value: zero but
+    # for the closed-form entries of the move-only search
+    table = np.empty((n_msg, n_sc + 1))
+    table_err = np.zeros((n_msg, n_sc + 1))
+    totals, flip = table[:, 0], table[:, 1:]
+    totals_err = table_err[:, 0]
+    # moves only, in scan order (n, b): the tolerance of the two entries of
+    # b's row that a move of column n to or from b reads, F[b, n] and T[b]
+    cost_tol = np.zeros((n_sc, n_msg))
+    held = np.bincount(assigned, minlength=n_msg)
+    # the messages each column can move to: usable, and not its owner
+    other = usable.T.copy()
+    other[cols, assigned] = False
     if do_swaps:
         exch = np.full((n_msg, n_sc, n_sc), math.nan)
     else:
-        logq = np.log2(qn)
+        columns = _flip_columns(qn)
     if do_cycles:
         n1, n2, n3 = np.array(list(itertools.combinations(range(n_sc), 3))).T
         # the column each owner takes, in either direction round the triple
         rotations = ((n3, n1, n2), (n2, n3, n1))
+
+    def make_exact(rows, pick):
+        # the table entries `pick` flags for messages `rows`, exact from
+        # `_table_rows`, which lays out the own sets first, then the flips
+        exact = _table_rows(qn, dn, perm, assigned, rows, False,
+                            np.append(pick[:, 0], pick[:, 1:]))[3]
+        n_own = int(np.count_nonzero(pick[:, 0]))
+        block = table[rows]
+        block[pick[:, 0], 0] = exact[:n_own]
+        block[:, 1:][pick[:, 1:]] = exact[n_own:]
+        table[rows] = block
+        table_err[rows] = np.where(pick, 0.0, table_err[rows])
+
+    def retol(rows):
+        # each entry's bound plus the rounding of the gain formula on it
+        t = table[rows]
+        tol = table_err[rows] + 4.0 * EPS * np.abs(t)
+        # an inf entry is only read by moves whose gain is not finite,
+        # which no tolerance can make valid
+        tol[t == math.inf] = 0.0
+        cost_tol[:, rows] = (tol[:, 1:] + tol[:, :1]).T
 
     def rebuild(changed):
         # each changed message's own set, its flip rows and (with swaps)
@@ -494,39 +550,28 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             totals[changed] = row_total[:k]
             flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
         else:
-            total, err, closed = _flip_closed_form(qn, logq, dn, assigned,
+            total, err, closed = _flip_closed_form(columns, dn, assigned,
                                                    changed)
+            table[changed], table_err[changed] = total, err
             if not closed.all():
-                # `_table_rows` lays out the own sets first, then the flips
-                bad = ~closed
-                exact = _table_rows(qn, dn, perm, assigned, changed, False,
-                                    np.append(bad[:, 0], bad[:, 1:]))[3]
-                own_bad = int(bad[:, 0].sum())
-                total[bad[:, 0], 0] = exact[:own_bad]
-                total[:, 1:][bad[:, 1:]] = exact[own_bad:]
-                err[bad] = 0.0
-            totals[changed], flip[changed] = total[:, 0], total[:, 1:]
-            totals_err[changed], flip_err[changed] = err[:, 0], err[:, 1:]
+                make_exact(changed, ~closed)
+            retol(changed)
 
     def rescore(near):
-        # exact totals, as `_table_rows` gives them, of every closed-form
-        # own set (for the threshold) and of the closed-form flip entries
-        # the near-tied moves read; True when there were any
+        # exact totals of every closed-form own set (for the threshold) and
+        # of the closed-form flip entries the near-tied moves read; True
+        # when there were any
         n, b = np.nonzero(near)
-        key = np.unique(np.concatenate([assigned[n], b]) * n_sc
-                        + np.concatenate([n, n]))
-        fm, fn = np.divmod(key, n_sc)
-        pick = flip_err[fm, fn] > 0
-        fm, fn = fm[pick], fn[pick]
-        om = np.flatnonzero(totals_err > 0)
-        if om.size + fm.size == 0:
+        pick = np.zeros((n_msg, n_sc + 1), dtype=bool)
+        pick[:, 0] = True
+        pick[assigned[n], n + 1] = True
+        pick[b, n + 1] = True
+        pick &= table_err > 0
+        rows = np.flatnonzero(pick.any(axis=1))
+        if rows.size == 0:
             return False
-        sets = np.concatenate([assigned == om[:, None],
-                               (assigned == fm[:, None])
-                               ^ (cols == fn[:, None])])
-        exact = _set_totals(qn, dn, perm, np.concatenate([om, fm]), sets)
-        totals[om], totals_err[om] = exact[:om.size], 0.0
-        flip[fm, fn], flip_err[fm, fn] = exact[om.size:], 0.0
+        make_exact(rows, pick[rows])
+        retol(rows)
         return True
 
     def move_gains():
@@ -540,23 +585,24 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         # bounds and the rounding of the gain formula), the threshold
         # within slack of its own
         nonlocal rescored
-        ok = valid & np.isfinite(gain)
-        own = totals_err + 4.0 * EPS * np.abs(totals)
-        per_flip = flip_err + 4.0 * EPS * np.abs(flip)
-        tol = np.where(ok, (own[assigned] + per_flip[assigned, cols])[:, None]
-                       + (per_flip + own[:, None]).T, 0.0)
-        lo = np.where(ok, gain - tol, -math.inf)
-        hi = np.where(ok, gain + tol, -math.inf)
+        tol = cost_tol[cols, assigned][:, None] + cost_tol
+        gain_valid = np.where(valid, gain, -math.inf)
+        lo, hi = gain_valid - tol, gain_valid + tol
         err_sum = float(totals_err.sum())
         slack = (1e-12 * (err_sum + 2 * n_msg * EPS * sum(totals.tolist()))
                  if err_sum > 0 else 0.0)
-        # the moves that can still be the exact first maximum
-        best_lo = lo.max()
-        near = (hi >= best_lo) & (hi > thresh - slack)
-        if near.sum() == 1 and best_lo > thresh + slack:
-            return int(np.argmax(near))
-        if not near.any():
-            return None
+        # the moves that can still be the exact first maximum; the first
+        # maximum of lo is one of them
+        i = int(lo.argmax())
+        best_lo = lo.flat[i]
+        near = hi >= best_lo
+        if best_lo > thresh + slack:
+            if np.count_nonzero(near) == 1:
+                return i
+        else:
+            near &= hi > thresh - slack
+            if not near.any():
+                return None
         # near-tied, or too close to the threshold: decide on exact values
         if rescore(near):
             rescored += 1
@@ -574,13 +620,10 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     for _ in range(max_passes):
         passes += 1
         thresh = 1e-12 * sum(totals.tolist())
-        held = np.bincount(assigned, minlength=n_msg)
-        own_total = totals[assigned]
         best_gain, best = thresh, None
 
         gain = move_gains()
-        valid = ((held[assigned] > 1)[:, None]
-                 & (assigned[:, None] != msgs[None, :]) & usable.T)
+        valid = (held[assigned] > 1)[:, None] & other
         if do_swaps:
             i, g = _first_max(gain, valid)
             if g > best_gain:
@@ -594,6 +637,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
 
         if do_swaps:
             # a gives n1 to b and takes n2 from it, scanned n1 < n2
+            own_total = totals[assigned]
             gain = (((own_total[:, None]
                       - exch[assigned[:, None], cols[:, None], cols[None, :]])
                      + own_total[None, :])
@@ -629,10 +673,14 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
 
         if best is None:
             break
-        changed = np.unique([assigned[n] for n, _ in best]
-                            + [mi for _, mi in best])
+        changed = np.array(sorted({int(assigned[n]) for n, _ in best}
+                                  | {int(mi) for _, mi in best}))
         for n, mi in best:
+            held[assigned[n]] -= 1
+            held[mi] += 1
             assigned[n] = mi
+            other[n] = usable[:, n]
+            other[n, mi] = False
         moves += 1
         rebuild(changed)
     return assigned, passes, moves, rescored
@@ -652,13 +700,13 @@ def _gains(gamma: np.ndarray, qn: np.ndarray):
     return gain, rate, active
 
 
-def _dual_value(u: np.ndarray, qn: np.ndarray, dn: np.ndarray, tau: float):
+def _dual_value(gamma: np.ndarray, gains, dn: np.ndarray, tau: float):
     """The dual with each subcarrier's max over messages replaced by a
-    log-sum-exp at temperature tau, at gamma = exp(u). Returns (value,
-    parts), parts being what `_dual_derivatives` needs. The value is at
-    most n_sc*tau*ln(n_msg) below the exact dual."""
-    gamma = np.exp(u)
-    gain, rate, active = _gains(gamma, qn)
+    log-sum-exp at temperature tau, at multipliers gamma whose `_gains`
+    are gains. Returns (value, parts), parts being what
+    `_dual_derivatives` needs. The value is at most n_sc*tau*ln(n_msg)
+    below the exact dual."""
+    gain, rate, active = gains
     top = gain.max(axis=0)
     e = np.exp((gain - top) / tau)
     z = e.sum(axis=0)
@@ -696,9 +744,11 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     enough: to the peak of the quadratic through the value, the slope and
     the rejected trial's value, kept within [0.1, 0.5] of the step (a
     halving when the trial is not finite). A trial step costs one value,
-    and the derivatives are taken once per accepted step. Returns (gamma,
-    steps, evaluations, tau): the final multipliers, the steps taken, the
-    smoothed-dual values computed and the floor temperature. Raises
+    and the derivatives are taken once per accepted step; a level starts
+    from the gains of the last accepted point. Returns (gamma, gain, steps,
+    evaluations, tau): the final multipliers, their `_gains` gain, the
+    steps taken, the smoothed-dual values computed and the floor
+    temperature. Raises
     InfeasibleAllocationError when the smoothed value, its gradient or
     its Hessian is not finite, as when the demands need multipliers past
     floating point; the overflows on the way there are not warned about.
@@ -706,12 +756,14 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     n_msg, n_sc = qn.shape
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
     u = np.log(LN2 * qmin) + LN2 * np.minimum(dn * n_msg / n_sc, 500.0)
-    scale = float(_gains(np.exp(u), qn)[0].max(axis=0).mean())
+    gamma = np.exp(u)
+    gains = _gains(gamma, qn)
+    scale = float(gains[0].max(axis=0).mean())
     steps = evaluations = 0
     for rel in TEMPERATURES:
         tau = rel * scale
         tol = DUAL_TOL if rel == TEMPERATURES[-1] else LEVEL_TOL
-        value, parts = _dual_value(u, qn, dn, tau)
+        value, parts = _dual_value(gamma, gains, dn, tau)
         evaluations += 1
         while steps < MAX_DUAL_STEPS:
             grad, hess = _dual_derivatives(dn, tau, parts)
@@ -737,7 +789,10 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
             slope = float(grad @ step)
             steps += 1
             for _ in range(40):
-                trial, trial_parts = _dual_value(u + step, qn, dn, tau)
+                trial_gamma = np.exp(u + step)
+                trial_gains = _gains(trial_gamma, qn)
+                trial, trial_parts = _dual_value(trial_gamma, trial_gains,
+                                                 dn, tau)
                 evaluations += 1
                 if trial >= value + 1e-4 * slope:
                     break
@@ -751,8 +806,9 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
             else:
                 break                               # no rise left to find
             u = u + step
+            gamma, gains = trial_gamma, trial_gains
             value, parts = trial, trial_parts
-    return np.exp(u), steps, evaluations, tau
+    return gamma, gains[0], steps, evaluations, tau
 
 
 def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
@@ -808,7 +864,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
 
     # internal units: quotes in multiples of a reference quote, rates in
     # multiples of B; keeps multipliers O(1) regardless of physical scales
-    q_ref = float(np.median(quotes[np.isfinite(quotes)]))
+    q_ref = _median(quotes[np.isfinite(quotes)])
     qn = quotes / q_ref
     dn = demands / bandwidth
     msgs = np.arange(n_msg)
@@ -820,8 +876,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
         assigned, unique = _enumerate(qn, dn, perm)
         start = "enumerated"
     else:
-        gamma, steps, evaluations, tau = _dual_solve(qn, dn)
-        gain = _gains(gamma, qn)[0]
+        gamma, gain, steps, evaluations, tau = _dual_solve(qn, dn)
         # the exact dual at any gamma >= 0 bounds the optimum from below
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)

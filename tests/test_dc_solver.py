@@ -191,7 +191,7 @@ def scaled(h, w):
     return w / np.sqrt((np.abs(h.conj() @ w) ** 2).min())
 
 
-def test_feasible_beam_unassigned_is_zero():
+def test_plan_powers_only_assigned_pairs_on_unit_beams():
     # the plan spends power only where it assigns, and every subcarrier
     # carries the unit beam of the message it is assigned to
     ch, messages = three_user_instance()
@@ -201,7 +201,7 @@ def test_feasible_beam_unassigned_is_zero():
                                rtol=0.0, atol=1e-12)
 
 
-def test_feasible_beam_orthogonal_linearization_point():
+def test_ccp_leaves_a_start_that_misses_a_user():
     # a start that misses a user cannot be scaled to gain 1: the CCP
     # leaves that pair alone, and runs the other as usual
     rng = np.random.default_rng(8)
@@ -216,7 +216,7 @@ def test_feasible_beam_orthogonal_linearization_point():
             > _bottleneck(ht[1:], np.ones((1, 3), dtype=bool), w[1:])[0])
 
 
-def test_feasible_beam_single_user_algebra():
+def test_ccp_step_single_user_along_its_channel():
     rng = np.random.default_rng(5)
     h = 1.6 * crandn(rng, 1, 3)
     x = scaled(h, crandn(rng, 3))
@@ -228,7 +228,7 @@ def test_feasible_beam_single_user_algebra():
     assert lin_slack(h, x, v)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_feasible_beam_zero_rate_still_covers_offset():
+def test_ccp_step_slack_user_still_covers_its_offset():
     # user 1 is slack at the step (price 0), yet its constraint, which
     # carries the offset |g|^2 = 4 of its gain at x, still holds
     h = np.array([[1.0, 0.0], [2.0, 0.2]], dtype=complex)
@@ -240,7 +240,7 @@ def test_feasible_beam_zero_rate_still_covers_offset():
     assert np.all(np.abs(h.conj() @ v) ** 2 >= 1.0 - 1e-12)
 
 
-def test_feasible_beam_multiuser_feasible_with_equality_at_binding_user():
+def test_ccp_step_meets_every_constraint_binding_one():
     rng = np.random.default_rng(7)
     a, m = 3, 5
     h = crandn(rng, a, m) * np.sqrt(rng.uniform(0.5, 2.0, size=a))[:, None]
@@ -255,7 +255,7 @@ def test_feasible_beam_multiuser_feasible_with_equality_at_binding_user():
     assert np.linalg.norm(v) <= np.linalg.norm(x) * (1 + 1e-12)
 
 
-def test_feasible_beam_unreachable_user_raises():
+def test_plan_with_an_unreachable_user_raises():
     # user 3 gets nothing on any subcarrier: the three-user message quotes
     # inf everywhere, keeps a unit beam, and no plan can serve it
     ch, messages = three_user_instance()
@@ -316,7 +316,7 @@ def step_pairs(draw):
 @example(pairs=(np.array([[[1.0], [0.5j], [-2.0]]], dtype=complex),
                 np.ones((1, 3), dtype=bool), np.array([[1.0]], dtype=complex)))
 @settings(max_examples=300, deadline=None)
-def test_stretch_matches_feasible_beam(pairs):
+def test_ccp_step_matches_scalar_reference(pairs):
     # each start is stretched so its weakest user has gain 1, then one
     # batched step is compared with the scalar reference pair by pair.
     # tolerance: the two solve different systems, so beams agree to
@@ -341,7 +341,7 @@ def test_stretch_matches_feasible_beam(pairs):
 # the whole procedure
 # ---------------------------------------------------------------------------
 
-def test_convex_approx_single_user_near_waterfill():
+def test_ccp_single_user_reaches_mrt_in_one_sweep():
     # one sweep takes a single user to its MRT gain from any start, and a
     # single-user plan is the water-fill of the MRT quotes
     rng = np.random.default_rng(45)
@@ -360,7 +360,7 @@ def test_convex_approx_single_user_near_waterfill():
     assert dc_solve(ch, messages).power_sum == ref.power_sum
 
 
-def test_convex_approx_fixed_point():
+def test_ccp_ends_at_a_fixed_point():
     # run to its end, the CCP sits at a fixed point: one more sweep
     # raises no pair's bottleneck gain by CCP_TOL
     ch, messages = three_user_instance()

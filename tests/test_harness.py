@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tilecast
 from tilecast import (CSV_HEADER, SCHEMES, QualityLadder, ScenarioConfig,
                       TilingConfig, ViewDirection, config_from_dict,
                       config_to_dict, default_config, run_experiment,
@@ -187,6 +191,22 @@ def test_run_trial_all_schemes_feasible_on_small_scenario():
         r = run_trial(cfg, scheme, 1)
         assert math.isfinite(r.total_power_w), scheme
         assert r.total_power_w > 0
+
+
+def test_run_trial_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call, a cost the first timed
+    # plan of a process would pay; a fresh interpreter shows the import
+    code = ("import sys\n"
+            "from tilecast import SCHEMES, default_config, run_trial\n"
+            "for scheme in SCHEMES:\n"
+            "    run_trial(default_config(), scheme, 0)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    # the child imports the same tilecast as this process
+    src = os.path.dirname(os.path.dirname(tilecast.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_run_trial_subset_restricts_population():

@@ -19,9 +19,9 @@ from tilecast import ofdma_alloc
 from tilecast.ofdma_alloc import (ENUMERATE_MAX, GAP_TOL, LN2,
                                   PASSES_PER_SUBCARRIER, TEMPERATURES,
                                   _bisect_waterfill, _demands, _gains,
-                                  _flip_closed_form, _local_search,
-                                  _repair_starvation, _set_totals,
-                                  _table_rows, _waterfill_sets)
+                                  _flip_closed_form, _flip_columns,
+                                  _local_search, _median, _repair_starvation,
+                                  _set_totals, _table_rows, _waterfill_sets)
 
 B = 39e3
 
@@ -471,12 +471,35 @@ def near_twin_instance():
     return np.arange(17) % 3, qn, dn
 
 
+def headline_instance(seed, twins=False, masked=False):
+    """10 messages x 64 subcarriers at high SNR, as on the headline
+    scenario, with twin messages 0 and 1 or 30 % inf quotes on request.
+    The start is a dual argmax, repaired: multipliers at each message's
+    water level over a demand-weighted share of the columns, at its
+    finite quotes' geometric mean."""
+    rng = np.random.default_rng(seed)
+    qn = 10.0 ** rng.uniform(-0.7, 0.7, (10, 64))
+    dn = rng.uniform(30.0, 160.0, 10)
+    if twins:
+        qn[1], dn[1] = qn[0], dn[0]
+    if masked:
+        qn[rng.random(qn.shape) < 0.3] = math.inf
+    share = 64 * dn / dn.sum()
+    logq = np.array([np.log2(row[np.isfinite(row)]).mean() for row in qn])
+    gamma = LN2 * 2.0 ** (dn / share + logq)
+    start = _repair_starvation(np.argmax(_gains(gamma, qn)[0], axis=0), qn)
+    return start, qn, dn
+
+
 @given(inst=local_search_instances())
 @example(inst=tied_instance(3, 20))
 @example(inst=tied_instance(3, 14))
 @example(inst=tied_instance(4, 9))
 @example(inst=starved_instance())
 @example(inst=near_twin_instance())
+@example(inst=headline_instance(0))
+@example(inst=headline_instance(3, twins=True))
+@example(inst=headline_instance(5, masked=True))
 # messages 0 and 1 each hold one column, quoted at 5.0: only a swap or a
 # rotation can take it from them
 @example(inst=(np.array([0, 1, 2, 2, 2]),
@@ -617,7 +640,7 @@ def test_flip_closed_form_within_its_bound(inst):
     qn, dn, assigned = inst
     n_msg, n_sc = qn.shape
     msgs = np.arange(n_msg)
-    total, err, closed = _flip_closed_form(qn, np.log2(qn), dn, assigned,
+    total, err, closed = _flip_closed_form(_flip_columns(qn), dn, assigned,
                                            msgs)
     # per message, its own set, then its flip at each column
     member = assigned == msgs[:, None]
@@ -629,6 +652,17 @@ def test_flip_closed_form_within_its_bound(inst):
     assert np.all(err[np.isinf(exact) & closed] == 0)
     fin = closed & np.isfinite(exact)
     assert np.all(np.abs(total[fin] - exact[fin]) <= err[fin])
+
+
+@given(values=st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                                 st.floats(1e-300, 1e300)),
+                       min_size=1, max_size=40))
+@example(values=[2.0, 1.0])
+@settings(max_examples=300, deadline=None)
+def test_median_matches_numpy_bitwise(values):
+    # the allocator's reference quote, from its finite quotes
+    values = np.array(values)
+    assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
 
 def test_local_search_counts_passes_and_moves():
