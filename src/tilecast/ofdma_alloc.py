@@ -16,6 +16,9 @@ Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
 message's fair share of the subcarriers, and the temperature is annealed
 down to a fixed floor, each level warm-started from the last; only the
 floor level is solved to DUAL_TOL, the others to the looser LEVEL_TOL.
+A level after the first also tries a predictor point, the last level's
+optimum moved along the path's tangent in the temperature (Euler
+continuation), and starts there when its smoothed value is higher.
 The line search shrinks a step on the smoothed value alone, to the peak
 of the quadratic through the value, the slope and the rejected trial;
 the gradient and Hessian are computed once per accepted step, from that
@@ -730,6 +733,17 @@ def _dual_derivatives(dn: np.ndarray, tau: float, parts):
     return grad, hess
 
 
+def _dual_tau_slope(gain: np.ndarray, tau: float, parts):
+    """Derivative in tau of `_dual_derivatives`' gradient, from the parts
+    `_dual_value` returned at the same point and temperature and that
+    point's `_gains` gain: sum_n d1_mn share_mn (g_mn - gbar_n) / tau^2,
+    gbar_n being the share-weighted mean gain of subcarrier n."""
+    gamma, rate, active, e, z = parts
+    share = e / z
+    spread = gain - (share * gain).sum(axis=0)
+    return (share * spread * gamma[:, None] * rate).sum(axis=1) / tau ** 2
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     """Maximize the smoothed dual by damped Newton steps in u = log gamma.
@@ -745,10 +759,15 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     the rejected trial's value, kept within [0.1, 0.5] of the step (a
     halving when the trial is not finite). A trial step costs one value,
     and the derivatives are taken once per accepted step; a level starts
-    from the gains of the last accepted point. Returns (gamma, gain, steps,
-    evaluations, tau): the final multipliers, their `_gains` gain, the
-    steps taken, the smoothed-dual values computed and the floor
-    temperature. Raises
+    from the gains of the last accepted point. A level that ends above
+    the floor leaves the tangent of the path of optima, du/dtau =
+    (-H)^-1 d grad/d tau, from its last Hessian factors; the next level
+    evaluates the point moved along it to the new temperature (capped at
+    MAX_LOG_STEP per coordinate) and starts there when its value is
+    finite and above the warm start's. Returns (gamma, gain, steps,
+    evaluations, predictions, tau): the final multipliers, their `_gains`
+    gain, the steps taken, the smoothed-dual values computed, the
+    predictor points kept and the floor temperature. Raises
     InfeasibleAllocationError when the smoothed value, its gradient or
     its Hessian is not finite, as when the demands need multipliers past
     floating point; the overflows on the way there are not warned about.
@@ -759,12 +778,25 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     gamma = np.exp(u)
     gains = _gains(gamma, qn)
     scale = float(gains[0].max(axis=0).mean())
-    steps = evaluations = 0
+    steps = evaluations = predictions = 0
+    tau = tangent = None
     for rel in TEMPERATURES:
-        tau = rel * scale
+        last_tau, tau = tau, rel * scale
         tol = DUAL_TOL if rel == TEMPERATURES[-1] else LEVEL_TOL
         value, parts = _dual_value(gamma, gains, dn, tau)
         evaluations += 1
+        if tangent is not None:
+            du = (tau - last_tau) * tangent
+            du *= MAX_LOG_STEP / max(MAX_LOG_STEP, np.abs(du).max())
+            pred_gamma = np.exp(u + du)
+            pred_gains = _gains(pred_gamma, qn)
+            pred, pred_parts = _dual_value(pred_gamma, pred_gains, dn, tau)
+            evaluations += 1
+            if math.isfinite(pred) and pred > value:
+                u = u + du
+                gamma, gains = pred_gamma, pred_gains
+                value, parts = pred, pred_parts
+                predictions += 1
         while steps < MAX_DUAL_STEPS:
             grad, hess = _dual_derivatives(dn, tau, parts)
             try:
@@ -808,7 +840,14 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
             u = u + step
             gamma, gains = trial_gamma, trial_gains
             value, parts = trial, trial_parts
-    return gamma, gains[0], steps, evaluations, tau
+        # the path's tangent du/dtau = (-H)^-1 d grad/d tau, for the next
+        # level's predictor; past the step cap no level moves again, and
+        # the last factors may not be this point's
+        tangent = None
+        if steps < MAX_DUAL_STEPS and rel != TEMPERATURES[-1]:
+            dgrad = vec.T @ _dual_tau_slope(gains[0], tau, parts)
+            tangent = vec @ (dgrad / lam)
+    return gamma, gains[0], steps, evaluations, predictions, tau
 
 
 def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
@@ -871,12 +910,13 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     perm = np.argsort(qn, axis=1, kind="stable")
 
     gamma = None
-    steps = evaluations = passes = moves = rescored = 0
+    steps = evaluations = predictions = passes = moves = rescored = 0
     if n_msg ** n_sc <= ENUMERATE_MAX:
         assigned, unique = _enumerate(qn, dn, perm)
         start = "enumerated"
     else:
-        gamma, gain, steps, evaluations, tau = _dual_solve(qn, dn)
+        gamma, gain, steps, evaluations, predictions, tau = _dual_solve(
+            qn, dn)
         # the exact dual at any gamma >= 0 bounds the optimum from below
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)
@@ -908,7 +948,7 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
         unique_argmax=unique,
         iterations=steps,
         diagnostics={"dual_steps": steps, "dual_evaluations": evaluations,
-                     "start": start,
+                     "dual_predictions": predictions, "start": start,
                      "local_search_passes": passes,
                      "local_search_moves": moves,
                      "local_search_rescored": rescored,

@@ -365,7 +365,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "f0e246593a08f9754bbd625fd727e8d305e01a251002a35827c9def0d76ad8ed")
+    "638e9195438472559fd4b4895f28b3e2c6d10792e101e02728f1c63cca1df368")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -379,7 +379,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "0b0403f342d51befad8169faa1609b9b3d80b0fcc99668517baba317e674c800")
+    "3efbdf522c98a6b4410f13c11dcce1dcc5fc0fcdc8c48878729379b582e9b481")
 
 
 def test_default_config_csv_bytes_pinned():

@@ -16,9 +16,11 @@ from tilecast import (InfeasibleAllocationError, Message, audit_allocation,
                       brute_force_allocation, complete_allocation,
                       sample_channel, solve_quoted_allocation)
 from tilecast import ofdma_alloc
-from tilecast.ofdma_alloc import (ENUMERATE_MAX, GAP_TOL, LN2,
+from tilecast.ofdma_alloc import (ENUMERATE_MAX, EPS, GAP_TOL, LN2,
                                   PASSES_PER_SUBCARRIER, TEMPERATURES,
-                                  _bisect_waterfill, _demands, _gains,
+                                  _bisect_waterfill, _demands,
+                                  _dual_derivatives, _dual_tau_slope,
+                                  _dual_value, _gains,
                                   _flip_closed_form, _flip_columns,
                                   _local_search, _median, _repair_starvation,
                                   _set_totals, _table_rows, _waterfill_sets)
@@ -719,11 +721,13 @@ def test_solver_reports_search_counts():
     diag = alloc.diagnostics
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == alloc.iterations > 0
-    # one value per level start and per trial step, each step tried once at
-    # least; 60 with LEVEL_TOL above the floor and the quadratic step
-    # shrink, 94 with DUAL_TOL at every level and plain halving
+    # one value per level start, per predictor point and per trial step,
+    # each step tried once at least; 37 values in 14 steps with the
+    # tangent predictor, 60 in 21 without it, 94 with DUAL_TOL at every
+    # level and plain halving
     assert diag["dual_evaluations"] >= diag["dual_steps"] + len(TEMPERATURES)
-    assert diag["dual_evaluations"] == 60
+    assert diag["dual_evaluations"] == 37
+    assert 1 <= diag["dual_predictions"] <= len(TEMPERATURES) - 1
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert not diag["local_search_capped"]
@@ -733,7 +737,7 @@ def test_solver_reports_search_counts():
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     assert 2 ** 6 <= ENUMERATE_MAX
     assert small.diagnostics == {"dual_steps": 0, "dual_evaluations": 0,
-                                 "start": "enumerated",
+                                 "dual_predictions": 0, "start": "enumerated",
                                  "local_search_passes": 0,
                                  "local_search_moves": 0,
                                  "local_search_rescored": 0,
@@ -945,6 +949,37 @@ def test_dual_bound_valid_and_stationary(seed, shape):
             moved[mi] *= factor
             assert (exact_dual_reference(moved, quotes, demands, B)
                     <= dual + slack)
+
+
+def test_tau_slope_matches_central_difference():
+    # the predictor's d grad/d tau against a central difference in tau of
+    # the gradient. The difference carries some EPS |gamma d| / h of
+    # rounding, more where exp((g - top) / tau) amplifies it at low tau,
+    # so 100 times that is allowed; a slope below 1e-6 |gamma d| / tau is
+    # lost in it, and enough slopes must stand above that
+    informative = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n_msg, n_sc = int(rng.integers(2, 8)), int(rng.integers(8, 41))
+        qn = 10.0 ** rng.uniform(-1, 1, size=(n_msg, n_sc))
+        dn = rng.uniform(0.5, 4.0, size=n_msg)
+        gamma = np.exp(np.log(LN2 * qn.min(axis=1)) + LN2 * dn * n_msg / n_sc
+                       + np.abs(rng.normal(0.0, 0.5, n_msg)))
+        gains = _gains(gamma, qn)
+        tau = float(gains[0].max(axis=0).mean()) * 10.0 ** rng.uniform(-6, -1)
+        h = 1e-4 * tau
+
+        def parts(t):
+            return _dual_value(gamma, gains, dn, t)[1]
+
+        diff = (_dual_derivatives(dn, tau + h, parts(tau + h))[0]
+                - _dual_derivatives(dn, tau - h, parts(tau - h))[0]) / (2.0 * h)
+        slope = _dual_tau_slope(gains[0], tau, parts(tau))
+        size = gamma * dn
+        assert np.all(np.abs(diff - slope)
+                      <= 1e-5 * np.abs(slope) + 100.0 * EPS * size / h)
+        informative += int((np.abs(slope) >= 1e-6 * size / tau).sum())
+    assert informative >= 50
 
 
 def test_brute_force_single_message_closed_form():
