@@ -23,11 +23,12 @@ The line search shrinks a step on the smoothed value alone, to the peak
 of the quadratic through the value, the slope and the rejected trial;
 the gradient and Hessian are computed once per accepted step, from that
 value's intermediates, and the pair gains once per point: a level starts
-from the last accepted point's. The exact dual at the final multipliers
-is the reported bound; the gap between it and the plan is mostly the
-problem's integrality gap, which no dual method closes, so `converged`
-(gap within GAP_TOL) is honest. A plan whose water level would pass the
-water-fill's 2^1000 cap is refused as infeasible.
+from the last accepted point's. The exact dual at the final multipliers,
+or the trivial bound 0 when it is lower, is the reported bound; the gap
+between it and the plan is mostly the problem's integrality gap, which
+no dual method closes, so `converged` (gap within GAP_TOL) is honest. A
+plan whose water level would pass the water-fill's 2^1000 cap is refused
+as infeasible.
 
 The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (by a direct steal, or else by an
@@ -44,12 +45,14 @@ summed in column positions so the totals equal `_set_totals` bit for
 bit. Moves alone (n_sc > 16) read the flip table in closed form where a
 row's quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a
 bound on its rounding error, from per-column data padded once per solve;
-other rows are exact as above. Each pass takes a move only when the
-bounds certify it as the exact tables' first maximum above the
-acceptance threshold, and otherwise rescores exactly the own sets and
-the flip rows the near-tied moves read, each |set| + 1 quotes wide, and
-decides on those, so the search takes the same steps as on exact
-tables. It runs to a local optimum; its pass bound is a safety cap
+other rows are exact as above. In both regimes each pass takes a move
+only when the bounds certify it as the exact tables' first maximum above
+the acceptance threshold, and otherwise rescores exactly the own sets
+and the flip rows the near-tied moves read, each |set| + 1 quotes wide,
+and decides on those, so the search takes the same steps as on exact
+tables; exact tables carry zero bounds and are never rescored. The
+regimes differ only in the exchange table, which swaps and rotations
+read. The search runs to a local optimum; its pass bound is a safety cap
 whose hit is reported. `_waterfill_rows` is the one implementation of
 the water-fill rule: `_waterfill_sets` applies it to any batch of
 column sets (the enumeration and the final fill), and `_table_rows` to
@@ -462,16 +465,16 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     elsewhere; a rebuild gathers each changed message's column data once
     from `_flip_columns`, padded per solve. A move's gain is then known to
     within the sum of its four entries' bounds (plus the gain formula's
-    rounding), and the threshold to within its own totals' bounds. Each
-    entry's tolerance is kept beside the table and recomputed only for
-    the rows a step or a rescoring changes; the owners' column counts
-    are updated with each step. When exactly one move can reach the best
-    lower bound, and that bound clears the threshold, the move is
-    certified; when no move can reach the threshold, the search ends.
-    Otherwise the closed-form entries of the own sets and of the moves
-    that can still win are rescored exactly, as `_table_rows` rows only
-    |set| + 1 quotes wide (bit-identical to `_set_totals`), and those
-    moves' exact gains decide as below.
+    rounding), and the threshold to within its own totals' bounds. Both
+    regimes choose their move by this certified rule. When exactly one
+    move can reach the best lower bound, and that bound clears the
+    threshold, the move is certified; when no move can reach the
+    threshold, no move is taken. Otherwise the closed-form entries of the
+    own sets and of the moves that can still win are rescored exactly, as
+    `_table_rows` rows only |set| + 1 quotes wide (bit-identical to
+    `_set_totals`), and those moves' exact gains decide as below. Exact
+    tables carry zero bounds, so with swaps nothing is rescored and the
+    move taken is the exact first maximum.
 
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
@@ -503,13 +506,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     table_err = np.zeros((n_msg, n_sc + 1))
     totals, flip = table[:, 0], table[:, 1:]
     totals_err = table_err[:, 0]
-    # moves only, in scan order (n, b): the tolerance of the two entries of
-    # b's row that a move of column n to or from b reads, F[b, n] and T[b]
-    cost_tol = np.zeros((n_sc, n_msg))
-    held = np.bincount(assigned, minlength=n_msg)
-    # the messages each column can move to: usable, and not its owner
-    other = usable.T.copy()
-    other[cols, assigned] = False
     if do_swaps:
         exch = np.full((n_msg, n_sc, n_sc), math.nan)
     else:
@@ -531,15 +527,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         table[rows] = block
         table_err[rows] = np.where(pick, 0.0, table_err[rows])
 
-    def retol(rows):
-        # each entry's bound plus the rounding of the gain formula on it
-        t = table[rows]
-        tol = table_err[rows] + 4.0 * EPS * np.abs(t)
-        # an inf entry is only read by moves whose gain is not finite,
-        # which no tolerance can make valid
-        tol[t == math.inf] = 0.0
-        cost_tol[:, rows] = (tol[:, 1:] + tol[:, :1]).T
-
     def rebuild(changed):
         # each changed message's own set, its flip rows and (with swaps)
         # its exchange rows; without swaps, the closed form where it holds
@@ -558,7 +545,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             table[changed], table_err[changed] = total, err
             if not closed.all():
                 make_exact(changed, ~closed)
-            retol(changed)
 
     def rescore(near):
         # exact totals of every closed-form own set (for the threshold) and
@@ -574,7 +560,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         if rows.size == 0:
             return False
         make_exact(rows, pick[rows])
-        retol(rows)
         return True
 
     def move_gains():
@@ -583,12 +568,20 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
                 - (flip - totals[:, None]).T)
 
     def choose_move(gain, valid, thresh):
-        # the flat index of the move the exact tables would take, or None:
-        # each gain lies within tol of its exact value (its four entries'
-        # bounds and the rounding of the gain formula), the threshold
-        # within slack of its own
+        # the flat index and gain of the move the exact tables would take,
+        # or None and the threshold: each gain lies within tol of its exact
+        # value (its four entries' bounds and the rounding of the gain
+        # formula), the threshold within slack of its own
         nonlocal rescored
-        tol = cost_tol[cols, assigned][:, None] + cost_tol
+        # each entry's bound plus the rounding of the gain formula on it; an
+        # inf entry is only read by moves whose gain is not finite, which
+        # no tolerance can make valid
+        entry_tol = np.where(table == math.inf, 0.0,
+                             table_err + 4.0 * EPS * np.abs(table))
+        # in scan order (n, b): the tolerance of the entries F[b, n] and
+        # T[b] that a move of column n to or from b reads
+        side_tol = (entry_tol[:, 1:] + entry_tol[:, :1]).T
+        tol = side_tol[cols, assigned][:, None] + side_tol
         gain_valid = np.where(valid, gain, -math.inf)
         lo, hi = gain_valid - tol, gain_valid + tol
         err_sum = float(totals_err.sum())
@@ -601,18 +594,18 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         near = hi >= best_lo
         if best_lo > thresh + slack:
             if np.count_nonzero(near) == 1:
-                return i
+                return i, float(gain.flat[i])
         else:
             near &= hi > thresh - slack
             if not near.any():
-                return None
+                return None, thresh
         # near-tied, or too close to the threshold: decide on exact values
         if rescore(near):
             rescored += 1
             thresh = 1e-12 * sum(totals.tolist())
             gain = move_gains()
         i, g = _first_max(gain, near)
-        return i if g > thresh else None
+        return (i, g) if g > thresh else (None, thresh)
 
     rebuild(msgs)
     if not np.isfinite(totals).all():
@@ -622,21 +615,13 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     passes = moves = rescored = 0
     for _ in range(max_passes):
         passes += 1
-        thresh = 1e-12 * sum(totals.tolist())
-        best_gain, best = thresh, None
-
-        gain = move_gains()
-        valid = (held[assigned] > 1)[:, None] & other
-        if do_swaps:
-            i, g = _first_max(gain, valid)
-            if g > best_gain:
-                best_gain = g
-                best = [divmod(i, n_msg)]
-        else:
-            i = choose_move(gain, valid, thresh)
-            if i is None:
-                break
-            best = [divmod(i, n_msg)]
+        # a column moves from an owner holding others to a message that
+        # can use it
+        valid = ((np.bincount(assigned)[assigned] > 1)[:, None] & usable.T
+                 & (assigned[:, None] != msgs))
+        i, best_gain = choose_move(move_gains(), valid,
+                                   1e-12 * sum(totals.tolist()))
+        best = None if i is None else [divmod(i, n_msg)]
 
         if do_swaps:
             # a gives n1 to b and takes n2 from it, scanned n1 < n2
@@ -679,11 +664,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         changed = np.array(sorted({int(assigned[n]) for n, _ in best}
                                   | {int(mi) for _, mi in best}))
         for n, mi in best:
-            held[assigned[n]] -= 1
-            held[mi] += 1
             assigned[n] = mi
-            other[n] = usable[:, n]
-            other[n, mi] = False
         moves += 1
         rebuild(changed)
     return assigned, passes, moves, rescored
@@ -957,7 +938,8 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     if gamma is None:           # exhaustive: the optimum is its own bound
         alloc.dual_bound = alloc.power_sum
     else:
-        alloc.dual_bound = bound * q_ref
+        # any plan costs at least 0, a bound the dual can fall below
+        alloc.dual_bound = max(bound, 0.0) * q_ref
         alloc.gamma = gamma * q_ref / bandwidth
         alloc.diagnostics["dual_temperature"] = tau * q_ref
     gap = max(0.0, (alloc.power_sum - alloc.dual_bound)

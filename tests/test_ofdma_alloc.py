@@ -15,7 +15,7 @@ from tilecast import (InfeasibleAllocationError, Message, audit_allocation,
                       beam_plan_asymptotic, beam_plan_mrt,
                       brute_force_allocation, complete_allocation,
                       sample_channel, solve_quoted_allocation)
-from tilecast import ofdma_alloc
+from tilecast import harness, ofdma_alloc
 from tilecast.ofdma_alloc import (ENUMERATE_MAX, EPS, GAP_TOL, LN2,
                                   PASSES_PER_SUBCARRIER, TEMPERATURES,
                                   _bisect_waterfill, _demands,
@@ -1072,6 +1072,26 @@ def test_gap_above_tol_still_returns_best_feasible():
     # it is the best feasible plan nonetheless
     best = brute_force_allocation(demands, quotes, B).power_sum
     assert alloc.power_sum == pytest.approx(best, rel=1e-9)
+
+
+def test_dual_bound_never_below_zero(monkeypatch):
+    # at delta = 48 deg, trial 0 of the default scenario has an exact dual
+    # at the floor multipliers far below the trivial bound 0
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(solve_quoted_allocation(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(harness, "solve_quoted_allocation", solve)
+    cfg = replace(harness.default_config(), delta_deg=48.0)
+    for scheme in ("proposed-asymptotic", "baseline2-multicast"):
+        harness.run_trial(cfg, scheme, 0)
+    assert len(solved) == 2
+    for alloc in solved:
+        assert alloc.diagnostics["start"] == "dual"
+        assert 0.0 <= alloc.dual_bound <= alloc.power_sum
+        assert alloc.duality_gap <= 1.0
 
 
 def test_diverged_dual_raises_infeasible():
