@@ -6,35 +6,42 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .harness import (config_from_dict, default_config, run_experiment,
-                      SCHEMES)
+from .harness import config_from_dict, default_config, run_experiment
 from .ofdma_alloc import (InfeasibleAllocationError, brute_force_allocation,
                           solve_quoted_allocation)
 
 
+def _fail(message):
+    """Stop on bad input the way argparse stops on a bad option:
+    `tilecast: error: ...` on stderr and exit status 2."""
+    print(f"tilecast: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_config(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = config_from_dict(json.load(fh))
-    else:
-        cfg = default_config()
+    """The config file (or the default config) with the command line's
+    overrides; an unreadable file or a config `ScenarioConfig` rejects
+    ends the command through `_fail`."""
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.scheme:
-        for s in args.scheme:
-            if s not in SCHEMES:
-                raise SystemExit(f"unknown scheme: {s!r}")
         overrides["schemes"] = tuple(args.scheme)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    try:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = config_from_dict(json.load(fh))
+        else:
+            cfg = default_config()
+        return replace(cfg, **overrides)
+    except (OSError, ValueError) as exc:
+        _fail(exc)
 
 
 def _cmd_run(args) -> int:
@@ -107,8 +114,11 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_audit(args) -> int:
     """Regenerate the experiment for the given config and compare bytes."""
     cfg = _load_config(args)
-    with open(args.out, "r", encoding="utf-8", newline="") as fh:
-        recorded = fh.read()
+    try:
+        with open(args.out, "r", encoding="utf-8", newline="") as fh:
+            recorded = fh.read()
+    except OSError as exc:
+        _fail(exc)
     regenerated = run_experiment(cfg, sweep=args.sweep, out_path=None)
     if recorded == regenerated:
         print(f"{args.out}: verified, regeneration is byte-identical")
@@ -126,11 +136,15 @@ def _cmd_audit(args) -> int:
     return 1
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config mirroring ScenarioConfig")
-    p.add_argument("--out", default="results.csv", help="CSV path")
+def _add_seed_trials(p):
     p.add_argument("--seed", type=int, help="override base_seed")
     p.add_argument("--trials", type=int, help="override trial count")
+
+
+def _add_common(p):
+    _add_seed_trials(p)
+    p.add_argument("--config", help="JSON config mirroring ScenarioConfig")
+    p.add_argument("--out", default="results.csv", help="CSV path")
     p.add_argument("--scheme", action="append",
                    help="restrict to a scheme (repeatable)")
     p.add_argument("--sweep", choices=["k", "m", "delta"],
@@ -151,7 +165,7 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser(
         "oracle-check",
         help="cross-validate the allocator against brute force")
-    _add_common(p_oracle)
+    _add_seed_trials(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 
     p_audit = sub.add_parser(

@@ -38,25 +38,22 @@ on two per-message tables of water-fill totals: the flip table (one
 column added to or removed from the message's set) and the exchange
 table (one owned column traded for another). A message's tables are
 rebuilt only when its column set changes. With swaps (n_sc <= 16) every
-row is exact: built from the message's own sorted finite quotes with one
-removed or one inserted at its rank, so it is about |set| + 1 quotes
-wide rather than n_sc, and water-filled in one batch, with its power
-summed in column positions so the totals equal `_set_totals` bit for
-bit. Moves alone (n_sc > 16) read the flip table in closed form where a
-row's quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a
-bound on its rounding error, from per-column data padded once per solve;
-other rows are exact as above. In both regimes each pass takes a move
-only when the bounds certify it as the exact tables' first maximum above
-the acceptance threshold, and otherwise rescores exactly the own sets
-and the flip rows the near-tied moves read, each |set| + 1 quotes wide,
-and decides on those, so the search takes the same steps as on exact
-tables; exact tables carry zero bounds and are never rescored. The
-regimes differ only in the exchange table, which swaps and rotations
-read. The search runs to a local optimum; its pass bound is a safety cap
-whose hit is reported. `_waterfill_rows` is the one implementation of
-the water-fill rule: `_waterfill_sets` applies it to any batch of
-column sets (the enumeration and the final fill), and `_table_rows` to
-the search's table rows and its rescoring.
+row is exact, and a rebuild water-fills them all in one batch. Moves
+alone (n_sc > 16) read the flip table in closed form where a row's
+quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a bound
+on its rounding error, from per-column data padded once per solve; other
+rows are exact. In both regimes each pass takes a move only when the
+bounds certify it as the exact tables' first maximum above the
+acceptance threshold, and otherwise rescores exactly the own sets and
+the flip rows the near-tied moves read, and decides on those, so the
+search takes the same steps as on exact tables; exact tables carry zero
+bounds and are never rescored. The regimes differ only in the exchange
+table, which swaps and rotations read. The search runs to a local
+optimum; its pass bound is a safety cap whose hit is reported.
+`_waterfill_rows` is the one implementation of the water-fill rule, and
+`_waterfill_sets` applies it to any batch of column sets, packed only as
+wide as the batch's largest set: the enumeration, the search's tables
+and rescoring, and the final fill.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -157,7 +154,7 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
     last = fits.argmax(axis=1)
     log2w = cands[rows, last]
     # a Python-float pow per row: np.power may differ from it by an ulp
-    level = np.array([2.0 ** min(v, 1000.0) for v in log2w.tolist()])
+    level = np.array([2.0 ** v for v in np.minimum(log2w, 1000.0).tolist()])
     on = np.arange(n) <= last[:, None]
     power = np.where(on, np.maximum(0.0, level[:, None] - q_sorted), 0.0)
     rate = np.where(on, log2w[:, None] - logs, 0.0)
@@ -254,7 +251,8 @@ def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     stable argsort along each row, so equal quotes fill in column order.
     Returns full-width (power, rate) rows, zero off each set, and a flag
     per row that is False, with zero rows, when the set has no finite
-    quote.
+    quote. The packed rows are only as wide as the batch's largest set;
+    a row's water-fill does not depend on that width.
     """
     rows = np.arange(owner.size)
     order = perm[owner]
@@ -263,10 +261,10 @@ def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     use = sets[rows[:, None], order] & np.isfinite(q_sorted)
     r, p = np.nonzero(use)
     slot = use.cumsum(axis=1)[r, p] - 1
-    packed = np.full(use.shape, math.inf)
+    packed = np.full((owner.size, slot.max(initial=0) + 1), math.inf)
     packed[r, slot] = q_sorted[r, p]
     ok = use.any(axis=1)
-    by_slot = np.zeros((2,) + use.shape)    # power and rate, packed
+    by_slot = np.zeros((2,) + packed.shape)     # power and rate, packed
     by_slot[:, ok] = _waterfill_rows(packed[ok], dn[owner[ok]])
     by_col = np.zeros((2,) + use.shape)     # back in column positions
     by_col[:, r, order[r, p]] = by_slot[:, r, slot]
@@ -279,81 +277,6 @@ def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
     full-width power row, or inf when the set has no finite quote."""
     power, _, ok = _waterfill_sets(qn, dn, perm, owner, sets)
     return np.where(ok, power.sum(axis=1), math.inf)
-
-
-def _table_rows(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
-                assigned: np.ndarray, changed: np.ndarray, swaps: bool,
-                rows: np.ndarray = None):
-    """Water-fill totals of the local-search table rows of the messages
-    `changed`, built from each message's own column set S.
-
-    Returns (which, drop, add, total): row r is S of message
-    changed[which[r]] with column drop[r] (in S) removed and column add[r]
-    (outside S) inserted, -1 for none. The rows are each message's own
-    set, then its flips (S XOR {n}, message-major, n ascending), then,
-    with swaps, its exchanges (every drop in S with every add outside);
-    a boolean mask `rows` over them keeps only the rows it flags.
-    A row holds only its set's finite quotes, in perm order, with one
-    removed or one inserted at its rank, so it is |S| + 1 quotes wide,
-    not n_sc. Its power is put back in column positions and summed over
-    the full width, so total[r] is bit-identical to `_set_totals` of the
-    same set: a pairwise sum depends on where the nonzeros sit.
-    """
-    n_sc = qn.shape[1]
-    k = changed.size
-    msg = np.arange(k)[:, None]
-    member = assigned[None, :] == changed[:, None]
-    order = perm[changed]
-    q_sorted = qn[changed[:, None], order]
-    # S's finite quotes in perm order, and for every column the number of
-    # them ranked before it: a member's slot, or a non-member's insert slot
-    keep = member[msg, order] & np.isfinite(q_sorted)
-    before_sorted = keep.cumsum(axis=1) - keep
-    before = np.empty((k, n_sc), dtype=int)
-    before[msg, order] = before_sorted
-    size = keep.sum(axis=1)
-    width = int(size.max()) + 1
-    r, t = np.nonzero(keep)
-    # inf-padded past S, with a spare slot for the reads one past a drop
-    own_q = np.full((k, width + 1), math.inf)
-    own_col = np.zeros((k, width + 1), dtype=int)
-    own_q[r, before_sorted[r, t]] = q_sorted[r, t]
-    own_col[r, before_sorted[r, t]] = order[r, t]
-
-    flips, flip_cols = member.ravel(), np.tile(np.arange(n_sc), k)
-    which = [np.arange(k), np.repeat(np.arange(k), n_sc)]
-    drop = [np.full(k, -1), np.where(flips, flip_cols, -1)]
-    add = [np.full(k, -1), np.where(flips, -1, flip_cols)]
-    if swaps:
-        w, d, a = np.nonzero(member[:, :, None] & ~member[:, None, :])
-        which.append(w)
-        drop.append(d)
-        add.append(a)
-    which, drop, add = map(np.concatenate, (which, drop, add))
-    if rows is not None:
-        which, drop, add = which[rows], drop[rows], add[rows]
-
-    mi = changed[which]
-    usable = np.isfinite(qn)
-    drops = (drop >= 0) & usable[mi, drop]
-    adds = (add >= 0) & usable[mi, add]
-    j = np.where(drops, before[which, drop], width + 1)
-    p = np.where(adds, before[which, add], width + 1)
-    p -= j < p                              # the insert slot once j is gone
-    slots = np.arange(width)
-    kept = slots - (slots > p[:, None])     # index into S less the drop
-    src = kept + (kept >= j[:, None])       # index into S
-    inserted = slots == p[:, None]
-    q = np.where(inserted, qn[mi, add][:, None], own_q[which[:, None], src])
-    col = np.where(inserted, add[:, None], own_col[which[:, None], src])
-    length = size[which] - drops + adds
-    ok = length > 0
-    power = np.zeros(q.shape)
-    power[ok] = _waterfill_rows(q[ok], dn[mi[ok]])[0]
-    rr, tt = np.nonzero(slots < length[:, None])
-    full = np.zeros((which.size, n_sc))
-    full[rr, col[rr, tt]] = power[rr, tt]
-    return which, drop, add, np.where(ok, full.sum(axis=1), math.inf)
 
 
 def _flip_columns(qn: np.ndarray) -> np.ndarray:
@@ -385,7 +308,7 @@ def _flip_closed_form(columns: np.ndarray, dn: np.ndarray,
     where closed is True, |total - `_set_totals`| <= err (zero for a set
     with no finite quote, whose total is inf); the other rows (a quote
     within a margin of the level, or a level near `_waterfill_rows`'s
-    2^1000 cap) need `_table_rows`.
+    2^1000 cap) need an exact water-fill.
 
     err bounds the rounding of both computations. On either side x is a
     sum of at most n_sc + 2 rounded terms divided by k, so its error is
@@ -459,22 +382,24 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
       built only when swaps are on (n_sc <= 16) and read by swaps and
       rotations alike.
 
-    With swaps every entry is exact (`_table_rows`). Without them, an
-    own or flip total comes from `_flip_closed_form`, with an error
-    bound, wherever all its quotes are active, and from `_table_rows`
+    Every exact entry is one `_set_totals` row: its set is the message's
+    own set XORed with row c of a per-solve mask, empty for column 0 and
+    flagging column n for column 1 + n; with swaps a rebuild fills the
+    own, flip and exchange rows of the changed messages in one batch.
+    Without swaps, an own or flip total comes from `_flip_closed_form`,
+    with an error bound, wherever all its quotes are active, and is exact
     elsewhere; a rebuild gathers each changed message's column data once
-    from `_flip_columns`, padded per solve. A move's gain is then known to
-    within the sum of its four entries' bounds (plus the gain formula's
-    rounding), and the threshold to within its own totals' bounds. Both
-    regimes choose their move by this certified rule. When exactly one
-    move can reach the best lower bound, and that bound clears the
-    threshold, the move is certified; when no move can reach the
-    threshold, no move is taken. Otherwise the closed-form entries of the
-    own sets and of the moves that can still win are rescored exactly, as
-    `_table_rows` rows only |set| + 1 quotes wide (bit-identical to
-    `_set_totals`), and those moves' exact gains decide as below. Exact
-    tables carry zero bounds, so with swaps nothing is rescored and the
-    move taken is the exact first maximum.
+    from `_flip_columns`, padded per solve. A move's gain is then known
+    to within the sum of its four entries' bounds (plus the gain
+    formula's rounding), and the threshold to within its own totals'
+    bounds. Both regimes choose their move by this certified rule. When
+    exactly one move can reach the best lower bound, and that bound
+    clears the threshold, the move is certified; when no move can reach
+    the threshold, no move is taken. Otherwise the closed-form entries of
+    the own sets and of the moves that can still win are rescored
+    exactly, and those moves' exact gains decide as below. Exact tables
+    carry zero bounds, so with swaps nothing is rescored and the move
+    taken is the exact first maximum.
 
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
@@ -506,6 +431,8 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     table_err = np.zeros((n_msg, n_sc + 1))
     totals, flip = table[:, 0], table[:, 1:]
     totals_err = table_err[:, 0]
+    # row c XORed with a message's own set gives table column c's set
+    flip_masks = np.eye(n_sc + 1, n_sc, -1, dtype=bool)
     if do_swaps:
         exch = np.full((n_msg, n_sc, n_sc), math.nan)
     else:
@@ -515,36 +442,33 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         # the column each owner takes, in either direction round the triple
         rotations = ((n3, n1, n2), (n2, n3, n1))
 
-    def make_exact(rows, pick):
-        # the table entries `pick` flags for messages `rows`, exact from
-        # `_table_rows`, which lays out the own sets first, then the flips
-        exact = _table_rows(qn, dn, perm, assigned, rows, False,
-                            np.append(pick[:, 0], pick[:, 1:]))[3]
-        n_own = int(np.count_nonzero(pick[:, 0]))
-        block = table[rows]
-        block[pick[:, 0], 0] = exact[:n_own]
-        block[:, 1:][pick[:, 1:]] = exact[n_own:]
-        table[rows] = block
-        table_err[rows] = np.where(pick, 0.0, table_err[rows])
+    def make_exact(mi, c):
+        # the table entries (mi, c), exact from one batched water-fill
+        sets = (assigned == mi[:, None]) ^ flip_masks[c]
+        table[mi, c] = _set_totals(qn, dn, perm, mi, sets)
+        table_err[mi, c] = 0.0
 
     def rebuild(changed):
         # each changed message's own set, its flip rows and (with swaps)
-        # its exchange rows; without swaps, the closed form where it holds
-        # and one batched water-fill for the other rows
-        k = changed.size
+        # its exchange rows, in one batched water-fill; without swaps, the
+        # closed form where it holds and one batched water-fill elsewhere
         if do_swaps:
-            which, drop, add, row_total = _table_rows(qn, dn, perm, assigned,
-                                                      changed, True)
-            ex = slice(k + k * n_sc, None)
-            exch[changed[which[ex]], drop[ex], add[ex]] = row_total[ex]
-            totals[changed] = row_total[:k]
-            flip[changed] = row_total[k:k + k * n_sc].reshape(k, n_sc)
+            member = assigned == changed[:, None]
+            w, d, a = np.nonzero(member[:, :, None] & ~member[:, None, :])
+            own_flips = (member[:, None] ^ flip_masks).reshape(-1, n_sc)
+            sets = np.concatenate((own_flips, member[w] ^ eye[d] ^ eye[a]))
+            owner = np.concatenate((np.repeat(changed, n_sc + 1), changed[w]))
+            total = _set_totals(qn, dn, perm, owner, sets)
+            n_table = changed.size * (n_sc + 1)
+            table[changed] = total[:n_table].reshape(-1, n_sc + 1)
+            exch[changed[w], d, a] = total[n_table:]
         else:
             total, err, closed = _flip_closed_form(columns, dn, assigned,
                                                    changed)
             table[changed], table_err[changed] = total, err
             if not closed.all():
-                make_exact(changed, ~closed)
+                r, c = np.nonzero(~closed)
+                make_exact(changed[r], c)
 
     def rescore(near):
         # exact totals of every closed-form own set (for the threshold) and
@@ -556,10 +480,9 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         pick[assigned[n], n + 1] = True
         pick[b, n + 1] = True
         pick &= table_err > 0
-        rows = np.flatnonzero(pick.any(axis=1))
-        if rows.size == 0:
+        if not pick.any():
             return False
-        make_exact(rows, pick[rows])
+        make_exact(*np.nonzero(pick))
         return True
 
     def move_gains():
@@ -1073,8 +996,8 @@ def audit_allocation(alloc: Allocation, ch, messages, rel: float = 1e-6) -> list
         problems.append("some subcarrier not assigned exactly once")
     if np.any(power < 0) or not np.all(np.isfinite(power)):
         problems.append("negative or non-finite power")
-    if np.any(rate < 0):
-        problems.append("negative rate")
+    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
+        problems.append("negative or non-finite rate")
     if np.any((assign == 0) & (power > 0)):
         problems.append("power on unassigned pair")
 

@@ -412,6 +412,37 @@ def test_cli_rejects_unknown_scheme(tmp_path):
                   str(tmp_path / "r.csv"), "--scheme", "dirty-paper"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--trials", "0"], "trials must be >= 1"),
+    (["run", "--scheme", "dirty-paper"], "unknown scheme: 'dirty-paper'"),
+    (["run", "--config", "{m0}"], "m and n_sc must be >= 1"),
+    (["run", "--config", "{absent}"], "[Errno 2] No such file or directory: "
+                                      "'{absent}'"),
+    (["audit", "--out", "{absent}"], "[Errno 2] No such file or directory: "
+                                     "'{absent}'"),
+    # oracle-check draws its own instances: it takes --seed and --trials
+    # only, and refuses the run options rather than ignoring them
+    (["oracle-check", "--sweep", "k"], "unrecognized arguments: --sweep k"),
+], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
+        "missing-audit-file", "oracle-check-sweep"])
+def test_cli_reports_bad_input(tmp_path, capsys, argv, message):
+    # bad input ends with status 2 and one `tilecast: error:` line on
+    # stderr, not a traceback, and writes no results
+    m0 = tmp_path / "m0.json"
+    m0.write_text(json.dumps({"m": 0}))
+    paths = {"m0": str(m0), "absent": str(tmp_path / "absent")}
+    argv = [arg.format(**paths) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"tilecast: error: {message.format(**paths)}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_oracle_check(capsys):
     assert cli_main(["oracle-check", "--trials", "5", "--seed", "3"]) == 0
     assert "worst relative gap" in capsys.readouterr().out

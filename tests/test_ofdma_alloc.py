@@ -23,7 +23,7 @@ from tilecast.ofdma_alloc import (ENUMERATE_MAX, EPS, GAP_TOL, LN2,
                                   _dual_value, _gains,
                                   _flip_closed_form, _flip_columns,
                                   _local_search, _median, _repair_starvation,
-                                  _set_totals, _table_rows, _waterfill_sets)
+                                  _set_totals, _waterfill_sets)
 
 B = 39e3
 
@@ -557,59 +557,30 @@ def test_set_totals_match_scalar_waterfill_bitwise(batch):
             assert rate[r].tobytes() == wf[1].tobytes()
 
 
-@st.composite
-def table_instances(draw):
-    # moves only or with swaps, as the search picks by n_sc; inf and tied
-    # quotes, and demands far below one ulp of the log level
-    swaps = draw(st.booleans())
-    n_msg = draw(st.integers(1, 4))
-    n_sc = draw(st.integers(1, 16 if swaps else 24))
-    qn = np.array(draw(st.lists(
-        st.one_of(QUOTE_VALUES, st.floats(1e-3, 1e3)),
-        min_size=n_msg * n_sc, max_size=n_msg * n_sc))).reshape(n_msg, n_sc)
-    dn = np.array(draw(st.lists(st.one_of(st.floats(1e-18, 1e-12),
-                                          st.floats(1e-6, 40.0)),
-                                min_size=n_msg, max_size=n_msg)))
-    assigned = np.array(draw(st.lists(st.integers(0, n_msg - 1),
-                                      min_size=n_sc, max_size=n_sc)))
-    changed = np.array(sorted(draw(st.sets(st.integers(0, n_msg - 1),
-                                           min_size=1))))
-    return qn, dn, assigned, changed, swaps
-
-
-@given(inst=table_instances())
-# message 0's only finite quote is column 0: flipping or dropping it
-# leaves no usable column
-@example(inst=(np.array([[1.0, math.inf, 2.0], [1.0, 1.0, 1.0]]),
-               np.array([1.0, 1.0]), np.array([0, 0, 1]), np.array([0, 1]),
-               True))
-@example(inst=(np.full((2, 20), 2.0), np.array([1e-18, 3.0]),    # all tied
-               np.arange(20) % 2, np.array([0, 1]), False))
-@example(inst=(np.full((3, 9), 0.5), np.array([1e-17, 1.0, 1e-12]),
-               np.array([0, 1, 2, 0, 1, 2, 0, 0, 0]), np.array([0, 2]),
-               True))
-@settings(max_examples=300, deadline=None)
-def test_table_rows_match_set_totals_bitwise(inst):
-    qn, dn, assigned, changed, swaps = inst
-    n_sc = qn.shape[1]
+@given(batch=set_batches())
+# two tied quotes at a demand inside the level's 1e-15 windows: whether
+# one or both are active must not depend on how wide the batch is
+@example(batch=(np.full((1, 20), 2.0), np.array([5e-15]),
+                np.zeros(1, dtype=int), np.arange(20)[None, :] < 2))
+@settings(max_examples=200, deadline=None)
+def test_waterfill_sets_rows_do_not_depend_on_the_batch(batch):
+    # the batch is packed only as wide as its largest set: each row fills
+    # to the same bits alone and beside every message's full and empty set
+    qn, dn, owner, sets = batch
+    n_msg, n_sc = qn.shape
     perm = np.argsort(qn, axis=1, kind="stable")
-    which, drop, add, total = _table_rows(qn, dn, perm, assigned, changed,
-                                          swaps)
-    # own sets, then flips, then exchanges, each in scan order
-    k = changed.size
-    owns = [[n for n in range(n_sc) if assigned[n] == mi] for mi in changed]
-    want = [(c, -1, -1) for c in range(k)]
-    want += [(c, n, -1) if n in owns[c] else (c, -1, n)
-             for c in range(k) for n in range(n_sc)]
-    if swaps:
-        want += [(c, d, a) for c in range(k) for d in owns[c]
-                 for a in range(n_sc) if a not in owns[c]]
-    assert list(zip(which.tolist(), drop.tolist(), add.tolist())) == want
-    sets = np.zeros((len(want), n_sc), dtype=bool)
-    for r, (c, d, a) in enumerate(want):
-        sets[r, [n for n in owns[c] + [a] if n not in (d, -1)]] = True
-    assert total.tobytes() == _set_totals(qn, dn, perm, changed[which],
-                                          sets).tobytes()
+    owners = np.concatenate((owner, np.arange(n_msg), np.arange(n_msg)))
+    wide = np.concatenate((sets, np.ones((n_msg, n_sc), dtype=bool),
+                           np.zeros((n_msg, n_sc), dtype=bool)))
+    together = _waterfill_sets(qn, dn, perm, owners, wide)
+    totals = _set_totals(qn, dn, perm, owners, wide)
+    assert not together[2][-n_msg:].any()
+    for r in range(owner.size):
+        alone = _waterfill_sets(qn, dn, perm, owner[r:r + 1], sets[r:r + 1])
+        for one, batched in zip(alone, together):
+            assert one[0].tobytes() == batched[r].tobytes()
+        assert (_set_totals(qn, dn, perm, owner[r:r + 1], sets[r:r + 1])
+                .tobytes() == totals[r:r + 1].tobytes())
 
 
 @st.composite
@@ -1206,8 +1177,8 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
         problems.append("some subcarrier not assigned exactly once")
     if np.any(power < 0) or not np.all(np.isfinite(power)):
         problems.append("negative or non-finite power")
-    if np.any(rate < 0):
-        problems.append("negative rate")
+    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
+        problems.append("negative or non-finite rate")
     if np.any((assign == 0) & (power > 0)):
         problems.append("power on unassigned pair")
 
@@ -1256,10 +1227,13 @@ def test_audit_matches_loop_reference():
             doubled[:, 0] = 1
             rotated = clean.beams.copy()
             rotated[[1, 4, 6]] *= np.exp(2j * np.pi * rng.random((3, ch.m)))
+            nan_rate = clean.rate.copy()
+            nan_rate[0, 5] = math.nan
             assert audit_allocation(clean, ch, messages) == []
             for alloc in (clean, replace(clean, power=clean.power * 0.5),
                           replace(clean, assign=doubled),
-                          replace(clean, beams=rotated)):
+                          replace(clean, beams=rotated),
+                          replace(clean, rate=nan_rate)):
                 got = audit_allocation(alloc, ch, messages)
                 assert got == audit_reference(alloc, ch, messages)
                 assert (alloc is clean) or got
