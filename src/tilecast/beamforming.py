@@ -12,7 +12,7 @@ Three ways to point a beam at a message's audience:
 * max-min fair: the beam that maximizes the audience's smallest gain
   (Sidiropoulos, Davidson & Luo, IEEE TSP 2006). One user takes MRT and
   two users a closed form; larger audiences run a convex-concave
-  procedure (Lipp & Boyd 2016) from a given start.
+  procedure (Lipp & Boyd 2016) from the better MRT or large-antenna beam.
 
 Every plan reads the audiences from one padded tensor
 (`channel._audience`) and shares one quote rule.
@@ -257,16 +257,16 @@ def _ccp(ht, mask, w, max_sweeps):
     return w, sweeps, bool(live.size)
 
 
-def beam_plan_maxmin(ch, messages, start: BeamPlan = None) -> BeamPlan:
+def beam_plan_maxmin(ch, messages) -> BeamPlan:
     """Max-min-fair beams and quotes for every (message, subcarrier).
 
     A single user takes MRT, bit for bit as `beam_plan_mrt`, and two users
     the closed form of `_maxmin_of_two`; both are exact. Larger audiences
-    run `_ccp` from `start`'s beams (by default, pair by pair, the better
-    of the MRT and asymptotic plans) and keep the start wherever the CCP
-    does not quote below it. A pair whose audience has a zero channel
-    quotes inf, and every pair gets a unit beam (the last unit vector
-    where nothing better exists). `sweeps` and `capped` report the CCP.
+    run `_ccp` from the better of the MRT and asymptotic plans, pair by
+    pair, and keep that start where the CCP does not quote below it. A
+    pair whose audience has a zero channel quotes inf, and every pair gets
+    a unit beam (the last unit vector where nothing better exists).
+    `sweeps` and `capped` report the CCP.
     """
     h, beta, mask = _audience(ch, messages)
     size = mask.sum(axis=1)
@@ -285,9 +285,8 @@ def beam_plan_maxmin(ch, messages, start: BeamPlan = None) -> BeamPlan:
     if not big.any():
         return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
-    if start is None:
-        start = _better(beam_plan_mrt(ch, messages),
-                        beam_plan_asymptotic(ch, messages))
+    start = _better(beam_plan_mrt(ch, messages),
+                    beam_plan_asymptotic(ch, messages))
     # CCP on the pairs whose start reaches every user
     reach = big[:, None] & np.isfinite(start.q)
     msg_of = np.nonzero(reach)[0]

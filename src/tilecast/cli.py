@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,17 @@ def _fail(message):
     raise SystemExit(2)
 
 
+@contextmanager
+def _bad_input():
+    """End the command through `_fail` on an `OSError` or `ValueError`:
+    a file that cannot be read or written, a config that `ScenarioConfig`
+    rejects, or what `run_experiment` checks before its first trial."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        _fail(exc)
+
+
 def _load_config(args):
     """The config file (or the default config) with the command line's
     overrides; an unreadable file or a config `ScenarioConfig` rejects
@@ -33,20 +45,19 @@ def _load_config(args):
         overrides["trials"] = args.trials
     if args.scheme:
         overrides["schemes"] = tuple(args.scheme)
-    try:
+    with _bad_input():
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = config_from_dict(json.load(fh))
         else:
             cfg = default_config()
         return replace(cfg, **overrides)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    text = run_experiment(cfg, sweep=args.sweep, out_path=args.out)
+    with _bad_input():
+        text = run_experiment(cfg, sweep=args.sweep, out_path=args.out)
     n_rows = text.count("\n") - 1
     print(f"wrote {args.out}: {n_rows} rows "
           f"({len(cfg.schemes)} schemes, {cfg.trials} trials)")
@@ -75,6 +86,8 @@ def _cmd_oracle_check(args) -> int:
     """
     rng = np.random.default_rng(args.seed if args.seed is not None else 7)
     trials = args.trials if args.trials is not None else 25
+    if trials < 1:
+        _fail("trials must be >= 1")
     bw = 39e3
     worst = 0.0
     failures = 0
@@ -114,12 +127,10 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_audit(args) -> int:
     """Regenerate the experiment for the given config and compare bytes."""
     cfg = _load_config(args)
-    try:
+    with _bad_input():
         with open(args.out, "r", encoding="utf-8", newline="") as fh:
             recorded = fh.read()
-    except OSError as exc:
-        _fail(exc)
-    regenerated = run_experiment(cfg, sweep=args.sweep, out_path=None)
+        regenerated = run_experiment(cfg, sweep=args.sweep, out_path=None)
     if recorded == regenerated:
         print(f"{args.out}: verified, regeneration is byte-identical")
         return 0

@@ -17,7 +17,7 @@ Schemes:
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,8 @@ import numpy as np
 from .beamforming import beam_plan_asymptotic, beam_plan_mrt
 from .channel import ChannelState, derive_trial_seed, sample_channel
 from .dc_solver import dc_solve
-from .geometry import TilingConfig, ViewDirection, compute_tile_set
+from .geometry import (TilingConfig, ViewDirection, _check_direction,
+                       compute_tile_set)
 from .ofdma_alloc import (InfeasibleAllocationError, audit_allocation,
                           complete_allocation, solve_quoted_allocation)
 from .partition import QualityLadder, build_messages, build_partition, \
@@ -38,6 +39,8 @@ CSV_HEADER = ("scheme,sweep_param,sweep_value,trial,seed,"
               "total_power_w,converged,unique_argmax,iterations")
 
 SWEEP_M_VALUES = (2, 4, 8, 16, 32)
+# the config field each sweep varies; the k sweep varies the user subset
+_SWEEP_FIELDS = {"m": "m", "delta": "delta_deg"}
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class ScenarioConfig:
     n_sc: int = 64
     bandwidth_hz: float = 39e3
     noise_w: float = 1e-9
-    beta: float = 1.0
+    beta: float | tuple = 1.0  # a tuple holds one value per user
     delta_deg: float = 0.0
     trials: int = 100
     base_seed: int = 20240811
@@ -79,6 +82,7 @@ class ScenarioConfig:
         if not self.users:
             raise ValueError("at least one user required")
         for u in self.users:
+            _check_direction(u.direction)
             if not 1 <= u.quality <= self.ladder.levels:
                 raise ValueError(f"quality {u.quality} outside ladder")
         if self.m < 1 or self.n_sc < 1:
@@ -89,6 +93,10 @@ class ScenarioConfig:
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(value) & (value > 0)):
                 raise ValueError(f"{name} must be finite and positive")
+        try:
+            np.broadcast_to(self.beta, len(self.users))
+        except ValueError:
+            raise ValueError("beta needs one value or one per user") from None
         if self.delta_deg < 0:
             raise ValueError("delta_deg must be >= 0")
         if self.delta_deg > 0 and len(self.users) != 5:
@@ -134,63 +142,60 @@ def default_config() -> ScenarioConfig:
     )
 
 
-_CONFIG_KEYS = {"tiling", "ladder", "users", "m", "n_sc", "bandwidth_hz",
-                "noise_w", "beta", "delta_deg", "trials", "base_seed",
-                "schemes"}
-_TILING_KEYS = {"u_h", "u_v", "fov_h_deg", "fov_v_deg", "margin_deg"}
-_USER_KEYS = {"yaw_deg", "pitch_deg", "quality"}
+_USER_KEYS = (*ViewDirection._fields, "quality")
+
+
+def _check_keys(raw, what, keys, required=()):
+    """Reject a config level with a key outside `keys` or without one of
+    `required`."""
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a config from parsed JSON; unknown keys anywhere are errors."""
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    base = default_config()
+    """Build a config from parsed JSON: unknown keys anywhere, and missing
+    user or tiling keys, are errors; other keys keep `default_config()`'s."""
+    _check_keys(raw, "config", [f.name for f in fields(ScenarioConfig)])
     kwargs = {}
     if "tiling" in raw:
-        t = dict(raw["tiling"])
-        bad = set(t) - _TILING_KEYS
-        if bad:
-            raise ValueError(f"unknown tiling keys: {sorted(bad)}")
-        kwargs["tiling"] = TilingConfig(**t)
+        tiling = fields(TilingConfig)
+        _check_keys(raw["tiling"], "tiling", [f.name for f in tiling],
+                    [f.name for f in tiling if f.default is MISSING])
+        kwargs["tiling"] = TilingConfig(**raw["tiling"])
     if "ladder" in raw:
         kwargs["ladder"] = QualityLadder(tuple(float(r) for r in raw["ladder"]))
     if "users" in raw:
-        users = []
         for u in raw["users"]:
-            bad = set(u) - _USER_KEYS
-            if bad:
-                raise ValueError(f"unknown user keys: {sorted(bad)}")
-            users.append(UserSpec(
-                ViewDirection(float(u["yaw_deg"]), float(u["pitch_deg"])),
-                int(u["quality"])))
-        kwargs["users"] = users
-    for key in ("m", "n_sc", "trials", "base_seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("bandwidth_hz", "noise_w", "beta", "delta_deg"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
+            _check_keys(u, "user", _USER_KEYS, _USER_KEYS)
+        kwargs["users"] = [
+            UserSpec(ViewDirection(float(u["yaw_deg"]), float(u["pitch_deg"])),
+                     int(u["quality"])) for u in raw["users"]]
+    for f in fields(ScenarioConfig):
+        if f.name in raw and f.type in (int, float):
+            kwargs[f.name] = f.type(raw[f.name])
+    if "beta" in raw:
+        beta = np.asarray(raw["beta"], dtype=float)
+        kwargs["beta"] = tuple(beta.tolist()) if beta.ndim else float(beta)
     if "schemes" in raw:
         kwargs["schemes"] = tuple(raw["schemes"])
-    return replace(base, **kwargs)
+    return replace(default_config(), **kwargs)
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    t = cfg.tiling
-    return {
-        "tiling": {"u_h": t.u_h, "u_v": t.u_v, "fov_h_deg": t.fov_h_deg,
-                   "fov_v_deg": t.fov_v_deg, "margin_deg": t.margin_deg},
-        "ladder": list(cfg.ladder.rates),
-        "users": [{"yaw_deg": u.direction.yaw_deg,
-                   "pitch_deg": u.direction.pitch_deg,
-                   "quality": u.quality} for u in cfg.users],
-        "m": cfg.m, "n_sc": cfg.n_sc, "bandwidth_hz": cfg.bandwidth_hz,
-        "noise_w": cfg.noise_w, "beta": cfg.beta,
-        "delta_deg": cfg.delta_deg, "trials": cfg.trials,
-        "base_seed": cfg.base_seed, "schemes": list(cfg.schemes),
-    }
+    """The JSON form of `cfg`, which `config_from_dict` reads back."""
+    raw = {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
+    raw.update(
+        tiling=asdict(cfg.tiling),
+        ladder=list(cfg.ladder.rates),
+        users=[{**u.direction._asdict(), "quality": u.quality}
+               for u in cfg.users],
+        beta=list(cfg.beta) if np.ndim(cfg.beta) else cfg.beta,
+        schemes=list(cfg.schemes))
+    return raw
 
 
 def shift_directions(base, delta_deg: float):
@@ -308,22 +313,22 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
     each block ends with mean and standard-error summary rows. Failed
     trials carry nan power and stay in the file; averages skip nan, and
     strict=True additionally drops non-converged trials from averages.
+
+    Every sweep point's config (which `ScenarioConfig` checks) is built,
+    and `out_path` is opened, before the first trial.
     """
-    if sweep == "delta" and len(cfg.users) != 5:
-        raise ValueError("the delta sweep needs exactly 5 users "
-                         "(the concentration shift is defined for five)")
+    points = [(param, value,
+               replace(cfg, **{_SWEEP_FIELDS[param]: value})
+               if param in _SWEEP_FIELDS else cfg)
+              for param, value in sweep_values(cfg, sweep)]
+    if out_path:
+        open(out_path, "a", encoding="utf-8").close()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     buf.write(CSV_HEADER + "\n")
 
     for scheme in cfg.schemes:
-        for param, value in sweep_values(cfg, sweep):
-            if param == "m":
-                cfg_pt = replace(cfg, m=int(value))
-            elif param == "delta":
-                cfg_pt = replace(cfg, delta_deg=float(value))
-            else:
-                cfg_pt = cfg
+        for param, value, cfg_pt in points:
             results = []
             for t in range(cfg.trials):
                 subset = _subset_for_trial(cfg, t, value) if param == "k" else None

@@ -125,21 +125,11 @@ def build_messages(part: TilePartition, qualities: dict, ladder: QualityLadder) 
 
 
 def unicast_messages(tile_sets: dict, qualities: dict, ladder: QualityLadder) -> list:
-    """One single-user message per user covering its whole tile set.
+    """One single-user message per user covering its whole tile set: the
+    message rule of `build_messages` over one-user groups, in user order.
 
     Users with empty tile sets are omitted (nothing to send).
     """
-    messages = []
-    for user in sorted(tile_sets.keys()):
-        tiles = tile_sets[user]
-        if not tiles:
-            continue
-        lvl = qualities[user]
-        messages.append(Message(
-            subset=(user,),
-            level=lvl,
-            audience=(user,),
-            tile_count=len(tiles),
-            demand_bits_per_s=len(tiles) * ladder.rate(lvl),
-        ))
-    return messages
+    part = TilePartition({(user,): tiles
+                          for user, tiles in tile_sets.items() if tiles})
+    return build_messages(part, qualities, ladder)

@@ -87,6 +87,24 @@ def test_config_rejects_link_parameters_that_crash_a_trial(field, value):
         assert replace(tiny_config(), m=m).m == m
 
 
+@pytest.mark.parametrize("over, message", [
+    ({"users": [UserSpec((400.0, 90.0), 1)]}, r"yaw_deg 400.0 outside"),
+    ({"users": [UserSpec((10.0, 180.5), 1)]}, r"pitch_deg 180.5 outside"),
+    ({"users": [UserSpec((10.0, -1.0), 1)]}, r"pitch_deg -1.0 outside"),
+    ({"beta": (1.0, 2.0)}, r"beta needs one value or one per user"),
+], ids=["yaw-400", "pitch-180.5", "pitch-minus-1", "beta-two-of-five"])
+def test_config_rejects_users_and_beta_that_crash_a_trial(over, message):
+    # each of these passed the config's checks once, then crashed the
+    # first trial (geometry's direction check, the channel's beta
+    # broadcast); the rules that failed there now reject the config
+    with pytest.raises(ValueError, match=message):
+        replace(default_config(), **over)
+    # one value per user, or one value for all, runs
+    for beta in ((1.0, 0.5), (0.5,), 0.5):
+        assert run_trial(tiny_config(beta=beta), "baseline1-unicast",
+                         0).total_power_w > 0
+
+
 def test_config_rejects_shift_without_five_users():
     with pytest.raises(ValueError, match="5 users"):
         three_viewer_config(delta_deg=12.0)
@@ -103,9 +121,11 @@ def test_delta_sweep_rejected_before_first_trial(monkeypatch):
 
 
 def test_config_dict_round_trip():
-    cfg = tiny_config()
-    again = config_from_dict(config_to_dict(cfg))
-    assert again == cfg
+    # a per-user beta goes through JSON as a list and comes back a tuple
+    for beta in (1.0, (1.0, 0.25)):
+        cfg = tiny_config(beta=beta)
+        raw = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(raw) == cfg
 
 
 def test_config_unknown_keys_rejected_everywhere():
@@ -121,6 +141,13 @@ def test_config_unknown_keys_rejected_everywhere():
     bad_user["users"][0]["fov"] = 90
     with pytest.raises(ValueError, match="unknown user keys"):
         config_from_dict(bad_user)
+    # a user or a tiling that lacks a key it needs is rejected too
+    with pytest.raises(ValueError, match=r"missing user keys: "
+                                         r"\['pitch_deg', 'quality'\]"):
+        config_from_dict({"users": [{"yaw_deg": 1}]})
+    with pytest.raises(ValueError, match=r"missing tiling keys: "
+                                         r"\['fov_h_deg', 'fov_v_deg'\]"):
+        config_from_dict({"tiling": {"u_h": 6, "u_v": 3}})
 
 
 def test_config_partial_dict_uses_defaults():
@@ -295,8 +322,30 @@ def test_rerun_byte_identical():
 
 def test_experiment_writes_file(tmp_path):
     out = tmp_path / "results.csv"
+    out.write_text("an older, longer results file\n" * 100)
     text = run_experiment(tiny_config(), out_path=str(out))
     assert out.read_bytes().decode("utf-8") == text
+
+
+def test_unwritable_out_path_rejected_before_first_trial(tmp_path,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(FileNotFoundError):
+        run_experiment(tiny_config(), out_path=str(tmp_path / "no" / "r.csv"))
+    assert calls == []
+    # a sweep that stops partway leaves an existing file as it was
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(harness, "run_trial", crash)
+    with pytest.raises(RuntimeError):
+        run_experiment(tiny_config(), out_path=str(out))
+    assert out.read_text() == "kept\n"
 
 
 def test_nan_trials_kept_in_rows_skipped_in_mean():
@@ -392,6 +441,18 @@ def test_cli_audit_detects_tampering(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().out
 
 
+def test_cli_run_per_user_beta(tmp_path, capsys):
+    # a config file may give one beta per user
+    cfg = tiny_config(beta=(1.0, 0.25), trials=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    assert json.loads(path.read_text())["beta"] == [1.0, 0.25]
+    out = tmp_path / "r.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == run_experiment(cfg)
+    assert out.read_text() != run_experiment(replace(cfg, beta=1.0))
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "r.csv"
@@ -420,19 +481,46 @@ def test_cli_rejects_unknown_scheme(tmp_path):
                                       "'{absent}'"),
     (["audit", "--out", "{absent}"], "[Errno 2] No such file or directory: "
                                      "'{absent}'"),
+    (["run", "--config", "{no_pitch}"], "missing user keys: "
+                                        "['pitch_deg', 'quality']"),
+    (["run", "--config", "{yaw400}"], "yaw_deg 400.0 outside [0, 360)"),
+    # run_experiment's checks before its first trial: an output path in a
+    # directory that does not exist, a sweep point the config rejects
+    (["run", "--trials", "1", "--out", "{absent}/x.csv"],
+     "[Errno 2] No such file or directory: '{absent}/x.csv'"),
+    (["run", "--config", "{three}", "--sweep", "delta"],
+     "delta_deg > 0 needs exactly 5 users (the concentration shift is "
+     "defined for five)"),
+    (["audit", "--config", "{three}", "--sweep", "delta", "--out", "{m0}"],
+     "delta_deg > 0 needs exactly 5 users (the concentration shift is "
+     "defined for five)"),
     # oracle-check draws its own instances: it takes --seed and --trials
     # only, and refuses the run options rather than ignoring them
     (["oracle-check", "--sweep", "k"], "unrecognized arguments: --sweep k"),
+    (["oracle-check", "--trials", "0"], "trials must be >= 1"),
+    (["oracle-check", "--trials", "-3"], "trials must be >= 1"),
 ], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
-        "missing-audit-file", "oracle-check-sweep"])
-def test_cli_reports_bad_input(tmp_path, capsys, argv, message):
+        "missing-audit-file", "user-without-pitch", "yaw-400",
+        "missing-out-dir", "run-delta-sweep", "audit-delta-sweep",
+        "oracle-check-sweep", "oracle-check-zero-trials",
+        "oracle-check-negative-trials"])
+def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
     # bad input ends with status 2 and one `tilecast: error:` line on
-    # stderr, not a traceback, and writes no results
-    m0 = tmp_path / "m0.json"
-    m0.write_text(json.dumps({"m": 0}))
-    paths = {"m0": str(m0), "absent": str(tmp_path / "absent")}
+    # stderr, not a traceback, before any trial, and writes no results
+    calls = []
+    monkeypatch.setattr(harness, "run_trial",
+                        lambda *args, **kwargs: calls.append(args))
+    configs = {"m0": {"m": 0},
+               "no_pitch": {"users": [{"yaw_deg": 1}]},
+               "yaw400": {"users": [{"yaw_deg": 400, "pitch_deg": 90,
+                                     "quality": 1}]},
+               "three": config_to_dict(three_viewer_config())}
+    paths = {"absent": str(tmp_path / "absent")}
+    for name, raw in configs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
     argv = [arg.format(**paths) for arg in argv]
-    if argv[0] == "run":
+    if argv[0] == "run" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "r.csv")]
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
@@ -440,6 +528,7 @@ def test_cli_reports_bad_input(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert f"tilecast: error: {message.format(**paths)}\n" in err
     assert "Traceback" not in err
+    assert calls == []
     assert not (tmp_path / "r.csv").exists()
 
 
