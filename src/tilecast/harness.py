@@ -5,7 +5,9 @@ with target quality levels, and the link parameters. Each trial draws one
 channel realization; every scheme sees the identical realization for a
 given trial index, so scheme comparisons are paired. Sweeps vary the user
 count, the antenna count, or the concentration shift of the viewing
-directions.
+directions. `run_experiment` plans one trial index at a time, inside one
+`scope.trial_scope`, so the index's channel, tile sets, messages and
+repeated allocation problems are computed once for all its trials.
 
 Schemes:
   proposed-asymptotic  large-antenna beams + quoted allocation
@@ -31,6 +33,7 @@ from .ofdma_alloc import (InfeasibleAllocationError, audit_allocation,
                           complete_allocation, solve_quoted_allocation)
 from .partition import QualityLadder, build_messages, build_partition, \
     unicast_messages
+from .scope import shared, trial_scope
 
 SCHEMES = ("proposed-asymptotic", "proposed-dc",
            "baseline1-unicast", "baseline2-multicast")
@@ -146,8 +149,10 @@ _USER_KEYS = (*ViewDirection._fields, "quality")
 
 
 def _check_keys(raw, what, keys, required=()):
-    """Reject a config level with a key outside `keys` or without one of
-    `required`."""
+    """Reject a config level that is not an object, or has a key outside
+    `keys` or lacks one of `required`."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, not {raw!r}")
     unknown = set(raw) - set(keys)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
@@ -156,32 +161,56 @@ def _check_keys(raw, what, keys, required=()):
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
+def _read(key, convert, value):
+    """`convert(value)`; a value of the wrong type or form raises a
+    ValueError that names its config key."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"config key {key!r} has the wrong type: "
+                         f"{value!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _user_spec(u: dict) -> UserSpec:
+    return UserSpec(ViewDirection(float(u["yaw_deg"]), float(u["pitch_deg"])),
+                    int(u["quality"]))
+
+
+def _beta(raw) -> float | tuple:
+    beta = np.asarray(raw, dtype=float)
+    return tuple(beta.tolist()) if beta.ndim else float(beta)
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a config from parsed JSON: unknown keys anywhere, and missing
-    user or tiling keys, are errors; other keys keep `default_config()`'s."""
+    """Build a config from parsed JSON: unknown keys anywhere, missing
+    user or tiling keys, and values of the wrong type are errors; other
+    keys keep `default_config()`'s."""
     _check_keys(raw, "config", [f.name for f in fields(ScenarioConfig)])
     kwargs = {}
     if "tiling" in raw:
         tiling = fields(TilingConfig)
         _check_keys(raw["tiling"], "tiling", [f.name for f in tiling],
                     [f.name for f in tiling if f.default is MISSING])
-        kwargs["tiling"] = TilingConfig(**raw["tiling"])
+        kwargs["tiling"] = _read("tiling", lambda t: TilingConfig(**t),
+                                 raw["tiling"])
     if "ladder" in raw:
-        kwargs["ladder"] = QualityLadder(tuple(float(r) for r in raw["ladder"]))
+        kwargs["ladder"] = _read(
+            "ladder", lambda r: QualityLadder(tuple(float(x) for x in r)),
+            raw["ladder"])
     if "users" in raw:
-        for u in raw["users"]:
+        users = _read("users", list, raw["users"])
+        for u in users:
             _check_keys(u, "user", _USER_KEYS, _USER_KEYS)
-        kwargs["users"] = [
-            UserSpec(ViewDirection(float(u["yaw_deg"]), float(u["pitch_deg"])),
-                     int(u["quality"])) for u in raw["users"]]
+        kwargs["users"] = [_read("users", _user_spec, u) for u in users]
     for f in fields(ScenarioConfig):
         if f.name in raw and f.type in (int, float):
-            kwargs[f.name] = f.type(raw[f.name])
+            kwargs[f.name] = _read(f.name, f.type, raw[f.name])
     if "beta" in raw:
-        beta = np.asarray(raw["beta"], dtype=float)
-        kwargs["beta"] = tuple(beta.tolist()) if beta.ndim else float(beta)
+        kwargs["beta"] = _read("beta", _beta, raw["beta"])
     if "schemes" in raw:
-        kwargs["schemes"] = tuple(raw["schemes"])
+        kwargs["schemes"] = _read("schemes", tuple, raw["schemes"])
     return replace(default_config(), **kwargs)
 
 
@@ -216,6 +245,34 @@ def _restrict_channel(ch: ChannelState, subset) -> ChannelState:
                         beta=ch.beta[idx], h=ch.h[:, idx, :])
 
 
+def _read_only(ch: ChannelState) -> ChannelState:
+    """`ch` with its arrays locked: every trial of an index reads it."""
+    ch.h.flags.writeable = False
+    ch.beta.flags.writeable = False
+    return ch
+
+
+def _tile_set(direction: ViewDirection, tiling: TilingConfig) -> set:
+    return shared(("tiles", direction, tiling),
+                  lambda: compute_tile_set(direction, tiling))
+
+
+def _messages(cfg: ScenarioConfig, viewers: tuple, unicast: bool) -> list:
+    """The messages for `viewers`, (direction, quality) pairs renumbered
+    from 1: one per user (unicast) or per partition group and level."""
+    def build():
+        tile_sets = {k: _tile_set(d, cfg.tiling)
+                     for k, (d, _) in enumerate(viewers, start=1)}
+        qualities = {k: q for k, (_, q) in enumerate(viewers, start=1)}
+        if unicast:
+            return unicast_messages(tile_sets, qualities, cfg.ladder)
+        return build_messages(build_partition(tile_sets), qualities,
+                              cfg.ladder)
+
+    return shared(("messages", unicast, viewers, cfg.tiling, cfg.ladder),
+                  build)
+
+
 def _failed(scheme, trial_index, seed) -> TrialResult:
     return TrialResult(scheme=scheme, trial_index=trial_index, seed=seed,
                        total_power_w=float("nan"), converged=False,
@@ -228,7 +285,10 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
 
     The channel is always drawn for the configured user population so that
     subsets (the user-count sweep) stay paired with the full scenario; the
-    plan itself only sees the restricted users, renumbered from 1.
+    plan itself only sees the restricted users, renumbered from 1. Inside
+    a `trial_scope`, the channel, tile sets, messages and allocation
+    problems it has in common with the scope's earlier trials are not
+    computed again.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
@@ -240,23 +300,18 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
     if cfg.delta_deg > 0:
         dirs = shift_directions(dirs, cfg.delta_deg)
 
-    ch_full = sample_channel(seed, cfg.m, cfg.n_sc, n_total, beta=cfg.beta,
-                             noise_w=cfg.noise_w, bandwidth_hz=cfg.bandwidth_hz)
+    ch_full = shared(
+        ("channel", seed, cfg.m, cfg.n_sc, n_total,
+         np.asarray(cfg.beta, dtype=float).tobytes(), cfg.noise_w,
+         cfg.bandwidth_hz),
+        lambda: _read_only(sample_channel(
+            seed, cfg.m, cfg.n_sc, n_total, beta=cfg.beta,
+            noise_w=cfg.noise_w, bandwidth_hz=cfg.bandwidth_hz)))
     ch = _restrict_channel(ch_full, subset) if len(subset) < n_total else ch_full
-
-    tile_sets = {}
-    qualities = {}
-    for new_id, j in enumerate(subset, start=1):
-        tile_sets[new_id] = compute_tile_set(dirs[j], cfg.tiling)
-        qualities[new_id] = cfg.users[j].quality
+    viewers = tuple((dirs[j], cfg.users[j].quality) for j in subset)
 
     try:
-        if scheme == "baseline1-unicast":
-            messages = unicast_messages(tile_sets, qualities, cfg.ladder)
-        else:
-            part = build_partition(tile_sets)
-            messages = build_messages(part, qualities, cfg.ladder)
-
+        messages = _messages(cfg, viewers, scheme == "baseline1-unicast")
         if scheme == "proposed-dc":
             alloc = dc_solve(ch, messages)
         else:
@@ -292,11 +347,13 @@ def sweep_values(cfg: ScenarioConfig, sweep: Optional[str]) -> list:
     raise ValueError(f"unknown sweep: {sweep!r}")
 
 
-def _subset_for_trial(cfg: ScenarioConfig, trial_index: int, k: int) -> list:
-    """First k entries of a per-trial permutation: subsets nest as k grows."""
+def _trial_subsets(cfg: ScenarioConfig, trial_index: int) -> dict:
+    """Each user count k's subset at one trial index: the first k entries
+    of the index's permutation, so subsets nest as k grows."""
     rng = np.random.default_rng(derive_trial_seed(cfg.base_seed, trial_index))
     perm = rng.permutation(len(cfg.users))
-    return sorted(int(i) for i in perm[:k])
+    return {k: sorted(int(i) for i in perm[:k])
+            for k in range(1, len(cfg.users) + 1)}
 
 
 def _fmt_value(v) -> str:
@@ -313,6 +370,8 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
     each block ends with mean and standard-error summary rows. Failed
     trials carry nan power and stay in the file; averages skip nan, and
     strict=True additionally drops non-converged trials from averages.
+    Trials are planned index by index, each index's (scheme, sweep
+    point) trials in one `trial_scope`.
 
     Every sweep point's config (which `ScenarioConfig` checks) is built,
     and `out_path` is opened, before the first trial.
@@ -327,12 +386,20 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
     writer = csv.writer(buf, lineterminator="\n")
     buf.write(CSV_HEADER + "\n")
 
+    planned = {(scheme, i): [] for scheme in cfg.schemes
+               for i in range(len(points))}
+    for t in range(cfg.trials):
+        subsets = _trial_subsets(cfg, t) if sweep == "k" else None
+        with trial_scope():
+            for scheme in cfg.schemes:
+                for i, (param, value, cfg_pt) in enumerate(points):
+                    subset = subsets[value] if param == "k" else None
+                    planned[scheme, i].append(
+                        run_trial(cfg_pt, scheme, t, user_subset=subset))
+
     for scheme in cfg.schemes:
-        for param, value, cfg_pt in points:
-            results = []
-            for t in range(cfg.trials):
-                subset = _subset_for_trial(cfg, t, value) if param == "k" else None
-                results.append(run_trial(cfg_pt, scheme, t, user_subset=subset))
+        for i, (param, value, _) in enumerate(points):
+            results = planned[scheme, i]
             for r in results:
                 writer.writerow([
                     r.scheme, param, _fmt_value(value), r.trial_index, r.seed,

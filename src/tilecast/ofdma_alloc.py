@@ -64,6 +64,7 @@ transmit power of a pair is p divided by the antenna count, applied when the
 beam plan is attached.
 """
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -71,6 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _audience
+from .scope import shared
 
 LN2 = math.log(2.0)
 ENUMERATE_MAX = 81          # solve exactly when n_msg ** n_sc is at most this
@@ -788,10 +790,20 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
         Per-subcarrier bandwidth in Hz.
 
     The plan is flagged converged when its relative duality gap is at most
-    GAP_TOL and the local search ended below its safety cap.
+    GAP_TOL and the local search ended below its safety cap. Inside a
+    `scope.trial_scope`, a call with the same demands, quotes and
+    bandwidth as an earlier one gets a copy of that call's plan.
     """
     demands = _demands(messages)
     quotes = np.asarray(quotes, dtype=float)
+    key = ("allocation", demands.tobytes(), quotes.shape, quotes.tobytes(),
+           float(bandwidth))
+    return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth),
+                  copy.deepcopy)
+
+
+def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
+                  bandwidth: float) -> Allocation:
     n_msg, n_sc = quotes.shape
     if n_msg != demands.shape[0]:
         raise ValueError("quote rows must match messages")

@@ -23,7 +23,7 @@ from tilecast import (ChannelState, Message, QualityLadder, TilingConfig,
 from tilecast.beamforming import _better
 from tilecast.cli import main as cli_main
 from tilecast.dc_solver import initial_point
-from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
+from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
                               config_to_dict, default_config, run_experiment,
                               run_trial)
 
@@ -64,7 +64,7 @@ def collect(cfg, schemes, sweep_points, trials):
             cfg_pt = replace(cfg, **kwargs) if kwargs else cfg
             vals = []
             for t in range(trials):
-                subset = (_subset_for_trial(cfg, t, subset_k)
+                subset = (_trial_subsets(cfg, t)[subset_k]
                           if subset_k is not None else None)
                 r = run_trial(cfg_pt, s, t, user_subset=subset)
                 vals.append(r.total_power_w)

@@ -30,7 +30,7 @@ from tilecast.beamforming import (CCP_MAX_SWEEPS, CCP_TOL, _bottleneck,
                                   beam_plan_asymptotic, beam_plan_mrt)
 from tilecast.channel import _audience
 from tilecast.dc_solver import initial_point
-from tilecast.harness import (UserSpec, _subset_for_trial, default_config,
+from tilecast.harness import (UserSpec, _trial_subsets, default_config,
                               run_trial)
 from tilecast.ofdma_alloc import GAP_TOL
 
@@ -463,7 +463,7 @@ def test_dc_solve_one_message_passes_end_before_the_cap():
                UserSpec(ViewDirection(202.5, 67.5), 2)],
         n_sc=16, m=4, base_seed=4)
     result = run_trial(cfg, "proposed-dc", 6,
-                       user_subset=_subset_for_trial(cfg, 6, 2))
+                       user_subset=_trial_subsets(cfg, 6)[2])
     assert math.isfinite(result.total_power_w)
     assert result.total_power_w > 0.0
 

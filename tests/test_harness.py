@@ -16,9 +16,9 @@ from tilecast import (CSV_HEADER, SCHEMES, QualityLadder, ScenarioConfig,
                       TilingConfig, ViewDirection, config_from_dict,
                       config_to_dict, default_config, run_experiment,
                       run_trial, sweep_values)
-from tilecast import cli, harness
+from tilecast import cli, harness, ofdma_alloc, scope
 from tilecast.cli import main as cli_main
-from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _subset_for_trial,
+from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
                               shift_directions)
 
 
@@ -188,13 +188,13 @@ def test_trial_subsets_nest_and_are_deterministic():
     for t in range(10):
         prev = set()
         for k in range(1, 6):
-            sub = _subset_for_trial(cfg, t, k)
+            sub = _trial_subsets(cfg, t)[k]
             assert len(sub) == k
             assert sub == sorted(sub)
             assert prev <= set(sub)
             prev = set(sub)
-        assert _subset_for_trial(cfg, t, 3) == _subset_for_trial(cfg, t, 3)
-    assert _subset_for_trial(cfg, 0, 5) == [0, 1, 2, 3, 4]
+        assert _trial_subsets(cfg, t)[3] == _trial_subsets(cfg, t)[3]
+    assert _trial_subsets(cfg, 0)[5] == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,161 @@ def test_unwritable_out_path_rejected_before_first_trial(tmp_path,
     assert out.read_text() == "kept\n"
 
 
+# ---------------------------------------------------------------------------
+# trial scopes: one index's shared work, invisible in the results
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sweep", ["k", "m"])
+def test_experiment_rows_match_standalone_trials(sweep, monkeypatch):
+    # run_experiment plans each index's trials in one scope; every row
+    # must be the row of the same trial planned on its own, and the scope
+    # must share: one channel per index and antenna count, and fewer
+    # allocator solves than calls where single-user audiences repeat
+    cfg = (three_viewer_config(trials=2) if sweep == "k"
+           else tiny_config(schemes=SCHEMES))
+    counts = {"channels": 0, "solves": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, attr, name in ((harness, "sample_channel", "channels"),
+                               (ofdma_alloc, "_solve_quoted", "solves")):
+        monkeypatch.setattr(module, attr,
+                            counted(name, getattr(module, attr)))
+    rows = [r for r in csv.DictReader(
+        run_experiment(cfg, sweep=sweep).splitlines()) if r["trial"].isdigit()]
+    points = sweep_values(cfg, sweep)
+    assert len(rows) == len(SCHEMES) * len(points) * cfg.trials
+    assert counts["channels"] == cfg.trials * (1 if sweep == "k"
+                                               else len(points))
+    if sweep == "k":    # each trial makes at most one allocator call
+        assert counts["solves"] < len(rows)
+    monkeypatch.undo()
+    for row in rows:
+        t, value = int(row["trial"]), int(row["sweep_value"])
+        if sweep == "k":
+            r = run_trial(cfg, row["scheme"], t,
+                          user_subset=_trial_subsets(cfg, t)[value])
+        else:
+            r = run_trial(replace(cfg, m=value), row["scheme"], t)
+        assert row == {
+            "scheme": r.scheme, "sweep_param": sweep,
+            "sweep_value": str(value), "trial": str(t), "seed": str(r.seed),
+            "total_power_w": f"{r.total_power_w:.10e}",
+            "converged": str(int(r.converged)),
+            "unique_argmax": str(int(r.unique_argmax)),
+            "iterations": str(r.iterations)}
+
+
+def test_shared_allocation_handed_out_as_copies(monkeypatch):
+    # at one user every beam rule is MRT, so two schemes quote alike and
+    # share one solve; each gets its own plan, and writing into one
+    # (as complete_allocation and dc_solve do) leaves the other as it was
+    cfg = tiny_config()
+    plans = []
+    real = harness.complete_allocation
+
+    def complete(alloc, plan):
+        plans.append(alloc)
+        return real(alloc, plan)
+
+    solves = []
+    solve = ofdma_alloc._solve_quoted
+    monkeypatch.setattr(harness, "complete_allocation", complete)
+    monkeypatch.setattr(ofdma_alloc, "_solve_quoted",
+                        lambda *args: solves.append(args) or solve(*args))
+    with scope.trial_scope():
+        for scheme in ("proposed-asymptotic", "baseline2-multicast"):
+            run_trial(cfg, scheme, 0, user_subset=[1])
+        first, second = plans
+        assert len(solves) == 1
+        assert first is not second
+        kept = (second.assign.copy(), second.power.copy(),
+                second.rate.copy(), dict(second.diagnostics),
+                second.total_power_w)
+        assert np.array_equal(first.power, kept[1])
+        first.assign[:] = 0
+        first.power *= 2.0
+        first.rate[:] = 0.0
+        first.diagnostics["start"] = "changed"
+        first.total_power_w = -1.0
+        assert np.array_equal(second.assign, kept[0])
+        assert np.array_equal(second.power, kept[1])
+        assert np.array_equal(second.rate, kept[2])
+        assert second.diagnostics == kept[3]
+        assert second.total_power_w == kept[4]
+        # a third scheme gets the kept plan, as it was
+        third = run_trial(cfg, "proposed-dc", 0, user_subset=[1])
+        assert third.total_power_w == kept[4]
+        assert len(solves) == 1
+
+
+def test_allocation_shared_only_on_equal_inputs():
+    # a plan is shared only for the same demands, quotes and bandwidth
+    quotes = 10.0 ** np.random.default_rng(1).uniform(-9.0, -8.0, (3, 6))
+    demands = np.array([1.0, 2.0, 3.0]) * 39e3
+    with scope.trial_scope():
+        base = ofdma_alloc.solve_quoted_allocation(demands, quotes, 39e3)
+        for args in ((demands * 1.5, quotes, 39e3),
+                     (demands, quotes * 2.0, 39e3),
+                     (demands, quotes, 78e3),
+                     (demands[:2], quotes[:2], 39e3)):
+            other = ofdma_alloc.solve_quoted_allocation(*args)
+            assert other.power.shape != base.power.shape or \
+                not np.array_equal(other.power, base.power)
+            assert other.power_sum == \
+                ofdma_alloc.solve_quoted_allocation(*args).power_sum
+
+
+def test_no_scope_outlives_run_experiment(monkeypatch):
+    # one fresh scope per trial index, none after the sweep returns or
+    # raises
+    memos = []
+    real = harness.run_trial
+
+    def spy(cfg, scheme, t, user_subset=None):
+        memos.append((t, scope._MEMO.get()))
+        return real(cfg, scheme, t, user_subset=user_subset)
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    cfg = tiny_config(trials=3)
+    run_experiment(cfg)
+    assert scope._MEMO.get() is None
+    of_index = dict(memos)
+    assert all(memo is of_index[t] for t, memo in memos)
+    assert None not in of_index.values()
+    assert len({id(memo) for memo in of_index.values()}) == cfg.trials
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(harness, "run_trial", crash)
+    with pytest.raises(RuntimeError):
+        run_experiment(cfg)
+    assert scope._MEMO.get() is None
+
+
+def test_shared_channel_is_read_only(monkeypatch):
+    drawn = []
+    real = harness.sample_channel
+
+    def sample(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_channel", sample)
+    cfg = tiny_config()
+    with scope.trial_scope():
+        for scheme in cfg.schemes:
+            run_trial(cfg, scheme, 0)
+    assert len(drawn) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        drawn[0].h[0, 0, 0] = 0.0
+
+
 def test_nan_trials_kept_in_rows_skipped_in_mean():
     cfg = tiny_config(n_sc=1, schemes=("baseline1-unicast",))
     text = run_experiment(cfg)
@@ -484,6 +639,11 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     (["run", "--config", "{no_pitch}"], "missing user keys: "
                                         "['pitch_deg', 'quality']"),
     (["run", "--config", "{yaw400}"], "yaw_deg 400.0 outside [0, 360)"),
+    # a value of the wrong JSON type names its key
+    (["run", "--config", "{m_null}"], "config key 'm' has the wrong type: "
+                                      "None"),
+    (["run", "--config", "{ladder5}"], "config key 'ladder' has the wrong "
+                                       "type: 5"),
     # run_experiment's checks before its first trial: an output path in a
     # directory that does not exist, a sweep point the config rejects
     (["run", "--trials", "1", "--out", "{absent}/x.csv"],
@@ -500,7 +660,8 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     (["oracle-check", "--trials", "0"], "trials must be >= 1"),
     (["oracle-check", "--trials", "-3"], "trials must be >= 1"),
 ], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
-        "missing-audit-file", "user-without-pitch", "yaw-400",
+        "missing-audit-file", "user-without-pitch", "yaw-400", "m-null",
+        "ladder-int",
         "missing-out-dir", "run-delta-sweep", "audit-delta-sweep",
         "oracle-check-sweep", "oracle-check-zero-trials",
         "oracle-check-negative-trials"])
@@ -514,7 +675,9 @@ def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
                "no_pitch": {"users": [{"yaw_deg": 1}]},
                "yaw400": {"users": [{"yaw_deg": 400, "pitch_deg": 90,
                                      "quality": 1}]},
-               "three": config_to_dict(three_viewer_config())}
+               "three": config_to_dict(three_viewer_config()),
+               "m_null": {"m": None},
+               "ladder5": {"ladder": 5}}
     paths = {"absent": str(tmp_path / "absent")}
     for name, raw in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")
