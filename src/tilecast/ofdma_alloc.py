@@ -16,19 +16,21 @@ Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
 message's fair share of the subcarriers, and the temperature is annealed
 down to a fixed floor, each level warm-started from the last; only the
 floor level is solved to DUAL_TOL, the others to the looser LEVEL_TOL.
-A level after the first also tries a predictor point, the last level's
+A level after the first starts at a predictor point, the last level's
 optimum moved along the path's tangent in the temperature (Euler
-continuation), and starts there when its smoothed value is higher.
-The line search shrinks a step on the smoothed value alone, to the peak
-of the quadratic through the value, the slope and the rejected trial;
-the gradient and Hessian are computed once per accepted step, from that
-value's intermediates, and the pair gains once per point: a level starts
-from the last accepted point's. The exact dual at the final multipliers,
-or the trivial bound 0 when it is lower, is the reported bound; the gap
-between it and the plan is mostly the problem's integrality gap, which
-no dual method closes, so `converged` (gap within GAP_TOL) is honest. A
-plan whose water level would pass the water-fill's 2^1000 cap is refused
-as infeasible.
+continuation), whenever its smoothed value is finite; only otherwise is
+the last point valued at the new temperature. The line search shrinks a
+step on the smoothed value alone, to the peak of the quadratic through
+the value, the slope and the rejected trial. Each point costs one pass
+for its rates, gamma*rate and gains, from the quotes' log2 taken once
+per solve, and one softmax, which its value, gradient, Hessian and
+tangent all read; the gradient and Hessian are computed once per
+accepted step. The exact dual at the final multipliers, or the trivial
+bound 0 when it is lower, is the reported bound; the gap between it and
+the plan is mostly the problem's integrality gap, which no dual method
+closes, so `converged` (gap within GAP_TOL) is honest. A plan whose
+water level would pass the water-fill's 2^1000 cap is refused as
+infeasible.
 
 The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (by a direct steal, or else by an
@@ -51,9 +53,10 @@ bounds and are never rescored. The regimes differ only in the exchange
 table, which swaps and rotations read. The search runs to a local
 optimum; its pass bound is a safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
-`_waterfill_sets` applies it to any batch of column sets, packed only as
-wide as the batch's largest set: the enumeration, the search's tables
-and rescoring, and the final fill.
+`_waterfill_sets` applies it to any batch of column sets: the
+enumeration, the search's tables and rescoring, and the final fill. A
+batch packs itself, with one stable argsort per row of its quotes masked
+to the set, and is filled only as wide as its largest set.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances.
@@ -64,10 +67,9 @@ transmit power of a pair is p divided by the antenna count, applied when the
 beam plan is attached.
 """
 
-import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -244,40 +246,51 @@ def _augmenting_path(mi, assigned, usable, spare):
     return None
 
 
-def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
-                    owner: np.ndarray, sets: np.ndarray):
+def _pack_sets(qn: np.ndarray, owner: np.ndarray, sets: np.ndarray):
+    """Each set's finite quotes, in ascending order, packed to the left.
+
+    Row r's set is the columns flagged in sets[r] at quotes qn[owner[r]].
+    Its non-members are masked to inf, and one stable argsort per row puts
+    its finite quotes first, equal quotes in column order; the rows are
+    cut to the batch's largest set. Returns (rows, order, packed, ok): ok
+    flags the sets with a finite quote, and packed[i] holds the quotes of
+    row rows[i] (of the ok rows, in order) at its columns order[i], padded
+    with inf.
+    """
+    masked = np.where(sets, qn[owner], math.inf)
+    order = np.argsort(masked, axis=1, kind="stable")
+    count = np.isfinite(masked).sum(axis=1)
+    ok = count > 0
+    order = order[ok, :max(int(count.max(initial=0)), 1)]
+    rows = np.flatnonzero(ok)[:, None]
+    return rows, order, masked[rows, order], ok
+
+
+def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, owner: np.ndarray,
+                    sets: np.ndarray):
     """Exact water-fill of many column sets in one batch.
 
     Row r splits demand dn[owner[r]] (in multiples of the bandwidth) over
-    the columns flagged in sets[r] at quotes qn[owner[r]]; perm is qn's
-    stable argsort along each row, so equal quotes fill in column order.
-    Returns full-width (power, rate) rows, zero off each set, and a flag
-    per row that is False, with zero rows, when the set has no finite
-    quote. The packed rows are only as wide as the batch's largest set;
-    a row's water-fill does not depend on that width.
+    the columns flagged in sets[r] at quotes qn[owner[r]]. The batch packs
+    itself (`_pack_sets`), is water-filled only as wide as its largest
+    set, and is scattered back. Returns full-width (power, rate) rows,
+    zero off each set, and a flag per row that is False, with zero rows,
+    when the set has no finite quote. A row's water-fill does not depend
+    on the packed width.
     """
-    rows = np.arange(owner.size)
-    order = perm[owner]
-    q_sorted = qn[owner[:, None], order]
-    # each set's finite quotes in ascending order, packed to the left
-    use = sets[rows[:, None], order] & np.isfinite(q_sorted)
-    r, p = np.nonzero(use)
-    slot = use.cumsum(axis=1)[r, p] - 1
-    packed = np.full((owner.size, slot.max(initial=0) + 1), math.inf)
-    packed[r, slot] = q_sorted[r, p]
-    ok = use.any(axis=1)
-    by_slot = np.zeros((2,) + packed.shape)     # power and rate, packed
-    by_slot[:, ok] = _waterfill_rows(packed[ok], dn[owner[ok]])
-    by_col = np.zeros((2,) + use.shape)     # back in column positions
-    by_col[:, r, order[r, p]] = by_slot[:, r, slot]
-    return by_col[0], by_col[1], ok
+    rows, order, packed, ok = _pack_sets(qn, owner, sets)
+    out = np.zeros((2,) + sets.shape)       # power and rate, by column
+    out[:, rows, order] = _waterfill_rows(packed, dn[owner[ok]])
+    return out[0], out[1], ok
 
 
-def _set_totals(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray,
-                owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _set_totals(qn: np.ndarray, dn: np.ndarray, owner: np.ndarray,
+                sets: np.ndarray) -> np.ndarray:
     """Water-fill total of each `_waterfill_sets` row: the sum of its
     full-width power row, or inf when the set has no finite quote."""
-    power, _, ok = _waterfill_sets(qn, dn, perm, owner, sets)
+    rows, order, packed, ok = _pack_sets(qn, owner, sets)
+    power = np.zeros(sets.shape)
+    power[rows, order] = _waterfill_rows(packed, dn[owner[ok]])[0]
     return np.where(ok, power.sum(axis=1), math.inf)
 
 
@@ -423,7 +436,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     cols = np.arange(n_sc)
     eye = np.eye(n_sc, dtype=bool)
     usable = np.isfinite(qn)
-    perm = np.argsort(qn, axis=1, kind="stable")
     do_swaps = n_sc <= 16
     do_cycles = n_sc <= 12 and n_msg >= 3
     # each message's own total (column 0) and flip totals (column 1 + n),
@@ -447,7 +459,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     def make_exact(mi, c):
         # the table entries (mi, c), exact from one batched water-fill
         sets = (assigned == mi[:, None]) ^ flip_masks[c]
-        table[mi, c] = _set_totals(qn, dn, perm, mi, sets)
+        table[mi, c] = _set_totals(qn, dn, mi, sets)
         table_err[mi, c] = 0.0
 
     def rebuild(changed):
@@ -460,7 +472,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             own_flips = (member[:, None] ^ flip_masks).reshape(-1, n_sc)
             sets = np.concatenate((own_flips, member[w] ^ eye[d] ^ eye[a]))
             owner = np.concatenate((np.repeat(changed, n_sc + 1), changed[w]))
-            total = _set_totals(qn, dn, perm, owner, sets)
+            total = _set_totals(qn, dn, owner, sets)
             n_table = changed.size * (n_sc + 1)
             table[changed] = total[:n_table].reshape(-1, n_sc + 1)
             exch[changed[w], d, a] = total[n_table:]
@@ -595,62 +607,67 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     return assigned, passes, moves, rescored
 
 
-def _gains(gamma: np.ndarray, qn: np.ndarray):
-    """Dual gain of every (message, subcarrier) pair at multipliers gamma.
+def _gains(gamma: np.ndarray, qn: np.ndarray, log2q: np.ndarray):
+    """Dual gain of every (message, subcarrier) pair at multipliers gamma,
+    from the quotes and their log2, in one pass.
 
     The pair's water-filling power is p = max(0, gamma/ln2 - q) and its
-    rate r = log2(1 + p/q), in multiples of the bandwidth; the gain is
-    gamma*r - p. Returns (gain, rate, active), zero off the active pairs.
+    rate r = log2(1 + p/q) = max(0, log2(gamma/ln2) - log2 q), in
+    multiples of the bandwidth; the gain is gamma*r - p. A pair is active
+    where its rate is positive. Returns (gain, rate, grate), grate =
+    gamma*r being the gain's derivative in log gamma; all are zero off the
+    active pairs.
     """
-    water = gamma[:, None] / LN2
-    active = water > qn
-    rate = np.log2(np.where(active, water / qn, 1.0))
-    gain = np.where(active, gamma[:, None] * rate - (water - qn), 0.0)
-    return gain, rate, active
+    water = gamma / LN2
+    rate = np.maximum(np.log2(water)[:, None] - log2q, 0.0)
+    grate = gamma[:, None] * rate
+    gain = grate - (water[:, None] - qn)
+    gain[rate == 0.0] = 0.0
+    return gain, rate, grate
 
 
 def _dual_value(gamma: np.ndarray, gains, dn: np.ndarray, tau: float):
     """The dual with each subcarrier's max over messages replaced by a
     log-sum-exp at temperature tau, at multipliers gamma whose `_gains`
-    are gains. Returns (value, parts), parts being what
-    `_dual_derivatives` needs. The value is at most n_sc*tau*ln(n_msg)
-    below the exact dual."""
-    gain, rate, active = gains
-    top = gain.max(axis=0)
-    e = np.exp((gain - top) / tau)
+    are gains. Returns (value, parts): parts hold the point and its
+    softmax over messages, which `_dual_derivatives` and `_dual_tau_slope`
+    read. The value is at most n_sc*tau*ln(n_msg) below the exact dual."""
+    top = gains[0].max(axis=0)
+    e = np.exp((gains[0] - top) / tau)
     z = e.sum(axis=0)
     value = float(gamma @ dn - (top + tau * np.log(z)).sum())
-    return value, (gamma, rate, active, e, z)
+    return value, (gamma, gains, e / z)
 
 
 def _dual_derivatives(dn: np.ndarray, tau: float, parts):
     """Gradient and Hessian in u of the smoothed dual, from the parts
-    `_dual_value` returned at the same point and temperature."""
-    gamma, rate, active, e, z = parts
-    share = e / z                                 # softmax over messages
-    d1 = gamma[:, None] * rate                    # d gain / du
-    d2 = np.where(active, d1 + gamma[:, None] / LN2, 0.0)
-    w1 = share * d1
-    grad = gamma * dn - w1.sum(axis=1)
-    hess = (w1 @ w1.T) / tau
+    `_dual_value` returned at the same point and temperature. A pair's
+    gain has first derivative grate in u, and second grate + gamma/ln2
+    where it is active."""
+    gamma, (_, rate, grate), share = parts
+    curve = np.where(rate > 0.0, grate + gamma[:, None] / LN2, 0.0)
+    w1 = share * grate
+    size = gamma * dn
+    grad = size - w1.sum(axis=1)
+    hess = w1 @ w1.T
+    hess /= tau
     hess.flat[::gamma.size + 1] = (
-        gamma * dn - (share * d2).sum(axis=1)
-        - (w1 * (1.0 - share) * d1).sum(axis=1) / tau)
+        size - (share * curve).sum(axis=1)
+        - (w1 * (1.0 - share) * grate).sum(axis=1) / tau)
     return grad, hess
 
 
-def _dual_tau_slope(gain: np.ndarray, tau: float, parts):
+def _dual_tau_slope(tau: float, parts):
     """Derivative in tau of `_dual_derivatives`' gradient, from the parts
-    `_dual_value` returned at the same point and temperature and that
-    point's `_gains` gain: sum_n d1_mn share_mn (g_mn - gbar_n) / tau^2,
-    gbar_n being the share-weighted mean gain of subcarrier n."""
-    gamma, rate, active, e, z = parts
-    share = e / z
+    `_dual_value` returned at the same point and temperature:
+    sum_n grate_mn share_mn (g_mn - gbar_n) / tau^2, gbar_n being the
+    share-weighted mean gain of subcarrier n."""
+    _, (gain, _, grate), share = parts
     spread = gain - (share * gain).sum(axis=0)
-    return (share * spread * gamma[:, None] * rate).sum(axis=1) / tau ** 2
+    return (share * spread * grate).sum(axis=1) / tau ** 2
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     """Maximize the smoothed dual by damped Newton steps in u = log gamma.
 
@@ -664,13 +681,14 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     enough: to the peak of the quadratic through the value, the slope and
     the rejected trial's value, kept within [0.1, 0.5] of the step (a
     halving when the trial is not finite). A trial step costs one value,
-    and the derivatives are taken once per accepted step; a level starts
-    from the gains of the last accepted point. A level that ends above
-    the floor leaves the tangent of the path of optima, du/dtau =
-    (-H)^-1 d grad/d tau, from its last Hessian factors; the next level
-    evaluates the point moved along it to the new temperature (capped at
-    MAX_LOG_STEP per coordinate) and starts there when its value is
-    finite and above the warm start's. Returns (gamma, gain, steps,
+    from one `_gains` pass, and the derivatives are taken once per
+    accepted step, from the softmax of that value. A level that ends
+    above the floor leaves the tangent of the path of optima, du/dtau =
+    (-H)^-1 d grad/d tau, from its last Hessian factors and softmax; the
+    next level values the point moved along it to the new temperature
+    (capped at MAX_LOG_STEP per coordinate) and starts there whenever
+    that value is finite. Only otherwise, and at the first level, is the
+    last point valued at the new temperature. Returns (gamma, gain, steps,
     evaluations, predictions, tau): the final multipliers, their `_gains`
     gain, the steps taken, the smoothed-dual values computed, the
     predictor points kept and the floor temperature. Raises
@@ -679,40 +697,47 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     floating point; the overflows on the way there are not warned about.
     """
     n_msg, n_sc = qn.shape
+    log2q = np.log2(qn)
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
     u = np.log(LN2 * qmin) + LN2 * np.minimum(dn * n_msg / n_sc, 500.0)
     gamma = np.exp(u)
-    gains = _gains(gamma, qn)
+    gains = _gains(gamma, qn, log2q)
     scale = float(gains[0].max(axis=0).mean())
     steps = evaluations = predictions = 0
     tau = tangent = None
     for rel in TEMPERATURES:
         last_tau, tau = tau, rel * scale
         tol = DUAL_TOL if rel == TEMPERATURES[-1] else LEVEL_TOL
-        value, parts = _dual_value(gamma, gains, dn, tau)
-        evaluations += 1
+        value = None
         if tangent is not None:
             du = (tau - last_tau) * tangent
             du *= MAX_LOG_STEP / max(MAX_LOG_STEP, np.abs(du).max())
             pred_gamma = np.exp(u + du)
-            pred_gains = _gains(pred_gamma, qn)
+            pred_gains = _gains(pred_gamma, qn, log2q)
             pred, pred_parts = _dual_value(pred_gamma, pred_gains, dn, tau)
             evaluations += 1
-            if math.isfinite(pred) and pred > value:
+            if math.isfinite(pred):
                 u = u + du
                 gamma, gains = pred_gamma, pred_gains
                 value, parts = pred, pred_parts
                 predictions += 1
+        if value is None:
+            # the first level, or a predictor point past floating point:
+            # the last point at the new temperature
+            value, parts = _dual_value(gamma, gains, dn, tau)
+            evaluations += 1
         while steps < MAX_DUAL_STEPS:
             grad, hess = _dual_derivatives(dn, tau, parts)
             try:
                 lam, vec = np.linalg.eigh(-hess)
             except np.linalg.LinAlgError:           # a non-finite Hessian
                 lam, vec = np.full(n_msg, math.nan), np.eye(n_msg)
-            lam = np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max() + 1e-300)
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-12 * lam.max() + 1e-300)
             proj = vec.T @ grad
+            newton = proj / lam
             # squared Newton decrement: twice the rise the step predicts
-            decrement = float(proj @ (proj / lam))
+            decrement = float(proj @ newton)
             # a non-finite value, gradient or Hessian shows in one of these
             if not (math.isfinite(value) and math.isfinite(decrement)
                     and math.isfinite(lam[0])):
@@ -722,13 +747,13 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
                     f"temperature {tau:.3g} is not finite")
             if decrement <= 2.0 * tol * n_sc * tau:
                 break
-            step = vec @ (proj / lam)
+            step = vec @ newton
             step *= min(1.0, MAX_LOG_STEP / np.abs(step).max())
             slope = float(grad @ step)
             steps += 1
             for _ in range(40):
                 trial_gamma = np.exp(u + step)
-                trial_gains = _gains(trial_gamma, qn)
+                trial_gains = _gains(trial_gamma, qn, log2q)
                 trial, trial_parts = _dual_value(trial_gamma, trial_gains,
                                                  dn, tau)
                 evaluations += 1
@@ -751,12 +776,12 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
         # the last factors may not be this point's
         tangent = None
         if steps < MAX_DUAL_STEPS and rel != TEMPERATURES[-1]:
-            dgrad = vec.T @ _dual_tau_slope(gains[0], tau, parts)
+            dgrad = vec.T @ _dual_tau_slope(tau, parts)
             tangent = vec @ (dgrad / lam)
     return gamma, gains[0], steps, evaluations, predictions, tau
 
 
-def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
+def _enumerate(qn: np.ndarray, dn: np.ndarray):
     """Cheapest assignment by exhaustive search, all assignments scored in
     one batched water-fill; the first minimum in enumeration order wins.
     Returns (assigned, unique), unique False when another assignment is
@@ -766,8 +791,8 @@ def _enumerate(qn: np.ndarray, dn: np.ndarray, perm: np.ndarray):
     maps = np.array(list(itertools.product(range(n_msg), repeat=n_sc)))
     msgs = np.arange(n_msg)
     sets = (maps[:, None, :] == msgs[None, :, None]).reshape(-1, n_sc)
-    totals = _set_totals(qn, dn, perm, np.tile(msgs, len(maps)),
-                         sets).reshape(len(maps), n_msg).sum(axis=1)
+    totals = _set_totals(qn, dn, np.tile(msgs, len(maps)), sets).reshape(
+        len(maps), n_msg).sum(axis=1)
     order = np.argsort(totals, kind="stable")
     best = totals[order[0]]
     if not math.isfinite(best):
@@ -799,7 +824,17 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     key = ("allocation", demands.tobytes(), quotes.shape, quotes.tobytes(),
            float(bandwidth))
     return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth),
-                  copy.deepcopy)
+                  _hand_out)
+
+
+def _hand_out(alloc: Allocation) -> Allocation:
+    """A copy of a kept plan that its caller may write into: fresh
+    assign, power, rate and gamma arrays and a fresh diagnostics dict.
+    A kept plan has no beams yet, and its other fields are immutable."""
+    return replace(alloc, assign=alloc.assign.copy(),
+                   power=alloc.power.copy(), rate=alloc.rate.copy(),
+                   gamma=None if alloc.gamma is None else alloc.gamma.copy(),
+                   diagnostics=dict(alloc.diagnostics))
 
 
 def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
@@ -807,7 +842,7 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     n_msg, n_sc = quotes.shape
     if n_msg != demands.shape[0]:
         raise ValueError("quote rows must match messages")
-    if np.any(np.nan_to_num(quotes, nan=-1.0, posinf=1.0) <= 0):
+    if not np.all(quotes > 0):      # NaN and -inf fail; +inf is unusable
         raise ValueError("quotes must be positive")
     finite_any = np.isfinite(quotes).any(axis=1)
     if not finite_any.all():
@@ -823,12 +858,11 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     qn = quotes / q_ref
     dn = demands / bandwidth
     msgs = np.arange(n_msg)
-    perm = np.argsort(qn, axis=1, kind="stable")
 
     gamma = None
     steps = evaluations = predictions = passes = moves = rescored = 0
     if n_msg ** n_sc <= ENUMERATE_MAX:
-        assigned, unique = _enumerate(qn, dn, perm)
+        assigned, unique = _enumerate(qn, dn)
         start = "enumerated"
     else:
         gamma, gain, steps, evaluations, predictions, tau = _dual_solve(
@@ -845,8 +879,7 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     capped = 0 < passes == moves
     # every start gives each message a column it can use, and no search
     # step takes the last one away, so every row's water-fill is feasible
-    power, rate, _ = _waterfill_sets(qn, dn, perm, msgs,
-                                     assigned == msgs[:, None])
+    power, rate, _ = _waterfill_sets(qn, dn, msgs, assigned == msgs[:, None])
     # a row's log2 water level is rate + log2 q on its active columns;
     # `_waterfill_rows` cuts a level past 2^1000, and the power then falls
     # short of the rate the row claims
