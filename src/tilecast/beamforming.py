@@ -30,7 +30,7 @@ import numpy as np
 from .channel import _audience
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeamPlan:
     """Per-(message, subcarrier) unit directions and quotes.
 

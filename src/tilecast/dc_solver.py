@@ -12,6 +12,8 @@ The module adds nothing else, and stays only for the names the
 benchmark's tracer wraps until ROADMAP item 3 folds it into `run_trial`.
 """
 
+from dataclasses import replace
+
 from .beamforming import BeamPlan, beam_plan_maxmin
 # unused here; bound for the benchmark's tracer until ROADMAP item 3
 from .beamforming import beam_plan_asymptotic, beam_plan_mrt  # noqa: F401
@@ -39,13 +41,12 @@ def dc_solve(ch, messages) -> Allocation:
     that neither its local search nor the CCP stopped at its cap.
     Diagnostics carry the plan's total power in watts as the one entry of
     `e_trace`, the number of CCP sweeps as `outer_iterations`, and the
-    allocation's own diagnostics.
+    allocation's own diagnostics; the allocation itself is left as it is.
     """
     messages = list(messages)   # read by the beam plan and the allocation
     plan = beam_plan_maxmin(ch, messages)
     alloc = initial_point(ch, messages, plan)
-    alloc.converged &= not plan.capped
-    alloc.diagnostics = {**alloc.diagnostics,
-                         "e_trace": [alloc.total_power_w],
-                         "outer_iterations": plan.sweeps}
-    return alloc
+    return replace(alloc, converged=alloc.converged and not plan.capped,
+                   diagnostics={**alloc.diagnostics,
+                                "e_trace": [alloc.total_power_w],
+                                "outer_iterations": plan.sweeps})

@@ -163,8 +163,11 @@ def _check_keys(raw, what, keys, required=()):
 
 def _read(key, convert, value):
     """`convert(value)`; a value of the wrong type or form raises a
-    ValueError that names its config key."""
+    ValueError that names its config key. `int` takes no bool and no
+    fraction: they are refused, not rounded."""
     try:
+        if convert is int and (isinstance(value, bool) or value % 1):
+            raise ValueError(f"{value!r} is not an integer")
         return convert(value)
     except TypeError:
         raise ValueError(f"config key {key!r} has the wrong type: "
@@ -174,8 +177,9 @@ def _read(key, convert, value):
 
 
 def _user_spec(u: dict) -> UserSpec:
-    return UserSpec(ViewDirection(float(u["yaw_deg"]), float(u["pitch_deg"])),
-                    int(u["quality"]))
+    return UserSpec(ViewDirection(_read("yaw_deg", float, u["yaw_deg"]),
+                                  _read("pitch_deg", float, u["pitch_deg"])),
+                    _read("quality", int, u["quality"]))
 
 
 def _beta(raw) -> float | tuple:
@@ -185,16 +189,18 @@ def _beta(raw) -> float | tuple:
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a config from parsed JSON: unknown keys anywhere, missing
-    user or tiling keys, and values of the wrong type are errors; other
-    keys keep `default_config()`'s."""
+    user or tiling keys, values of the wrong type, and fractions for
+    integer keys are errors; other keys keep `default_config()`'s."""
     _check_keys(raw, "config", [f.name for f in fields(ScenarioConfig)])
     kwargs = {}
     if "tiling" in raw:
         tiling = fields(TilingConfig)
         _check_keys(raw["tiling"], "tiling", [f.name for f in tiling],
                     [f.name for f in tiling if f.default is MISSING])
+        grid = {key: _read(key, int, raw["tiling"][key])
+                for key in ("u_h", "u_v")}
         kwargs["tiling"] = _read("tiling", lambda t: TilingConfig(**t),
-                                 raw["tiling"])
+                                 {**raw["tiling"], **grid})
     if "ladder" in raw:
         kwargs["ladder"] = _read(
             "ladder", lambda r: QualityLadder(tuple(float(x) for x in r)),
@@ -203,7 +209,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         users = _read("users", list, raw["users"])
         for u in users:
             _check_keys(u, "user", _USER_KEYS, _USER_KEYS)
-        kwargs["users"] = [_read("users", _user_spec, u) for u in users]
+        kwargs["users"] = [_user_spec(u) for u in users]
     for f in fields(ScenarioConfig):
         if f.name in raw and f.type in (int, float):
             kwargs[f.name] = _read(f.name, f.type, raw[f.name])
@@ -363,13 +369,12 @@ def _fmt_value(v) -> str:
 
 
 def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
-                   out_path: Optional[str] = None, strict: bool = False) -> str:
+                   out_path: Optional[str] = None) -> str:
     """Full sweep; returns the CSV text and optionally writes it.
 
     Data rows come in deterministic order (scheme, sweep point, trial);
     each block ends with mean and standard-error summary rows. Failed
-    trials carry nan power and stay in the file; averages skip nan, and
-    strict=True additionally drops non-converged trials from averages.
+    trials carry nan power and stay in the file; averages skip nan.
     Trials are planned index by index, each index's (scheme, sweep
     point) trials in one `trial_scope`.
 
@@ -405,10 +410,8 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
                     r.scheme, param, _fmt_value(value), r.trial_index, r.seed,
                     f"{r.total_power_w:.10e}", int(r.converged),
                     int(r.unique_argmax), r.iterations])
-            kept = [r for r in results
-                    if math.isfinite(r.total_power_w)
-                    and (r.converged or not strict)]
-            powers = np.array([r.total_power_w for r in kept])
+            powers = np.array([r.total_power_w for r in results
+                               if math.isfinite(r.total_power_w)])
             if powers.size:
                 mean = powers.mean()
                 err = powers.std(ddof=1) / math.sqrt(powers.size) \

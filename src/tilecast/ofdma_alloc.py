@@ -70,6 +70,7 @@ beam plan is attached.
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -88,6 +89,7 @@ MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
 MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
 PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
 GAP_TOL = 1e-3              # relative duality gap reported as converged
+AUDIT_TOL = 1e-6            # relative slack of audit_allocation's checks
 EPS = float(np.finfo(float).eps)
 
 
@@ -98,13 +100,15 @@ class InfeasibleAllocationError(ValueError):
     floating point."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Allocation:
-    """A complete or partial transmission plan.
+    """A transmission plan, built once: its fields are frozen, its arrays
+    read-only and its diagnostics a read-only mapping, so a kept plan is
+    shared as it is, and `dataclasses.replace` makes a changed one.
 
     assign/power/rate have shape (n_messages, n_sc). power follows the
-    quote convention (physical watts are power/m). beams is filled by
-    complete_allocation; total_power_w = power_sum / m afterwards.
+    quote convention (physical watts are power/m). complete_allocation
+    returns the plan with beams and total_power_w = power_sum / m.
     """
 
     assign: np.ndarray
@@ -119,7 +123,15 @@ class Allocation:
     duality_gap: float = 0.0
     dual_bound: float = 0.0
     gamma: np.ndarray = None
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("assign", "power", "rate", "beams", "gamma"):
+            array = getattr(self, name)
+            if array is not None:
+                array.setflags(write=False)
+        object.__setattr__(self, "diagnostics",
+                           MappingProxyType(dict(self.diagnostics)))
 
 
 def _demands(messages) -> np.ndarray:
@@ -817,24 +829,13 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     The plan is flagged converged when its relative duality gap is at most
     GAP_TOL and the local search ended below its safety cap. Inside a
     `scope.trial_scope`, a call with the same demands, quotes and
-    bandwidth as an earlier one gets a copy of that call's plan.
+    bandwidth as an earlier one gets that call's plan, the same object.
     """
     demands = _demands(messages)
     quotes = np.asarray(quotes, dtype=float)
     key = ("allocation", demands.tobytes(), quotes.shape, quotes.tobytes(),
            float(bandwidth))
-    return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth),
-                  _hand_out)
-
-
-def _hand_out(alloc: Allocation) -> Allocation:
-    """A copy of a kept plan that its caller may write into: fresh
-    assign, power, rate and gamma arrays and a fresh diagnostics dict.
-    A kept plan has no beams yet, and its other fields are immutable."""
-    return replace(alloc, assign=alloc.assign.copy(),
-                   power=alloc.power.copy(), rate=alloc.rate.copy(),
-                   gamma=None if alloc.gamma is None else alloc.gamma.copy(),
-                   diagnostics=dict(alloc.diagnostics))
+    return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth))
 
 
 def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
@@ -890,31 +891,26 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
             f"2^1000 times the median quote")
 
     power = power * q_ref
-    alloc = Allocation(
-        assign=(assigned == msgs[:, None]).astype(int),
-        power=power, rate=rate * bandwidth,
-        power_sum=float(power.sum()),
-        unique_argmax=unique,
-        iterations=steps,
-        diagnostics={"dual_steps": steps, "dual_evaluations": evaluations,
-                     "dual_predictions": predictions, "start": start,
-                     "local_search_passes": passes,
-                     "local_search_moves": moves,
-                     "local_search_rescored": rescored,
-                     "local_search_capped": capped},
-    )
+    power_sum = float(power.sum())
+    diagnostics = {"dual_steps": steps, "dual_evaluations": evaluations,
+                   "dual_predictions": predictions, "start": start,
+                   "local_search_passes": passes, "local_search_moves": moves,
+                   "local_search_rescored": rescored,
+                   "local_search_capped": capped}
     if gamma is None:           # exhaustive: the optimum is its own bound
-        alloc.dual_bound = alloc.power_sum
+        dual_bound = power_sum
     else:
         # any plan costs at least 0, a bound the dual can fall below
-        alloc.dual_bound = max(bound, 0.0) * q_ref
-        alloc.gamma = gamma * q_ref / bandwidth
-        alloc.diagnostics["dual_temperature"] = tau * q_ref
-    gap = max(0.0, (alloc.power_sum - alloc.dual_bound)
-              / max(alloc.power_sum, 1e-300))
-    alloc.duality_gap = float(gap)
-    alloc.converged = bool(gap <= GAP_TOL and not capped)
-    return alloc
+        dual_bound = max(bound, 0.0) * q_ref
+        gamma = gamma * q_ref / bandwidth
+        diagnostics["dual_temperature"] = tau * q_ref
+    gap = float(max(0.0, (power_sum - dual_bound) / max(power_sum, 1e-300)))
+    return Allocation(
+        assign=(assigned == msgs[:, None]).astype(int),
+        power=power, rate=rate * bandwidth, power_sum=power_sum,
+        converged=bool(gap <= GAP_TOL and not capped),
+        unique_argmax=unique, iterations=steps, duality_gap=gap,
+        dual_bound=dual_bound, gamma=gamma, diagnostics=diagnostics)
 
 
 def _bisect_waterfill(quotes: np.ndarray, demand: float, bandwidth: float):
@@ -1010,7 +1006,8 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
 
 
 def complete_allocation(alloc: Allocation, plan) -> Allocation:
-    """Attach per-subcarrier beams and the physical total power.
+    """`alloc` with per-subcarrier beams and the physical total power;
+    `alloc` itself is left as it is.
 
     The subcarrier's beam is the assigned message's direction; physical
     total power divides the stored power sum by the antenna count.
@@ -1023,12 +1020,10 @@ def complete_allocation(alloc: Allocation, plan) -> Allocation:
     if bad.any():
         n = int(np.argmax(bad))
         raise ValueError(f"missing or non-unit beam for message {assigned[n]}, subcarrier {n}")
-    alloc.beams = beams
-    alloc.total_power_w = alloc.power_sum / m
-    return alloc
+    return replace(alloc, beams=beams, total_power_w=alloc.power_sum / m)
 
 
-def audit_allocation(alloc: Allocation, ch, messages, rel: float = 1e-6) -> list:
+def audit_allocation(alloc: Allocation, ch, messages) -> list:
     """Check a finished plan against every model constraint.
 
     Returns a list of violation descriptions; empty means the plan is valid.
@@ -1048,7 +1043,7 @@ def audit_allocation(alloc: Allocation, ch, messages, rel: float = 1e-6) -> list
 
     if alloc.beams is not None:
         norms = np.linalg.norm(alloc.beams, axis=1)
-        if np.any(np.abs(norms - 1.0) > rel):
+        if np.any(np.abs(norms - 1.0) > AUDIT_TOL):
             problems.append("non-unit beam")
         h, beta, mask = _audience(ch, messages)
         g = beta[:, None, :] * np.abs(
@@ -1056,12 +1051,12 @@ def audit_allocation(alloc: Allocation, ch, messages, rel: float = 1e-6) -> list
         snr = power[:, :, None] * g / (ch.m * ch.noise_w)
         with np.errstate(invalid="ignore"):  # negative power is flagged above
             user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
-        below = (user_rates < rate[:, :, None] * (1.0 - rel)) & mask[:, None, :]
+        below = (user_rates < rate[:, :, None] * (1.0 - AUDIT_TOL)) & mask[:, None, :]
         for mi, n in np.argwhere((assign == 1) & (rate > 0) & below.any(axis=2)):
             problems.append(f"user rate below message rate at ({mi}, {n})")
 
     demands = _demands(messages)
-    short = rate.sum(axis=1) < demands * (1.0 - rel)
+    short = rate.sum(axis=1) < demands * (1.0 - AUDIT_TOL)
     if np.any(short):
         problems.append(f"demand not met for messages {np.flatnonzero(short).tolist()}")
     return problems

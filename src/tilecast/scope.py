@@ -3,9 +3,9 @@
 Every scheme and sweep point of a trial index sees the same channel
 realization, and often the same tile sets, messages and allocation
 problems. `harness.run_experiment` plans each index's trials inside one
-`trial_scope`; there `shared` builds each key's value once and keeps it
-for the scope's later calls. Outside a scope nothing is kept, and
-`shared` builds its value on every call.
+`trial_scope`; there `shared` builds each key's value once and hands
+that one value to the scope's later calls, which only read it. Outside
+a scope nothing is kept, and `shared` builds its value on every call.
 """
 
 from contextlib import contextmanager
@@ -25,15 +25,13 @@ def trial_scope():
         _MEMO.reset(token)
 
 
-def shared(key, build, hand_out=None):
-    """`build()`, built once per key inside a trial scope.
-
-    `hand_out`, where given, maps the kept value to what each call inside
-    a scope returns: a copy, for a value its callers write into.
-    """
+def shared(key, build):
+    """`build()`, built once per key inside a trial scope; every call
+    with that key gets the same object, so its callers share it and
+    never write into it."""
     memo = _MEMO.get()
     if memo is None:
         return build()
     if key not in memo:
         memo[key] = build()
-    return memo[key] if hand_out is None else hand_out(memo[key])
+    return memo[key]

@@ -6,16 +6,18 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 import tilecast
-from tilecast import (CSV_HEADER, SCHEMES, QualityLadder, ScenarioConfig,
-                      TilingConfig, ViewDirection, config_from_dict,
-                      config_to_dict, default_config, run_experiment,
-                      run_trial, sweep_values)
+from tilecast import (CSV_HEADER, SCHEMES, Message, QualityLadder,
+                      ScenarioConfig, TilingConfig, ViewDirection,
+                      beam_plan_asymptotic, complete_allocation,
+                      config_from_dict, config_to_dict, default_config,
+                      run_experiment, run_trial, sample_channel,
+                      solve_quoted_allocation, sweep_values)
 from tilecast import cli, harness, ofdma_alloc, scope
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
@@ -397,47 +399,71 @@ def test_experiment_rows_match_standalone_trials(sweep, monkeypatch):
             "iterations": str(r.iterations)}
 
 
-def test_shared_allocation_handed_out_as_copies(monkeypatch):
-    # at one user every beam rule is MRT, so two schemes quote alike and
-    # share one solve; each gets its own plan, and writing into one
-    # (as complete_allocation and dc_solve do) leaves the other as it was
+def _shared_solve(monkeypatch, schemes):
+    """Plan `schemes` at one user in one trial scope: every beam rule is
+    then MRT, so they quote alike and share one solve. Returns the plans
+    `complete_allocation` was given, the number of solves and the trial
+    results."""
     cfg = tiny_config()
     plans = []
     real = harness.complete_allocation
-
-    def complete(alloc, plan):
-        plans.append(alloc)
-        return real(alloc, plan)
-
+    monkeypatch.setattr(harness, "complete_allocation",
+                        lambda alloc, plan: plans.append(alloc)
+                        or real(alloc, plan))
     solves = []
     solve = ofdma_alloc._solve_quoted
-    monkeypatch.setattr(harness, "complete_allocation", complete)
     monkeypatch.setattr(ofdma_alloc, "_solve_quoted",
                         lambda *args: solves.append(args) or solve(*args))
     with scope.trial_scope():
-        for scheme in ("proposed-asymptotic", "baseline2-multicast"):
-            run_trial(cfg, scheme, 0, user_subset=[1])
-        first, second = plans
-        assert len(solves) == 1
-        assert first is not second
-        kept = (second.assign.copy(), second.power.copy(),
-                second.rate.copy(), dict(second.diagnostics),
-                second.total_power_w)
-        assert np.array_equal(first.power, kept[1])
-        first.assign[:] = 0
-        first.power *= 2.0
-        first.rate[:] = 0.0
-        first.diagnostics["start"] = "changed"
-        first.total_power_w = -1.0
-        assert np.array_equal(second.assign, kept[0])
-        assert np.array_equal(second.power, kept[1])
-        assert np.array_equal(second.rate, kept[2])
-        assert second.diagnostics == kept[3]
-        assert second.total_power_w == kept[4]
-        # a third scheme gets the kept plan, as it was
-        third = run_trial(cfg, "proposed-dc", 0, user_subset=[1])
-        assert third.total_power_w == kept[4]
-        assert len(solves) == 1
+        results = [run_trial(cfg, scheme, 0, user_subset=[1])
+                   for scheme in schemes]
+    return plans, len(solves), results
+
+
+def test_shared_allocation_handed_out_as_is(monkeypatch):
+    # the kept plan itself goes to every scheme that meets its problem:
+    # completing it for one scheme leaves it as it was for the next
+    plans, solves, results = _shared_solve(
+        monkeypatch, ("proposed-asymptotic", "baseline2-multicast",
+                      "proposed-dc"))
+    first, second = plans
+    assert solves == 1
+    assert first is second
+    assert first.beams is None and first.total_power_w is None
+    assert results[0].total_power_w == results[1].total_power_w
+    # a third scheme gets the kept plan too, with no second solve
+    assert results[2].total_power_w == results[0].total_power_w
+
+
+def test_plans_are_values(monkeypatch):
+    ch = sample_channel(5, m=3, n_sc=6, k_users=2)
+    messages = [Message(subset=(1,), level=1, audience=(1,), tile_count=2,
+                        demand_bits_per_s=1.5 * ch.bandwidth_hz),
+                Message(subset=(1, 2), level=2, audience=(2,), tile_count=1,
+                        demand_bits_per_s=0.8 * ch.bandwidth_hz)]
+    plan = beam_plan_asymptotic(ch, messages)
+    alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
+    done = complete_allocation(alloc, plan)
+    assert alloc.beams is None and alloc.total_power_w is None
+    assert done.beams is not None and done.total_power_w > 0.0
+    with pytest.raises(FrozenInstanceError):
+        done.converged = False
+    with pytest.raises(FrozenInstanceError):
+        plan.q = plan.q * 2.0
+    for array in (done.assign, done.power, done.rate, done.beams):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    with pytest.raises(TypeError):
+        done.diagnostics["start"] = "changed"
+    # inside a trial scope the two schemes that share one solve read the
+    # same plan values
+    first, second = _shared_solve(
+        monkeypatch, ("proposed-asymptotic", "baseline2-multicast"))[0]
+    for name in ("assign", "power", "rate"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.tobytes() == b.tobytes(), name
+    assert first.diagnostics == second.diagnostics
+    assert first.power_sum == second.power_sum
 
 
 def test_allocation_shared_only_on_equal_inputs():
@@ -513,38 +539,30 @@ def test_nan_trials_kept_in_rows_skipped_in_mean():
     assert mean_row.split(",")[5] == "nan"
 
 
-def test_strict_mode_drops_flagged_trials():
-    def mean_of(text, scheme):
+def test_converged_flags_dual_gap_and_enumeration():
+    def summary_of(text, scheme):
         row = next(l for l in text.splitlines()
                    if l.startswith(scheme) and ",mean," in l)
-        return row.split(",")[5]
+        return row.split(",")[5:7]
 
     # the dual gap on this crowded scenario stays honest: both schemes
-    # allocate by the dual and report non-convergence on every trial, so
-    # strict averaging blanks both
+    # allocate by the dual and report non-convergence on every trial,
+    # and their means still average every trial
     cfg = three_viewer_config(schemes=("proposed-asymptotic", "proposed-dc"))
-    loose = run_experiment(cfg)
-    strict = run_experiment(cfg, strict=True)
+    text = run_experiment(cfg)
     for scheme in cfg.schemes:
-        assert mean_of(loose, scheme) != "nan"
-        assert mean_of(strict, scheme) == "nan"
+        mean, converged = summary_of(text, scheme)
+        assert mean != "nan"
+        assert converged == "0"
 
     # two viewers of one viewport share one message, so the allocator
-    # enumerates every assignment, the gap is 0 and strict keeps the rows
+    # enumerates every assignment, the gap is 0 and every trial converges
     small = tiny_config(schemes=("proposed-dc",),
                         users=[UserSpec(ViewDirection(100.0, 90.0), 2),
                                UserSpec(ViewDirection(100.0, 90.0), 2)])
-    kept = run_experiment(small, strict=True)
-    assert mean_of(kept, "proposed-dc") == mean_of(run_experiment(small),
-                                                   "proposed-dc")
-    assert mean_of(kept, "proposed-dc") != "nan"
-
-    # per-trial data rows are unaffected by strictness
-    keep = [l for l in loose.splitlines() if ",mean," not in l
-            and ",stderr," not in l]
-    keep_s = [l for l in strict.splitlines() if ",mean," not in l
-              and ",stderr," not in l]
-    assert keep == keep_s
+    mean, converged = summary_of(run_experiment(small), "proposed-dc")
+    assert mean != "nan"
+    assert converged == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +662,17 @@ def test_cli_rejects_unknown_scheme(tmp_path):
                                       "None"),
     (["run", "--config", "{ladder5}"], "config key 'ladder' has the wrong "
                                        "type: 5"),
+    # an integer key takes no fraction and no bool, rather than rounding
+    (["run", "--config", "{u_h_frac}"], "config key 'u_h': 30.5 is not an "
+                                        "integer"),
+    (["run", "--config", "{m_frac}"], "config key 'm': 4.7 is not an "
+                                      "integer"),
+    (["run", "--config", "{seed_frac}"], "config key 'base_seed': 1.9 is "
+                                         "not an integer"),
+    (["run", "--config", "{quality_frac}"], "config key 'quality': 2.5 is "
+                                            "not an integer"),
+    (["run", "--config", "{trials_bool}"], "config key 'trials': True is "
+                                           "not an integer"),
     # run_experiment's checks before its first trial: an output path in a
     # directory that does not exist, a sweep point the config rejects
     (["run", "--trials", "1", "--out", "{absent}/x.csv"],
@@ -661,7 +690,8 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     (["oracle-check", "--trials", "-3"], "trials must be >= 1"),
 ], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
         "missing-audit-file", "user-without-pitch", "yaw-400", "m-null",
-        "ladder-int",
+        "ladder-int", "u_h-fraction", "m-fraction", "seed-fraction",
+        "quality-fraction", "trials-bool",
         "missing-out-dir", "run-delta-sweep", "audit-delta-sweep",
         "oracle-check-sweep", "oracle-check-zero-trials",
         "oracle-check-negative-trials"])
@@ -677,7 +707,14 @@ def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
                                      "quality": 1}]},
                "three": config_to_dict(three_viewer_config()),
                "m_null": {"m": None},
-               "ladder5": {"ladder": 5}}
+               "ladder5": {"ladder": 5},
+               "u_h_frac": {"tiling": {"u_h": 30.5, "u_v": 15,
+                                       "fov_h_deg": 100, "fov_v_deg": 100}},
+               "m_frac": {"m": 4.7},
+               "seed_frac": {"base_seed": 1.9},
+               "quality_frac": {"users": [{"yaw_deg": 100, "pitch_deg": 90,
+                                           "quality": 2.5}]},
+               "trials_bool": {"trials": True}}
     paths = {"absent": str(tmp_path / "absent")}
     for name, raw in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")
@@ -713,9 +750,8 @@ def test_cli_oracle_check_fails_only_on_converged_miss(
 
     def solve(*args):
         alloc = real(*args)
-        alloc.power_sum *= excess
-        alloc.converged = converged
-        return alloc
+        return replace(alloc, power_sum=alloc.power_sum * excess,
+                       converged=converged)
 
     monkeypatch.setattr(cli, "solve_quoted_allocation", solve)
     monkeypatch.setattr(cli, "brute_force_allocation", real)

@@ -1147,14 +1147,13 @@ def test_audit_flags_tampering():
 
     assert audit_allocation(fresh(), ch, messages) == []
 
-    halved = fresh()
-    halved.power = halved.power * 0.5       # claimed rates now unreachable
+    alloc = fresh()
+    halved = replace(alloc, power=alloc.power * 0.5)  # rates unreachable
     assert audit_allocation(halved, ch, messages)
 
-    doubled = fresh()
-    doubled.assign = doubled.assign.copy()
-    doubled.assign[:, 0] = 1                # subcarrier 0 assigned twice
-    assert audit_allocation(doubled, ch, messages)
+    assign = alloc.assign.copy()
+    assign[:, 0] = 1                        # subcarrier 0 assigned twice
+    assert audit_allocation(replace(alloc, assign=assign), ch, messages)
 
 
 def test_complete_allocation_names_first_bad_subcarrier():
