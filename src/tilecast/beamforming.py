@@ -60,14 +60,31 @@ def _quotes(ch, h, beta, mask, w) -> np.ndarray:
     return q
 
 
+def _unit(x, fallback):
+    """x scaled to unit norm along its last axis; `fallback` (written
+    into) where x is zero."""
+    nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, nrm, out=fallback, where=nrm > 0.0)
+
+
+def _single_user_mrt(h, mask):
+    """The beams `beam_plan_mrt` and `beam_plan_maxmin` start from: the
+    unit channel direction where the audience is one user, the last unit
+    vector elsewhere. Returns the beams and each message's audience
+    size."""
+    size = mask.sum(axis=1)
+    w = np.zeros(h.shape[:2] + h.shape[3:], dtype=complex)  # (n_msg, n_sc, m)
+    w[..., -1] = 1.0
+    single = size == 1
+    w[single] = _unit(h[single, :, 0], w[single])
+    return w, size
+
+
 def beam_plan_asymptotic(ch, messages) -> BeamPlan:
     """Large-antenna beams and quotes for every (message, subcarrier)."""
     h, beta, mask = _audience(ch, messages)
     agg = (h / np.sqrt(beta)[:, None, :, None]).sum(axis=2)  # (n_msg, n_sc, m)
-    nrm = np.linalg.norm(agg, axis=2)
-    ok = nrm > 0.0
-    w = np.zeros_like(agg)
-    w[ok] = agg[ok] / nrm[ok, None]
+    w = _unit(agg, np.zeros_like(agg))
     return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
 
@@ -105,21 +122,15 @@ def beam_plan_mrt(ch, messages) -> BeamPlan:
     pair whose audience channels are all zero gets the last unit vector,
     the eigenvector `eigh` gives a zero covariance, and quote inf."""
     h, beta, mask = _audience(ch, messages)
-    size = mask.sum(axis=1)
-    w = np.zeros(h.shape[:2] + h.shape[3:], dtype=complex)  # (n_msg, n_sc, m)
-    w[..., -1] = 1.0
+    w, size = _single_user_mrt(h, mask)
     big = size >= 3
     if big.any():
         cov = np.einsum("ia,inak,inal->inkl", beta[big], h[big], h[big].conj())
         w[big] = np.linalg.eigh(cov)[1][..., -1]
     two = size == 2
     if two.any():
-        x = _principal_of_two(h[two][:, :, :2], beta[two, :2])
-        nrm = np.linalg.norm(x, axis=2, keepdims=True)
-        w[two] = np.divide(x, nrm, out=w[two], where=nrm > 0.0)
-    single = size == 1
-    nrm = np.linalg.norm(h[single, :, 0], axis=2, keepdims=True)
-    w[single] = np.divide(h[single, :, 0], nrm, out=w[single], where=nrm > 0.0)
+        w[two] = _unit(_principal_of_two(h[two][:, :, :2], beta[two, :2]),
+                       w[two])
     return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
 
@@ -269,18 +280,11 @@ def beam_plan_maxmin(ch, messages) -> BeamPlan:
     `sweeps` and `capped` report the CCP.
     """
     h, beta, mask = _audience(ch, messages)
-    size = mask.sum(axis=1)
-    w = np.zeros(h.shape[:2] + h.shape[3:], dtype=complex)  # (n_msg, n_sc, m)
-    w[..., -1] = 1.0
-    single = size == 1
-    nrm = np.linalg.norm(h[single, :, 0], axis=2, keepdims=True)
-    w[single] = np.divide(h[single, :, 0], nrm, out=w[single], where=nrm > 0.0)
+    w, size = _single_user_mrt(h, mask)
     two = size == 2
     if two.any():
-        x = _maxmin_of_two(h[two][:, :, :2]
-                           * np.sqrt(beta[two, :2])[:, None, :, None])
-        nrm = np.linalg.norm(x, axis=2, keepdims=True)
-        w[two] = np.divide(x, nrm, out=w[two], where=nrm > 0.0)
+        ht = h[two][:, :, :2] * np.sqrt(beta[two, :2])[:, None, :, None]
+        w[two] = _unit(_maxmin_of_two(ht), w[two])
     big = size >= 3
     if not big.any():
         return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _as_int
+
 
 @dataclass
 class ChannelState:
@@ -96,8 +98,10 @@ def derive_trial_seed(base_seed: int, trial_index: int) -> int:
     Injective for 0 <= trial_index < 2**32 at any base seed; distinct base
     seeds give disjoint seed ranges.
     """
+    base_seed = _as_int("base_seed", base_seed)
+    trial_index = _as_int("trial_index", trial_index)
     if trial_index < 0 or trial_index >= 2 ** 32:
         raise ValueError("trial_index must be in [0, 2**32)")
     if base_seed < 0:
         raise ValueError("base_seed must be nonnegative")
-    return (int(base_seed) << 32) + int(trial_index)
+    return (base_seed << 32) + trial_index

@@ -7,8 +7,28 @@ safety margin on all four sides. Yaw wraps around the horizontal seam; pitch
 is clamped at the poles.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
+
+
+def _as_int(name, value) -> int:
+    """`value` as an int: the one integer rule of the config fields and
+    the trial seed. An integral float reads as its int (16.0 is 16); a
+    bool, a fraction, inf and nan are refused, not rounded, and so is a
+    value that is no number. Each refusal is a ValueError naming `name`."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+    if isinstance(value, bool) or value % 1:
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return int(value)
+
+
+def _set_ints(obj, *names):
+    """Pass each named field of the frozen dataclass `obj` through
+    `_as_int`."""
+    for name in names:
+        object.__setattr__(obj, name, _as_int(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -32,6 +52,7 @@ class TilingConfig:
     margin_deg: float = 0.0
 
     def __post_init__(self):
+        _set_ints(self, "u_h", "u_v")
         if self.u_h < 1 or self.u_v < 1:
             raise ValueError("grid must have at least one column and one row")
         if not (0.0 < self.fov_h_deg <= 360.0):

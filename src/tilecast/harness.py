@@ -27,8 +27,8 @@ import numpy as np
 from .beamforming import beam_plan_asymptotic, beam_plan_mrt
 from .channel import ChannelState, derive_trial_seed, sample_channel
 from .dc_solver import dc_solve
-from .geometry import (TilingConfig, ViewDirection, _check_direction,
-                       compute_tile_set)
+from .geometry import (TilingConfig, ViewDirection, _as_int, _check_direction,
+                       _set_ints, compute_tile_set)
 from .ofdma_alloc import (InfeasibleAllocationError, audit_allocation,
                           complete_allocation, solve_quoted_allocation)
 from .partition import QualityLadder, build_messages, build_partition, \
@@ -57,13 +57,18 @@ class UserSpec:
         if not isinstance(self.direction, ViewDirection):
             object.__setattr__(self, "direction",
                                ViewDirection(*self.direction))
+        _set_ints(self, "quality")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario, or one point of a sweep: an immutable, hashable value
+    that checks every field when it is built. Integer fields take integral floats; `users`
+    becomes a tuple, and `beta` a float or a tuple of floats."""
+
     tiling: TilingConfig
     ladder: QualityLadder
-    users: list
+    users: tuple
     m: int = 4
     n_sc: int = 64
     bandwidth_hz: float = 39e3
@@ -75,6 +80,12 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
+        _set_ints(self, "m", "n_sc", "trials", "base_seed")
+        beta = np.asarray(self.beta, dtype=float)
+        object.__setattr__(self, "beta",
+                           tuple(beta.tolist()) if beta.ndim else float(beta))
+        object.__setattr__(self, "users", tuple(self.users))
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.schemes:
@@ -130,13 +141,13 @@ def default_config() -> ScenarioConfig:
     deployments would substitute measured encoding rates per level.
     """
     ladder = QualityLadder(tuple(40000.0 * 1.4 ** i for i in range(5)))
-    users = [
+    users = (
         UserSpec(ViewDirection(110.0, 90.0), 2),
         UserSpec(ViewDirection(110.0, 90.0), 2),
         UserSpec(ViewDirection(170.0, 90.0), 3),
         UserSpec(ViewDirection(230.0, 90.0), 3),
         UserSpec(ViewDirection(230.0, 90.0), 4),
-    ]
+    )
     return ScenarioConfig(
         tiling=TilingConfig(u_h=30, u_v=15, fov_h_deg=100.0, fov_v_deg=100.0,
                             margin_deg=15.0),
@@ -145,7 +156,12 @@ def default_config() -> ScenarioConfig:
     )
 
 
-_USER_KEYS = (*ViewDirection._fields, "quality")
+def _types(cls) -> dict:
+    return {f.name: f.type for f in fields(cls)}
+
+
+# a user's JSON keys: its direction's, then its quality
+_USER_TYPES = {**ViewDirection.__annotations__, "quality": int}
 
 
 def _check_keys(raw, what, keys, required=()):
@@ -161,62 +177,59 @@ def _check_keys(raw, what, keys, required=()):
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _read(key, convert, value):
-    """`convert(value)`; a value of the wrong type or form raises a
-    ValueError that names its config key. `int` takes no bool and no
-    fraction: they are refused, not rounded."""
-    try:
-        if convert is int and (isinstance(value, bool) or value % 1):
-            raise ValueError(f"{value!r} is not an integer")
-        return convert(value)
-    except TypeError:
-        raise ValueError(f"config key {key!r} has the wrong type: "
-                         f"{value!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
+def _json(key, value, *types):
+    """`value`, if the JSON reader gave it one of `types` (a bool is no
+    number, a string no array); else a ValueError that names its key."""
+    if type(value) not in types:
+        raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+    return value
 
 
-def _user_spec(u: dict) -> UserSpec:
-    return UserSpec(ViewDirection(_read("yaw_deg", float, u["yaw_deg"]),
-                                  _read("pitch_deg", float, u["pitch_deg"])),
-                    _read("quality", int, u["quality"]))
+def _number(key, value) -> float:
+    return float(_json(key, value, int, float))
 
 
-def _beta(raw) -> float | tuple:
-    beta = np.asarray(raw, dtype=float)
-    return tuple(beta.tolist()) if beta.ndim else float(beta)
+# how an int or float field reads its JSON value: the integer rule, named
+# by its key, or a JSON number
+_SCALARS = {int: lambda key, value: _as_int(f"config key {key!r}", value),
+            float: _number}
+
+
+def _read(raw, what, types, required=()):
+    """The JSON object `raw` as field values, its keys checked against
+    `types` (field name -> type) and `required`: an int or float field
+    read by `_SCALARS`, any other as it is."""
+    _check_keys(raw, what, types, required)
+    return {key: _SCALARS[types[key]](key, value)
+            if types[key] in _SCALARS else value
+            for key, value in raw.items()}
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a config from parsed JSON: unknown keys anywhere, missing
-    user or tiling keys, values of the wrong type, and fractions for
-    integer keys are errors; other keys keep `default_config()`'s."""
-    _check_keys(raw, "config", [f.name for f in fields(ScenarioConfig)])
-    kwargs = {}
-    if "tiling" in raw:
-        tiling = fields(TilingConfig)
-        _check_keys(raw["tiling"], "tiling", [f.name for f in tiling],
-                    [f.name for f in tiling if f.default is MISSING])
-        grid = {key: _read(key, int, raw["tiling"][key])
-                for key in ("u_h", "u_v")}
-        kwargs["tiling"] = _read("tiling", lambda t: TilingConfig(**t),
-                                 {**raw["tiling"], **grid})
-    if "ladder" in raw:
-        kwargs["ladder"] = _read(
-            "ladder", lambda r: QualityLadder(tuple(float(x) for x in r)),
-            raw["ladder"])
-    if "users" in raw:
-        users = _read("users", list, raw["users"])
-        for u in users:
-            _check_keys(u, "user", _USER_KEYS, _USER_KEYS)
-        kwargs["users"] = [_user_spec(u) for u in users]
-    for f in fields(ScenarioConfig):
-        if f.name in raw and f.type in (int, float):
-            kwargs[f.name] = _read(f.name, f.type, raw[f.name])
-    if "beta" in raw:
-        kwargs["beta"] = _read("beta", _beta, raw["beta"])
-    if "schemes" in raw:
-        kwargs["schemes"] = _read("schemes", tuple, raw["schemes"])
+    user or tiling keys and values of the wrong JSON type are errors, and
+    the config types check the rest; absent keys keep `default_config()`'s."""
+    kwargs = _read(raw, "config", _types(ScenarioConfig))
+    if "tiling" in kwargs:
+        required = [f.name for f in fields(TilingConfig)
+                    if f.default is MISSING]
+        kwargs["tiling"] = TilingConfig(**_read(
+            kwargs["tiling"], "tiling", _types(TilingConfig), required))
+    if "ladder" in kwargs:
+        rates = _json("ladder", kwargs["ladder"], list)
+        kwargs["ladder"] = QualityLadder([_number("ladder", r) for r in rates])
+    if "users" in kwargs:
+        users = [_read(u, "user", _USER_TYPES, _USER_TYPES)
+                 for u in _json("users", kwargs["users"], list)]
+        kwargs["users"] = [
+            UserSpec(ViewDirection(u["yaw_deg"], u["pitch_deg"]), u["quality"])
+            for u in users]
+    if "beta" in kwargs:
+        beta = kwargs["beta"]
+        kwargs["beta"] = ([_number("beta", b) for b in beta]
+                          if type(beta) is list else _number("beta", beta))
+    if "schemes" in kwargs:
+        _json("schemes", kwargs["schemes"], list)
     return replace(default_config(), **kwargs)
 
 
@@ -228,7 +241,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         ladder=list(cfg.ladder.rates),
         users=[{**u.direction._asdict(), "quality": u.quality}
                for u in cfg.users],
-        beta=list(cfg.beta) if np.ndim(cfg.beta) else cfg.beta,
+        beta=list(cfg.beta) if isinstance(cfg.beta, tuple) else cfg.beta,
         schemes=list(cfg.schemes))
     return raw
 
@@ -307,8 +320,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
         dirs = shift_directions(dirs, cfg.delta_deg)
 
     ch_full = shared(
-        ("channel", seed, cfg.m, cfg.n_sc, n_total,
-         np.asarray(cfg.beta, dtype=float).tobytes(), cfg.noise_w,
+        ("channel", seed, cfg.m, cfg.n_sc, n_total, cfg.beta, cfg.noise_w,
          cfg.bandwidth_hz),
         lambda: _read_only(sample_channel(
             seed, cfg.m, cfg.n_sc, n_total, beta=cfg.beta,

@@ -1040,6 +1040,8 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
         problems.append("negative or non-finite rate")
     if np.any((assign == 0) & (power > 0)):
         problems.append("power on unassigned pair")
+    if np.any((assign == 0) & (rate > 0)):
+        problems.append("rate on unassigned pair")
 
     if alloc.beams is not None:
         norms = np.linalg.norm(alloc.beams, axis=1)

@@ -16,8 +16,8 @@ from tilecast import (CSV_HEADER, SCHEMES, Message, QualityLadder,
                       ScenarioConfig, TilingConfig, ViewDirection,
                       beam_plan_asymptotic, complete_allocation,
                       config_from_dict, config_to_dict, default_config,
-                      run_experiment, run_trial, sample_channel,
-                      solve_quoted_allocation, sweep_values)
+                      derive_trial_seed, run_experiment, run_trial,
+                      sample_channel, solve_quoted_allocation, sweep_values)
 from tilecast import cli, harness, ofdma_alloc, scope
 from tilecast.cli import main as cli_main
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
@@ -123,11 +123,72 @@ def test_delta_sweep_rejected_before_first_trial(monkeypatch):
 
 
 def test_config_dict_round_trip():
-    # a per-user beta goes through JSON as a list and comes back a tuple
-    for beta in (1.0, (1.0, 0.25)):
-        cfg = tiny_config(beta=beta)
+    # a per-user beta goes through JSON as a list and comes back a tuple;
+    # a list of users or of betas builds the config a tuple builds
+    users = [UserSpec(ViewDirection(100.0, 90.0), 1),
+             UserSpec(ViewDirection(140.0, 90.0), 2)]
+    for over in ({"beta": 1.0}, {"beta": (1.0, 0.25)}, {"beta": [1.0, 0.25]},
+                 {"users": users}):
+        cfg = tiny_config(**over)
         raw = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(raw) == cfg
+    assert tiny_config(beta=[1.0, 0.25]) == tiny_config(beta=(1.0, 0.25))
+    assert tiny_config(users=users) == tiny_config(users=tuple(users))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(default_config(), m=4.7), "m: 4.7 is not an integer"),
+    (lambda: replace(default_config(), n_sc=16.5),
+     "n_sc: 16.5 is not an integer"),
+    (lambda: replace(default_config(), trials=2.5),
+     "trials: 2.5 is not an integer"),
+    (lambda: replace(default_config(), base_seed=1.5),
+     "base_seed: 1.5 is not an integer"),
+    (lambda: replace(default_config(), m=True), "m: True is not an integer"),
+    (lambda: replace(default_config(), m="4"), "m has the wrong type: '4'"),
+    (lambda: TilingConfig(u_h=30.5, u_v=15, fov_h_deg=100, fov_v_deg=100),
+     "u_h: 30.5 is not an integer"),
+    (lambda: UserSpec(ViewDirection(1.0, 90.0), 2.5),
+     "quality: 2.5 is not an integer"),
+    (lambda: derive_trial_seed(1.5, 0), "base_seed: 1.5 is not an integer"),
+], ids=["m-fraction", "n_sc-fraction", "trials-fraction", "seed-fraction",
+        "m-bool", "m-string", "u_h-fraction", "quality-fraction",
+        "trial-seed-fraction"])
+def test_config_rejects_fractions_when_built(build, message):
+    # each config here once built, then raised TypeError in its first
+    # trial (base_seed 1.5 ran silently as base seed 1); the integer rule
+    # now refuses it when it is built
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_integral_floats_plan_as_ints():
+    # 4.0, 2.0 and 30.0 read as 4, 2 and 30 and plan the same bytes
+    cfg = replace(default_config(), trials=1)
+    floats = replace(
+        cfg, m=4.0, tiling=replace(cfg.tiling, u_h=30.0),
+        users=[UserSpec(u.direction, float(u.quality)) for u in cfg.users])
+    assert floats == cfg
+    assert type(floats.m) is type(floats.tiling.u_h) is int
+    assert all(type(u.quality) is int for u in floats.users)
+    assert run_experiment(floats) == run_experiment(cfg)
+
+
+def test_config_is_a_frozen_value():
+    cfg = default_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.m = 8
+    assert isinstance(cfg.users, tuple)
+    assert hash(cfg) == hash(default_config())
+    # a derived config copies the lists it is given and shares nothing
+    # mutable with its source
+    users, beta = list(cfg.users), [1.0] * 5
+    derived = replace(cfg, n_sc=16, users=users, beta=beta)
+    users.append(UserSpec(ViewDirection(0.0, 90.0), 1))
+    beta[0] = 2.0
+    assert derived.users == cfg.users and derived.beta == (1.0,) * 5
+    assert cfg == default_config()
 
 
 def test_config_unknown_keys_rejected_everywhere():
@@ -688,13 +749,35 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     (["oracle-check", "--sweep", "k"], "unrecognized arguments: --sweep k"),
     (["oracle-check", "--trials", "0"], "trials must be >= 1"),
     (["oracle-check", "--trials", "-3"], "trials must be >= 1"),
+    # a JSON string or bool is no number, and a string no array
+    (["run", "--config", "{ladder_str}"], "config key 'ladder' has the "
+                                          "wrong type: '12345'"),
+    (["run", "--config", "{beta_str}"], "config key 'beta' has the wrong "
+                                        "type: '2'"),
+    (["run", "--config", "{beta_bool}"], "config key 'beta' has the wrong "
+                                         "type: True"),
+    (["run", "--config", "{noise_bool}"], "config key 'noise_w' has the "
+                                          "wrong type: True"),
+    (["run", "--config", "{delta_bool}"], "config key 'delta_deg' has the "
+                                          "wrong type: True"),
+    (["run", "--config", "{margin_bool}"], "config key 'margin_deg' has the "
+                                           "wrong type: True"),
+    (["run", "--config", "{pitch_bool}"], "config key 'pitch_deg' has the "
+                                          "wrong type: True"),
+    (["run", "--config", "{bandwidth_str}"], "config key 'bandwidth_hz' has "
+                                             "the wrong type: '39e3'"),
+    (["run", "--config", "{schemes_str}"], "config key 'schemes' has the "
+                                           "wrong type: 'proposed-dc'"),
 ], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
         "missing-audit-file", "user-without-pitch", "yaw-400", "m-null",
         "ladder-int", "u_h-fraction", "m-fraction", "seed-fraction",
         "quality-fraction", "trials-bool",
         "missing-out-dir", "run-delta-sweep", "audit-delta-sweep",
         "oracle-check-sweep", "oracle-check-zero-trials",
-        "oracle-check-negative-trials"])
+        "oracle-check-negative-trials",
+        "ladder-string", "beta-string", "beta-bool", "noise_w-bool",
+        "delta_deg-bool", "margin_deg-bool", "pitch-bool",
+        "bandwidth-string", "schemes-string"])
 def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
     # bad input ends with status 2 and one `tilecast: error:` line on
     # stderr, not a traceback, before any trial, and writes no results
@@ -714,7 +797,19 @@ def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
                "seed_frac": {"base_seed": 1.9},
                "quality_frac": {"users": [{"yaw_deg": 100, "pitch_deg": 90,
                                            "quality": 2.5}]},
-               "trials_bool": {"trials": True}}
+               "trials_bool": {"trials": True},
+               "ladder_str": {"ladder": "12345"},
+               "beta_str": {"beta": "2"},
+               "beta_bool": {"beta": True},
+               "noise_bool": {"noise_w": True},
+               "delta_bool": {"delta_deg": True},
+               "margin_bool": {"tiling": {"u_h": 30, "u_v": 15,
+                                          "fov_h_deg": 100, "fov_v_deg": 100,
+                                          "margin_deg": True}},
+               "pitch_bool": {"users": [{"yaw_deg": 100, "pitch_deg": True,
+                                         "quality": 2}]},
+               "bandwidth_str": {"bandwidth_hz": "39e3"},
+               "schemes_str": {"schemes": "proposed-dc"}}
     paths = {"absent": str(tmp_path / "absent")}
     for name, raw in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")

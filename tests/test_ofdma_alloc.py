@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from tilecast import (InfeasibleAllocationError, Message, audit_allocation,
                       beam_plan_asymptotic, beam_plan_mrt,
                       brute_force_allocation, complete_allocation,
-                      sample_channel, solve_quoted_allocation)
+                      derive_trial_seed, sample_channel,
+                      solve_quoted_allocation)
 from tilecast import harness, ofdma_alloc
 from tilecast.ofdma_alloc import (ENUMERATE_MAX, EPS, GAP_TOL, LN2,
                                   PASSES_PER_SUBCARRIER, TEMPERATURES,
@@ -1186,6 +1187,8 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
         problems.append("negative or non-finite rate")
     if np.any((assign == 0) & (power > 0)):
         problems.append("power on unassigned pair")
+    if np.any((assign == 0) & (rate > 0)):
+        problems.append("rate on unassigned pair")
 
     if alloc.beams is not None:
         norms = np.linalg.norm(alloc.beams, axis=1)
@@ -1242,3 +1245,25 @@ def test_audit_matches_loop_reference():
                 got = audit_allocation(alloc, ch, messages)
                 assert got == audit_reference(alloc, ch, messages)
                 assert (alloc is clean) or got
+    # default_config() trial 0's MRT plan, with message 0's whole rate
+    # moved onto a column another message holds and its own power zeroed:
+    # every demand is met and no held pair claims more than its SNR gives,
+    # so only the rate on a pair the plan does not hold gives it away
+    cfg = harness.default_config()
+    ch = sample_channel(derive_trial_seed(cfg.base_seed, 0), cfg.m, cfg.n_sc,
+                        len(cfg.users), beta=cfg.beta, noise_w=cfg.noise_w,
+                        bandwidth_hz=cfg.bandwidth_hz)
+    messages = harness._messages(
+        cfg, tuple((u.direction, u.quality) for u in cfg.users), False)
+    plan = beam_plan_mrt(ch, messages)
+    clean = complete_allocation(
+        solve_quoted_allocation(messages, plan.q, B), plan)
+    held = clean.assign[0] == 1
+    rate, power = clean.rate.copy(), clean.power.copy()
+    rate[0, np.flatnonzero(clean.assign[1])[0]] = rate[0].sum()
+    rate[0, held] = power[0, held] = 0.0
+    moved = replace(clean, rate=rate, power=power)
+    assert power.sum() < clean.power.sum()
+    got = audit_allocation(moved, ch, messages)
+    assert got == audit_reference(moved, ch, messages)
+    assert got == ["rate on unassigned pair"]
