@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import config_from_dict, default_config, run_experiment
+from .harness import SWEEPS, config_from_dict, default_config, run_experiment
 from .ofdma_alloc import (InfeasibleAllocationError, brute_force_allocation,
                           solve_quoted_allocation)
 
@@ -158,8 +158,9 @@ def _add_common(p):
     p.add_argument("--out", default="results.csv", help="CSV path")
     p.add_argument("--scheme", action="append",
                    help="restrict to a scheme (repeatable)")
-    p.add_argument("--sweep", choices=["k", "m", "delta"],
-                   help="sweep user count, antennas, or concentration")
+    p.add_argument("--sweep", choices=SWEEPS,
+                   help="sweep user count, antennas, or concentration "
+                        "(none: the base config only)")
 
 
 def main(argv=None) -> int:

@@ -41,6 +41,8 @@ SCHEMES = ("proposed-asymptotic", "proposed-dc",
 CSV_HEADER = ("scheme,sweep_param,sweep_value,trial,seed,"
               "total_power_w,converged,unique_argmax,iterations")
 
+# the sweeps `run_experiment` takes; "none" (or None) plans the base config
+SWEEPS = ("none", "k", "m", "delta")
 SWEEP_M_VALUES = (2, 4, 8, 16, 32)
 # the config field each sweep varies; the k sweep varies the user subset
 _SWEEP_FIELDS = {"m": "m", "delta": "delta_deg"}
@@ -278,7 +280,7 @@ def _tile_set(direction: ViewDirection, tiling: TilingConfig) -> set:
 
 def _messages(cfg: ScenarioConfig, viewers: tuple, unicast: bool) -> list:
     """The messages for `viewers`, (direction, quality) pairs renumbered
-    from 1: one per user (unicast) or per partition group and level."""
+    from 1: one per user (unicast) or per distinct audience."""
     def build():
         tile_sets = {k: _tile_set(d, cfg.tiling)
                      for k, (d, _) in enumerate(viewers, start=1)}
@@ -353,8 +355,8 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
 
 
 def sweep_values(cfg: ScenarioConfig, sweep: Optional[str]) -> list:
-    if sweep in (None, "none"):
-        return [("none", 0)]
+    if sweep is not None and sweep not in SWEEPS:
+        raise ValueError(f"unknown sweep: {sweep!r}")
     if sweep == "k":
         return [("k", k) for k in range(1, len(cfg.users) + 1)]
     if sweep == "m":
@@ -362,7 +364,7 @@ def sweep_values(cfg: ScenarioConfig, sweep: Optional[str]) -> list:
     if sweep == "delta":
         step = cfg.tiling.tile_width_deg
         return [("delta", i * step) for i in range(6)]
-    raise ValueError(f"unknown sweep: {sweep!r}")
+    return [("none", 0)]
 
 
 def _trial_subsets(cfg: ScenarioConfig, trial_index: int) -> dict:

@@ -1,10 +1,12 @@
 """Exact-audience tile partition and message construction.
 
 Users request overlapping tile sets at per-user quality levels. Tiles are
-grouped by exactly-which-users need them; for each group and each quality
-level requested inside it, one message is formed whose audience is every
-group member at that level. A message's rate demand is the group's tile
-count times the per-tile encoding rate of its level.
+grouped by exactly-which-users need them. Each group S and level l
+requested inside it gives the audience {k in S : r_k = l}, and several
+groups can give the same audience. One message is formed per distinct
+audience: it carries every tile that exactly that audience needs at its
+level, and its rate demand is that tile count times the per-tile encoding
+rate of the level.
 """
 
 from dataclasses import dataclass, field
@@ -58,9 +60,14 @@ class TilePartition:
 
 @dataclass(frozen=True)
 class Message:
-    """One multicast message: tiles of one partition group at one quality level."""
+    """One multicast message: every tile one audience needs at one level.
 
-    subset: tuple          # users whose tile group this is, sorted
+    subset is the first partition group (in index_set order) whose tiles
+    the message carries; the message may carry tiles of later groups with
+    the same audience too.
+    """
+
+    subset: tuple          # first contributing group, sorted
     level: int             # quality level l
     audience: tuple        # members of subset requesting exactly level l
     tile_count: int
@@ -99,29 +106,26 @@ def build_partition(tile_sets: dict) -> TilePartition:
 
 
 def build_messages(part: TilePartition, qualities: dict, ladder: QualityLadder) -> list:
-    """Messages (S, l) for each group S and each level l requested within S.
+    """One message per distinct audience {k in S : r_k = l} over the groups
+    S of `part` and the levels l requested within them.
 
-    qualities maps user id to its level r_k. The audience of (S, l) is
-    {k in S : r_k = l}; demand is |P_S| * D_l. Returned in deterministic
-    order: groups as in part.index_set, levels ascending.
+    qualities maps user id to its level r_k. A message's tile count is the
+    sum of |P_S| over the groups that give its audience, and its demand is
+    that count times D_l. Returned in order of first appearance: groups as
+    in part.index_set, levels ascending within a group.
     """
     for user, r in qualities.items():
         if not (1 <= r <= ladder.levels):
             raise ValueError(f"user {user} quality {r} outside ladder 1..{ladder.levels}")
-    messages = []
+    merged = {}             # audience -> [first group, level, tile count]
     for subset in part.index_set:
-        tiles = part.groups[subset]
-        levels = sorted({qualities[k] for k in subset})
-        for lvl in levels:
+        for lvl in sorted({qualities[k] for k in subset}):
             audience = tuple(k for k in subset if qualities[k] == lvl)
-            messages.append(Message(
-                subset=subset,
-                level=lvl,
-                audience=audience,
-                tile_count=len(tiles),
-                demand_bits_per_s=len(tiles) * ladder.rate(lvl),
-            ))
-    return messages
+            entry = merged.setdefault(audience, [subset, lvl, 0])
+            entry[2] += len(part.groups[subset])
+    return [Message(subset=first, level=lvl, audience=audience, tile_count=n,
+                    demand_bits_per_s=n * ladder.rate(lvl))
+            for audience, (first, lvl, n) in merged.items()]
 
 
 def unicast_messages(tile_sets: dict, qualities: dict, ladder: QualityLadder) -> list:

@@ -379,7 +379,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "3efbdf522c98a6b4410f13c11dcce1dcc5fc0fcdc8c48878729379b582e9b481")
+    "804b2ca9cd6764c12eaecba384d2abaa7847b692240d15cfb132ab239fe55a08")
 
 
 def test_default_config_csv_bytes_pinned():

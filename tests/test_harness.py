@@ -645,11 +645,29 @@ def test_cli_run_and_audit_round_trip(tmp_path, capsys):
     assert "byte-identical" in capsys.readouterr().out
 
 
+def test_cli_sweep_none_is_no_sweep(tmp_path, capsys):
+    # the CLI takes every sweep name `sweep_values` takes
+    cfg_path = _write_config(tmp_path)
+    plain, none = str(tmp_path / "plain.csv"), str(tmp_path / "none.csv")
+    assert cli_main(["run", "--config", cfg_path, "--out", plain]) == 0
+    assert cli_main(["run", "--config", cfg_path, "--sweep", "none",
+                     "--out", none]) == 0
+    with open(plain, encoding="utf-8") as a, open(none, encoding="utf-8") as b:
+        assert a.read() == b.read()
+    assert cli_main(["audit", "--config", cfg_path, "--sweep", "none",
+                     "--out", plain]) == 0
+    assert "byte-identical" in capsys.readouterr().out
+
+
 def test_cli_run_counts_failed_and_unconverged_trials(tmp_path, capsys):
-    # two subcarriers cannot carry the multicast scheme's messages, so its
-    # trial fails; the unicast trial is planned
+    # two viewers at one level have three audiences, (1,), (2,) and
+    # (1, 2); two subcarriers cannot carry three messages, so the
+    # multicast trial fails, while the unicast trial's two are planned
+    cfg = tiny_config(n_sc=2, trials=1,
+                      users=[UserSpec(ViewDirection(100.0, 90.0), 1),
+                             UserSpec(ViewDirection(140.0, 90.0), 1)])
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(tiny_config(n_sc=2, trials=1))))
+    path.write_text(json.dumps(config_to_dict(cfg)))
     out = tmp_path / "r.csv"
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
     with open(out, newline="", encoding="utf-8") as fh:

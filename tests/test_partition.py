@@ -5,11 +5,18 @@ overlap pairwise and triple-wise; every group and audience is written out
 by hand so the expected values are independent of the implementation.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecast import (Message, QualityLadder, build_messages, build_partition,
+from tilecast import (Message, QualityLadder, audit_allocation,
+                      beam_plan_asymptotic, beam_plan_maxmin, beam_plan_mrt,
+                      build_messages, build_partition, complete_allocation,
+                      compute_tile_set, default_config, derive_trial_seed,
+                      sample_channel, solve_quoted_allocation,
                       unicast_messages)
 
 G1 = {(2, 1), (3, 1), (4, 1), (5, 1),
@@ -45,44 +52,38 @@ def test_index_set_order():
 
 
 def test_three_viewer_audiences():
+    # (2, 3) gives (2,) at level 1 and (3,) at level 2, and (1, 2, 3)
+    # gives (1, 2) and (3,): their tiles join the messages of those
+    # audiences, each keyed by its first group
     part = build_partition({1: G1, 2: G2, 3: G3})
     msgs = build_messages(part, {1: 1, 2: 1, 3: 2}, LADDER2)
-    audiences = {(m.subset, m.level): set(m.audience) for m in msgs}
-    assert audiences[((1,), 1)] == {1}
-    assert audiences[((2,), 1)] == {2}
-    assert audiences[((3,), 2)] == {3}
-    assert audiences[((1, 2), 1)] == {1, 2}
-    assert audiences[((2, 3), 1)] == {2}
-    assert audiences[((2, 3), 2)] == {3}
-    assert audiences[((1, 2, 3), 1)] == {1, 2}
-    assert audiences[((1, 2, 3), 2)] == {3}
-    assert len(msgs) == 8
+    assert [(m.audience, m.level, m.tile_count, m.subset) for m in msgs] == [
+        ((1,), 1, 4, (1,)),
+        ((2,), 1, 2 + 2, (2,)),
+        ((3,), 2, 6 + 2 + 4, (3,)),
+        ((1, 2), 1, 4 + 4, (1, 2)),
+    ]
 
 
 def test_three_viewer_demands():
     part = build_partition({1: G1, 2: G2, 3: G3})
     msgs = build_messages(part, {1: 1, 2: 1, 3: 2}, LADDER2)
     d1, d2 = LADDER2.rates
-    demand = {(m.subset, m.level): m.demand_bits_per_s for m in msgs}
-    assert demand[((2, 3), 1)] == 2 * d1
-    assert demand[((2, 3), 2)] == 2 * d2
-    assert demand[((1, 2, 3), 1)] == 4 * d1
-    assert demand[((3,), 2)] == 6 * d2
+    assert [m.demand_bits_per_s for m in msgs] == [4 * d1, 4 * d1, 12 * d2,
+                                                   8 * d1]
+    assert all(m.demand_bits_per_s == m.tile_count * LADDER2.rate(m.level)
+               for m in msgs)
 
 
 def test_every_user_gets_every_tile_once_at_own_level():
     part = build_partition({1: G1, 2: G2, 3: G3})
     qualities = {1: 1, 2: 1, 3: 2}
     msgs = build_messages(part, qualities, LADDER2)
+    assert len({m.audience for m in msgs}) == len(msgs)
     for user, tiles in ((1, G1), (2, G2), (3, G3)):
         mine = [m for m in msgs if user in m.audience]
         assert all(m.level == qualities[user] for m in mine)
-        covered = set()
-        for m in mine:
-            group = part.groups[m.subset]
-            assert covered.isdisjoint(group)
-            covered |= group
-        assert covered == tiles
+        assert sum(m.tile_count for m in mine) == len(tiles)
 
 
 def test_unicast_demands():
@@ -203,15 +204,108 @@ def test_messages_cover_demands_exactly(tile_sets, quals):
     qualities = {k: quals[k - 1] for k in tile_sets}
     part = build_partition(tile_sets)
     msgs = build_messages(part, qualities, ladder)
+    # tile by tile: each level among a tile's owners sends that tile to
+    # the owners at that level, so each audience's tile count is known
+    # without the partition
+    expected = {}
+    for t in set().union(*tile_sets.values()):
+        owners = [k for k in sorted(tile_sets) if t in tile_sets[k]]
+        for lvl in {qualities[k] for k in owners}:
+            audience = tuple(k for k in owners if qualities[k] == lvl)
+            expected[audience] = expected.get(audience, 0) + 1
+    assert [m.audience for m in msgs] == list(dict.fromkeys(
+        m.audience for m in msgs))
+    assert {m.audience: m.tile_count for m in msgs} == expected
+    order = part.index_set
     for m in msgs:
-        assert m.audience == tuple(k for k in m.subset
-                                   if qualities[k] == m.level)
-        assert m.demand_bits_per_s == pytest.approx(
-            m.tile_count * ladder.rate(m.level))
-    # per-user coverage at the user's own level, each group at most once
+        assert {qualities[k] for k in m.audience} == {m.level}
+        assert m.demand_bits_per_s == m.tile_count * ladder.rate(m.level)
+        # the first group, in index_set order, that gives this audience
+        assert m.subset == next(
+            s for s in order
+            if tuple(k for k in s if qualities[k] == m.level) == m.audience)
+    # messages come in order of their first group, levels ascending
+    keys = [(order.index(m.subset), m.level) for m in msgs]
+    assert keys == sorted(keys)
+    # each user hears its whole tile set once, at its own level
     for k, g in tile_sets.items():
         mine = [m for m in msgs if k in m.audience]
-        covered = set()
-        for m in mine:
-            covered |= part.groups[m.subset]
-        assert covered == g
+        assert all(m.level == qualities[k] for m in mine)
+        assert sum(m.tile_count for m in mine) == len(g)
+
+
+# ---------------------------------------------------------------------------
+# one message per audience relaxes one message per (group, level)
+# ---------------------------------------------------------------------------
+
+def _split_messages(part, qualities, ladder):
+    """One message per group S and level l within S: the paper's rule."""
+    return [Message(subset=s, level=lvl,
+                    audience=tuple(k for k in s if qualities[k] == lvl),
+                    tile_count=len(part.groups[s]),
+                    demand_bits_per_s=len(part.groups[s]) * ladder.rate(lvl))
+            for s in part.index_set
+            for lvl in sorted({qualities[k] for k in s})]
+
+
+def _waterfill_power(q, demand):
+    """Least power over quotes q whose rates sum log2(level / q) over the
+    quotes below the level reach `demand` (bits/s/Hz): bisection on the
+    log2 water level, ending on the side that carries the demand."""
+    logs = np.log2(q)
+    lo, hi = logs.min(), logs.min() + demand
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(mid - logs, 0.0).sum() < demand:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.maximum(2.0 ** hi - q, 0.0).sum())
+
+
+@pytest.mark.parametrize("rule", [beam_plan_asymptotic, beam_plan_mrt,
+                                  beam_plan_maxmin])
+def test_merged_messages_relax_the_split_plan(rule):
+    # A split plan, relabelled onto the merged messages (each holds the
+    # union of its parts' columns at the same rates), is a valid plan, and
+    # water-filling each union at the summed demand costs no more
+    cfg = default_config()
+    tile_sets = {k: compute_tile_set(u.direction, cfg.tiling)
+                 for k, u in enumerate(cfg.users, start=1)}
+    qualities = {k: u.quality for k, u in enumerate(cfg.users, start=1)}
+    part = build_partition(tile_sets)
+    split = _split_messages(part, qualities, cfg.ladder)
+    merged = build_messages(part, qualities, cfg.ladder)
+    audiences = [m.audience for m in merged]
+    assert len(split) == 10 and len(merged) == 5
+    ch = sample_channel(derive_trial_seed(cfg.base_seed, 0), cfg.m, cfg.n_sc,
+                        len(cfg.users), beta=cfg.beta, noise_w=cfg.noise_w,
+                        bandwidth_hz=cfg.bandwidth_hz)
+
+    plan = rule(ch, split)
+    alloc = complete_allocation(
+        solve_quoted_allocation(split, plan.q, cfg.bandwidth_hz), plan)
+    assert audit_allocation(alloc, ch, split) == []
+    parts = np.zeros((len(merged), len(split)), dtype=int)
+    for i, m in enumerate(split):
+        parts[audiences.index(m.audience), i] = 1
+    relabelled = replace(alloc, assign=parts @ alloc.assign,
+                         power=parts @ alloc.power, rate=parts @ alloc.rate)
+    assert audit_allocation(relabelled, ch, merged) == []
+
+    # the reference water-fill gives each part the split plan's power
+    for i, m in enumerate(split):
+        own = _waterfill_power(plan.q[i, alloc.assign[i] == 1],
+                               m.demand_bits_per_s / cfg.bandwidth_hz)
+        assert own == pytest.approx(alloc.power[i].sum(), rel=1e-9)
+
+    merged_q = rule(ch, merged).q
+    cost = 0.0
+    for j, m in enumerate(merged):
+        # one audience, one quote row
+        for i in np.flatnonzero(parts[j]):
+            assert np.array_equal(plan.q[i], merged_q[j])
+        cols = relabelled.assign[j] == 1
+        cost += _waterfill_power(merged_q[j, cols],
+                                 m.demand_bits_per_s / cfg.bandwidth_hz)
+    assert cost <= alloc.power_sum * (1 + 1e-9)
