@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _as_int
+from .scope import shared
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelState:
-    """Channel realization plus the link parameters the solvers need."""
+    """Channel realization plus the link parameters the solvers need;
+    hashed by identity, so a trial scope can key shared work by it."""
 
     m: int                 # antennas at the transmitter
     n_sc: int              # subcarriers
@@ -81,15 +83,24 @@ def _audience(ch: ChannelState, messages):
     User ids in messages are 1-based (channel row = id - 1). Returns h of
     shape (n_msg, n_sc, a_max, m), zero off the mask; beta of shape
     (n_msg, a_max), one off the mask; and the (n_msg, a_max) mask of real
-    audience slots.
+    audience slots, all three read-only. Inside a trial scope the arrays
+    are gathered once per channel and message list, and every beam plan
+    and audit of that list reads them.
     """
-    sizes = np.array([len(msg.audience) for msg in messages], dtype=int)
-    mask = np.arange(sizes.max(initial=0))[None, :] < sizes[:, None]
-    idx = np.zeros(mask.shape, dtype=int)
-    idx[mask] = [k - 1 for msg in messages for k in msg.audience]
-    h = np.transpose(ch.h[:, idx, :], (1, 0, 2, 3)) * mask[:, None, :, None]
-    beta = np.where(mask, ch.beta[idx], 1.0)
-    return h, beta, mask
+    messages = tuple(messages)
+
+    def gather():
+        sizes = np.array([len(msg.audience) for msg in messages], dtype=int)
+        mask = np.arange(sizes.max(initial=0))[None, :] < sizes[:, None]
+        idx = np.zeros(mask.shape, dtype=int)
+        idx[mask] = [k - 1 for msg in messages for k in msg.audience]
+        h = np.transpose(ch.h[:, idx, :], (1, 0, 2, 3)) * mask[:, None, :, None]
+        beta = np.where(mask, ch.beta[idx], 1.0)
+        for array in (h, beta, mask):
+            array.setflags(write=False)
+        return h, beta, mask
+
+    return shared(("audience", ch, messages), gather)
 
 
 def derive_trial_seed(base_seed: int, trial_index: int) -> int:

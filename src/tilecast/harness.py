@@ -6,8 +6,9 @@ channel realization; every scheme sees the identical realization for a
 given trial index, so scheme comparisons are paired. Sweeps vary the user
 count, the antenna count, or the concentration shift of the viewing
 directions. `run_experiment` plans one trial index at a time, inside one
-`scope.trial_scope`, so the index's channel, tile sets, messages and
-repeated allocation problems are computed once for all its trials.
+`scope.trial_scope`, so the index's channel, tile sets, messages, audience
+channels and repeated allocation problems are computed once for all its
+trials.
 
 Schemes:
   proposed-asymptotic  large-antenna beams + quoted allocation
@@ -259,13 +260,6 @@ def shift_directions(base, delta_deg: float):
             for d, s in zip(base, signs)]
 
 
-def _restrict_channel(ch: ChannelState, subset) -> ChannelState:
-    idx = list(subset)
-    return ChannelState(m=ch.m, n_sc=ch.n_sc, k_users=len(idx),
-                        bandwidth_hz=ch.bandwidth_hz, noise_w=ch.noise_w,
-                        beta=ch.beta[idx], h=ch.h[:, idx, :])
-
-
 def _read_only(ch: ChannelState) -> ChannelState:
     """`ch` with its arrays locked: every trial of an index reads it."""
     ch.h.flags.writeable = False
@@ -279,12 +273,11 @@ def _tile_set(direction: ViewDirection, tiling: TilingConfig) -> set:
 
 
 def _messages(cfg: ScenarioConfig, viewers: tuple, unicast: bool) -> list:
-    """The messages for `viewers`, (direction, quality) pairs renumbered
-    from 1: one per user (unicast) or per distinct audience."""
+    """The messages for `viewers`, (user number, direction, quality)
+    triples: one per user (unicast) or per distinct audience."""
     def build():
-        tile_sets = {k: _tile_set(d, cfg.tiling)
-                     for k, (d, _) in enumerate(viewers, start=1)}
-        qualities = {k: q for k, (_, q) in enumerate(viewers, start=1)}
+        tile_sets = {k: _tile_set(d, cfg.tiling) for k, d, _ in viewers}
+        qualities = {k: q for k, _, q in viewers}
         if unicast:
             return unicast_messages(tile_sets, qualities, cfg.ladder)
         return build_messages(build_partition(tile_sets), qualities,
@@ -306,29 +299,28 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
 
     The channel is always drawn for the configured user population so that
     subsets (the user-count sweep) stay paired with the full scenario; the
-    plan itself only sees the restricted users, renumbered from 1. Inside
-    a `trial_scope`, the channel, tile sets, messages and allocation
-    problems it has in common with the scope's earlier trials are not
-    computed again.
+    plan only sees the subset's users, which keep their configured numbers
+    (user j + 1 is channel row j). Inside a `trial_scope`, the channel,
+    tile sets, messages, audience channels and allocation problems it has
+    in common with the scope's earlier trials are not computed again.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
     seed = derive_trial_seed(cfg.base_seed, trial_index)
     n_total = len(cfg.users)
-    subset = sorted(user_subset) if user_subset is not None else list(range(n_total))
+    subset = sorted(user_subset) if user_subset is not None else range(n_total)
 
     dirs = [u.direction for u in cfg.users]
     if cfg.delta_deg > 0:
         dirs = shift_directions(dirs, cfg.delta_deg)
 
-    ch_full = shared(
+    ch = shared(
         ("channel", seed, cfg.m, cfg.n_sc, n_total, cfg.beta, cfg.noise_w,
          cfg.bandwidth_hz),
         lambda: _read_only(sample_channel(
             seed, cfg.m, cfg.n_sc, n_total, beta=cfg.beta,
             noise_w=cfg.noise_w, bandwidth_hz=cfg.bandwidth_hz)))
-    ch = _restrict_channel(ch_full, subset) if len(subset) < n_total else ch_full
-    viewers = tuple((dirs[j], cfg.users[j].quality) for j in subset)
+    viewers = tuple((j + 1, dirs[j], cfg.users[j].quality) for j in subset)
 
     try:
         messages = _messages(cfg, viewers, scheme == "baseline1-unicast")

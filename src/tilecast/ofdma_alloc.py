@@ -914,21 +914,20 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
 
 
 def _bisect_waterfill(quotes: np.ndarray, demand: float, bandwidth: float):
-    """Oracle water-fill: bisection on the water level until rate == demand."""
+    """Oracle water-fill: bisection on the log2 water level until
+    rate == demand. That log lies in [log2 q_min, log2 q_min + d/B]: at
+    the top, the best quote alone carries the demand."""
     q = quotes[np.isfinite(quotes)]
     if q.size == 0:
         return None
     if demand <= 0.0:
         return 0.0, np.zeros_like(quotes)
-    qmin = q.min()
-    lo = qmin
-    hi = qmin * 2.0 ** min(demand / bandwidth, 1000.0)
+    log2q = np.log2(q)
+    lo = log2q.min()
+    hi = lo + demand / bandwidth
 
-    def rate_at(level):
-        act = q[q < level]
-        if act.size == 0:
-            return 0.0
-        return bandwidth * np.log2(level / act).sum()
+    def rate_at(x):
+        return bandwidth * np.maximum(x - log2q, 0.0).sum()
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -936,9 +935,9 @@ def _bisect_waterfill(quotes: np.ndarray, demand: float, bandwidth: float):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * hi:
+        if hi - lo <= 1e-14:
             break
-    level = hi
+    level = np.exp2(hi)
     power = np.where(np.isfinite(quotes), np.maximum(0.0, level - quotes), 0.0)
     return float(power.sum()), power
 
@@ -1043,19 +1042,23 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
     if np.any((assign == 0) & (rate > 0)):
         problems.append("rate on unassigned pair")
 
-    if alloc.beams is not None:
+    if alloc.beams is None:
+        if np.any(rate > 0):
+            problems.append("positive rate but no beams")
+    else:
         norms = np.linalg.norm(alloc.beams, axis=1)
         if np.any(np.abs(norms - 1.0) > AUDIT_TOL):
             problems.append("non-unit beam")
         h, beta, mask = _audience(ch, messages)
-        g = beta[:, None, :] * np.abs(
-            np.einsum("inam,nm->ina", h.conj(), alloc.beams)) ** 2
-        snr = power[:, :, None] * g / (ch.m * ch.noise_w)
+        mi, n = np.nonzero((assign == 1) & (rate > 0))   # the pairs that carry
+        g = beta[mi] * np.abs(
+            np.einsum("pam,pm->pa", h[mi, n].conj(), alloc.beams[n])) ** 2
+        snr = power[mi, n, None] * g / (ch.m * ch.noise_w)
         with np.errstate(invalid="ignore"):  # negative power is flagged above
             user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
-        below = (user_rates < rate[:, :, None] * (1.0 - AUDIT_TOL)) & mask[:, None, :]
-        for mi, n in np.argwhere((assign == 1) & (rate > 0) & below.any(axis=2)):
-            problems.append(f"user rate below message rate at ({mi}, {n})")
+        below = (user_rates < rate[mi, n, None] * (1.0 - AUDIT_TOL)) & mask[mi]
+        for p in np.flatnonzero(below.any(axis=1)):
+            problems.append(f"user rate below message rate at ({mi[p]}, {n[p]})")
 
     demands = _demands(messages)
     short = rate.sum(axis=1) < demands * (1.0 - AUDIT_TOL)

@@ -387,3 +387,17 @@ def test_default_config_csv_bytes_pinned():
     assert text.count("\n") == 1 + len(ALL_SCHEMES) * 3
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == DEFAULT_ONE_TRIAL_SHA256
+
+
+# Per-user large-scale gains under the user-count sweep: every subset must
+# read its own users' channel rows and gains, so a wrong row shows here.
+BETA_KSWEEP_SHA256 = (
+    "c4d049004e7c606f52cb19ff6efce30616b7b120df4517c36c9dadda9040be3a")
+
+
+def test_per_user_beta_ksweep_csv_bytes_pinned():
+    cfg = replace(default_config(), beta=(1.0, 0.5, 2.0, 1.0, 0.25), trials=2)
+    text = run_experiment(cfg, sweep="k")
+    assert text.count("\n") == 1 + len(ALL_SCHEMES) * 5 * 4
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == BETA_KSWEEP_SHA256

@@ -5,6 +5,7 @@ import pytest
 
 from tilecast import ChannelState, Message, derive_trial_seed, sample_channel
 from tilecast.channel import _audience
+from tilecast.scope import trial_scope
 
 
 def reference_channel(seed, m, n_sc, k):
@@ -157,3 +158,23 @@ def test_audience_gather_pads():
         np.testing.assert_array_equal(beta[i, :a], ch.beta[idx])
         assert np.all(h[i, :, a:] == 0) and np.all(beta[i, a:] == 1.0)
         assert mask[i, :a].all() and not mask[i, a:].any()
+
+
+def test_audience_gathered_once_per_scope():
+    # inside a trial scope one channel and one message list gather once,
+    # whatever sequence carries the list; outside, every call gathers
+    ch = sample_channel(6, m=2, n_sc=3, k_users=3)
+    msgs = tuple(Message(subset=(1, 2, 3), level=1, audience=a,
+                         tile_count=1, demand_bits_per_s=1.0)
+                 for a in [(1, 3), (2,)])
+    with trial_scope():
+        first = _audience(ch, msgs)
+        again = _audience(ch, list(msgs))
+        assert all(a is b for a, b in zip(first, again))
+    for array in first:
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+    outside = _audience(ch, msgs)
+    assert not any(a is b for a, b in zip(outside, _audience(ch, msgs)))
+    for a, b in zip(first, outside):
+        np.testing.assert_array_equal(a, b)

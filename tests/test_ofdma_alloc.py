@@ -961,6 +961,16 @@ def test_brute_force_single_message_closed_form():
     assert alloc.power_sum == pytest.approx(q * (2 ** (d / B) - 1), rel=1e-9)
 
 
+def test_bisect_waterfill_large_demands():
+    # 25 unit quotes share the demand evenly: each carries d/25 bits per
+    # hertz at level 2^(d/25), far below the search's top level 2^(d/B)
+    for d_over_b in (250.0, 300.0, 371.0):
+        total, power = _bisect_waterfill(np.ones(25), d_over_b * B, B)
+        want = 25.0 * 2.0 ** (d_over_b / 25.0) - 25.0
+        assert total == pytest.approx(want, rel=1e-12), d_over_b
+        np.testing.assert_allclose(power, want / 25.0, rtol=1e-12)
+
+
 def test_brute_force_demand_monotone():
     rng = np.random.default_rng(11)
     quotes = 10.0 ** rng.uniform(-10, -8, size=(2, 3))
@@ -1190,7 +1200,10 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
     if np.any((assign == 0) & (rate > 0)):
         problems.append("rate on unassigned pair")
 
-    if alloc.beams is not None:
+    if alloc.beams is None:
+        if np.any(rate > 0):
+            problems.append("positive rate but no beams")
+    else:
         norms = np.linalg.norm(alloc.beams, axis=1)
         if np.any(np.abs(norms - 1.0) > rel):
             problems.append("non-unit beam")
@@ -1213,8 +1226,9 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
 
 
 def test_audit_matches_loop_reference():
-    # mixed audiences (so the gather pads), clean and tampered plans from
-    # both beam plans: the same problems in the same order
+    # mixed audiences (so the gather pads), clean, uncompleted (rates no
+    # beam backs) and tampered plans from both beam plans: the same
+    # problems in the same order
     rng = np.random.default_rng(35)
     for seed in range(4):
         ch = sample_channel(35 + seed, m=4, n_sc=8, k_users=3,
@@ -1229,8 +1243,8 @@ def test_audit_matches_loop_reference():
         ]
         for builder in (beam_plan_asymptotic, beam_plan_mrt):
             plan = builder(ch, messages)
-            clean = complete_allocation(
-                solve_quoted_allocation(messages, plan.q, B), plan)
+            bare = solve_quoted_allocation(messages, plan.q, B)
+            clean = complete_allocation(bare, plan)
             doubled = clean.assign.copy()
             doubled[:, 0] = 1
             rotated = clean.beams.copy()
@@ -1238,7 +1252,7 @@ def test_audit_matches_loop_reference():
             nan_rate = clean.rate.copy()
             nan_rate[0, 5] = math.nan
             assert audit_allocation(clean, ch, messages) == []
-            for alloc in (clean, replace(clean, power=clean.power * 0.5),
+            for alloc in (clean, bare, replace(clean, power=clean.power * 0.5),
                           replace(clean, assign=doubled),
                           replace(clean, beams=rotated),
                           replace(clean, rate=nan_rate)):
@@ -1254,7 +1268,8 @@ def test_audit_matches_loop_reference():
                         len(cfg.users), beta=cfg.beta, noise_w=cfg.noise_w,
                         bandwidth_hz=cfg.bandwidth_hz)
     messages = harness._messages(
-        cfg, tuple((u.direction, u.quality) for u in cfg.users), False)
+        cfg, tuple((k, u.direction, u.quality)
+                   for k, u in enumerate(cfg.users, start=1)), False)
     plan = beam_plan_mrt(ch, messages)
     clean = complete_allocation(
         solve_quoted_allocation(messages, plan.q, B), plan)
