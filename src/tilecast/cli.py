@@ -84,10 +84,13 @@ def _cmd_oracle_check(args) -> int:
     reports converged=False. Fails on a miss that reports converged=True,
     and when only one of the two finds the instance infeasible.
     """
-    rng = np.random.default_rng(args.seed if args.seed is not None else 7)
+    seed = args.seed if args.seed is not None else 7
     trials = args.trials if args.trials is not None else 25
+    if seed < 0:
+        _fail("seed must be >= 0")
     if trials < 1:
         _fail("trials must be >= 1")
+    rng = np.random.default_rng(seed)
     bw = 39e3
     worst = 0.0
     failures = 0

@@ -44,17 +44,19 @@ row is exact, and a rebuild water-fills them all in one batch. Moves
 alone (n_sc > 16) read the flip table in closed form where a row's
 quotes are all active, k 2^((d + sum log2 q) / k) - sum q, with a bound
 on its rounding error, from per-column data padded once per solve; other
-rows are exact. In both regimes each pass takes a move only when the
-bounds certify it as the exact tables' first maximum above the
-acceptance threshold, and otherwise rescores exactly the own sets and
-the flip rows the near-tied moves read, and decides on those, so the
-search takes the same steps as on exact tables; exact tables carry zero
-bounds and are never rescored. The regimes differ only in the exchange
-table, which swaps and rotations read. The search runs to a local
-optimum; its pass bound is a safety cap whose hit is reported.
+rows are exact. Each pass decides in one of two ways. While some table
+entry is in closed form, the bounds decide: they certify one move as the
+exact tables' first maximum above the acceptance threshold, or certify
+that no move clears it. Otherwise exact tables decide, by their first
+maximum: the tables were exact to begin with (every pass with swaps),
+or the bounds could not decide and every closed-form entry has just been
+water-filled exactly. So the search takes the same steps as on exact
+tables. The regimes differ only in the exchange table, which swaps and
+rotations read. The search runs to a local optimum; its pass bound is a
+safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
 `_waterfill_sets` applies it to any batch of column sets: the
-enumeration, the search's tables and rescoring, and the final fill. A
+enumeration, the search's exact table entries, and the final fill. A
 batch packs itself, with one stable argsort per row of its quotes masked
 to the set, and is filled only as wide as its largest set.
 
@@ -416,17 +418,18 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     Without swaps, an own or flip total comes from `_flip_closed_form`,
     with an error bound, wherever all its quotes are active, and is exact
     elsewhere; a rebuild gathers each changed message's column data once
-    from `_flip_columns`, padded per solve. A move's gain is then known
-    to within the sum of its four entries' bounds (plus the gain
-    formula's rounding), and the threshold to within its own totals'
-    bounds. Both regimes choose their move by this certified rule. When
+    from `_flip_columns`, padded per solve.
+
+    Each pass chooses its move in one of two ways. While some entry is
+    in closed form, the bounds decide: a move's gain is known to within
+    the sum of its four entries' bounds (plus the gain formula's
+    rounding), and the threshold to within its own totals' bounds. When
     exactly one move can reach the best lower bound, and that bound
-    clears the threshold, the move is certified; when no move can reach
-    the threshold, no move is taken. Otherwise the closed-form entries of
-    the own sets and of the moves that can still win are rescored
-    exactly, and those moves' exact gains decide as below. Exact tables
-    carry zero bounds, so with swaps nothing is rescored and the move
-    taken is the exact first maximum.
+    clears the threshold, that move is taken; when no move can reach the
+    threshold, none is. Otherwise exact tables decide, by the first
+    maximum over the valid moves: the tables were exact to begin with
+    (every pass with swaps), or the bounds could not decide and one
+    batched water-fill has just made every closed-form entry exact.
 
     The first strict maximum in scan order wins (moves by column then
     message, swaps by column pair, rotations by column triple then
@@ -436,7 +439,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     passes, moves, rescored): the improved assignment, the neighbourhood
     scans run, the steps accepted (moves == passes > 0 means the bound
     stopped a search that was still improving) and the passes whose
-    choice was made on rescored totals.
+    bounds could not decide, so that exact tables did.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
@@ -496,64 +499,47 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
                 r, c = np.nonzero(~closed)
                 make_exact(changed[r], c)
 
-    def rescore(near):
-        # exact totals of every closed-form own set (for the threshold) and
-        # of the closed-form flip entries the near-tied moves read; True
-        # when there were any
-        n, b = np.nonzero(near)
-        pick = np.zeros((n_msg, n_sc + 1), dtype=bool)
-        pick[:, 0] = True
-        pick[assigned[n], n + 1] = True
-        pick[b, n + 1] = True
-        pick &= table_err > 0
-        if not pick.any():
-            return False
-        make_exact(*np.nonzero(pick))
-        return True
-
-    def move_gains():
-        # move column n from its owner a to message b, scanned n then b
-        return ((totals[assigned] - flip[assigned, cols])[:, None]
-                - (flip - totals[:, None]).T)
-
-    def choose_move(gain, valid, thresh):
+    def choose_move(valid):
         # the flat index and gain of the move the exact tables would take,
-        # or None and the threshold: each gain lies within tol of its exact
-        # value (its four entries' bounds and the rounding of the gain
-        # formula), the threshold within slack of its own
+        # or None and the acceptance threshold; a move takes column n from
+        # its owner a to message b, scanned n then b
         nonlocal rescored
-        # each entry's bound plus the rounding of the gain formula on it; an
-        # inf entry is only read by moves whose gain is not finite, which
-        # no tolerance can make valid
-        entry_tol = np.where(table == math.inf, 0.0,
-                             table_err + 4.0 * EPS * np.abs(table))
-        # in scan order (n, b): the tolerance of the entries F[b, n] and
-        # T[b] that a move of column n to or from b reads
-        side_tol = (entry_tol[:, 1:] + entry_tol[:, :1]).T
-        tol = side_tol[cols, assigned][:, None] + side_tol
-        gain_valid = np.where(valid, gain, -math.inf)
-        lo, hi = gain_valid - tol, gain_valid + tol
-        err_sum = float(totals_err.sum())
-        slack = (1e-12 * (err_sum + 2 * n_msg * EPS * sum(totals.tolist()))
-                 if err_sum > 0 else 0.0)
-        # the moves that can still be the exact first maximum; the first
-        # maximum of lo is one of them
-        i = int(lo.argmax())
-        best_lo = lo.flat[i]
-        near = hi >= best_lo
-        if best_lo > thresh + slack:
-            if np.count_nonzero(near) == 1:
-                return i, float(gain.flat[i])
-        else:
-            near &= hi > thresh - slack
-            if not near.any():
+        gain = ((totals[assigned] - flip[assigned, cols])[:, None]
+                - (flip - totals[:, None]).T)
+        thresh = 1e-12 * sum(totals.tolist())
+        if table_err.any():
+            # the bounds decide if they can: each gain lies within tol of
+            # its exact value (its four entries' bounds and the rounding of
+            # the gain formula), the threshold within slack of its own. An
+            # inf entry is only read by moves whose gain is not finite,
+            # which no tolerance can make valid
+            entry_tol = np.where(table == math.inf, 0.0,
+                                 table_err + 4.0 * EPS * np.abs(table))
+            # in scan order (n, b): the tolerance of the entries F[b, n]
+            # and T[b] that a move of column n to or from b reads
+            side_tol = (entry_tol[:, 1:] + entry_tol[:, :1]).T
+            tol = side_tol[cols, assigned][:, None] + side_tol
+            gain_valid = np.where(valid, gain, -math.inf)
+            lo, hi = gain_valid - tol, gain_valid + tol
+            err_sum = float(totals_err.sum())
+            slack = (1e-12 * (err_sum + 2 * n_msg * EPS * sum(totals.tolist()))
+                     if err_sum > 0 else 0.0)
+            # the moves that can still be the exact first maximum; the
+            # first maximum of lo is one of them
+            i = int(lo.argmax())
+            best_lo = lo.flat[i]
+            near = hi >= best_lo
+            if best_lo > thresh + slack:
+                if np.count_nonzero(near) == 1:
+                    return i, float(gain.flat[i])
+            elif not (near & (hi > thresh - slack)).any():
                 return None, thresh
-        # near-tied, or too close to the threshold: decide on exact values
-        if rescore(near):
+            # near-tied, or too close to the threshold: make every entry
+            # exact, and the exact tables decide
+            make_exact(*np.nonzero(table_err > 0))
             rescored += 1
-            thresh = 1e-12 * sum(totals.tolist())
-            gain = move_gains()
-        i, g = _first_max(gain, near)
+            return choose_move(valid)
+        i, g = _first_max(gain, valid)
         return (i, g) if g > thresh else (None, thresh)
 
     rebuild(msgs)
@@ -568,8 +554,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         # can use it
         valid = ((np.bincount(assigned)[assigned] > 1)[:, None] & usable.T
                  & (assigned[:, None] != msgs))
-        i, best_gain = choose_move(move_gains(), valid,
-                                   1e-12 * sum(totals.tolist()))
+        i, best_gain = choose_move(valid)
         best = None if i is None else [divmod(i, n_msg)]
 
         if do_swaps:

@@ -20,6 +20,7 @@ from tilecast import (ChannelState, Message, QualityLadder, TilingConfig,
                       build_partition, compute_tile_set, dc_solve,
                       derive_trial_seed, sample_channel,
                       solve_quoted_allocation)
+from tilecast import ofdma_alloc
 from tilecast.beamforming import _better
 from tilecast.cli import main as cli_main
 from tilecast.dc_solver import initial_point
@@ -401,3 +402,37 @@ def test_per_user_beta_ksweep_csv_bytes_pinned():
     assert text.count("\n") == 1 + len(ALL_SCHEMES) * 5 * 4
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == BETA_KSWEEP_SHA256
+
+
+# The antenna sweep at two trials: the one pinned input where the local
+# search's bounds cannot decide some passes (2 of its 205) and exact
+# tables decide them instead.
+M_SWEEP_SHA256 = (
+    "3427ecb5dcd1ee5ab12efac576580b152d88bd054e5cea3726523fe0dd453571")
+
+
+def m_sweep_text():
+    text = run_experiment(replace(default_config(), trials=2), sweep="m")
+    assert text.count("\n") == 1 + len(ALL_SCHEMES) * len(SWEEP_M_VALUES) * 4
+    return text
+
+
+def test_m_sweep_csv_bytes_pinned():
+    digest = hashlib.sha256(m_sweep_text().encode("utf-8")).hexdigest()
+    assert digest == M_SWEEP_SHA256
+
+
+def test_search_on_exact_tables_plans_alike(monkeypatch):
+    # with no flip entry in closed form, every table entry is an exact
+    # `_set_totals` row and exact tables decide every pass; the bounds on
+    # the closed form must take the same steps, on real quotes at 64
+    # subcarriers and across the passes they cannot decide
+    bounded = m_sweep_text()
+    closed_form = ofdma_alloc._flip_closed_form
+
+    def none_closed(*args):
+        total, err, closed = closed_form(*args)
+        return total, err, np.zeros_like(closed)
+
+    monkeypatch.setattr(ofdma_alloc, "_flip_closed_form", none_closed)
+    assert m_sweep_text() == bounded

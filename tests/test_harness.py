@@ -767,6 +767,8 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     (["oracle-check", "--sweep", "k"], "unrecognized arguments: --sweep k"),
     (["oracle-check", "--trials", "0"], "trials must be >= 1"),
     (["oracle-check", "--trials", "-3"], "trials must be >= 1"),
+    # a negative seed is bad input (status 2), not an allocator miss (1)
+    (["oracle-check", "--seed", "-1"], "seed must be >= 0"),
     # a JSON string or bool is no number, and a string no array
     (["run", "--config", "{ladder_str}"], "config key 'ladder' has the "
                                           "wrong type: '12345'"),
@@ -792,7 +794,7 @@ def test_cli_rejects_unknown_scheme(tmp_path):
         "quality-fraction", "trials-bool",
         "missing-out-dir", "run-delta-sweep", "audit-delta-sweep",
         "oracle-check-sweep", "oracle-check-zero-trials",
-        "oracle-check-negative-trials",
+        "oracle-check-negative-trials", "oracle-check-negative-seed",
         "ladder-string", "beta-string", "beta-bool", "noise_w-bool",
         "delta_deg-bool", "margin_deg-bool", "pitch-bool",
         "bandwidth-string", "schemes-string"])
