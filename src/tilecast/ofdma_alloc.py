@@ -4,18 +4,19 @@ Given a per-(message, subcarrier) quote matrix, pick one message per
 subcarrier and split power so every message's rate demand is met at minimum
 total power.
 
-Instances with at most ENUMERATE_MAX assignments are solved exactly: every
-assignment is water-filled in one batched call and the cheapest is kept,
-with gap 0. Larger ones go through the Lagrangian dual over per-message
+A single message takes every subcarrier, and its water-fill over all of
+them is the optimum, with gap 0. Two or more messages, whatever the
+instance's size, go through the Lagrangian dual over per-message
 multipliers gamma, D(gamma) = gamma.d - sum_n max_m g_mn(gamma_m), where
 g_mn is the gain of granting subcarrier n to message m at its
-water-filling power. Every gamma >= 0 makes D(gamma) a lower bound on the
-optimum. The max over messages is smoothed by a log-sum-exp at a
-temperature, and the smoothed dual is maximized in u = log gamma by damped
-Newton steps on its n_msg x n_msg Hessian. The multipliers start at each
-message's fair share of the subcarriers, and the temperature is annealed
-down to a fixed floor, each level warm-started from the last; only the
-floor level is solved to DUAL_TOL, the others to the looser LEVEL_TOL.
+water-filling power. Every gamma >= 0 makes D(gamma) a lower bound on
+the optimum. The max over messages is smoothed by a log-sum-exp at a
+temperature, and the smoothed dual is maximized in u = log gamma by
+damped Newton steps on its n_msg x n_msg Hessian. The multipliers start
+at each message's fair share of the subcarriers, and the temperature is
+annealed down to a fixed floor, each level warm-started from the last;
+only the floor level is solved to DUAL_TOL, the others to the looser
+LEVEL_TOL.
 A level after the first starts at a predictor point, the last level's
 optimum moved along the path's tangent in the temperature (Euler
 continuation), whenever its smoothed value is finite; only otherwise is
@@ -55,13 +56,13 @@ tables. The regimes differ only in the exchange table, which swaps and
 rotations read. The search runs to a local optimum; its pass bound is a
 safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
-`_waterfill_sets` applies it to any batch of column sets: the
-enumeration, the search's exact table entries, and the final fill. A
-batch packs itself, with one stable argsort per row of its quotes masked
-to the set, and is filled only as wide as its largest set.
+`_waterfill_sets` applies it to any batch of column sets: the search's
+exact table entries and the final fill. A batch packs itself, with one
+stable argsort per row of its quotes masked to the set, and is filled
+only as wide as its largest set.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
-message) for small instances.
+message) for small instances; the allocator itself never enumerates.
 
 Power convention: quotes already contain the antenna count and noise factor,
 so a stored per-pair power p gives rate B*log2(1 + p/q); the physical
@@ -80,7 +81,6 @@ from .channel import _audience
 from .scope import shared
 
 LN2 = math.log(2.0)
-ENUMERATE_MAX = 81          # solve exactly when n_msg ** n_sc is at most this
 # smoothing temperatures, in units of the start's mean per-subcarrier gain;
 # the last one is the floor the returned multipliers are optimal for
 TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -142,9 +142,16 @@ def _demands(messages) -> np.ndarray:
         d = getattr(msg, "demand_bits_per_s", msg)
         out.append(float(d))
     d = np.asarray(out, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("demands must be positive")
+    if not np.all(np.isfinite(d) & (d > 0)):   # NaN fails both tests
+        raise ValueError("demands must be finite and positive")
     return d
+
+
+def _bandwidth(bandwidth) -> float:
+    b = float(bandwidth)
+    if not (math.isfinite(b) and b > 0):
+        raise ValueError("bandwidth must be finite and positive")
+    return b
 
 
 def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
@@ -190,9 +197,8 @@ def _median(values: np.ndarray) -> float:
 
 
 def _assignment_ties(gain: np.ndarray) -> bool:
-    """True when every subcarrier has a strict argmax over messages."""
-    if gain.shape[0] < 2:
-        return True
+    """True when every subcarrier has a strict argmax over two or more
+    messages."""
     part = np.sort(gain, axis=0)
     top, second = part[-1, :], part[-2, :]
     return bool(np.all(top - second > 1e-12 * (np.abs(top) + 1e-300)))
@@ -436,10 +442,10 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     direction), a later kind only with a strictly greater gain.
     Deterministic. At most max_passes scans run (default
     PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
-    passes, moves, rescored): the improved assignment, the neighbourhood
-    scans run, the steps accepted (moves == passes > 0 means the bound
-    stopped a search that was still improving) and the passes whose
-    bounds could not decide, so that exact tables did.
+    passes, moves, exact_passes): the improved assignment, the
+    neighbourhood scans run, the steps accepted (moves == passes > 0 means
+    the bound stopped a search that was still improving) and the passes
+    whose bounds could not decide, so that exact tables did.
     """
     n_msg, n_sc = qn.shape
     if n_msg == 1:
@@ -503,7 +509,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         # the flat index and gain of the move the exact tables would take,
         # or None and the acceptance threshold; a move takes column n from
         # its owner a to message b, scanned n then b
-        nonlocal rescored
+        nonlocal exact_passes
         gain = ((totals[assigned] - flip[assigned, cols])[:, None]
                 - (flip - totals[:, None]).T)
         thresh = 1e-12 * sum(totals.tolist())
@@ -537,7 +543,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             # near-tied, or too close to the threshold: make every entry
             # exact, and the exact tables decide
             make_exact(*np.nonzero(table_err > 0))
-            rescored += 1
+            exact_passes += 1
             return choose_move(valid)
         i, g = _first_max(gain, valid)
         return (i, g) if g > thresh else (None, thresh)
@@ -547,7 +553,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         # a message holds no usable column: the acceptance threshold is
         # inf, so no step can win, and the gains would be inf - inf
         return assigned, min(1, max_passes), 0, 0
-    passes = moves = rescored = 0
+    passes = moves = exact_passes = 0
     for _ in range(max_passes):
         passes += 1
         # a column moves from an owner holding others to a message that
@@ -601,7 +607,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             assigned[n] = mi
         moves += 1
         rebuild(changed)
-    return assigned, passes, moves, rescored
+    return assigned, passes, moves, exact_passes
 
 
 def _gains(gamma: np.ndarray, qn: np.ndarray, log2q: np.ndarray):
@@ -778,26 +784,6 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     return gamma, gains[0], steps, evaluations, predictions, tau
 
 
-def _enumerate(qn: np.ndarray, dn: np.ndarray):
-    """Cheapest assignment by exhaustive search, all assignments scored in
-    one batched water-fill; the first minimum in enumeration order wins.
-    Returns (assigned, unique), unique False when another assignment is
-    within 1e-12 of it; assigned is None when every assignment starves a
-    message."""
-    n_msg, n_sc = qn.shape
-    maps = np.array(list(itertools.product(range(n_msg), repeat=n_sc)))
-    msgs = np.arange(n_msg)
-    sets = (maps[:, None, :] == msgs[None, :, None]).reshape(-1, n_sc)
-    totals = _set_totals(qn, dn, np.tile(msgs, len(maps)), sets).reshape(
-        len(maps), n_msg).sum(axis=1)
-    order = np.argsort(totals, kind="stable")
-    best = totals[order[0]]
-    if not math.isfinite(best):
-        return None, True
-    unique = order.size < 2 or totals[order[1]] - best > 1e-12 * best
-    return maps[order[0]], bool(unique)
-
-
 def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     """Minimum-power assignment and power split against a quote matrix.
 
@@ -811,15 +797,20 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     bandwidth : float
         Per-subcarrier bandwidth in Hz.
 
-    The plan is flagged converged when its relative duality gap is at most
-    GAP_TOL and the local search ended below its safety cap. Inside a
-    `scope.trial_scope`, a call with the same demands, quotes and
-    bandwidth as an earlier one gets that call's plan, the same object.
+    One message takes every subcarrier, an optimum with gap 0. Two or
+    more start from the dual's repaired argmax assignment and its local
+    search. The plan is flagged converged when its relative duality gap
+    is at most GAP_TOL and the local search ended below its safety cap.
+    Raises ValueError when a demand or the bandwidth is not finite and
+    positive. Inside a `scope.trial_scope`, a call with the same demands,
+    quotes and bandwidth as an earlier one gets that call's plan, the
+    same object.
     """
     demands = _demands(messages)
+    bandwidth = _bandwidth(bandwidth)
     quotes = np.asarray(quotes, dtype=float)
     key = ("allocation", demands.tobytes(), quotes.shape, quotes.tobytes(),
-           float(bandwidth))
+           bandwidth)
     return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth))
 
 
@@ -846,10 +837,11 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     msgs = np.arange(n_msg)
 
     gamma = None
-    steps = evaluations = predictions = passes = moves = rescored = 0
-    if n_msg ** n_sc <= ENUMERATE_MAX:
-        assigned, unique = _enumerate(qn, dn)
-        start = "enumerated"
+    steps = evaluations = predictions = passes = moves = exact_passes = 0
+    if n_msg == 1:
+        # the one message holds every subcarrier: no assignment to choose
+        assigned = np.zeros(n_sc, dtype=int)
+        unique, start = True, "one-message"
     else:
         gamma, gain, steps, evaluations, predictions, tau = _dual_solve(
             qn, dn)
@@ -857,11 +849,11 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)
         assigned = _repair_starvation(np.argmax(gain, axis=0), qn)
+        if assigned is None:
+            raise InfeasibleAllocationError("no feasible assignment found")
+        assigned, passes, moves, exact_passes = _local_search(assigned, qn,
+                                                              dn)
         start = "dual"
-    if assigned is None:
-        raise InfeasibleAllocationError("no feasible assignment found")
-    if gamma is not None:
-        assigned, passes, moves, rescored = _local_search(assigned, qn, dn)
     capped = 0 < passes == moves
     # every start gives each message a column it can use, and no search
     # step takes the last one away, so every row's water-fill is feasible
@@ -880,9 +872,9 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     diagnostics = {"dual_steps": steps, "dual_evaluations": evaluations,
                    "dual_predictions": predictions, "start": start,
                    "local_search_passes": passes, "local_search_moves": moves,
-                   "local_search_rescored": rescored,
+                   "local_search_exact_passes": exact_passes,
                    "local_search_capped": capped}
-    if gamma is None:           # exhaustive: the optimum is its own bound
+    if gamma is None:           # one message: the optimum is its own bound
         dual_bound = power_sum
     else:
         # any plan costs at least 0, a bound the dual can fall below
@@ -905,8 +897,6 @@ def _bisect_waterfill(quotes: np.ndarray, demand: float, bandwidth: float):
     q = quotes[np.isfinite(quotes)]
     if q.size == 0:
         return None
-    if demand <= 0.0:
-        return 0.0, np.zeros_like(quotes)
     log2q = np.log2(q)
     lo = log2q.min()
     hi = lo + demand / bandwidth
@@ -931,9 +921,11 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
     """Global optimum by enumerating every subcarrier-to-message map.
 
     For each assignment, each message's demand is met exactly by bisection
-    on its water level. Limited to n_messages**n_sc <= 1e5.
+    on its water level. Limited to n_messages**n_sc <= 1e5. Raises
+    ValueError when a demand or the bandwidth is not finite and positive.
     """
     demands = _demands(messages)
+    bandwidth = _bandwidth(bandwidth)
     quotes = np.asarray(quotes, dtype=float)
     n_msg, n_sc = quotes.shape
     if n_msg ** n_sc > 10 ** 5:

@@ -521,8 +521,9 @@ def test_dc_solve_diagnostics():
 
 
 def test_capped_pass_search_is_not_converged(monkeypatch):
-    # 2 messages x 6 subcarriers are enumerated, so the gap is 0, no
-    # search runs, and only the CCP's cap can clear `converged`
+    # 2 messages x 6 subcarriers: the dual's gap (6e-4) is within GAP_TOL
+    # and the search ends in one pass below its cap, so only the CCP's cap
+    # can clear `converged`
     ch = sample_channel(47, m=4, n_sc=6, k_users=3)
     messages = [_msg((1,), (1,), 1.5 * B),
                 _msg((1, 2, 3), (1, 2, 3), 2.0 * B)]

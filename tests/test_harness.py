@@ -600,7 +600,7 @@ def test_nan_trials_kept_in_rows_skipped_in_mean():
     assert mean_row.split(",")[5] == "nan"
 
 
-def test_converged_flags_dual_gap_and_enumeration():
+def test_converged_flags_dual_gap_and_one_message():
     def summary_of(text, scheme):
         row = next(l for l in text.splitlines()
                    if l.startswith(scheme) and ",mean," in l)
@@ -616,8 +616,8 @@ def test_converged_flags_dual_gap_and_enumeration():
         assert mean != "nan"
         assert converged == "0"
 
-    # two viewers of one viewport share one message, so the allocator
-    # enumerates every assignment, the gap is 0 and every trial converges
+    # two viewers of one viewport share one message, which takes every
+    # subcarrier: the gap is 0 and every trial converges
     small = tiny_config(schemes=("proposed-dc",),
                         users=[UserSpec(ViewDirection(100.0, 90.0), 2),
                                UserSpec(ViewDirection(100.0, 90.0), 2)])
