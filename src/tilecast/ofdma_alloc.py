@@ -34,8 +34,10 @@ water level would pass the water-fill's 2^1000 cap is refused as
 infeasible.
 
 The argmax assignment at the final multipliers, repaired so that every
-message holds a subcarrier it can use (by a direct steal, or else by an
-augmenting path), is then polished by one best-improvement local search.
+message holds a subcarrier it can use (each starved message by a
+shortest augmenting path, every taker trying its columns cheapest first,
+so a one-column path steals the cheapest spare one), is then polished by
+one best-improvement local search.
 The search's passes score the whole neighbourhood with array operations
 on two per-message tables of water-fill totals: the flip table (one
 column added to or removed from the message's set) and the exchange
@@ -57,9 +59,10 @@ rotations read. The search runs to a local optimum; its pass bound is a
 safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
 `_waterfill_sets` applies it to any batch of column sets: the search's
-exact table entries and the final fill. A batch packs itself, with one
-stable argsort per row of its quotes masked to the set, and is filled
-only as wide as its largest set.
+exact table entries (its totals) and the final fill (its power and rate
+rows, and its water levels for the 2^1000 check). A batch packs itself,
+with one stable argsort per row of its quotes masked to the set, and is
+filled only as wide as its largest set.
 
 A brute-force oracle enumerates all assignments (bisection water-fill per
 message) for small instances; the allocator itself never enumerates.
@@ -163,8 +166,9 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
     multiples of the bandwidth, as are the returned rates. The
     closed-form water level sits over the cheapest quotes: the first
     active count whose level fits wins, and every finite quote is active
-    when none fits. Returns (power, rate) in the positions of q_sorted,
-    zero off the active set. Demand is met exactly.
+    when none fits. Returns (power, rate, log2w): power and rate in the
+    positions of q_sorted, zero off the active set, and each row's log2
+    water level, uncut. Demand is met exactly.
     """
     n_rows, n = q_sorted.shape
     rows = np.arange(n_rows)
@@ -183,7 +187,7 @@ def _waterfill_rows(q_sorted: np.ndarray, demand: np.ndarray):
     on = np.arange(n) <= last[:, None]
     power = np.where(on, np.maximum(0.0, level[:, None] - q_sorted), 0.0)
     rate = np.where(on, log2w[:, None] - logs, 0.0)
-    return power, rate
+    return power, rate, log2w
 
 
 def _median(values: np.ndarray) -> float:
@@ -207,29 +211,22 @@ def _assignment_ties(gain: np.ndarray) -> bool:
 def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
     """Give every message a subcarrier it can use (a finite quote).
 
-    Starved messages, in index order, steal their cheapest usable
-    subcarrier from an owner that cannot use it or keeps another it can.
-    When no such steal exists, a breadth-first search over columns in
-    index order finds an augmenting path: the starved message takes a
+    Starved messages, in index order, each take the shortest augmenting
+    path that `_augmenting_path` finds: the starved message takes a
     column, its owner, left with no other usable column, takes another
     one it can use, and so on until an owner can spare the column taken.
-    Returns None only when no assignment gives every message a usable
-    column.
+    A one-column path is a direct steal of the starved message's cheapest
+    spare usable column. Returns None only when no assignment gives every
+    message a usable column.
     """
-    usable = np.isfinite(qn)
-    own_usable = usable[assigned, np.arange(assigned.size)]
+    own_usable = np.isfinite(qn[assigned, np.arange(assigned.size)])
     held = np.bincount(assigned[own_usable], minlength=qn.shape[0])
     for mi in np.flatnonzero(held == 0):
-        # sequential over messages: each steal changes the owners' counts
+        # sequential over messages: each path changes the owners' counts
         spare = (held[assigned] > 1) | ~own_usable
-        cand = np.where(spare, qn[mi], math.inf)
-        best_n = int(np.argmin(cand))  # first minimum, as a left-to-right scan
-        if cand[best_n] < math.inf:
-            path = [best_n]
-        else:
-            path = _augmenting_path(mi, assigned, usable, spare)
-            if path is None:
-                return None
+        path = _augmenting_path(mi, assigned, qn, spare)
+        if path is None:
+            return None
         # each column on the path passes to the message before it; only
         # the first taker and the last owner change their usable counts
         held[mi] += 1
@@ -241,16 +238,20 @@ def _repair_starvation(assigned: np.ndarray, qn: np.ndarray):
     return assigned
 
 
-def _augmenting_path(mi, assigned, usable, spare):
+def _augmenting_path(mi, assigned, qn, spare):
     """Columns n1, n2, ... such that mi takes n1, n1's owner takes n2, and
     so on, where every owner but the last has no other usable column and
-    the last can spare its column; None when there is none."""
+    the last can spare its column; None when there is none. A
+    breadth-first search, so the path is a shortest one; each taker tries
+    its usable columns cheapest first, equal quotes in column order."""
     came_from = {}                       # column -> the column its taker holds
     frontier = [(mi, None)]
     while frontier:
         nxt = []
         for taker, via in frontier:
-            for n in np.flatnonzero(usable[taker]).tolist():
+            row = qn[taker]
+            order = np.argsort(row, kind="stable")
+            for n in order[:np.count_nonzero(np.isfinite(row))].tolist():
                 if n in came_from:
                     continue
                 came_from[n] = via
@@ -266,16 +267,20 @@ def _augmenting_path(mi, assigned, usable, spare):
     return None
 
 
-def _pack_sets(qn: np.ndarray, owner: np.ndarray, sets: np.ndarray):
-    """Each set's finite quotes, in ascending order, packed to the left.
+def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, owner: np.ndarray,
+                    sets: np.ndarray):
+    """Exact water-fill of many column sets in one batch.
 
-    Row r's set is the columns flagged in sets[r] at quotes qn[owner[r]].
-    Its non-members are masked to inf, and one stable argsort per row puts
-    its finite quotes first, equal quotes in column order; the rows are
-    cut to the batch's largest set. Returns (rows, order, packed, ok): ok
-    flags the sets with a finite quote, and packed[i] holds the quotes of
-    row rows[i] (of the ok rows, in order) at its columns order[i], padded
-    with inf.
+    Row r splits demand dn[owner[r]] (in multiples of the bandwidth) over
+    the columns flagged in sets[r] at quotes qn[owner[r]]. The batch packs
+    itself: non-members are masked to inf, one stable argsort per row puts
+    its finite quotes first, equal quotes in column order, and the rows
+    are cut to the batch's largest set, water-filled and scattered back.
+    Returns (power, rate, total, log2w): full-width power and rate rows,
+    zero off each set, each row's total power (the sum of its power row)
+    and its log2 water level, uncut. A set with no finite quote has zero
+    rows, total inf and level -inf. A row's water-fill does not depend on
+    the packed width.
     """
     masked = np.where(sets, qn[owner], math.inf)
     order = np.argsort(masked, axis=1, kind="stable")
@@ -283,35 +288,12 @@ def _pack_sets(qn: np.ndarray, owner: np.ndarray, sets: np.ndarray):
     ok = count > 0
     order = order[ok, :max(int(count.max(initial=0)), 1)]
     rows = np.flatnonzero(ok)[:, None]
-    return rows, order, masked[rows, order], ok
-
-
-def _waterfill_sets(qn: np.ndarray, dn: np.ndarray, owner: np.ndarray,
-                    sets: np.ndarray):
-    """Exact water-fill of many column sets in one batch.
-
-    Row r splits demand dn[owner[r]] (in multiples of the bandwidth) over
-    the columns flagged in sets[r] at quotes qn[owner[r]]. The batch packs
-    itself (`_pack_sets`), is water-filled only as wide as its largest
-    set, and is scattered back. Returns full-width (power, rate) rows,
-    zero off each set, and a flag per row that is False, with zero rows,
-    when the set has no finite quote. A row's water-fill does not depend
-    on the packed width.
-    """
-    rows, order, packed, ok = _pack_sets(qn, owner, sets)
-    out = np.zeros((2,) + sets.shape)       # power and rate, by column
-    out[:, rows, order] = _waterfill_rows(packed, dn[owner[ok]])
-    return out[0], out[1], ok
-
-
-def _set_totals(qn: np.ndarray, dn: np.ndarray, owner: np.ndarray,
-                sets: np.ndarray) -> np.ndarray:
-    """Water-fill total of each `_waterfill_sets` row: the sum of its
-    full-width power row, or inf when the set has no finite quote."""
-    rows, order, packed, ok = _pack_sets(qn, owner, sets)
     power = np.zeros(sets.shape)
-    power[rows, order] = _waterfill_rows(packed, dn[owner[ok]])[0]
-    return np.where(ok, power.sum(axis=1), math.inf)
+    rate = np.zeros(sets.shape)
+    level = np.full(ok.shape, -math.inf)
+    power[rows, order], rate[rows, order], level[ok] = _waterfill_rows(
+        masked[rows, order], dn[owner[ok]])
+    return power, rate, np.where(ok, power.sum(axis=1), math.inf), level
 
 
 def _flip_columns(qn: np.ndarray) -> np.ndarray:
@@ -340,10 +322,10 @@ def _flip_closed_form(columns: np.ndarray, dn: np.ndarray,
     their sum, the total is k 2^x - Q. A flip changes k, L and Q by one
     term each, and its largest quote follows from S's two largest.
     Returns (total, err, closed), each of shape (changed.size, n_sc + 1):
-    where closed is True, |total - `_set_totals`| <= err (zero for a set
-    with no finite quote, whose total is inf); the other rows (a quote
-    within a margin of the level, or a level near `_waterfill_rows`'s
-    2^1000 cap) need an exact water-fill.
+    where closed is True, total is within err of the `_waterfill_sets`
+    total (err is zero for a set with no finite quote, whose total is
+    inf); the other rows (a quote within a margin of the level, or a
+    level near `_waterfill_rows`'s 2^1000 cap) need an exact water-fill.
 
     err bounds the rounding of both computations. On either side x is a
     sum of at most n_sc + 2 rounded terms divided by k, so its error is
@@ -417,10 +399,11 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
       built only when swaps are on (n_sc <= 16) and read by swaps and
       rotations alike.
 
-    Every exact entry is one `_set_totals` row: its set is the message's
-    own set XORed with row c of a per-solve mask, empty for column 0 and
-    flagging column n for column 1 + n; with swaps a rebuild fills the
-    own, flip and exchange rows of the changed messages in one batch.
+    Every exact entry is one `_waterfill_sets` total: its set is the
+    message's own set XORed with row c of a per-solve mask, empty for
+    column 0 and flagging column n for column 1 + n; with swaps a rebuild
+    fills the own, flip and exchange rows of the changed messages in one
+    batch.
     Without swaps, an own or flip total comes from `_flip_closed_form`,
     with an error bound, wherever all its quotes are active, and is exact
     elsewhere; a rebuild gathers each changed message's column data once
@@ -448,8 +431,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     whose bounds could not decide, so that exact tables did.
     """
     n_msg, n_sc = qn.shape
-    if n_msg == 1:
-        return assigned, 0, 0, 0
     if max_passes is None:
         max_passes = PASSES_PER_SUBCARRIER * n_sc
     assigned = assigned.copy()
@@ -480,7 +461,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     def make_exact(mi, c):
         # the table entries (mi, c), exact from one batched water-fill
         sets = (assigned == mi[:, None]) ^ flip_masks[c]
-        table[mi, c] = _set_totals(qn, dn, mi, sets)
+        table[mi, c] = _waterfill_sets(qn, dn, mi, sets)[2]
         table_err[mi, c] = 0.0
 
     def rebuild(changed):
@@ -493,7 +474,7 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
             own_flips = (member[:, None] ^ flip_masks).reshape(-1, n_sc)
             sets = np.concatenate((own_flips, member[w] ^ eye[d] ^ eye[a]))
             owner = np.concatenate((np.repeat(changed, n_sc + 1), changed[w]))
-            total = _set_totals(qn, dn, owner, sets)
+            total = _waterfill_sets(qn, dn, owner, sets)[2]
             n_table = changed.size * (n_sc + 1)
             table[changed] = total[:n_table].reshape(-1, n_sc + 1)
             exch[changed[w], d, a] = total[n_table:]
@@ -857,11 +838,10 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     capped = 0 < passes == moves
     # every start gives each message a column it can use, and no search
     # step takes the last one away, so every row's water-fill is feasible
-    power, rate, _ = _waterfill_sets(qn, dn, msgs, assigned == msgs[:, None])
-    # a row's log2 water level is rate + log2 q on its active columns;
+    power, rate, _, level = _waterfill_sets(qn, dn, msgs,
+                                            assigned == msgs[:, None])
     # `_waterfill_rows` cuts a level past 2^1000, and the power then falls
     # short of the rate the row claims
-    level = np.where(rate > 0.0, rate + np.log2(qn), -math.inf).max(axis=1)
     if (level >= 1000.0).any():
         raise InfeasibleAllocationError(
             f"message {int(np.argmax(level))} needs a water level past "
@@ -1004,20 +984,19 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
 
     Returns a list of violation descriptions; empty means the plan is valid.
     """
-    problems = []
     assign, power, rate = alloc.assign, alloc.power, alloc.rate
-    if not np.all((assign == 0) | (assign == 1)):
-        problems.append("assignment not binary")
-    if not np.all(assign.sum(axis=0) == 1):
-        problems.append("some subcarrier not assigned exactly once")
-    if np.any(power < 0) or not np.all(np.isfinite(power)):
-        problems.append("negative or non-finite power")
-    if np.any(rate < 0) or not np.all(np.isfinite(rate)):
-        problems.append("negative or non-finite rate")
-    if np.any((assign == 0) & (power > 0)):
-        problems.append("power on unassigned pair")
-    if np.any((assign == 0) & (rate > 0)):
-        problems.append("rate on unassigned pair")
+    off = assign == 0
+    # the elementwise checks, each flagged per pair, reduced at once
+    texts, flags = zip(
+        ("assignment not binary", ~(off | (assign == 1))),
+        ("some subcarrier not assigned exactly once",
+         np.broadcast_to(assign.sum(axis=0) != 1, assign.shape)),
+        ("negative or non-finite power", (power < 0) | ~np.isfinite(power)),
+        ("negative or non-finite rate", (rate < 0) | ~np.isfinite(rate)),
+        ("power on unassigned pair", off & (power > 0)),
+        ("rate on unassigned pair", off & (rate > 0)))
+    bad = np.stack(flags).any(axis=(1, 2)).tolist()
+    problems = [text for text, flagged in zip(texts, bad) if flagged]
 
     if alloc.beams is None:
         if np.any(rate > 0):

@@ -424,9 +424,9 @@ def test_m_sweep_csv_bytes_pinned():
 
 def test_search_on_exact_tables_plans_alike(monkeypatch):
     # with no flip entry in closed form, every table entry is an exact
-    # `_set_totals` row and exact tables decide every pass; the bounds on
-    # the closed form must take the same steps, on real quotes at 64
-    # subcarriers and across the passes they cannot decide
+    # `_waterfill_sets` total and exact tables decide every pass; the
+    # bounds on the closed form must take the same steps, on real quotes
+    # at 64 subcarriers and across the passes they cannot decide
     bounded = m_sweep_text()
     closed_form = ofdma_alloc._flip_closed_form
 

@@ -24,7 +24,7 @@ from tilecast.ofdma_alloc import (EPS, GAP_TOL, LN2,
                                   _dual_value, _gains,
                                   _flip_closed_form, _flip_columns,
                                   _local_search, _median, _repair_starvation,
-                                  _set_totals, _waterfill_sets)
+                                  _waterfill_sets)
 
 B = 39e3
 
@@ -105,10 +105,10 @@ def waterfill_one(quotes, idx, demand, bandwidth):
     quote."""
     sets = np.zeros((1, quotes.size), dtype=bool)
     sets[0, idx] = True
-    power, rate, ok = _waterfill_sets(quotes[None, :],
-                                      np.array([demand / bandwidth]),
-                                      np.zeros(1, dtype=int), sets)
-    if not ok[0]:
+    power, rate, total, _ = _waterfill_sets(quotes[None, :],
+                                            np.array([demand / bandwidth]),
+                                            np.zeros(1, dtype=int), sets)
+    if total[0] == math.inf:
         assert not power.any() and not rate.any()
         return None
     return power[0], rate[0] * bandwidth
@@ -301,6 +301,11 @@ def test_repair_follows_an_augmenting_path():
                    [math.inf, 1.0, 1.0]])
     assert repair_reference(np.array([1, 2, 2]), qn) is None
     assert _repair_starvation(np.array([1, 2, 2]), qn).tolist() == [0, 1, 2]
+    # message 0 can use only column 2, which message 1 holds alone:
+    # message 1 moves on to its cheapest spare column, 1, not column 0
+    qn = np.array([[math.inf, math.inf, 3.0], [3.0, 2.0, 4.0]])
+    assert repair_reference(np.array([0, 0, 1]), qn) is None
+    assert _repair_starvation(np.array([0, 0, 1]), qn).tolist() == [0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +550,13 @@ def set_batches(draw):
 @settings(max_examples=300, deadline=None)
 def test_set_totals_match_scalar_waterfill_bitwise(batch):
     qn, dn, owner, sets = batch
-    got = _set_totals(qn, dn, owner, sets)
+    power, rate, got, _ = _waterfill_sets(qn, dn, owner, sets)
     want = np.array([set_total_reference(qn, dn, mi, np.flatnonzero(row))
                      for mi, row in zip(owner, sets)])
     assert got.tobytes() == want.tobytes()
     # and every row of the batch is the scalar water-fill of its set
-    power, rate, ok = _waterfill_sets(qn, dn, owner, sets)
     for r, (mi, row) in enumerate(zip(owner, sets)):
         wf = waterfill_reference(qn[mi], np.flatnonzero(row), dn[mi], 1.0)
-        assert ok[r] == (wf is not None)
         if wf is not None:
             assert power[r].tobytes() == wf[0].tobytes()
             assert rate[r].tobytes() == wf[1].tobytes()
@@ -574,14 +577,12 @@ def test_waterfill_sets_rows_do_not_depend_on_the_batch(batch):
     wide = np.concatenate((sets, np.ones((n_msg, n_sc), dtype=bool),
                            np.zeros((n_msg, n_sc), dtype=bool)))
     together = _waterfill_sets(qn, dn, owners, wide)
-    totals = _set_totals(qn, dn, owners, wide)
-    assert not together[2][-n_msg:].any()
+    assert np.all(together[2][-n_msg:] == math.inf)
     for r in range(owner.size):
+        # power and rate rows, total and water level alike
         alone = _waterfill_sets(qn, dn, owner[r:r + 1], sets[r:r + 1])
         for one, batched in zip(alone, together):
             assert one[0].tobytes() == batched[r].tobytes()
-        assert (_set_totals(qn, dn, owner[r:r + 1], sets[r:r + 1])
-                .tobytes() == totals[r:r + 1].tobytes())
 
 
 @st.composite
@@ -620,8 +621,8 @@ def test_flip_closed_form_within_its_bound(inst):
     member = assigned == msgs[:, None]
     flips = np.vstack([np.zeros(n_sc, dtype=bool), np.eye(n_sc, dtype=bool)])
     sets = (member[:, None, :] ^ flips).reshape(-1, n_sc)
-    exact = _set_totals(qn, dn, np.repeat(msgs, n_sc + 1),
-                        sets).reshape(total.shape)
+    exact = _waterfill_sets(qn, dn, np.repeat(msgs, n_sc + 1),
+                            sets)[2].reshape(total.shape)
     assert np.array_equal(np.isinf(total[closed]), np.isinf(exact[closed]))
     assert np.all(err[np.isinf(exact) & closed] == 0)
     fin = closed & np.isfinite(exact)
@@ -646,8 +647,9 @@ def test_local_search_counts_passes_and_moves():
                                                np.array([1.0, 1.0]))
     assert assigned.tolist() == [0, 0, 1]
     assert (passes, moves) == (2, 1)
+    # one message: one pass that finds no move
     assert _local_search(np.zeros(3, dtype=int), qn[:1],
-                         np.ones(1))[1:] == (0, 0, 0)
+                         np.ones(1))[1:] == (1, 0, 0)
 
 
 def test_inf_masked_instance_plans_without_warnings():
