@@ -64,8 +64,9 @@ rows, and its water levels for the 2^1000 check). A batch packs itself,
 with one stable argsort per row of its quotes masked to the set, and is
 filled only as wide as its largest set.
 
-A brute-force oracle enumerates all assignments (bisection water-fill per
-message) for small instances; the allocator itself never enumerates.
+A brute-force oracle enumerates all assignments for small instances,
+filling each (message, column set) once by bisection; the allocator
+itself never enumerates.
 
 Power convention: quotes already contain the antenna count and noise factor,
 so a stored per-pair power p gives rate B*log2(1 + p/q); the physical
@@ -900,9 +901,14 @@ def _bisect_waterfill(quotes: np.ndarray, demand: float, bandwidth: float):
 def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
     """Global optimum by enumerating every subcarrier-to-message map.
 
-    For each assignment, each message's demand is met exactly by bisection
-    on its water level. Limited to n_messages**n_sc <= 1e5. Raises
-    ValueError when a demand or the bandwidth is not finite and positive.
+    A map costs its messages' totals, summed in message order. A
+    message's total on a column set is the power that meets its demand
+    exactly, by bisection on its water level, or inf when the set holds
+    no usable quote (the empty set too), so such a map is never chosen.
+    Each (message, column set) is filled once per call, keyed by its
+    column bitmask, and the winning map's rows once more at the end.
+    Limited to n_messages**n_sc <= 1e5. Raises ValueError when a demand
+    or the bandwidth is not finite and positive.
     """
     demands = _demands(messages)
     bandwidth = _bandwidth(bandwidth)
@@ -911,52 +917,41 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
     if n_msg ** n_sc > 10 ** 5:
         raise ValueError(f"instance too large: {n_msg}^{n_sc} assignments")
 
-    best_total = math.inf
+    totals = [{} for _ in range(n_msg)]     # per message: bitmask -> total
+    best_total = second = math.inf
     best_map = None
-    best_powers = None
-    second = math.inf
-    tried = 0
     for attempt in itertools.product(range(n_msg), repeat=n_sc):
-        tried += 1
-        amap = np.asarray(attempt)
+        masks = [0] * n_msg
+        for n, mi in enumerate(attempt):
+            masks[mi] |= 1 << n
         total = 0.0
-        powers = []
-        feasible = True
-        for mi in range(n_msg):
-            cols = np.flatnonzero(amap == mi)
-            if cols.size == 0:
-                feasible = False
-                break
-            wf = _bisect_waterfill(quotes[mi, cols], demands[mi], bandwidth)
-            if wf is None:
-                feasible = False
-                break
-            total += wf[0]
-            powers.append((cols, wf[1]))
-        if not feasible:
-            continue
+        for mi, mask in enumerate(masks):
+            if mask not in totals[mi]:
+                cols = [n for n in range(n_sc) if mask >> n & 1]
+                wf = _bisect_waterfill(quotes[mi, cols], demands[mi],
+                                       bandwidth)
+                totals[mi][mask] = math.inf if wf is None else wf[0]
+            total += totals[mi][mask]
         if total < best_total * (1.0 - 1e-15):
-            second = best_total
-            best_total = total
-            best_map = amap
-            best_powers = powers
+            second, best_total, best_map = best_total, total, attempt
         elif total < second:
             second = total
 
     if best_map is None:
         raise InfeasibleAllocationError("every assignment starves some message")
 
-    assign = np.zeros((n_msg, n_sc), dtype=int)
+    assign = (np.asarray(best_map) == np.arange(n_msg)[:, None]).astype(int)
     power = np.zeros((n_msg, n_sc))
     rate = np.zeros((n_msg, n_sc))
-    for mi, (cols, pw) in enumerate(best_powers):
-        assign[mi, cols] = 1
+    for mi in range(n_msg):
+        cols = np.flatnonzero(assign[mi])
+        pw = _bisect_waterfill(quotes[mi, cols], demands[mi], bandwidth)[1]
         power[mi, cols] = pw
         pos = pw > 0
         rate[mi, cols[pos]] = bandwidth * np.log2(1.0 + pw[pos] / quotes[mi, cols[pos]])
     unique = not (math.isfinite(second) and second - best_total <= 1e-12 * best_total)
     return Allocation(assign=assign, power=power, rate=rate,
-                      power_sum=float(best_total), iterations=tried,
+                      power_sum=float(best_total), iterations=n_msg ** n_sc,
                       unique_argmax=unique, duality_gap=0.0,
                       dual_bound=float(best_total))
 

@@ -319,6 +319,20 @@ def test_run_trial_infeasible_gives_nan():
     assert not r.converged
 
 
+def test_run_trial_audit_rejection_gives_nan(monkeypatch):
+    # a plan the audit rejects is reported as a failed trial, whatever
+    # the scheme
+    monkeypatch.setattr(harness, "audit_allocation",
+                        lambda alloc, ch, messages: ["forced problem"])
+    cfg = tiny_config()
+    for scheme in SCHEMES:
+        r = run_trial(cfg, scheme, 0)
+        assert (r.scheme, r.trial_index) == (scheme, 0)
+        assert math.isnan(r.total_power_w)
+        assert not r.converged and not r.unique_argmax
+        assert r.iterations == 0
+
+
 @pytest.mark.parametrize("middle_rate", [1e6, 5e5])
 def test_diverged_allocator_dual_gives_nan_rows(middle_rate):
     # 16 messages on 16 subcarriers at one antenna, the largest asking for
@@ -873,6 +887,28 @@ def test_cli_oracle_check_fails_only_on_converged_miss(
     assert cli_main(["oracle-check", "--trials", "2", "--seed", "3"]) == code
     out = capsys.readouterr().out
     assert out.count(line) == 2
+
+
+@pytest.mark.parametrize("allocator_raises, code, count", [
+    (False, 1, 2),
+    (True, 0, 0),
+])
+def test_cli_oracle_check_infeasibility(monkeypatch, capsys, allocator_raises,
+                                        code, count):
+    # the brute force finds every instance infeasible: alone, that fails
+    # the check on each instance; with the allocator agreeing, no
+    # instance is reported and the check passes
+    def infeasible(*args):
+        raise ofdma_alloc.InfeasibleAllocationError("forced")
+
+    monkeypatch.setattr(cli, "brute_force_allocation", infeasible)
+    if allocator_raises:
+        monkeypatch.setattr(cli, "solve_quoted_allocation", infeasible)
+    assert cli_main(["oracle-check", "--trials", "2"]) == code
+    out = capsys.readouterr().out
+    assert out.count("only the brute force finds it infeasible") == count
+    assert out.count("instance ") == count
+    assert "2 instances checked" in out
 
 
 def test_cli_requires_subcommand():

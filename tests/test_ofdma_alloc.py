@@ -1081,6 +1081,13 @@ def test_nonpositive_quote_rejected():
     assert alloc.power[0, 0] == 0.0 and alloc.power[0, 1] > 0.0
 
 
+def test_quote_rows_must_match_messages():
+    # one quote row per message: two rows against one demand or three
+    for demands in ([B], [B, B, B]):
+        with pytest.raises(ValueError, match="quote rows must match messages"):
+            solve_quoted_allocation(demands, np.full((2, 4), 1e-9), B)
+
+
 def test_nonpositive_demand_rejected():
     # a demand or a bandwidth that is not finite and positive, in both the
     # allocator and the oracle: unchecked, a negative bandwidth plans 0 W
@@ -1213,6 +1220,20 @@ def test_audit_flags_tampering():
     assign = alloc.assign.copy()
     assign[:, 0] = 1                        # subcarrier 0 assigned twice
     assert audit_allocation(replace(alloc, assign=assign), ch, messages)
+
+    # doubled beams only raise the users' rates
+    doubled = replace(alloc, beams=alloc.beams * 2.0)
+    assert audit_allocation(doubled, ch, messages) == ["non-unit beam"]
+
+    # lower claimed rates stay within the users' reach but fall short of
+    # the demands: of both messages, then of the second alone
+    rate = alloc.rate * 0.5
+    assert audit_allocation(replace(alloc, rate=rate), ch, messages) == [
+        "demand not met for messages [0, 1]"]
+    rate = alloc.rate.copy()
+    rate[1] *= 0.5
+    assert audit_allocation(replace(alloc, rate=rate), ch, messages) == [
+        "demand not met for messages [1]"]
 
 
 def test_complete_allocation_names_first_bad_subcarrier():

@@ -18,6 +18,7 @@ from tilecast import (Message, QualityLadder, audit_allocation,
                       compute_tile_set, default_config, derive_trial_seed,
                       sample_channel, solve_quoted_allocation,
                       unicast_messages)
+from tilecast.ofdma_alloc import _bisect_waterfill
 
 G1 = {(2, 1), (3, 1), (4, 1), (5, 1),
       (2, 2), (3, 2), (4, 2), (5, 2),
@@ -248,21 +249,6 @@ def _split_messages(part, qualities, ladder):
             for lvl in sorted({qualities[k] for k in s})]
 
 
-def _waterfill_power(q, demand):
-    """Least power over quotes q whose rates sum log2(level / q) over the
-    quotes below the level reach `demand` (bits/s/Hz): bisection on the
-    log2 water level, ending on the side that carries the demand."""
-    logs = np.log2(q)
-    lo, hi = logs.min(), logs.min() + demand
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - logs, 0.0).sum() < demand:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.maximum(2.0 ** hi - q, 0.0).sum())
-
-
 @pytest.mark.parametrize("rule", [beam_plan_asymptotic, beam_plan_mrt,
                                   beam_plan_maxmin])
 def test_merged_messages_relax_the_split_plan(rule):
@@ -293,10 +279,10 @@ def test_merged_messages_relax_the_split_plan(rule):
                          power=parts @ alloc.power, rate=parts @ alloc.rate)
     assert audit_allocation(relabelled, ch, merged) == []
 
-    # the reference water-fill gives each part the split plan's power
+    # the oracle's water-fill gives each part the split plan's power
     for i, m in enumerate(split):
-        own = _waterfill_power(plan.q[i, alloc.assign[i] == 1],
-                               m.demand_bits_per_s / cfg.bandwidth_hz)
+        own = _bisect_waterfill(plan.q[i, alloc.assign[i] == 1],
+                                m.demand_bits_per_s / cfg.bandwidth_hz, 1.0)[0]
         assert own == pytest.approx(alloc.power[i].sum(), rel=1e-9)
 
     merged_q = rule(ch, merged).q
@@ -306,6 +292,7 @@ def test_merged_messages_relax_the_split_plan(rule):
         for i in np.flatnonzero(parts[j]):
             assert np.array_equal(plan.q[i], merged_q[j])
         cols = relabelled.assign[j] == 1
-        cost += _waterfill_power(merged_q[j, cols],
-                                 m.demand_bits_per_s / cfg.bandwidth_hz)
+        cost += _bisect_waterfill(merged_q[j, cols],
+                                  m.demand_bits_per_s / cfg.bandwidth_hz,
+                                  1.0)[0]
     assert cost <= alloc.power_sum * (1 + 1e-9)
