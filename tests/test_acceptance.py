@@ -422,6 +422,27 @@ def test_m_sweep_csv_bytes_pinned():
     assert digest == M_SWEEP_SHA256
 
 
+# Criterion 4's three viewers under the user-count sweep: the one pinned
+# input whose audiences reach three users, so its bytes cover the CCP, its
+# start and the `eigh` branch of MRT.
+THREE_VIEWER_KSWEEP_SHA256 = (
+    "438138fc4dd48923fd988f69316895d6b9f415daf6fb3a6024ebab26cff959d8")
+
+
+def test_three_viewer_ksweep_csv_bytes_pinned():
+    cfg = replace(
+        default_config(),
+        tiling=TilingConfig(u_h=8, u_v=4, fov_h_deg=100.0, fov_v_deg=100.0,
+                            margin_deg=15.0),
+        users=[UserSpec(ViewDirection(yaw, 90.0), 2)
+               for yaw in (110.0, 130.0, 170.0)],
+        m=4, n_sc=8, trials=4)
+    text = run_experiment(cfg, sweep="k")
+    assert text.count("\n") == 1 + len(ALL_SCHEMES) * 3 * 6
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == THREE_VIEWER_KSWEEP_SHA256
+
+
 def test_search_on_exact_tables_plans_alike(monkeypatch):
     # with no flip entry in closed form, every table entry is an exact
     # `_waterfill_sets` total and exact tables decide every pass; the
