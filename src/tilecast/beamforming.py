@@ -4,15 +4,15 @@ Three ways to point a beam at a message's audience:
 
 * large-antenna closed form: normalized sum of the audience's channels,
   weighted by 1/sqrt(large-scale gain) -- asymptotically optimal;
-* unicast MRT: align with the single user's channel;
-* multicast MRT: principal eigenvector of the gain-weighted channel
-  covariance. For two users it is the closed form of the 2x2 Gram
-  matrix's top eigenvector; batched `eigh` runs only on the pairs whose
-  audience has three or more users;
+* MRT: the single user's channel, or the principal eigenvector of the
+  gain-weighted channel covariance;
 * max-min fair: the beam that maximizes the audience's smallest gain
-  (Sidiropoulos, Davidson & Luo, IEEE TSP 2006). One user takes MRT and
-  two users a closed form; larger audiences run a convex-concave
-  procedure (Lipp & Boyd 2016) from the better MRT or large-antenna beam.
+  (Sidiropoulos, Davidson & Luo, IEEE TSP 2006).
+
+MRT and max-min choose by audience size in one skeleton, `_plan_by_size`:
+one user takes its unit channel and two users a closed form read off their
+2x2 Gram matrix. Larger audiences take `eigh` (MRT) or a convex-concave
+procedure (Lipp & Boyd 2016) from `_ccp_start` (max-min).
 
 Every plan reads the audiences from one padded tensor
 (`channel._audience`) and shares one quote rule.
@@ -67,17 +67,29 @@ def _unit(x, fallback):
     return np.divide(x, nrm, out=fallback, where=nrm > 0.0)
 
 
-def _single_user_mrt(h, mask):
-    """The beams `beam_plan_mrt` and `beam_plan_maxmin` start from: the
-    unit channel direction where the audience is one user, the last unit
-    vector elsewhere. Returns the beams and each message's audience
-    size."""
+def _plan_by_size(ch, messages, of_two):
+    """The audience-size skeleton of the MRT and max-min plans: gathers
+    the audiences, gives one user its unit channel and two users the unit
+    beam c1 ht1 + c2 ht2, where ht = sqrt(beta) h and (c1, c2) =
+    of_two(g11, g22, g12) reads their Gram matrix. Other pairs hold the
+    last unit vector. Returns h, beta, mask, the beams and the mask of
+    audiences of three or more, which the caller fills."""
+    h, beta, mask = _audience(ch, messages)
     size = mask.sum(axis=1)
     w = np.zeros(h.shape[:2] + h.shape[3:], dtype=complex)  # (n_msg, n_sc, m)
     w[..., -1] = 1.0
-    single = size == 1
-    w[single] = _unit(h[single, :, 0], w[single])
-    return w, size
+    one = size == 1
+    w[one] = _unit(h[one, :, 0], w[one])
+    two = size == 2
+    if two.any():
+        ht = h[two][:, :, :2] * np.sqrt(beta[two, :2])[:, None, :, None]
+        h1, h2 = ht[:, :, 0], ht[:, :, 1]
+        g11 = (h1.real ** 2 + h1.imag ** 2).sum(axis=2)
+        g22 = (h2.real ** 2 + h2.imag ** 2).sum(axis=2)
+        g12 = np.einsum("inm,inm->in", h1.conj(), h2)
+        c1, c2 = of_two(g11, g22, g12)
+        w[two] = _unit(c1[..., None] * h1 + c2[..., None] * h2, w[two])
+    return h, beta, mask, w, size >= 3
 
 
 def beam_plan_asymptotic(ch, messages) -> BeamPlan:
@@ -88,23 +100,16 @@ def beam_plan_asymptotic(ch, messages) -> BeamPlan:
     return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
 
-def _principal_of_two(h2, beta2):
-    """Principal eigenvector, not normalized, of beta1 h1 h1^H +
-    beta2 h2 h2^H for every (pair, subcarrier): h2 has shape
-    (n, n_sc, 2, m), beta2 (n, 2).
+def _principal_of_two(g11, g22, g12):
+    """Coefficients (v1, v2) of the principal eigenvector v1 ht1 + v2 ht2
+    of ht1 ht1^H + ht2 ht2^H: (v1, v2) is the top eigenvector of the Gram
+    matrix [[g11, g12], [conj(g12), g22]] of ht.
 
-    With ht_i = sqrt(beta_i) h_i and G their 2x2 Gram matrix, the beam is
-    v1 ht1 + v2 ht2 for G's top eigenvector v. With s = (g11 - g22)/2 and
-    r = sqrt(s^2 + |g12|^2), v = (s + r, conj(g12)) when s >= 0, else
-    (g12, r - s), so no entry is a difference of near-equal terms. Where
-    G is a multiple of the identity every direction in the span is
-    principal, and ht1 is taken. Zero where both channels are zero.
+    With s = (g11 - g22)/2 and r = sqrt(s^2 + |g12|^2), v = (s + r,
+    conj(g12)) when s >= 0, else (g12, r - s), so no entry is a difference
+    of near-equal terms. Where G is a multiple of the identity every
+    direction in the span is principal, and ht1 is taken.
     """
-    ht = h2 * np.sqrt(beta2)[:, None, :, None]
-    a, b = ht[:, :, 0], ht[:, :, 1]
-    g11 = (a.real ** 2 + a.imag ** 2).sum(axis=2)
-    g22 = (b.real ** 2 + b.imag ** 2).sum(axis=2)
-    g12 = np.einsum("inm,inm->in", a.conj(), b)
     s = 0.5 * (g11 - g22)
     r = np.sqrt(s * s + (g12.real ** 2 + g12.imag ** 2))
     up = s >= 0.0
@@ -112,25 +117,20 @@ def _principal_of_two(h2, beta2):
     v2 = np.where(up, g12.conj(), r - s)
     flat = r == 0.0
     v1[flat], v2[flat] = 1.0, 0.0
-    return v1[..., None] * a + v2[..., None] * b
+    return v1, v2
 
 
 def beam_plan_mrt(ch, messages) -> BeamPlan:
     """MRT beams: the unit channel direction for single-user audiences, the
     principal eigenvector of the audience's gain-weighted channel
-    covariance otherwise (closed form for two users, `eigh` for more). A
-    pair whose audience channels are all zero gets the last unit vector,
-    the eigenvector `eigh` gives a zero covariance, and quote inf."""
-    h, beta, mask = _audience(ch, messages)
-    w, size = _single_user_mrt(h, mask)
-    big = size >= 3
+    covariance otherwise (`_principal_of_two` for two users, `eigh` for
+    more). A pair whose audience channels are all zero gets the last unit
+    vector, the eigenvector `eigh` gives a zero covariance, and quote
+    inf."""
+    h, beta, mask, w, big = _plan_by_size(ch, messages, _principal_of_two)
     if big.any():
         cov = np.einsum("ia,inak,inal->inkl", beta[big], h[big], h[big].conj())
         w[big] = np.linalg.eigh(cov)[1][..., -1]
-    two = size == 2
-    if two.any():
-        w[two] = _unit(_principal_of_two(h[two][:, :, :2], beta[two, :2]),
-                       w[two])
     return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
 
@@ -142,33 +142,30 @@ CCP_TOL = 1e-6         # relative bottleneck-gain rise that ends a pair's CCP
 CCP_MAX_SWEEPS = 300   # CCP sweeps per plan
 
 
-def _better(plan_a: BeamPlan, plan_b: BeamPlan) -> BeamPlan:
-    """Per pair, the plan with the smaller quote (plan_a on ties)."""
-    take_b = plan_b.q < plan_a.q
-    return BeamPlan(w=np.where(take_b[..., None], plan_b.w, plan_a.w),
-                    q=np.minimum(plan_a.q, plan_b.q))
+def _ccp_start(ch, messages) -> BeamPlan:
+    """The CCP's start: per pair, the better of the MRT and asymptotic
+    plans, the one with the smaller quote (MRT on ties)."""
+    mrt = beam_plan_mrt(ch, messages)
+    asym = beam_plan_asymptotic(ch, messages)
+    take = asym.q < mrt.q
+    return BeamPlan(w=np.where(take[..., None], asym.w, mrt.w),
+                    q=np.minimum(mrt.q, asym.q))
 
 
-def _maxmin_of_two(ht):
-    """Max-min beam, not normalized, of every two-user pair: ht has shape
-    (n, n_sc, 2, m) and holds sqrt(beta) h.
+def _maxmin_of_two(a, b, c):
+    """Coefficients (x1, x2) of the max-min beam x1 ht1 + x2 ht2 of two
+    users, from the Gram entries a = |ht1|^2, b = |ht2|^2, c = ht1^H ht2.
 
-    With a = |ht1|^2, b = |ht2|^2, c = ht1^H ht2 and rho = |c|, the beam
-    (b - rho) ht1 + (conj(c)/rho)(a - rho) ht2 gives both users the gain
-    (ab - rho^2)/(a + b - 2 rho) when rho < min(a, b) (phase 1 when
-    rho = 0). Otherwise the weaker user's MRT serves the other at least
-    as well, and that is the beam.
+    With rho = |c|, the beam (b - rho) ht1 + (conj(c)/rho)(a - rho) ht2
+    gives both users the gain (ab - rho^2)/(a + b - 2 rho) when
+    rho < min(a, b) (phase 1 when rho = 0). Otherwise the weaker user's
+    MRT serves the other at least as well, and that is the beam.
     """
-    h1, h2 = ht[:, :, 0], ht[:, :, 1]
-    a = (h1.real ** 2 + h1.imag ** 2).sum(axis=2)
-    b = (h2.real ** 2 + h2.imag ** 2).sum(axis=2)
-    c = np.einsum("inm,inm->in", h1.conj(), h2)
     rho = np.abs(c)
     phase = np.where(rho > 0.0, c.conj() / np.where(rho > 0.0, rho, 1.0), 1.0)
     equal = rho < np.minimum(a, b)
-    x1 = np.where(equal, b - rho, a <= b)
-    x2 = np.where(equal, phase * (a - rho), a > b)
-    return x1[..., None] * h1 + x2[..., None] * h2
+    return (np.where(equal, b - rho, a <= b),
+            np.where(equal, phase * (a - rho), a > b))
 
 
 def _bottleneck(ht, mask, w):
@@ -273,24 +270,17 @@ def beam_plan_maxmin(ch, messages) -> BeamPlan:
 
     A single user takes MRT, bit for bit as `beam_plan_mrt`, and two users
     the closed form of `_maxmin_of_two`; both are exact. Larger audiences
-    run `_ccp` from the better of the MRT and asymptotic plans, pair by
-    pair, and keep that start where the CCP does not quote below it. A
+    run `_ccp` from `_ccp_start`, the better of the MRT and asymptotic
+    plans, and keep that start where the CCP does not quote below it. A
     pair whose audience has a zero channel quotes inf, and every pair gets
     a unit beam (the last unit vector where nothing better exists).
     `sweeps` and `capped` report the CCP.
     """
-    h, beta, mask = _audience(ch, messages)
-    w, size = _single_user_mrt(h, mask)
-    two = size == 2
-    if two.any():
-        ht = h[two][:, :, :2] * np.sqrt(beta[two, :2])[:, None, :, None]
-        w[two] = _unit(_maxmin_of_two(ht), w[two])
-    big = size >= 3
+    h, beta, mask, w, big = _plan_by_size(ch, messages, _maxmin_of_two)
     if not big.any():
         return BeamPlan(w=w, q=_quotes(ch, h, beta, mask, w))
 
-    start = _better(beam_plan_mrt(ch, messages),
-                    beam_plan_asymptotic(ch, messages))
+    start = _ccp_start(ch, messages)
     # CCP on the pairs whose start reaches every user
     reach = big[:, None] & np.isfinite(start.q)
     msg_of = np.nonzero(reach)[0]

@@ -784,9 +784,10 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     search. The plan is flagged converged when its relative duality gap
     is at most GAP_TOL and the local search ended below its safety cap.
     Raises ValueError when a demand or the bandwidth is not finite and
-    positive. Inside a `scope.trial_scope`, a call with the same demands,
-    quotes and bandwidth as an earlier one gets that call's plan, the
-    same object.
+    positive, when the quote rows do not match the demands, or when a
+    quote is not positive (+inf marks an unusable pair). Inside a
+    `scope.trial_scope`, a call with the same demands, quotes and
+    bandwidth as an earlier one gets that call's plan, the same object.
     """
     demands = _demands(messages)
     bandwidth = _bandwidth(bandwidth)
@@ -796,13 +797,20 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
     return shared(key, lambda: _solve_quoted(demands, quotes, bandwidth))
 
 
-def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
-                  bandwidth: float) -> Allocation:
+def _quote_shape(demands: np.ndarray, quotes: np.ndarray) -> tuple:
+    """(n_msg, n_sc) of a quote matrix with one row per demand and every
+    quote positive; raises ValueError otherwise. Both solvers call it."""
     n_msg, n_sc = quotes.shape
     if n_msg != demands.shape[0]:
         raise ValueError("quote rows must match messages")
     if not np.all(quotes > 0):      # NaN and -inf fail; +inf is unusable
         raise ValueError("quotes must be positive")
+    return n_msg, n_sc
+
+
+def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
+                  bandwidth: float) -> Allocation:
+    n_msg, n_sc = _quote_shape(demands, quotes)
     finite_any = np.isfinite(quotes).any(axis=1)
     if not finite_any.all():
         raise InfeasibleAllocationError(
@@ -907,13 +915,13 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
     no usable quote (the empty set too), so such a map is never chosen.
     Each (message, column set) is filled once per call, keyed by its
     column bitmask, and the winning map's rows once more at the end.
-    Limited to n_messages**n_sc <= 1e5. Raises ValueError when a demand
-    or the bandwidth is not finite and positive.
+    Limited to n_messages**n_sc <= 1e5. Refuses, with ValueError, the
+    demands, quotes and bandwidth that `solve_quoted_allocation` refuses.
     """
     demands = _demands(messages)
     bandwidth = _bandwidth(bandwidth)
     quotes = np.asarray(quotes, dtype=float)
-    n_msg, n_sc = quotes.shape
+    n_msg, n_sc = _quote_shape(demands, quotes)
     if n_msg ** n_sc > 10 ** 5:
         raise ValueError(f"instance too large: {n_msg}^{n_sc} assignments")
 

@@ -21,7 +21,7 @@ from tilecast import (ChannelState, Message, QualityLadder, TilingConfig,
                       derive_trial_seed, sample_channel,
                       solve_quoted_allocation)
 from tilecast import ofdma_alloc
-from tilecast.beamforming import _better
+from tilecast.beamforming import _ccp_start
 from tilecast.cli import main as cli_main
 from tilecast.dc_solver import initial_point
 from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
@@ -227,8 +227,7 @@ def test_criterion_4_planner_monotone_and_feasible():
         assert alloc.diagnostics["outer_iterations"] >= 1, t
         assert np.all((alloc.assign == 0) | (alloc.assign == 1))
         assert audit_allocation(alloc, ch, messages) == [], t
-        menu = _better(beam_plan_mrt(ch, messages),
-                       beam_plan_asymptotic(ch, messages))
+        menu = _ccp_start(ch, messages)
         ref = initial_point(ch, messages, menu).total_power_w
         assert alloc.total_power_w <= ref * (1 + 1e-9), (t, ref)
     assert time.perf_counter() - start < 300.0

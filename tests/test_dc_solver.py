@@ -62,8 +62,7 @@ def ccp_pairs(ch, messages):
     beams (the better of the MRT and asymptotic plans)."""
     h, beta, mask = _audience(ch, messages)
     big = mask.sum(axis=1) >= 3
-    start = beamforming._better(beam_plan_mrt(ch, messages),
-                                beam_plan_asymptotic(ch, messages))
+    start = beamforming._ccp_start(ch, messages)
     ht = (h * np.sqrt(beta)[:, None, :, None])[big]
     n_sc = ch.n_sc
     return (ht.reshape((-1,) + ht.shape[2:]),
@@ -439,8 +438,7 @@ def test_dc_solve_never_worse_than_start():
     # better of the MRT and asymptotic quotes, the CCP's start
     ch, messages = three_user_instance()
     alloc = dc_solve(ch, messages)
-    menu = beamforming._better(beam_plan_mrt(ch, messages),
-                               beam_plan_asymptotic(ch, messages))
+    menu = beamforming._ccp_start(ch, messages)
     start = initial_point(ch, messages, menu)
     assert alloc.diagnostics["e_trace"][0] <= start.total_power_w
     assert alloc.total_power_w <= alloc.diagnostics["e_trace"][0]

@@ -325,8 +325,6 @@ def local_search_reference(assigned, qn, dn):
     passes. Returns (assigned, passes, moves)."""
     n_msg, n_sc = qn.shape
     max_passes = PASSES_PER_SUBCARRIER * n_sc
-    if n_msg == 1:
-        return assigned, 0, 0
     assigned = assigned.copy()
     memo = {}
 
@@ -510,6 +508,9 @@ def headline_instance(seed, twins=False, masked=False):
 @example(inst=headline_instance(0))
 @example(inst=headline_instance(3, twins=True))
 @example(inst=headline_instance(5, masked=True))
+# one message: a pass finds no move
+@example(inst=(np.zeros(3, dtype=int), np.array([[1.0, 2.0, math.inf]]),
+               np.array([1.0])))
 # messages 0 and 1 each hold one column, quoted at 5.0: only a swap or a
 # rotation can take it from them
 @example(inst=(np.array([0, 1, 2, 2, 2]),
@@ -1072,20 +1073,24 @@ def test_message_with_no_usable_subcarrier():
 
 
 def test_nonpositive_quote_rejected():
-    # zero, negative, NaN and -inf quotes are refused; +inf marks an
-    # unusable pair
-    for bad in (0.0, -1e-9, math.nan, -math.inf):
-        with pytest.raises(ValueError, match="quotes must be positive"):
-            solve_quoted_allocation([B], np.array([[bad, 1e-9]]), B)
-    alloc = solve_quoted_allocation([B], np.array([[math.inf, 1e-9]]), B)
-    assert alloc.power[0, 0] == 0.0 and alloc.power[0, 1] > 0.0
+    # zero, negative, NaN and -inf quotes are refused, in both the
+    # allocator and the oracle; +inf marks an unusable pair
+    for solver in (solve_quoted_allocation, brute_force_allocation):
+        for bad in (0.0, -1e-9, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="quotes must be positive"):
+                solver([B], np.array([[bad, 1e-9]]), B)
+        alloc = solver([B], np.array([[math.inf, 1e-9]]), B)
+        assert alloc.power[0, 0] == 0.0 and alloc.power[0, 1] > 0.0
 
 
 def test_quote_rows_must_match_messages():
-    # one quote row per message: two rows against one demand or three
-    for demands in ([B], [B, B, B]):
-        with pytest.raises(ValueError, match="quote rows must match messages"):
-            solve_quoted_allocation(demands, np.full((2, 4), 1e-9), B)
+    # one quote row per message, in both the allocator and the oracle: two
+    # rows against one demand or three
+    for solver in (solve_quoted_allocation, brute_force_allocation):
+        for demands in ([B], [B, B, B]):
+            with pytest.raises(ValueError,
+                               match="quote rows must match messages"):
+                solver(demands, np.full((2, 4), 1e-9), B)
 
 
 def test_nonpositive_demand_rejected():
