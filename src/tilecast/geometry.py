@@ -7,6 +7,7 @@ safety margin on all four sides. Yaw wraps around the horizontal seam; pitch
 is clamped at the poles.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,11 +25,27 @@ def _as_int(name, value) -> int:
     return int(value)
 
 
-def _set_ints(obj, *names):
-    """Pass each named field of the frozen dataclass `obj` through
-    `_as_int`."""
+def _as_float(name, value) -> float:
+    """`value` as a finite float: the one real-number rule of the config
+    fields. An int reads as its float; a bool, a value that is no number,
+    inf, nan and an int too large for a float are refused, each with a
+    ValueError naming `name`."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} has the wrong type: {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, not {real!r}")
+    return real
+
+
+def _set_fields(obj, rule, *names):
+    """Pass each named field of the frozen dataclass `obj` through `rule`
+    (`_as_int` or `_as_float`)."""
     for name in names:
-        object.__setattr__(obj, name, _as_int(name, getattr(obj, name)))
+        object.__setattr__(obj, name, rule(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -52,7 +69,8 @@ class TilingConfig:
     margin_deg: float = 0.0
 
     def __post_init__(self):
-        _set_ints(self, "u_h", "u_v")
+        _set_fields(self, _as_int, "u_h", "u_v")
+        _set_fields(self, _as_float, "fov_h_deg", "fov_v_deg", "margin_deg")
         if self.u_h < 1 or self.u_v < 1:
             raise ValueError("grid must have at least one column and one row")
         if not (0.0 < self.fov_h_deg <= 360.0):

@@ -28,8 +28,8 @@ import numpy as np
 from .beamforming import beam_plan_asymptotic, beam_plan_mrt
 from .channel import ChannelState, derive_trial_seed, sample_channel
 from .dc_solver import dc_solve
-from .geometry import (TilingConfig, ViewDirection, _as_int, _check_direction,
-                       _set_ints, compute_tile_set)
+from .geometry import (TilingConfig, ViewDirection, _as_float, _as_int,
+                       _check_direction, _set_fields, compute_tile_set)
 from .ofdma_alloc import (InfeasibleAllocationError, audit_allocation,
                           complete_allocation, solve_quoted_allocation)
 from .partition import QualityLadder, build_messages, build_partition, \
@@ -57,17 +57,19 @@ class UserSpec:
     quality: int
 
     def __post_init__(self):
-        if not isinstance(self.direction, ViewDirection):
-            object.__setattr__(self, "direction",
-                               ViewDirection(*self.direction))
-        _set_ints(self, "quality")
+        d = ViewDirection(*self.direction)
+        object.__setattr__(self, "direction", ViewDirection(
+            _as_float("yaw_deg", d.yaw_deg),
+            _as_float("pitch_deg", d.pitch_deg)))
+        _set_fields(self, _as_int, "quality")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario, or one point of a sweep: an immutable, hashable value
-    that checks every field when it is built. Integer fields take integral floats; `users`
-    becomes a tuple, and `beta` a float or a tuple of floats."""
+    that checks every field when it is built. Integer fields take
+    integral floats and real fields finite ints or floats; `users` becomes
+    a tuple, and `beta` a float or a tuple of floats."""
 
     tiling: TilingConfig
     ladder: QualityLadder
@@ -83,19 +85,23 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        _set_ints(self, "m", "n_sc", "trials", "base_seed")
-        beta = np.asarray(self.beta, dtype=float)
+        _set_fields(self, _as_int, "m", "n_sc", "trials", "base_seed")
+        _set_fields(self, _as_float, "bandwidth_hz", "noise_w", "delta_deg")
+        beta = self.beta
         object.__setattr__(self, "beta",
-                           tuple(beta.tolist()) if beta.ndim else float(beta))
+                           tuple(_as_float("beta", b) for b in beta)
+                           if np.ndim(beta) else _as_float("beta", beta))
         object.__setattr__(self, "users", tuple(self.users))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.schemes:
             raise ValueError("at least one scheme required")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme: {s!r}")
+            if s in self.schemes[:i]:
+                raise ValueError(f"repeated scheme: {s!r}")
         if not self.users:
             raise ValueError("at least one user required")
         for u in self.users:
@@ -107,9 +113,8 @@ class ScenarioConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         for name in ("bandwidth_hz", "noise_w", "beta"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value) & (value > 0)):
-                raise ValueError(f"{name} must be finite and positive")
+            if not np.all(np.asarray(getattr(self, name)) > 0):
+                raise ValueError(f"{name} must be positive")
         try:
             np.broadcast_to(self.beta, len(self.users))
         except ValueError:
@@ -159,14 +164,6 @@ def default_config() -> ScenarioConfig:
     )
 
 
-def _types(cls) -> dict:
-    return {f.name: f.type for f in fields(cls)}
-
-
-# a user's JSON keys: its direction's, then its quality
-_USER_TYPES = {**ViewDirection.__annotations__, "quality": int}
-
-
 def _check_keys(raw, what, keys, required=()):
     """Reject a config level that is not an object, or has a key outside
     `keys` or lacks one of `required`."""
@@ -180,59 +177,30 @@ def _check_keys(raw, what, keys, required=()):
         raise ValueError(f"missing {what} keys: {sorted(missing)}")
 
 
-def _json(key, value, *types):
-    """`value`, if the JSON reader gave it one of `types` (a bool is no
-    number, a string no array); else a ValueError that names its key."""
-    if type(value) not in types:
-        raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
-    return value
-
-
-def _number(key, value) -> float:
-    return float(_json(key, value, int, float))
-
-
-# how an int or float field reads its JSON value: the integer rule, named
-# by its key, or a JSON number
-_SCALARS = {int: lambda key, value: _as_int(f"config key {key!r}", value),
-            float: _number}
-
-
-def _read(raw, what, types, required=()):
-    """The JSON object `raw` as field values, its keys checked against
-    `types` (field name -> type) and `required`: an int or float field
-    read by `_SCALARS`, any other as it is."""
-    _check_keys(raw, what, types, required)
-    return {key: _SCALARS[types[key]](key, value)
-            if types[key] in _SCALARS else value
-            for key, value in raw.items()}
-
-
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a config from parsed JSON: unknown keys anywhere, missing
-    user or tiling keys and values of the wrong JSON type are errors, and
-    the config types check the rest; absent keys keep `default_config()`'s."""
-    kwargs = _read(raw, "config", _types(ScenarioConfig))
-    if "tiling" in kwargs:
+    """Build a config from parsed JSON. The reader checks only its shape:
+    an unknown key anywhere, a user or tiling that lacks a key, and a
+    `ladder`, `users` or `schemes` that is no array are errors. The config
+    types check every value; absent keys keep `default_config()`'s."""
+    _check_keys(raw, "config", [f.name for f in fields(ScenarioConfig)])
+    for key in ("ladder", "users", "schemes"):
+        if type(raw.get(key, [])) is not list:
+            raise ValueError(f"{key} has the wrong type: {raw[key]!r}")
+    kwargs = dict(raw)
+    if "tiling" in raw:
+        keys = [f.name for f in fields(TilingConfig)]
         required = [f.name for f in fields(TilingConfig)
                     if f.default is MISSING]
-        kwargs["tiling"] = TilingConfig(**_read(
-            kwargs["tiling"], "tiling", _types(TilingConfig), required))
-    if "ladder" in kwargs:
-        rates = _json("ladder", kwargs["ladder"], list)
-        kwargs["ladder"] = QualityLadder([_number("ladder", r) for r in rates])
-    if "users" in kwargs:
-        users = [_read(u, "user", _USER_TYPES, _USER_TYPES)
-                 for u in _json("users", kwargs["users"], list)]
-        kwargs["users"] = [
-            UserSpec(ViewDirection(u["yaw_deg"], u["pitch_deg"]), u["quality"])
-            for u in users]
-    if "beta" in kwargs:
-        beta = kwargs["beta"]
-        kwargs["beta"] = ([_number("beta", b) for b in beta]
-                          if type(beta) is list else _number("beta", beta))
-    if "schemes" in kwargs:
-        _json("schemes", kwargs["schemes"], list)
+        _check_keys(raw["tiling"], "tiling", keys, required)
+        kwargs["tiling"] = TilingConfig(**raw["tiling"])
+    if "ladder" in raw:
+        kwargs["ladder"] = QualityLadder(raw["ladder"])
+    if "users" in raw:
+        keys = (*ViewDirection._fields, "quality")
+        for u in raw["users"]:
+            _check_keys(u, "user", keys, keys)
+        kwargs["users"] = [UserSpec((u["yaw_deg"], u["pitch_deg"]),
+                                    u["quality"]) for u in raw["users"]]
     return replace(default_config(), **kwargs)
 
 

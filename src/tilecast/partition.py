@@ -11,6 +11,8 @@ rate of the level.
 
 from dataclasses import dataclass, field
 
+from .geometry import _as_float
+
 
 @dataclass(frozen=True)
 class QualityLadder:
@@ -19,7 +21,7 @@ class QualityLadder:
     rates: tuple
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
+        rates = tuple(_as_float("rates", r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
         if len(rates) == 0:
             raise ValueError("ladder must have at least one level")

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, replace
@@ -74,6 +76,10 @@ def test_config_validation():
         tiny_config(users=[UserSpec((0.0, 90.0), 7)])
     with pytest.raises(ValueError):
         tiny_config(delta_deg=-1.0)
+    with pytest.raises(ValueError,
+                       match="repeated scheme: 'baseline1-unicast'"):
+        tiny_config(schemes=("baseline1-unicast", "proposed-dc",
+                             "baseline1-unicast"))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -134,6 +140,66 @@ def test_config_dict_round_trip():
         assert config_from_dict(raw) == cfg
     assert tiny_config(beta=[1.0, 0.25]) == tiny_config(beta=(1.0, 0.25))
     assert tiny_config(users=users) == tiny_config(users=tuple(users))
+    # an integer in a real field reads as its float, on both paths
+    raw = config_to_dict(tiny_config())
+    raw.update(bandwidth_hz=39000, delta_deg=0, beta=[1, 2],
+               ladder=[40000, 56000],
+               users=[{"yaw_deg": 100, "pitch_deg": 90, "quality": 1},
+                      {"yaw_deg": 140, "pitch_deg": 90, "quality": 2}])
+    raw["tiling"].update(fov_h_deg=90, fov_v_deg=90, margin_deg=0)
+    cfg = config_from_dict(raw)
+    assert cfg == tiny_config(beta=(1.0, 2.0))
+    reals = [cfg.bandwidth_hz, cfg.delta_deg, *cfg.beta, *cfg.ladder.rates,
+             cfg.tiling.fov_h_deg, cfg.tiling.fov_v_deg,
+             cfg.tiling.margin_deg, *cfg.users[0].direction,
+             *cfg.users[1].direction]
+    assert all(type(v) is float for v in reals)
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def _user(yaw):
+    return {"yaw_deg": yaw, "pitch_deg": 90.0, "quality": 2}
+
+
+@pytest.mark.parametrize("build, raw, message", [
+    (lambda: replace(default_config(), bandwidth_hz="39e3"),
+     {"bandwidth_hz": "39e3"}, "bandwidth_hz has the wrong type: '39e3'"),
+    (lambda: replace(default_config(), noise_w=True),
+     {"noise_w": True}, "noise_w has the wrong type: True"),
+    (lambda: replace(default_config(), delta_deg="5"),
+     {"delta_deg": "5"}, "delta_deg has the wrong type: '5'"),
+    (lambda: replace(default_config(), delta_deg=math.inf),
+     {"delta_deg": math.inf}, "delta_deg must be finite, not inf"),
+    (lambda: replace(default_config(), delta_deg=math.nan),
+     {"delta_deg": math.nan}, "delta_deg must be finite, not nan"),
+    (lambda: replace(default_config(), users=[UserSpec(("10", 90.0), 2)]),
+     {"users": [_user("10")]}, "yaw_deg has the wrong type: '10'"),
+    (lambda: replace(default_config(),
+                     ladder=QualityLadder((40000.0, "56000"))),
+     {"ladder": [40000.0, "56000"]}, "rates has the wrong type: '56000'"),
+], ids=["bandwidth-string", "noise_w-bool", "delta_deg-string",
+        "delta_deg-inf", "delta_deg-nan", "yaw-string", "rate-string"])
+def test_config_rejects_scalars_alike_on_both_paths(build, raw, message):
+    # each value here once built through `replace` (a string kept as it
+    # was, inf or nan failing in the first trial, nan delta planned as 0)
+    # or raised TypeError; the config types now hold the one rule, so the
+    # JSON reader refuses it with the same text
+    with pytest.raises(ValueError) as built:
+        build()
+    with pytest.raises(ValueError) as read:
+        config_from_dict(raw)
+    assert str(built.value) == str(read.value) == message
+
+
+def test_readme_config_example_builds():
+    # the README's config example is read by `config_from_dict` as it is
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    cfg = config_from_dict(json.loads(blocks[0]))
+    assert [u.direction.yaw_deg for u in cfg.users] == [110.0, 230.0]
+    assert cfg.ladder.levels == 3 and cfg.schemes == SCHEMES
 
 
 @pytest.mark.parametrize("build, message", [
@@ -751,21 +817,14 @@ def test_cli_rejects_unknown_scheme(tmp_path):
                                         "['pitch_deg', 'quality']"),
     (["run", "--config", "{yaw400}"], "yaw_deg 400.0 outside [0, 360)"),
     # a value of the wrong JSON type names its key
-    (["run", "--config", "{m_null}"], "config key 'm' has the wrong type: "
-                                      "None"),
-    (["run", "--config", "{ladder5}"], "config key 'ladder' has the wrong "
-                                       "type: 5"),
+    (["run", "--config", "{m_null}"], "m has the wrong type: None"),
+    (["run", "--config", "{ladder5}"], "ladder has the wrong type: 5"),
     # an integer key takes no fraction and no bool, rather than rounding
-    (["run", "--config", "{u_h_frac}"], "config key 'u_h': 30.5 is not an "
-                                        "integer"),
-    (["run", "--config", "{m_frac}"], "config key 'm': 4.7 is not an "
-                                      "integer"),
-    (["run", "--config", "{seed_frac}"], "config key 'base_seed': 1.9 is "
-                                         "not an integer"),
-    (["run", "--config", "{quality_frac}"], "config key 'quality': 2.5 is "
-                                            "not an integer"),
-    (["run", "--config", "{trials_bool}"], "config key 'trials': True is "
-                                           "not an integer"),
+    (["run", "--config", "{u_h_frac}"], "u_h: 30.5 is not an integer"),
+    (["run", "--config", "{m_frac}"], "m: 4.7 is not an integer"),
+    (["run", "--config", "{seed_frac}"], "base_seed: 1.9 is not an integer"),
+    (["run", "--config", "{quality_frac}"], "quality: 2.5 is not an integer"),
+    (["run", "--config", "{trials_bool}"], "trials: True is not an integer"),
     # run_experiment's checks before its first trial: an output path in a
     # directory that does not exist, a sweep point the config rejects
     (["run", "--trials", "1", "--out", "{absent}/x.csv"],
@@ -784,24 +843,33 @@ def test_cli_rejects_unknown_scheme(tmp_path):
     # a negative seed is bad input (status 2), not an allocator miss (1)
     (["oracle-check", "--seed", "-1"], "seed must be >= 0"),
     # a JSON string or bool is no number, and a string no array
-    (["run", "--config", "{ladder_str}"], "config key 'ladder' has the "
-                                          "wrong type: '12345'"),
-    (["run", "--config", "{beta_str}"], "config key 'beta' has the wrong "
-                                        "type: '2'"),
-    (["run", "--config", "{beta_bool}"], "config key 'beta' has the wrong "
-                                         "type: True"),
-    (["run", "--config", "{noise_bool}"], "config key 'noise_w' has the "
-                                          "wrong type: True"),
-    (["run", "--config", "{delta_bool}"], "config key 'delta_deg' has the "
-                                          "wrong type: True"),
-    (["run", "--config", "{margin_bool}"], "config key 'margin_deg' has the "
-                                           "wrong type: True"),
-    (["run", "--config", "{pitch_bool}"], "config key 'pitch_deg' has the "
-                                          "wrong type: True"),
-    (["run", "--config", "{bandwidth_str}"], "config key 'bandwidth_hz' has "
-                                             "the wrong type: '39e3'"),
-    (["run", "--config", "{schemes_str}"], "config key 'schemes' has the "
-                                           "wrong type: 'proposed-dc'"),
+    (["run", "--config", "{ladder_str}"], "ladder has the wrong type: "
+                                          "'12345'"),
+    (["run", "--config", "{beta_str}"], "beta has the wrong type: '2'"),
+    (["run", "--config", "{beta_bool}"], "beta has the wrong type: True"),
+    (["run", "--config", "{noise_bool}"], "noise_w has the wrong type: True"),
+    (["run", "--config", "{delta_bool}"], "delta_deg has the wrong type: "
+                                          "True"),
+    (["run", "--config", "{margin_bool}"], "margin_deg has the wrong type: "
+                                           "True"),
+    (["run", "--config", "{pitch_bool}"], "pitch_deg has the wrong type: "
+                                          "True"),
+    (["run", "--config", "{bandwidth_str}"], "bandwidth_hz has the wrong "
+                                             "type: '39e3'"),
+    (["run", "--config", "{schemes_str}"], "schemes has the wrong type: "
+                                           "'proposed-dc'"),
+    # a scheme named twice would plan and write each of its trials twice
+    (["run", "--scheme", "proposed-asymptotic", "--scheme",
+      "proposed-asymptotic", "--trials", "1"],
+     "repeated scheme: 'proposed-asymptotic'"),
+    # a real key takes no inf, no nan and no integer too large for a
+    # float: each once got past the config and failed in the first trial
+    # (delta_deg inf after the --out file was made), or with a traceback
+    (["run", "--config", "{delta_inf}"], "delta_deg must be finite, not inf"),
+    (["run", "--config", "{margin_nan}"], "margin_deg must be finite, not "
+                                          "nan"),
+    (["run", "--config", "{noise_huge}"], "noise_w is too large for a "
+                                          "float"),
 ], ids=["zero-trials", "unknown-scheme", "rejected-config", "missing-config",
         "missing-audit-file", "user-without-pitch", "yaw-400", "m-null",
         "ladder-int", "u_h-fraction", "m-fraction", "seed-fraction",
@@ -811,7 +879,8 @@ def test_cli_rejects_unknown_scheme(tmp_path):
         "oracle-check-negative-trials", "oracle-check-negative-seed",
         "ladder-string", "beta-string", "beta-bool", "noise_w-bool",
         "delta_deg-bool", "margin_deg-bool", "pitch-bool",
-        "bandwidth-string", "schemes-string"])
+        "bandwidth-string", "schemes-string", "repeated-scheme",
+        "delta_deg-inf", "margin_deg-nan", "noise_w-huge-int"])
 def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
     # bad input ends with status 2 and one `tilecast: error:` line on
     # stderr, not a traceback, before any trial, and writes no results
@@ -843,7 +912,12 @@ def test_cli_reports_bad_input(tmp_path, capsys, monkeypatch, argv, message):
                "pitch_bool": {"users": [{"yaw_deg": 100, "pitch_deg": True,
                                          "quality": 2}]},
                "bandwidth_str": {"bandwidth_hz": "39e3"},
-               "schemes_str": {"schemes": "proposed-dc"}}
+               "schemes_str": {"schemes": "proposed-dc"},
+               "delta_inf": {"delta_deg": math.inf},
+               "margin_nan": {"tiling": {"u_h": 30, "u_v": 15,
+                                         "fov_h_deg": 100, "fov_v_deg": 100,
+                                         "margin_deg": math.nan}},
+               "noise_huge": {"noise_w": 10 ** 400}}
     paths = {"absent": str(tmp_path / "absent")}
     for name, raw in configs.items():
         paths[name] = str(tmp_path / f"{name}.json")
