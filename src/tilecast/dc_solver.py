@@ -9,13 +9,13 @@ max-min-fair multicast beam (`beamforming.beam_plan_maxmin`), then the
 quoted allocation (`ofdma_alloc.solve_quoted_allocation`), run once.
 
 The module adds nothing else, and stays only for the names the
-benchmark's tracer wraps until ROADMAP item 1 folds it into `run_trial`.
+benchmark's tracer wraps until ROADMAP item 6 folds it into `run_trial`.
 """
 
 from dataclasses import replace
 
 from .beamforming import BeamPlan, beam_plan_maxmin
-# unused here; bound for the benchmark's tracer until ROADMAP item 1
+# unused here; bound for the benchmark's tracer until ROADMAP item 6
 from .beamforming import beam_plan_asymptotic, beam_plan_mrt  # noqa: F401
 from .ofdma_alloc import (Allocation, complete_allocation,
                           solve_quoted_allocation)

@@ -13,10 +13,12 @@ water-filling power. Every gamma >= 0 makes D(gamma) a lower bound on
 the optimum. The max over messages is smoothed by a log-sum-exp at a
 temperature, and the smoothed dual is maximized in u = log gamma by
 damped Newton steps on its n_msg x n_msg Hessian. The multipliers start
-at each message's fair share of the subcarriers, and the temperature is
-annealed down to a fixed floor, each level warm-started from the last;
-only the floor level is solved to DUAL_TOL, the others to the looser
-LEVEL_TOL.
+at one per-subcarrier rate for every message, the total demand over the
+subcarriers, so each message's share of them follows its demand, and
+the temperature, in units of the start's mean top gain, is annealed down
+to a fixed floor, each level warm-started from the last and solved to
+DUAL_TOL. At the floor, the smoothing's allowance n_sc*tau*ln(n_msg)
+stays below GAP_TOL of the bound on the default and paired scenarios.
 A level after the first starts at a predictor point, the last level's
 optimum moved along the path's tangent in the temperature (Euler
 continuation), whenever its smoothed value is finite; only otherwise is
@@ -85,12 +87,12 @@ from .channel import _audience
 from .scope import shared
 
 LN2 = math.log(2.0)
-# smoothing temperatures, in units of the start's mean per-subcarrier gain;
-# the last one is the floor the returned multipliers are optimal for
-TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-DUAL_TOL = 1e-6             # the floor level ends when Newton predicts a
-                            # rise below DUAL_TOL * n_sc * temperature
-LEVEL_TOL = 1e-2            # the same for every level above the floor
+# smoothing temperatures, in units of the start's mean per-subcarrier top
+# gain, which the demand-proportional start puts near the optimum's; the
+# last one is the floor the returned multipliers are optimal for
+TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+DUAL_TOL = 1e-2             # a level ends when Newton predicts a rise
+                            # below DUAL_TOL * n_sc * temperature
 MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
 MAX_LOG_STEP = 2.0          # largest change of any log multiplier per step
 PASSES_PER_SUBCARRIER = 10  # local-search safety cap, per subcarrier
@@ -656,16 +658,19 @@ def _dual_tau_slope(tau: float, parts):
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     """Maximize the smoothed dual by damped Newton steps in u = log gamma.
 
-    Starts each message at its fair share of the subcarriers and anneals
-    the temperature through TEMPERATURES (times the start's mean
-    per-subcarrier gain), warm-starting each level. A level above the
-    floor only warm-starts the next, so it ends at the looser LEVEL_TOL;
-    the floor ends at DUAL_TOL. Each step is Newton's on the Hessian with
-    its eigenvalues made negative (their magnitude kept), capped at
-    MAX_LOG_STEP per coordinate and shrunk until the smoothed value rises
-    enough: to the peak of the quadratic through the value, the slope and
-    the rejected trial's value, kept within [0.1, 0.5] of the step (a
-    halving when the trial is not finite). A trial step costs one value,
+    Starts every message where its cheapest quote carries the same rate,
+    the total demand over n_sc (at most 500), so its share of the
+    subcarriers follows its demand, and anneals the temperature through
+    TEMPERATURES (times the start's mean per-subcarrier top gain),
+    warm-starting each level. Every level, the floor too, ends at
+    DUAL_TOL: the floor's smoothing already costs up to
+    n_sc*tau*ln(n_msg) of the dual, so a tighter stop buys nothing. Each
+    step is Newton's on the Hessian with its eigenvalues made negative
+    (their magnitude kept), capped at MAX_LOG_STEP per coordinate and
+    shrunk until the smoothed value rises enough: to the peak of the
+    quadratic through the value, the slope and the rejected trial's
+    value, kept within [0.1, 0.5] of the step (a halving when the trial
+    is not finite). A trial step costs one value,
     from one `_gains` pass, and the derivatives are taken once per
     accepted step, from the softmax of that value. A level that ends
     above the floor leaves the tangent of the path of optima, du/dtau =
@@ -684,7 +689,7 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     n_msg, n_sc = qn.shape
     log2q = np.log2(qn)
     qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
-    u = np.log(LN2 * qmin) + LN2 * np.minimum(dn * n_msg / n_sc, 500.0)
+    u = np.log(LN2 * qmin) + LN2 * min(float(dn.sum()) / n_sc, 500.0)
     gamma = np.exp(u)
     gains = _gains(gamma, qn, log2q)
     scale = float(gains[0].max(axis=0).mean())
@@ -692,7 +697,6 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     tau = tangent = None
     for rel in TEMPERATURES:
         last_tau, tau = tau, rel * scale
-        tol = DUAL_TOL if rel == TEMPERATURES[-1] else LEVEL_TOL
         value = None
         if tangent is not None:
             du = (tau - last_tau) * tangent
@@ -730,7 +734,7 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
                     f"the allocator's dual diverged after {steps} Newton "
                     f"steps: its smoothed value, gradient or Hessian at "
                     f"temperature {tau:.3g} is not finite")
-            if decrement <= 2.0 * tol * n_sc * tau:
+            if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
                 break
             step = vec @ newton
             step *= min(1.0, MAX_LOG_STEP / np.abs(step).max())

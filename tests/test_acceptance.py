@@ -20,7 +20,7 @@ from tilecast import (ChannelState, Message, QualityLadder, TilingConfig,
                       build_partition, compute_tile_set, dc_solve,
                       derive_trial_seed, sample_channel,
                       solve_quoted_allocation)
-from tilecast import ofdma_alloc
+from tilecast import dc_solver, ofdma_alloc
 from tilecast.beamforming import _ccp_start
 from tilecast.cli import main as cli_main
 from tilecast.dc_solver import initial_point
@@ -365,7 +365,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "638e9195438472559fd4b4895f28b3e2c6d10792e101e02728f1c63cca1df368")
+    "f85ba39b8e8b38e6654e6ef00a42b4ea25e19b3b85a5ca5b75a79eca4c8927a5")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -379,7 +379,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "804b2ca9cd6764c12eaecba384d2abaa7847b692240d15cfb132ab239fe55a08")
+    "e2a196897ec192d4e364e67e60807a084a79cec72598ec5de20f4ba4c45b0a92")
 
 
 def test_default_config_csv_bytes_pinned():
@@ -392,7 +392,7 @@ def test_default_config_csv_bytes_pinned():
 # Per-user large-scale gains under the user-count sweep: every subset must
 # read its own users' channel rows and gains, so a wrong row shows here.
 BETA_KSWEEP_SHA256 = (
-    "c4d049004e7c606f52cb19ff6efce30616b7b120df4517c36c9dadda9040be3a")
+    "eb125ef91fd02a7bf0996f64344798e61b4bd05263d077f964b88718caaca432")
 
 
 def test_per_user_beta_ksweep_csv_bytes_pinned():
@@ -403,11 +403,10 @@ def test_per_user_beta_ksweep_csv_bytes_pinned():
     assert digest == BETA_KSWEEP_SHA256
 
 
-# The antenna sweep at two trials: the one pinned input where the local
-# search's bounds cannot decide some passes (2 of its 205) and exact
-# tables decide them instead.
+# The antenna sweep at two trials: five antenna counts at 64 subcarriers,
+# where the local search reads its flip tables in closed form.
 M_SWEEP_SHA256 = (
-    "3427ecb5dcd1ee5ab12efac576580b152d88bd054e5cea3726523fe0dd453571")
+    "f9d47475cf4d35e78ca1a04abe6a7036cf79791464761a29f4a61d8bc70cf824")
 
 
 def m_sweep_text():
@@ -425,7 +424,7 @@ def test_m_sweep_csv_bytes_pinned():
 # input whose audiences reach three users, so its bytes cover the CCP, its
 # start and the `eigh` branch of MRT.
 THREE_VIEWER_KSWEEP_SHA256 = (
-    "438138fc4dd48923fd988f69316895d6b9f415daf6fb3a6024ebab26cff959d8")
+    "8c715bbf1cbac18578b91cbed4acf97a14862341e682600cf6c1c25ffe23361b")
 
 
 def test_three_viewer_ksweep_csv_bytes_pinned():
@@ -442,11 +441,62 @@ def test_three_viewer_ksweep_csv_bytes_pinned():
     assert digest == THREE_VIEWER_KSWEEP_SHA256
 
 
+# ---------------------------------------------------------------------------
+# the dual's smoothing floor, measured on the gains of real instances
+# ---------------------------------------------------------------------------
+
+def test_dual_floor_smoothing_within_gap_tol(monkeypatch):
+    # the smoothed dual sits at most n_sc * tau * ln(n_msg) below the exact
+    # one, so at the floor temperature that allowance must stay within
+    # GAP_TOL of the bound, on every allocator call of the headline
+    # scenario and of the paired user-count sweep
+    solve = ofdma_alloc._solve_quoted
+    seen = []
+
+    def recorded(demands, quotes, bandwidth):
+        alloc = solve(demands, quotes, bandwidth)
+        n_msg, n_sc = quotes.shape
+        if n_msg > 1:
+            tau = alloc.diagnostics["dual_temperature"]
+            seen.append((n_sc * tau * math.log(n_msg), alloc.dual_bound))
+        return alloc
+
+    monkeypatch.setattr(ofdma_alloc, "_solve_quoted", recorded)
+    run_experiment(replace(default_config(), trials=1))
+    run_experiment(paired_pairs_config(1), sweep="k")
+    assert len(seen) > 10
+    over = [(allowance, bound) for allowance, bound in seen
+            if allowance > ofdma_alloc.GAP_TOL * bound]
+    assert not over, over
+
+
+def test_dc_gap_does_not_grow_with_antennas(monkeypatch):
+    # the temperatures follow the instance's gains, so the plan's gap stays
+    # where it is at 4 antennas when 256 scale every quote down
+    solve = dc_solver.solve_quoted_allocation
+    gaps = []
+
+    def recorded(*args):
+        alloc = solve(*args)
+        gaps.append(alloc.duality_gap)
+        return alloc
+
+    monkeypatch.setattr(dc_solver, "solve_quoted_allocation", recorded)
+    median_gap = {}
+    for m in (4, 256):
+        gaps.clear()
+        for t in (0, 1):
+            run_trial(replace(default_config(), m=m), "proposed-dc", t)
+        median_gap[m] = float(np.median(gaps))
+    assert abs(median_gap[256] - median_gap[4]) <= 0.01, median_gap
+
+
 def test_search_on_exact_tables_plans_alike(monkeypatch):
     # with no flip entry in closed form, every table entry is an exact
     # `_waterfill_sets` total and exact tables decide every pass; the
     # bounds on the closed form must take the same steps, on real quotes
-    # at 64 subcarriers and across the passes they cannot decide
+    # at 64 subcarriers (the passes they cannot decide are tested on
+    # row-constant quotes in test_ofdma_alloc.py)
     bounded = m_sweep_text()
     closed_form = ofdma_alloc._flip_closed_form
 

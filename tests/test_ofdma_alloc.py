@@ -697,12 +697,13 @@ def test_solver_reports_search_counts():
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == alloc.iterations > 0
     # one value per level start (the predictor point, else the last
-    # point) and per trial step, each step tried once at least; 32 values
-    # in 14 steps, 37 when each level also valued its warm start, 60 in 21
-    # without the predictor, 94 with DUAL_TOL at every level and plain
+    # point) and per trial step, each step tried once at least; 26 values
+    # in 10 steps, 32 in 14 from a fair-share start down to a 1e-6 floor
+    # solved to 1e-6, 37 when each level also valued its warm start, 60 in
+    # 21 without the predictor, 94 with 1e-6 at every level and plain
     # halving
     assert diag["dual_evaluations"] >= diag["dual_steps"] + len(TEMPERATURES)
-    assert diag["dual_evaluations"] == 32
+    assert diag["dual_evaluations"] == 26
     assert 1 <= diag["dual_predictions"] <= len(TEMPERATURES) - 1
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
@@ -716,8 +717,8 @@ def test_solver_reports_search_counts():
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     diag = small.diagnostics
     assert diag["start"] == "dual"
-    assert diag["dual_steps"] == small.iterations == 6
-    assert diag["dual_evaluations"] == 13
+    assert diag["dual_steps"] == small.iterations == 5
+    assert diag["dual_evaluations"] == 10
     assert diag["local_search_passes"] == 1
     assert diag["local_search_moves"] == 0
     # moves only, on closed-form totals: equal quotes in a row tie every
