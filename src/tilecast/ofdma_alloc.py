@@ -56,9 +56,10 @@ that no move clears it. Otherwise exact tables decide, by their first
 maximum: the tables were exact to begin with (every pass with swaps),
 or the bounds could not decide and every closed-form entry has just been
 water-filled exactly. So the search takes the same steps as on exact
-tables. The regimes differ only in the exchange table, which swaps and
-rotations read. The search runs to a local optimum; its pass bound is a
-safety cap whose hit is reported.
+tables. The regimes differ only in the exchange table, which the cycle
+step reads: one rule scores the swaps of two columns' owners and the
+rotations of three. The search runs to a local optimum; its pass bound
+is a safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
 `_waterfill_sets` applies it to any batch of column sets: the search's
 exact table entries (its totals) and the final fill (its power and rate
@@ -76,6 +77,7 @@ transmit power of a pair is p divided by the antenna count, applied when the
 beam plan is attached.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -384,23 +386,40 @@ def _first_max(gain: np.ndarray, valid: np.ndarray):
     return i, float(flat[i])
 
 
+@functools.lru_cache(maxsize=None)
+def _cycles(n_sc: int, size: int):
+    """The tuples of `size` of n_sc columns, in `itertools.combinations`
+    order, built once per shape and read-only: drops[c, t, 0] is the c-th
+    column of tuple t, which its owner drops, and takes[c, t, r] the one
+    it takes in direction r round the tuple, of size - 1 directions."""
+    flat = itertools.chain(*itertools.combinations(range(n_sc), size))
+    drops = np.fromiter(flat, int).reshape(-1, size).T[:, :, None]
+    takes = np.dstack([drops[np.arange(-r, size - r)] for r in range(1, size)])
+    drops.flags.writeable = takes.flags.writeable = False
+    return drops, takes
+
+
 def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
                   max_passes: int = None):
     """Best-improvement descent over the assignment.
 
     Neighbourhood: move one subcarrier to another message, and (on smaller
-    instances) swap the owners of two subcarriers, which single moves
-    cannot reach when every message holds exactly one, and rotate the
-    owners of three. Each pass scores the whole neighbourhood from two
-    per-message tables of water-fill totals, rebuilt only for the
-    messages whose column set the accepted step changed:
+    instances) one cycle step: the distinct owners of a tuple of columns
+    each drop their own column and take another of the tuple. A pair has
+    one direction, a swap, which single moves cannot reach when every
+    message holds exactly one (n_sc <= 16); a triple has two, the
+    rotations either way round (n_sc <= 12, three or more messages). A
+    cycle's gain is summed over its owners in tuple order from 0.0, each
+    adding its own total and subtracting its exchange entry. Each pass
+    scores the whole neighbourhood from two per-message tables of
+    water-fill totals, rebuilt only for the messages whose column set the
+    accepted step changed:
 
     - flip table F[mi, n]: the total of cols(mi) XOR {n}, which is the
       removal total of a column mi owns and the addition total of one it
       does not;
     - exchange table E[mi, drop, add]: the total of cols(mi) - drop + add,
-      built only when swaps are on (n_sc <= 16) and read by swaps and
-      rotations alike.
+      built only when swaps are on (n_sc <= 16) and read by every cycle.
 
     Every exact entry is one `_waterfill_sets` total: its set is the
     message's own set XORed with row c of a per-solve mask, empty for
@@ -424,8 +443,9 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     batched water-fill has just made every closed-form entry exact.
 
     The first strict maximum in scan order wins (moves by column then
-    message, swaps by column pair, rotations by column triple then
-    direction), a later kind only with a strictly greater gain.
+    message, then swaps and then rotations, each by tuple in
+    `itertools.combinations` order, then by direction), a later kind only
+    with a strictly greater gain.
     Deterministic. At most max_passes scans run (default
     PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
     passes, moves, exact_passes): the improved assignment, the
@@ -442,7 +462,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     eye = np.eye(n_sc, dtype=bool)
     usable = np.isfinite(qn)
     do_swaps = n_sc <= 16
-    do_cycles = n_sc <= 12 and n_msg >= 3
     # each message's own total (column 0) and flip totals (column 1 + n),
     # with bounds on each entry's distance from its exact value: zero but
     # for the closed-form entries of the move-only search
@@ -456,10 +475,9 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         exch = np.full((n_msg, n_sc, n_sc), math.nan)
     else:
         columns = _flip_columns(qn)
-    if do_cycles:
-        n1, n2, n3 = np.array(list(itertools.combinations(range(n_sc), 3))).T
-        # the column each owner takes, in either direction round the triple
-        rotations = ((n3, n1, n2), (n2, n3, n1))
+    cycles = [_cycles(n_sc, size)
+              for size, on in ((2, do_swaps), (3, n_sc <= 12 and n_msg >= 3))
+              if on and n_sc >= size]
 
     def make_exact(mi, c):
         # the table entries (mi, c), exact from one batched water-fill
@@ -547,41 +565,22 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         i, best_gain = choose_move(valid)
         best = None if i is None else [divmod(i, n_msg)]
 
-        if do_swaps:
-            # a gives n1 to b and takes n2 from it, scanned n1 < n2
-            own_total = totals[assigned]
-            gain = (((own_total[:, None]
-                      - exch[assigned[:, None], cols[:, None], cols[None, :]])
-                     + own_total[None, :])
-                    - exch[assigned[None, :], cols[None, :], cols[:, None]])
-            valid = (np.triu(~eye, 1) & (assigned[:, None] != assigned[None, :])
-                     & usable[assigned[None, :], cols[:, None]]
-                     & usable[assigned[:, None], cols[None, :]])
+        for drops, takes in cycles:
+            # each owner drops its column of the tuple and takes the one
+            # the direction names; scanned by tuple, then direction
+            owners = assigned[drops]
+            gain = 0.0
+            for o, drop, add in zip(owners, drops, takes):
+                gain = gain + totals[o] - exch[o, drop, add]
+            valid = usable[owners, takes].all(axis=0)
+            for a, b in itertools.combinations(owners, 2):
+                valid &= a != b
             i, g = _first_max(gain, valid)
             if g > best_gain:
                 best_gain = g
-                n_a, n_b = divmod(i, n_sc)
-                best = [(n_a, assigned[n_b]), (n_b, assigned[n_a])]
-
-        if do_cycles:
-            # owners o1, o2, o3 of n1, n2, n3 each drop their column and
-            # take another of the triple; scanned by triple, then direction
-            owners = (assigned[n1], assigned[n2], assigned[n3])
-            o1, o2, o3 = owners
-            distinct = (o1 != o2) & (o1 != o3) & (o2 != o3)
-            gains, valids = [], []
-            for takes in rotations:
-                g = 0.0
-                ok = distinct.copy()
-                for o, drop, add in zip(owners, (n1, n2, n3), takes):
-                    g = g + (totals[o] - exch[o, drop, add])
-                    ok &= usable[o, add]
-                gains.append(g)
-                valids.append(ok)
-            i, g = _first_max(np.stack(gains, axis=1), np.stack(valids, axis=1))
-            if g > best_gain:
-                c, r = divmod(i, 2)
-                best = [(add[c], o[c]) for add, o in zip(rotations[r], owners)]
+                t, r = divmod(i, takes.shape[2])
+                best = list(zip(takes[:, t, r].tolist(),
+                                owners[:, t, 0].tolist()))
 
         if best is None:
             break

@@ -400,7 +400,7 @@ def local_search_reference(assigned, qn, dn):
                             [c for c in cols_of[mi] if c != drop[mi]]
                             + [add[mi]]))
                         move[mi] = new_cols
-                        gain += totals[mi] - total_for(mi, new_cols)
+                        gain = gain + totals[mi] - total_for(mi, new_cols)
                     if gain > best_gain:
                         best_gain, best_move = gain, move
         if best_move is None:
@@ -517,6 +517,15 @@ def headline_instance(seed, twins=False, masked=False):
                np.array([[5.0, 1.0, 1.0, 1.0, 3.0], [1.0, 5.0, 1.0, 2.0, 1.0],
                          [1.0, 1.0, 5.0, 1.0, 1.0]]),
                np.array([2.0, 2.0, 0.5])))
+# every message holds one column, and each single-column total is its
+# quote: swapping columns 0 and 1 and rotating 0 -> 2 -> 1 -> 0 both gain
+# exactly 6, so the swap, the earlier kind, is taken
+@example(inst=(np.arange(3), np.array([[4.0, 1.0, 4.0], [1.0, 4.0, 4.0],
+                                       [4.0, 1.0, 4.0]]), np.ones(3)))
+# the rotation 0 -> 2 -> 1 -> 0 gains 9, more than any move or swap
+@example(inst=(np.array([0, 1, 2, 2]),
+               np.array([[4.0, 4.0, 1.0, 4.0], [1.0, 4.0, 4.0, 4.0],
+                         [4.0, 1.0, 4.0, 4.0]]), np.ones(3)))
 @settings(max_examples=300, deadline=None)
 def test_local_search_matches_scalar_scan(inst):
     assigned, qn, dn = inst
@@ -549,7 +558,7 @@ def set_batches(draw):
 @example(batch=(np.full((1, 4), 2.0), np.array([1e-17]), np.zeros(2, dtype=int),
                 np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=bool)))
 @settings(max_examples=300, deadline=None)
-def test_set_totals_match_scalar_waterfill_bitwise(batch):
+def test_waterfill_sets_match_scalar_waterfill_bitwise(batch):
     qn, dn, owner, sets = batch
     power, rate, got, _ = _waterfill_sets(qn, dn, owner, sets)
     want = np.array([set_total_reference(qn, dn, mi, np.flatnonzero(row))
