@@ -5,10 +5,10 @@ with target quality levels, and the link parameters. Each trial draws one
 channel realization; every scheme sees the identical realization for a
 given trial index, so scheme comparisons are paired. Sweeps vary the user
 count, the antenna count, or the concentration shift of the viewing
-directions. `run_experiment` plans one trial index at a time, inside one
-`scope.trial_scope`, so the index's channel, tile sets, messages, audience
-channels and repeated allocation problems are computed once for all its
-trials.
+directions. `run_experiment` builds each tile set and message list once
+per run, and plans one trial index at a time inside one `scope.trial_scope`,
+so the index's channel, audience channels and repeated allocation problems
+are computed once for all its trials.
 
 Schemes:
   proposed-asymptotic  large-antenna beams + quoted allocation
@@ -21,6 +21,7 @@ import csv
 import io
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from .ofdma_alloc import (InfeasibleAllocationError, audit_allocation,
                           complete_allocation, solve_quoted_allocation)
 from .partition import QualityLadder, build_messages, build_partition, \
     unicast_messages
-from .scope import shared, trial_scope
+from .scope import run_scope, shared, shared_by_run, trial_scope
 
 SCHEMES = ("proposed-asymptotic", "proposed-dc",
            "baseline1-unicast", "baseline2-multicast")
@@ -235,24 +236,21 @@ def _read_only(ch: ChannelState) -> ChannelState:
     return ch
 
 
-def _tile_set(direction: ViewDirection, tiling: TilingConfig) -> set:
-    return shared(("tiles", direction, tiling),
-                  lambda: compute_tile_set(direction, tiling))
-
-
 def _messages(cfg: ScenarioConfig, viewers: tuple, unicast: bool) -> list:
     """The messages for `viewers`, (user number, direction, quality)
-    triples: one per user (unicast) or per distinct audience."""
+    triples: one per user (unicast) or per distinct audience, per run."""
     def build():
-        tile_sets = {k: _tile_set(d, cfg.tiling) for k, d, _ in viewers}
+        tile_sets = {k: shared_by_run(("tiles", d, cfg.tiling),
+                                      partial(compute_tile_set, d, cfg.tiling))
+                     for k, d, _ in viewers}
         qualities = {k: q for k, _, q in viewers}
         if unicast:
             return unicast_messages(tile_sets, qualities, cfg.ladder)
         return build_messages(build_partition(tile_sets), qualities,
                               cfg.ladder)
 
-    return shared(("messages", unicast, viewers, cfg.tiling, cfg.ladder),
-                  build)
+    return shared_by_run(
+        ("messages", unicast, viewers, cfg.tiling, cfg.ladder), build)
 
 
 def _failed(scheme, trial_index, seed) -> TrialResult:
@@ -268,9 +266,9 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
     The channel is always drawn for the configured user population so that
     subsets (the user-count sweep) stay paired with the full scenario; the
     plan only sees the subset's users, which keep their configured numbers
-    (user j + 1 is channel row j). Inside a `trial_scope`, the channel,
-    tile sets, messages, audience channels and allocation problems it has
-    in common with the scope's earlier trials are not computed again.
+    (user j + 1 is channel row j). What earlier trials computed is reused:
+    tile sets and messages within a `run_scope`, and the channel, audience
+    channels and allocation problems within a `trial_scope`.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
@@ -329,8 +327,10 @@ def sweep_values(cfg: ScenarioConfig, sweep: Optional[str]) -> list:
 
 def _trial_subsets(cfg: ScenarioConfig, trial_index: int) -> dict:
     """Each user count k's subset at one trial index: the first k entries
-    of the index's permutation, so subsets nest as k grows."""
-    rng = np.random.default_rng(derive_trial_seed(cfg.base_seed, trial_index))
+    of the index's permutation, so subsets nest as k grows; the
+    permutation's random stream is not the channel's."""
+    rng = np.random.default_rng(
+        (derive_trial_seed(cfg.base_seed, trial_index), 1))
     perm = rng.permutation(len(cfg.users))
     return {k: sorted(int(i) for i in perm[:k])
             for k in range(1, len(cfg.users) + 1)}
@@ -349,8 +349,8 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
     Data rows come in deterministic order (scheme, sweep point, trial);
     each block ends with mean and standard-error summary rows. Failed
     trials carry nan power and stay in the file; averages skip nan.
-    Trials are planned index by index, each index's (scheme, sweep
-    point) trials in one `trial_scope`.
+    Trials are planned in one `run_scope`, index by index, each index's
+    (scheme, sweep point) trials in one `trial_scope`.
 
     Every sweep point's config (which `ScenarioConfig` checks) is built,
     and `out_path` is opened, before the first trial.
@@ -367,14 +367,15 @@ def run_experiment(cfg: ScenarioConfig, sweep: Optional[str] = None,
 
     planned = {(scheme, i): [] for scheme in cfg.schemes
                for i in range(len(points))}
-    for t in range(cfg.trials):
-        subsets = _trial_subsets(cfg, t) if sweep == "k" else None
-        with trial_scope():
-            for scheme in cfg.schemes:
-                for i, (param, value, cfg_pt) in enumerate(points):
-                    subset = subsets[value] if param == "k" else None
-                    planned[scheme, i].append(
-                        run_trial(cfg_pt, scheme, t, user_subset=subset))
+    with run_scope():
+        for t in range(cfg.trials):
+            subsets = _trial_subsets(cfg, t) if sweep == "k" else None
+            with trial_scope():
+                for scheme in cfg.schemes:
+                    for i, (param, value, cfg_pt) in enumerate(points):
+                        subset = subsets[value] if param == "k" else None
+                        planned[scheme, i].append(
+                            run_trial(cfg_pt, scheme, t, user_subset=subset))
 
     for scheme in cfg.schemes:
         for i, (param, value, _) in enumerate(points):

@@ -11,29 +11,30 @@ multipliers gamma, D(gamma) = gamma.d - sum_n max_m g_mn(gamma_m), where
 g_mn is the gain of granting subcarrier n to message m at its
 water-filling power. Every gamma >= 0 makes D(gamma) a lower bound on
 the optimum. The max over messages is smoothed by a log-sum-exp at a
-temperature, and the smoothed dual is maximized in u = log gamma by
-damped Newton steps on its n_msg x n_msg Hessian. The multipliers start
-at one per-subcarrier rate for every message, the total demand over the
-subcarriers, so each message's share of them follows its demand, and
-the temperature, in units of the start's mean top gain, is annealed down
-to a fixed floor, each level warm-started from the last and solved to
-DUAL_TOL. At the floor, the smoothing's allowance n_sc*tau*ln(n_msg)
-stays below GAP_TOL of the bound on the default and paired scenarios.
-A level after the first starts at a predictor point, the last level's
-optimum moved along the path's tangent in the temperature (Euler
-continuation), whenever its smoothed value is finite; only otherwise is
-the last point valued at the new temperature. The line search shrinks a
-step on the smoothed value alone, to the peak of the quadratic through
-the value, the slope and the rejected trial. Each point costs one pass
-for its rates, gamma*rate and gains, from the quotes' log2 taken once
-per solve, and one softmax, which its value, gradient, Hessian and
-tangent all read; the gradient and Hessian are computed once per
-accepted step. The exact dual at the final multipliers, or the trivial
-bound 0 when it is lower, is the reported bound; the gap between it and
-the plan is mostly the problem's integrality gap, which no dual method
-closes, so `converged` (gap within GAP_TOL) is honest. A plan whose
-water level would pass the water-fill's 2^1000 cap is refused as
-infeasible.
+temperature, and the smoothed dual, concave in gamma, is maximized by
+damped Newton steps in gamma, each one n_msg x n_msg solve with its
+curvature. The multipliers start at one per-subcarrier rate for every
+message, the total demand over the subcarriers, so each message's share
+of them follows its demand, and the temperature, in units of the
+start's mean top gain, is annealed down to a fixed floor, each level
+warm-started from the last and solved to DUAL_TOL. At the floor, the
+smoothing's allowance n_sc*tau*ln(n_msg) stays below GAP_TOL of the
+bound on the default and paired scenarios. A level after the first
+starts at a predictor point, the last level's optimum moved along the
+path's tangent in the temperature (Euler continuation), whenever its
+smoothed value is finite; only otherwise is the last point valued at
+the new temperature. The line search shrinks a step on the smoothed
+value alone, to the peak of the quadratic through the value, the slope
+and the rejected trial. Each point costs one pass for its rates,
+gamma*rate and gains, from the quotes' log2 taken once per solve, and
+one softmax, which its value, gradient, curvature and tangent all read;
+the gradient and curvature are computed once per accepted step. The
+exact dual at the final multipliers, or the trivial bound 0 when it is
+lower, is the reported bound; the gap between it and the plan is mostly
+the problem's integrality gap, which no dual method closes, so
+`converged` (gap within GAP_TOL) is honest. A plan whose water level
+would pass the water-fill's 2^1000 cap is refused as infeasible, before
+the dual when the demands alone force such a level.
 
 The argmax assignment at the final multipliers, repaired so that every
 message holds a subcarrier it can use (each starved message by a
@@ -601,14 +602,14 @@ def _gains(gamma: np.ndarray, qn: np.ndarray, log2q: np.ndarray):
     rate r = log2(1 + p/q) = max(0, log2(gamma/ln2) - log2 q), in
     multiples of the bandwidth; the gain is gamma*r - p. A pair is active
     where its rate is positive. Returns (gain, rate, grate), grate =
-    gamma*r being the gain's derivative in log gamma; all are zero off the
-    active pairs.
+    gamma*r being the gain's derivative in log gamma; off the active
+    pairs, rate and grate are zero and the gain is zero up to rounding.
     """
     water = gamma / LN2
-    rate = np.maximum(np.log2(water)[:, None] - log2q, 0.0)
+    rate = np.maximum(np.subtract(np.log2(water)[:, None], log2q), 0.0)
     grate = gamma[:, None] * rate
-    gain = grate - (water[:, None] - qn)
-    gain[rate == 0.0] = 0.0
+    gain = np.subtract(water[:, None], qn)      # the power, cut below
+    np.subtract(grate, np.maximum(gain, 0.0, out=gain), out=gain)
     return gain, rate, grate
 
 
@@ -618,29 +619,32 @@ def _dual_value(gamma: np.ndarray, gains, dn: np.ndarray, tau: float):
     are gains. Returns (value, parts): parts hold the point and its
     softmax over messages, which `_dual_derivatives` and `_dual_tau_slope`
     read. The value is at most n_sc*tau*ln(n_msg) below the exact dual."""
-    top = gains[0].max(axis=0)
-    e = np.exp((gains[0] - top) / tau)
-    z = e.sum(axis=0)
-    value = float(gamma @ dn - (top + tau * np.log(z)).sum())
-    return value, (gamma, gains, e / z)
+    top = np.maximum.reduce(gains[0], axis=0)
+    share = np.subtract(gains[0], top)
+    np.exp(np.divide(share, tau, out=share), out=share)
+    z = np.add.reduce(share, axis=0)
+    value = float(gamma @ dn - np.add.reduce(top)
+                  - tau * np.add.reduce(np.log(z)))
+    share /= z
+    return value, (gamma, gains, share)
 
 
 def _dual_derivatives(dn: np.ndarray, tau: float, parts):
-    """Gradient and Hessian in u of the smoothed dual, from the parts
-    `_dual_value` returned at the same point and temperature. A pair's
-    gain has first derivative grate in u, and second grate + gamma/ln2
-    where it is active."""
+    """Gradient in u = log gamma of the smoothed dual and its curvature
+    A = -H_u + diag(grad), the gamma-Hessian negated and scaled by gamma
+    on both sides, from the parts `_dual_value` returned at the same point
+    and temperature: with w1 = share*grate, A = (diag(sum_n w1 grate) -
+    w1 w1^T) / tau + diag(gamma/ln2 * active shares), a sum of softmax
+    covariances and so positive semidefinite."""
     gamma, (_, rate, grate), share = parts
-    curve = np.where(rate > 0.0, grate + gamma[:, None] / LN2, 0.0)
     w1 = share * grate
-    size = gamma * dn
-    grad = size - w1.sum(axis=1)
-    hess = w1 @ w1.T
-    hess /= tau
-    hess.flat[::gamma.size + 1] = (
-        size - (share * curve).sum(axis=1)
-        - (w1 * (1.0 - share) * grate).sum(axis=1) / tau)
-    return grad, hess
+    grad = gamma * dn - np.add.reduce(w1, axis=1)
+    curv = w1 @ w1.T
+    curv /= -tau
+    curv.flat[::gamma.size + 1] += (
+        np.add.reduce(w1 * grate, axis=1) / tau
+        + gamma / LN2 * np.add.reduce(share, axis=1, where=rate > 0.0))
+    return grad, curv
 
 
 def _dual_tau_slope(tau: float, parts):
@@ -649,13 +653,13 @@ def _dual_tau_slope(tau: float, parts):
     sum_n grate_mn share_mn (g_mn - gbar_n) / tau^2, gbar_n being the
     share-weighted mean gain of subcarrier n."""
     _, (gain, _, grate), share = parts
-    spread = gain - (share * gain).sum(axis=0)
-    return (share * spread * grate).sum(axis=1) / tau ** 2
+    spread = share * (gain - np.add.reduce(share * gain, axis=0))
+    return np.add.reduce(spread * grate, axis=1) / tau ** 2
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dual_solve(qn: np.ndarray, dn: np.ndarray):
-    """Maximize the smoothed dual by damped Newton steps in u = log gamma.
+    """Maximize the smoothed dual by damped Newton steps in gamma.
 
     Starts every message where its cheapest quote carries the same rate,
     the total demand over n_sc (at most 500), so its share of the
@@ -663,49 +667,49 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     TEMPERATURES (times the start's mean per-subcarrier top gain),
     warm-starting each level. Every level, the floor too, ends at
     DUAL_TOL: the floor's smoothing already costs up to
-    n_sc*tau*ln(n_msg) of the dual, so a tighter stop buys nothing. Each
-    step is Newton's on the Hessian with its eigenvalues made negative
-    (their magnitude kept), capped at MAX_LOG_STEP per coordinate and
-    shrunk until the smoothed value rises enough: to the peak of the
-    quadratic through the value, the slope and the rejected trial's
-    value, kept within [0.1, 0.5] of the step (a halving when the trial
-    is not finite). A trial step costs one value,
-    from one `_gains` pass, and the derivatives are taken once per
-    accepted step, from the softmax of that value. A level that ends
-    above the floor leaves the tangent of the path of optima, du/dtau =
-    (-H)^-1 d grad/d tau, from its last Hessian factors and softmax; the
-    next level values the point moved along it to the new temperature
-    (capped at MAX_LOG_STEP per coordinate) and starts there whenever
-    that value is finite. Only otherwise, and at the first level, is the
-    last point valued at the new temperature. Returns (gamma, gain, steps,
-    evaluations, predictions, tau): the final multipliers, their `_gains`
-    gain, the steps taken, the smoothed-dual values computed, the
-    predictor points kept and the floor temperature. Raises
-    InfeasibleAllocationError when the smoothed value, its gradient or
-    its Hessian is not finite, as when the demands need multipliers past
-    floating point; the overflows on the way there are not warned about.
+    n_sc*tau*ln(n_msg) of the dual, so a tighter stop buys nothing. A
+    step solves (A + floor I) delta = grad, A being `_dual_derivatives`'
+    curvature, and tries the Newton point gamma (1 + delta), or the point
+    of that segment, along which the dual is concave, where a log
+    multiplier first moves MAX_LOG_STEP. A trial is shrunk until the
+    smoothed value rises enough: to the peak of the quadratic through the
+    value, the slope and the rejected trial's value, kept within
+    [0.1, 0.5] of the trial (a halving when it is not finite).
+    A level that ends above the floor leaves the tangent of the path of
+    optima, du/dtau = (A + floor I)^-1 d grad/d tau, from its last
+    curvature and softmax; the next level values the point moved along
+    it to the new temperature (capped at MAX_LOG_STEP per coordinate) and
+    starts there whenever that value is finite. Only otherwise, and at
+    the first level, is the last point valued at the new temperature.
+    Returns (gamma, gain, steps, evaluations, predictions, tau): the
+    final multipliers, their `_gains` gain, the steps taken, the
+    smoothed-dual values computed, the predictor points kept and the
+    floor temperature. Raises InfeasibleAllocationError when the smoothed
+    value, its gradient or its curvature is not finite, as when the
+    demands need multipliers past floating point; the overflows on the
+    way there are not warned about.
     """
     n_msg, n_sc = qn.shape
     log2q = np.log2(qn)
-    qmin = np.nanmin(np.where(np.isfinite(qn), qn, np.nan), axis=1)
-    u = np.log(LN2 * qmin) + LN2 * min(float(dn.sum()) / n_sc, 500.0)
-    gamma = np.exp(u)
+    gamma = np.exp(np.log(LN2 * qn.min(axis=1))
+                   + LN2 * min(float(dn.sum()) / n_sc, 500.0))
     gains = _gains(gamma, qn, log2q)
     scale = float(gains[0].max(axis=0).mean())
     steps = evaluations = predictions = 0
     tau = tangent = None
+    # the relative rise and fall that move a log multiplier MAX_LOG_STEP
+    rise, fall = math.expm1(MAX_LOG_STEP), -math.expm1(-MAX_LOG_STEP)
     for rel in TEMPERATURES:
         last_tau, tau = tau, rel * scale
         value = None
         if tangent is not None:
             du = (tau - last_tau) * tangent
             du *= MAX_LOG_STEP / max(MAX_LOG_STEP, np.abs(du).max())
-            pred_gamma = np.exp(u + du)
+            pred_gamma = gamma * np.exp(du)
             pred_gains = _gains(pred_gamma, qn, log2q)
             pred, pred_parts = _dual_value(pred_gamma, pred_gains, dn, tau)
             evaluations += 1
             if math.isfinite(pred):
-                u = u + du
                 gamma, gains = pred_gamma, pred_gains
                 value, parts = pred, pred_parts
                 predictions += 1
@@ -715,57 +719,54 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
             value, parts = _dual_value(gamma, gains, dn, tau)
             evaluations += 1
         while steps < MAX_DUAL_STEPS:
-            grad, hess = _dual_derivatives(dn, tau, parts)
+            grad, curv = _dual_derivatives(dn, tau, parts)
+            floor = 1e-12 * curv.diagonal().max() + 1e-300
+            curv.flat[::n_msg + 1] += floor
             try:
-                lam, vec = np.linalg.eigh(-hess)
-            except np.linalg.LinAlgError:           # a non-finite Hessian
-                lam, vec = np.full(n_msg, math.nan), np.eye(n_msg)
-            lam = np.abs(lam)
-            lam = np.maximum(lam, 1e-12 * lam.max() + 1e-300)
-            proj = vec.T @ grad
-            newton = proj / lam
+                delta = np.linalg.solve(curv, grad)
+            except np.linalg.LinAlgError:           # a singular curvature
+                delta = np.full(n_msg, math.nan)
             # squared Newton decrement: twice the rise the step predicts
-            decrement = float(proj @ newton)
-            # a non-finite value, gradient or Hessian shows in one of these
+            decrement = float(grad @ delta)
+            # a non-finite value, gradient or curvature shows in these
             if not (math.isfinite(value) and math.isfinite(decrement)
-                    and math.isfinite(lam[0])):
+                    and math.isfinite(floor)):
                 raise InfeasibleAllocationError(
                     f"the allocator's dual diverged after {steps} Newton "
-                    f"steps: its smoothed value, gradient or Hessian at "
+                    f"steps: its smoothed value, gradient or curvature at "
                     f"temperature {tau:.3g} is not finite")
             if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
                 break
-            step = vec @ newton
-            step *= min(1.0, MAX_LOG_STEP / np.abs(step).max())
-            slope = float(grad @ step)
+            # the trial gamma (1 + t delta), where the value's slope in t
+            # is the decrement
+            t = min(1.0, float(np.min(np.where(delta > 0.0, rise, fall)
+                                      / np.abs(delta))))
             steps += 1
             for _ in range(40):
-                trial_gamma = np.exp(u + step)
+                slope = decrement * t
+                trial_gamma = gamma * (1.0 + t * delta)
                 trial_gains = _gains(trial_gamma, qn, log2q)
                 trial, trial_parts = _dual_value(trial_gamma, trial_gains,
                                                  dn, tau)
                 evaluations += 1
                 if trial >= value + 1e-4 * slope:
                     break
-                # the peak of value + slope t + c t^2 through the trial at
-                # t = 1, where c = trial - value - slope < 0
+                # the peak of value + slope s + c s^2 through the trial at
+                # s = 1, s in units of t, where c = trial - value - slope < 0
                 shrink = (min(0.5, max(0.1, 0.5 * slope
                                        / (value + slope - trial)))
                           if math.isfinite(trial) else 0.5)
-                step *= shrink
-                slope *= shrink
+                t *= shrink
             else:
                 break                               # no rise left to find
-            u = u + step
             gamma, gains = trial_gamma, trial_gains
             value, parts = trial, trial_parts
-        # the path's tangent du/dtau = (-H)^-1 d grad/d tau, for the next
-        # level's predictor; past the step cap no level moves again, and
-        # the last factors may not be this point's
+        # the path's tangent du/dtau = (A + floor I)^-1 d grad/d tau, for
+        # the next level's predictor; past the step cap no level moves
+        # again, and the last curvature may not be this point's
         tangent = None
         if steps < MAX_DUAL_STEPS and rel != TEMPERATURES[-1]:
-            dgrad = vec.T @ _dual_tau_slope(tau, parts)
-            tangent = vec @ (dgrad / lam)
+            tangent = np.linalg.solve(curv, _dual_tau_slope(tau, parts))
     return gamma, gains[0], steps, evaluations, predictions, tau
 
 
@@ -828,6 +829,11 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
     qn = quotes / q_ref
     dn = demands / bandwidth
     msgs = np.arange(n_msg)
+    # some message holds at most n_sc d_m / sum(d) columns: its water
+    # level is at least 2^(sum(d) / n_sc) times the cheapest quote
+    if dn.sum() / n_sc + np.log2(qn.min()) >= 1000.0:
+        raise InfeasibleAllocationError(
+            "each plan needs a water level past 2^1000 times the median quote")
 
     gamma = None
     steps = evaluations = predictions = passes = moves = exact_passes = 0

@@ -1,37 +1,45 @@
-"""Work shared by the trials of one trial index.
+"""Work shared by the trials of one run and of one trial index.
 
-Every scheme and sweep point of a trial index sees the same channel
-realization, and often the same tile sets, messages and allocation
-problems. `harness.run_experiment` plans each index's trials inside one
-`trial_scope`; there `shared` builds each key's value once and hands
-that one value to the scope's later calls, which only read it. Outside
-a scope nothing is kept, and `shared` builds its value on every call.
+`harness.run_experiment` opens one `run_scope` per run and, inside it,
+one `trial_scope` per trial index. `shared_by_run` keeps what depends on
+the config and the viewers alone, the tile sets and message lists, for
+the run; `shared` keeps what depends on the index's channel draw, the
+channel, audience channels and allocation problems, for the index. Each
+builds a key's value once and hands that one value to its scope's later
+calls, which only read it. Outside its scope nothing is kept, and the
+value is built on every call.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import partial
 
-# the open scope's values by key; None outside a scope
+# the open scopes' values by key; None outside a scope
+_RUN = ContextVar("tilecast_run_memo", default=None)
 _MEMO = ContextVar("tilecast_trial_memo", default=None)
 
 
 @contextmanager
-def trial_scope():
-    """Share work among the calls made in the block; nothing outlives it."""
-    token = _MEMO.set({})
+def _scope(memo: ContextVar):
+    """Keep `memo`'s values for the block; nothing outlives it."""
+    token = memo.set({})
     try:
         yield
     finally:
-        _MEMO.reset(token)
+        memo.reset(token)
 
 
-def shared(key, build):
-    """`build()`, built once per key inside a trial scope; every call
+def _kept(memo: ContextVar, key, build):
+    """`build()`, built once per key inside `memo`'s scope; every call
     with that key gets the same object, so its callers share it and
     never write into it."""
-    memo = _MEMO.get()
-    if memo is None:
+    values = memo.get()
+    if values is None:
         return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    if key not in values:
+        values[key] = build()
+    return values[key]
+
+
+run_scope, shared_by_run = partial(_scope, _RUN), partial(_kept, _RUN)
+trial_scope, shared = partial(_scope, _MEMO), partial(_kept, _MEMO)

@@ -365,7 +365,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "f85ba39b8e8b38e6654e6ef00a42b4ea25e19b3b85a5ca5b75a79eca4c8927a5")
+    "b16e6ded636e84f38d79712dac5a3a8d5b2f838dd002cfac8d1ddd9c0cb3830f")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -379,7 +379,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "e2a196897ec192d4e364e67e60807a084a79cec72598ec5de20f4ba4c45b0a92")
+    "7bfc927ea89b8d41a5eedf9270d69d9ff6a682a1d417b24367e2e08a88aa19a5")
 
 
 def test_default_config_csv_bytes_pinned():
@@ -392,7 +392,7 @@ def test_default_config_csv_bytes_pinned():
 # Per-user large-scale gains under the user-count sweep: every subset must
 # read its own users' channel rows and gains, so a wrong row shows here.
 BETA_KSWEEP_SHA256 = (
-    "eb125ef91fd02a7bf0996f64344798e61b4bd05263d077f964b88718caaca432")
+    "9863cfec508d9965304f35a1f0f30ccef3a0a7366f01a49571907e146a523936")
 
 
 def test_per_user_beta_ksweep_csv_bytes_pinned():
@@ -406,7 +406,7 @@ def test_per_user_beta_ksweep_csv_bytes_pinned():
 # The antenna sweep at two trials: five antenna counts at 64 subcarriers,
 # where the local search reads its flip tables in closed form.
 M_SWEEP_SHA256 = (
-    "f9d47475cf4d35e78ca1a04abe6a7036cf79791464761a29f4a61d8bc70cf824")
+    "17e9f9d371d5812b2788a3c537553ff9cb27cd9d69f268c3298d5110b6563ca6")
 
 
 def m_sweep_text():
@@ -424,7 +424,7 @@ def test_m_sweep_csv_bytes_pinned():
 # input whose audiences reach three users, so its bytes cover the CCP, its
 # start and the `eigh` branch of MRT.
 THREE_VIEWER_KSWEEP_SHA256 = (
-    "8c715bbf1cbac18578b91cbed4acf97a14862341e682600cf6c1c25ffe23361b")
+    "65d4406fd591d8ab419ebab047052250b9cf067e93a1ed209d12e43ecad30e46")
 
 
 def test_three_viewer_ksweep_csv_bytes_pinned():

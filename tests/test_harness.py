@@ -624,6 +624,48 @@ def test_allocation_shared_only_on_equal_inputs():
                 ofdma_alloc.solve_quoted_allocation(*args).power_sum
 
 
+@pytest.mark.parametrize("sweep", [None, "k"])
+def test_tile_sets_and_messages_built_once_per_run(sweep, monkeypatch):
+    # tile sets and message lists depend on the config and the viewers,
+    # never on the trial index: one build per distinct direction and per
+    # distinct (viewers, unicast) pair in a run, again in the next run,
+    # and a trial planned alone matches the one planned inside the run
+    cfg = replace(default_config(), trials=3)
+    builds = {"tiles": 0, "partition": 0, "unicast": 0}
+    results = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            builds[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for attr, name in (("compute_tile_set", "tiles"),
+                       ("build_partition", "partition"),
+                       ("unicast_messages", "unicast")):
+        monkeypatch.setattr(harness, attr,
+                            counted(name, getattr(harness, attr)))
+    real = harness.run_trial
+    monkeypatch.setattr(
+        harness, "run_trial",
+        lambda *args, **kwargs: results.append(
+            (args, kwargs, real(*args, **kwargs))) or results[-1][2])
+    subsets = {tuple(_trial_subsets(cfg, t)[k]) for t in range(cfg.trials)
+               for k in range(1, len(cfg.users) + 1)}
+    viewer_sets = len(subsets) if sweep == "k" else 1
+    directions = len({u.direction for u in cfg.users})
+    for runs in (1, 2):
+        run_experiment(cfg, sweep=sweep)
+        assert builds == {"tiles": runs * directions,
+                          "partition": runs * viewer_sets,
+                          "unicast": runs * viewer_sets}
+    monkeypatch.undo()
+    assert len(results) == 2 * len(SCHEMES) * cfg.trials * (
+        len(cfg.users) if sweep == "k" else 1)
+    for args, kwargs, planned in results:
+        assert run_trial(*args, **kwargs) == planned
+
+
 def test_no_scope_outlives_run_experiment(monkeypatch):
     # one fresh scope per trial index, none after the sweep returns or
     # raises

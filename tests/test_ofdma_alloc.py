@@ -706,13 +706,14 @@ def test_solver_reports_search_counts():
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == alloc.iterations > 0
     # one value per level start (the predictor point, else the last
-    # point) and per trial step, each step tried once at least; 26 values
-    # in 10 steps, 32 in 14 from a fair-share start down to a 1e-6 floor
-    # solved to 1e-6, 37 when each level also valued its warm start, 60 in
-    # 21 without the predictor, 94 with 1e-6 at every level and plain
-    # halving
+    # point) and per trial step, each step tried once at least; 21 values
+    # in 8 steps, 26 in 10 with Newton steps on the Hessian in log gamma
+    # (eigenvalues flipped negative), 32 in 14 from a fair-share start down
+    # to a 1e-6 floor solved to 1e-6, 37 when each level also valued its
+    # warm start, 60 in 21 without the predictor, 94 with 1e-6 at every
+    # level and plain halving
     assert diag["dual_evaluations"] >= diag["dual_steps"] + len(TEMPERATURES)
-    assert diag["dual_evaluations"] == 26
+    assert diag["dual_evaluations"] == 21
     assert 1 <= diag["dual_predictions"] <= len(TEMPERATURES) - 1
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
@@ -722,12 +723,13 @@ def test_solver_reports_search_counts():
     # pass from the start, not after bounds that could not
     assert diag["local_search_exact_passes"] == 0
     # two messages go through the dual and the search at any size; at
-    # 2 x 6 the repaired argmax is already a local optimum
+    # 2 x 6 the repaired argmax is already a local optimum (5 steps in 11
+    # values, 10 with steps in log gamma)
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     diag = small.diagnostics
     assert diag["start"] == "dual"
     assert diag["dual_steps"] == small.iterations == 5
-    assert diag["dual_evaluations"] == 10
+    assert diag["dual_evaluations"] == 11
     assert diag["local_search_passes"] == 1
     assert diag["local_search_moves"] == 0
     # moves only, on closed-form totals: equal quotes in a row tie every
@@ -1004,6 +1006,49 @@ def test_tau_slope_matches_central_difference():
                       <= 1e-5 * np.abs(slope) + 100.0 * EPS * size / h)
         informative += int((np.abs(slope) >= 1e-6 * size / tau).sum())
     assert informative >= 50
+
+
+def test_curvature_is_the_scaled_gamma_hessian():
+    # the Newton steps' curvature A against a central difference in gamma
+    # of the gradient in gamma, grad / gamma: A = -diag(gamma) J
+    # diag(gamma), and A is symmetric positive semidefinite. Every third
+    # instance has 30 % of its quotes unusable. With h = 1e-6 gamma_j the
+    # difference carries about 1e6 EPS gamma d of rounding per entry (3e-9
+    # of the larger of |A| and gamma d at worst here), so 1e-6 is allowed
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n_msg, n_sc = int(rng.integers(2, 7)), int(rng.integers(4, 17))
+        qn = 10.0 ** rng.uniform(-1, 1, size=(n_msg, n_sc))
+        if seed % 3 == 0:
+            unusable = rng.random((n_msg, n_sc)) < 0.3
+            unusable[np.arange(n_msg), rng.integers(0, n_sc, n_msg)] = False
+            qn[unusable] = math.inf
+        dn = rng.uniform(0.5, 4.0, size=n_msg)
+        log2q = np.log2(qn)
+        gamma = np.exp(np.log(LN2 * qn.min(axis=1)) + LN2 * dn * n_msg / n_sc
+                       + np.abs(rng.normal(0.0, 0.5, n_msg)))
+        tau = (float(_gains(gamma, qn, log2q)[0].max(axis=0).mean())
+               * 10.0 ** rng.uniform(-3, -1))
+
+        def derivatives(g):
+            parts = _dual_value(g, _gains(g, qn, log2q), dn, tau)[1]
+            return _dual_derivatives(dn, tau, parts)
+
+        curv = derivatives(gamma)[1]
+        jac = np.empty((n_msg, n_msg))
+        for j in range(n_msg):
+            h = 1e-6 * gamma[j]
+            up, down = gamma.copy(), gamma.copy()
+            up[j] += h
+            down[j] -= h
+            jac[:, j] = (derivatives(up)[0] / up
+                         - derivatives(down)[0] / down) / (2.0 * h)
+        scale = max(np.abs(curv).max(), float(gamma @ dn))
+        np.testing.assert_allclose(curv, -gamma[:, None] * jac * gamma,
+                                   rtol=0.0, atol=1e-6 * scale)
+        np.testing.assert_allclose(curv, curv.T, rtol=0.0,
+                                   atol=1e-12 * np.abs(curv).max())
+        assert np.linalg.eigvalsh(curv).min() >= -1e-12 * np.abs(curv).max()
 
 
 def test_brute_force_single_message_closed_form():
