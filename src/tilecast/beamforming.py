@@ -17,10 +17,10 @@ procedure (Lipp & Boyd 2016) from `_ccp_start` (max-min).
 Every plan reads the audiences from one padded tensor
 (`channel._audience`) and shares one quote rule.
 
-A quote q for a direction w is the power price of rate on that beam: sending
-power p (in the per-antenna-normalized convention used throughout) gives
-every audience member at least B*log2(1 + p/q), with equality for the
-bottleneck user. Smaller quotes are better.
+A quote q for a direction w is the power price of rate on that beam, in
+watts per unit SNR: sending power p watts gives every audience member at
+least B*log2(1 + p/q), with equality for the bottleneck user. Smaller quotes
+are better.
 """
 
 from dataclasses import dataclass
@@ -50,13 +50,13 @@ class BeamPlan:
 
 def _quotes(ch, h, beta, mask, w) -> np.ndarray:
     """Quote of each (message, subcarrier) direction for its audience:
-    m*noise / min over audience users of beta|h^H w|^2, inf where that
+    noise / min over audience users of beta|h^H w|^2, inf where that
     minimum is 0. h, beta and mask come from `channel._audience`."""
     gains = beta[:, None, :] * np.abs(np.einsum("inam,inm->ina", h.conj(), w)) ** 2
     gmin = np.where(mask[:, None, :], gains, np.inf).min(axis=2)
     q = np.full(gmin.shape, np.inf)
     pos = gmin > 0.0
-    q[pos] = ch.m * ch.noise_w / gmin[pos]
+    q[pos] = ch.noise_w / gmin[pos]
     return q
 
 

@@ -2,8 +2,9 @@
 allocation.
 
 With one message per subcarrier, a (message, subcarrier) pair's power
-quote depends only on its beam's bottleneck gain, min_k beta_k|h_k^H w|^2,
-and not on the assignment, the power or the rate. So the joint
+quote in watts per unit SNR, the noise power over its beam's bottleneck
+gain min_k beta_k|h_k^H w|^2, depends on that beam alone: not on the
+assignment, the power or the rate. So the joint
 beam/assignment/power problem splits exactly into two steps: per pair the
 max-min-fair multicast beam (`beamforming.beam_plan_maxmin`), then the
 quoted allocation (`ofdma_alloc.solve_quoted_allocation`), run once.
@@ -39,14 +40,15 @@ def dc_solve(ch, messages) -> Allocation:
     `iterations`, `unique_argmax`, `duality_gap` and `dual_bound` are the
     allocation's. `converged` says that its gap is within `GAP_TOL` and
     that neither its local search nor the CCP stopped at its cap.
-    Diagnostics carry the plan's total power in watts as the one entry of
-    `e_trace`, the number of CCP sweeps as `outer_iterations`, and the
-    allocation's own diagnostics; the allocation itself is left as it is.
+    Diagnostics carry the plan's total power in watts, its `power_sum`, as
+    the one entry of `e_trace`, the number of CCP sweeps as
+    `outer_iterations`, and the allocation's own diagnostics; the
+    allocation itself is left as it is.
     """
     messages = list(messages)   # read by the beam plan and the allocation
     plan = beam_plan_maxmin(ch, messages)
     alloc = initial_point(ch, messages, plan)
     return replace(alloc, converged=alloc.converged and not plan.capped,
                    diagnostics={**alloc.diagnostics,
-                                "e_trace": [alloc.total_power_w],
+                                "e_trace": [alloc.power_sum],
                                 "outer_iterations": plan.sweeps})

@@ -306,7 +306,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
     if problems:
         return _failed(scheme, trial_index, seed)
     return TrialResult(scheme=scheme, trial_index=trial_index, seed=seed,
-                       total_power_w=alloc.total_power_w,
+                       total_power_w=alloc.power_sum,
                        converged=alloc.converged,
                        unique_argmax=alloc.unique_argmax,
                        iterations=alloc.iterations)

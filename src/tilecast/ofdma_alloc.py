@@ -71,11 +71,6 @@ filled only as wide as its largest set.
 A brute-force oracle enumerates all assignments for small instances,
 filling each (message, column set) once by bisection; the allocator
 itself never enumerates.
-
-Power convention: quotes already contain the antenna count and noise factor,
-so a stored per-pair power p gives rate B*log2(1 + p/q); the physical
-transmit power of a pair is p divided by the antenna count, applied when the
-beam plan is attached.
 """
 
 import functools
@@ -117,9 +112,10 @@ class Allocation:
     read-only and its diagnostics a read-only mapping, so a kept plan is
     shared as it is, and `dataclasses.replace` makes a changed one.
 
-    assign/power/rate have shape (n_messages, n_sc). power follows the
-    quote convention (physical watts are power/m). complete_allocation
-    returns the plan with beams and total_power_w = power_sum / m.
+    assign/power/rate have shape (n_messages, n_sc). Since quotes are in
+    watts per unit SNR, power, power_sum and dual_bound are in watts and
+    gamma in watts per bit/s. complete_allocation returns the plan with
+    its beams.
     """
 
     assign: np.ndarray
@@ -127,7 +123,6 @@ class Allocation:
     rate: np.ndarray
     power_sum: float
     beams: np.ndarray = None
-    total_power_w: float = None
     converged: bool = True
     unique_argmax: bool = True
     iterations: int = 0
@@ -974,21 +969,16 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
 
 
 def complete_allocation(alloc: Allocation, plan) -> Allocation:
-    """`alloc` with per-subcarrier beams and the physical total power;
-    `alloc` itself is left as it is.
-
-    The subcarrier's beam is the assigned message's direction; physical
-    total power divides the stored power sum by the antenna count.
-    """
+    """`alloc` with per-subcarrier beams, each the assigned message's
+    direction; `alloc` itself is left as it is."""
     n_sc = alloc.assign.shape[1]
-    m = plan.w.shape[2]
     assigned = np.argmax(alloc.assign, axis=0)
     beams = plan.w[assigned, np.arange(n_sc)]
     bad = np.abs(np.linalg.norm(beams, axis=1) - 1.0) > 1e-9
     if bad.any():
         n = int(np.argmax(bad))
         raise ValueError(f"missing or non-unit beam for message {assigned[n]}, subcarrier {n}")
-    return replace(alloc, beams=beams, total_power_w=alloc.power_sum / m)
+    return replace(alloc, beams=beams)
 
 
 def audit_allocation(alloc: Allocation, ch, messages) -> list:
@@ -1021,7 +1011,7 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
         mi, n = np.nonzero((assign == 1) & (rate > 0))   # the pairs that carry
         g = beta[mi] * np.abs(
             np.einsum("pam,pm->pa", h[mi, n].conj(), alloc.beams[n])) ** 2
-        snr = power[mi, n, None] * g / (ch.m * ch.noise_w)
+        snr = power[mi, n, None] * g / ch.noise_w
         with np.errstate(invalid="ignore"):  # negative power is flagged above
             user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
         below = (user_rates < rate[mi, n, None] * (1.0 - AUDIT_TOL)) & mask[mi]

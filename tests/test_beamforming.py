@@ -56,7 +56,6 @@ def asymptotic_beam(h_aud, beta, noise_w):
     subcarrier, from h_aud (n_sc, a, m) and beta (a,). w is zero where the
     weighted channel sum vanishes; q is inf there and wherever some member's
     gain on w is zero."""
-    m = h_aud.shape[2]
     agg = (h_aud / np.sqrt(beta)[None, :, None]).sum(axis=1)
     nrm = np.linalg.norm(agg, axis=1)
     ok = nrm > 0.0
@@ -66,7 +65,7 @@ def asymptotic_beam(h_aud, beta, noise_w):
     gmin = gains.min(axis=1)
     q = np.full(gmin.shape, np.inf)
     pos = ok & (gmin > 0.0)
-    q[pos] = m * noise_w / gmin[pos]
+    q[pos] = noise_w / gmin[pos]
     return w, q
 
 
@@ -83,15 +82,15 @@ def test_single_user_is_mrt():
         noise = float(rng.uniform(1e-10, 1e-8))
         w, q = one_subcarrier(beam_plan_asymptotic, h, beta, noise)
         assert align(w, h[0] / np.linalg.norm(h[0])) >= 1 - 1e-12
-        expected = m * noise / (beta * np.linalg.norm(h[0]) ** 2)
-        assert q == pytest.approx(expected, rel=1e-12)
+        expected = noise / (beta * np.linalg.norm(h[0]) ** 2)
+        assert q == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_two_orthogonal_users_hand_case():
     h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_asymptotic, h, 1.0, 1.0)
     np.testing.assert_allclose(w, np.array([1.0, 1.0]) / np.sqrt(2))
-    assert q == pytest.approx(4.0, rel=1e-12)
+    assert q == pytest.approx(2.0, rel=1e-12)
 
 
 def test_orthogonal_channels_equalize_weighted_gains():
@@ -120,8 +119,8 @@ def test_quote_self_consistency():
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         # bottleneck user sits exactly at the quote
         gmin = (beta * np.abs(h.conj() @ w) ** 2).min()
-        assert m * noise / gmin == pytest.approx(q, rel=1e-12)
-        assert gmin * q / (m * noise) == pytest.approx(1.0, abs=1e-9)
+        assert noise / gmin == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert gmin * q / noise == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cancelling_channels_degenerate():
@@ -148,7 +147,7 @@ def test_beats_random_direction_search():
         dirs = crandn(rng, 10000, m)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         gains = beta[None, :] * np.abs(dirs.conj() @ h.T) ** 2
-        best = (m * noise / gains.min(axis=1)).min()
+        best = (noise / gains.min(axis=1)).min()
         assert q <= 1.05 * best
 
 
@@ -218,7 +217,7 @@ def dense_principal(h, beta, noise_w):
     cov = (beta[:, None, None] * (h[:, :, None] * h[:, None, :].conj())).sum(0)
     lam, vec = np.linalg.eigh(cov)
     gmin = (beta * np.abs(h.conj() @ vec[:, -1]) ** 2).min()
-    q = h.shape[1] * noise_w / gmin if gmin > 0.0 else np.inf
+    q = noise_w / gmin if gmin > 0.0 else np.inf
     return vec[:, -1], lam[-1], q, cov
 
 
@@ -246,7 +245,7 @@ def test_mrt_two_users_match_dense_eigh():
         if np.isinf(q_ref):
             assert q == np.inf
         else:
-            assert q == pytest.approx(q_ref, rel=1e-12)
+            assert q == pytest.approx(q_ref, rel=1e-12, abs=0.0)
         if not h.any():
             assert np.array_equal(w, w_ref)                 # e_{m-1}
 
@@ -295,8 +294,8 @@ def test_quote_for_single_user_mrt():
     h = crandn(rng, 1, m)
     beta, noise = 1.7, 2e-9
     _, q = one_subcarrier(beam_plan_mrt, h, beta, noise)
-    assert q == pytest.approx(m * noise / (beta * np.linalg.norm(h[0]) ** 2),
-                              rel=1e-12)
+    assert q == pytest.approx(noise / (beta * np.linalg.norm(h[0]) ** 2),
+                              rel=1e-12, abs=0.0)
 
 
 def test_quote_for_orthogonal_direction():
@@ -374,8 +373,8 @@ def test_plan_mrt_matches_pointwise(instance):
             if gmin == 0.0:
                 assert plan.q[i, n] == np.inf
             else:
-                assert plan.q[i, n] == pytest.approx(ch.m * ch.noise_w / gmin,
-                                                     rel=1e-12)
+                assert plan.q[i, n] == pytest.approx(ch.noise_w / gmin,
+                                                     rel=1e-12, abs=0.0)
 
 
 def test_plan_marks_degenerate_slots_infinite():
@@ -419,7 +418,7 @@ def test_maxmin_two_users_match_dense_grid():
         w, q = one_subcarrier(beam_plan_maxmin, h, beta, 0.5)
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
         gmin = (beta * np.abs(h.conj() @ w) ** 2).min()
-        assert q == pytest.approx(1.0 / gmin, rel=1e-12)
+        assert q == pytest.approx(0.5 / gmin, rel=1e-12, abs=0.0)
         best = (beta * np.abs(grid @ h.conj().T) ** 2).min(axis=1).max()
         assert gmin >= best * (1 - 1e-12)
         ht = np.sqrt(beta)[:, None] * h
@@ -435,11 +434,11 @@ def test_maxmin_two_user_hand_cases():
     # the other: the weaker user's MRT; a zero channel quotes inf
     h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
-    assert q == pytest.approx((1.0 + 4.0) / 4.0, rel=1e-12)
+    assert q == pytest.approx(0.5 * (1.0 + 4.0) / 4.0, rel=1e-12)
     h = np.array([[1.0, 1.0j], [2.0, 2.0j]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
     assert align(w, h[0] / np.linalg.norm(h[0])) == pytest.approx(1.0, abs=1e-12)
-    assert q == pytest.approx(0.5, rel=1e-12)
+    assert q == pytest.approx(0.25, rel=1e-12)
     h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
     assert q == np.inf and abs(np.linalg.norm(w) - 1.0) <= 1e-12

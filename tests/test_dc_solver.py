@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from tilecast import (InfeasibleAllocationError, Message, TilingConfig,
                       ViewDirection, audit_allocation, beam_plan_maxmin,
+                      build_messages, build_partition, compute_tile_set,
                       dc_solve, sample_channel, solve_quoted_allocation)
 from tilecast import beamforming, dc_solver, ofdma_alloc
 from tilecast.beamforming import (CCP_MAX_SWEEPS, CCP_TOL, _bottleneck,
@@ -399,7 +400,6 @@ def test_initial_point_energy_matches_quoted_solution():
     start = initial_point(ch, messages, plan)
     alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
     assert start.power_sum == alloc.power_sum
-    assert start.total_power_w == alloc.power_sum / ch.m
     np.testing.assert_array_equal(start.assign, alloc.assign)
     assigned = np.argmax(alloc.assign, axis=0)
     np.testing.assert_array_equal(start.beams,
@@ -422,7 +422,7 @@ def test_dc_solve_small_instance():
     ch, messages = three_user_instance()
     alloc = dc_solve(ch, messages)
     trace = alloc.diagnostics["e_trace"]
-    assert trace == [alloc.total_power_w]
+    assert trace == [alloc.power_sum]
     assert set(np.unique(alloc.assign)) <= {0, 1}
     assert audit_allocation(alloc, ch, messages) == []
     # converged: the allocation's gap is within GAP_TOL and no search and
@@ -440,9 +440,9 @@ def test_dc_solve_never_worse_than_start():
     alloc = dc_solve(ch, messages)
     menu = beamforming._ccp_start(ch, messages)
     start = initial_point(ch, messages, menu)
-    assert alloc.diagnostics["e_trace"][0] <= start.total_power_w
-    assert alloc.total_power_w <= alloc.diagnostics["e_trace"][0]
-    assert alloc.total_power_w < start.total_power_w * (1 - 1e-3)
+    assert alloc.diagnostics["e_trace"][0] <= start.power_sum
+    assert alloc.power_sum <= alloc.diagnostics["e_trace"][0]
+    assert alloc.power_sum < start.power_sum * (1 - 1e-3)
 
 
 def test_dc_solve_one_message_passes_end_before_the_cap():
@@ -515,7 +515,7 @@ def test_dc_solve_diagnostics():
     # no audience of three: no CCP sweep, and the trace is the allocation
     two = dc_solve(ch, messages[:2])
     assert two.diagnostics["outer_iterations"] == 0
-    assert two.diagnostics["e_trace"] == [two.total_power_w]
+    assert two.diagnostics["e_trace"] == [two.power_sum]
 
 
 def test_capped_pass_search_is_not_converged(monkeypatch):
@@ -557,7 +557,44 @@ def test_dc_solve_single_user_matches_asymptotic():
     alloc = dc_solve(ch, messages)
     plan = beam_plan_asymptotic(ch, messages)
     ref = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-    ref_w = ref.power_sum / ch.m
-    assert alloc.total_power_w <= ref_w * (1 + 1e-9)
-    assert alloc.total_power_w >= ref_w * 0.98
+    assert alloc.power_sum <= ref.power_sum * (1 + 1e-9)
+    assert alloc.power_sum >= ref.power_sum * 0.98
+    assert audit_allocation(alloc, ch, messages) == []
+
+
+# ---------------------------------------------------------------------------
+# power unit
+# ---------------------------------------------------------------------------
+
+def test_plan_power_and_bound_are_the_reported_watts():
+    # default_config() trial 0: the plan's power_sum is the power run_trial
+    # reports, bit for bit, and its dual bound lies at or below it
+    cfg = default_config()
+    result = run_trial(cfg, "proposed-dc", 0)
+    ch = sample_channel(result.seed, cfg.m, cfg.n_sc, len(cfg.users),
+                        beta=cfg.beta, noise_w=cfg.noise_w,
+                        bandwidth_hz=cfg.bandwidth_hz)
+    users = dict(enumerate(cfg.users, start=1))
+    tile_sets = {k: compute_tile_set(u.direction, cfg.tiling)
+                 for k, u in users.items()}
+    messages = build_messages(build_partition(tile_sets),
+                              {k: u.quality for k, u in users.items()},
+                              cfg.ladder)
+    alloc = dc_solve(ch, messages)
+    assert alloc.power_sum == result.total_power_w
+    assert 0.0 < alloc.dual_bound <= result.total_power_w
+
+
+def test_single_pair_power_is_noise_over_gain_times_snr():
+    # one user on one subcarrier at m = 3: the plan sends exactly the SNR
+    # 2^(d/B) - 1 over the user's matched gain beta |h|^2, in watts
+    ch = sample_channel(43, m=3, n_sc=1, k_users=1)
+    demand = 2.5 * ch.bandwidth_hz
+    messages = [_msg((1,), (1,), demand)]
+    alloc = dc_solve(ch, messages)
+    h = ch.h[0, 0]
+    gain = ch.beta[0] * np.vdot(h, h).real
+    snr = 2.0 ** (demand / ch.bandwidth_hz) - 1.0
+    assert alloc.power_sum == pytest.approx(ch.noise_w / gain * snr,
+                                            rel=1e-12, abs=0.0)
     assert audit_allocation(alloc, ch, messages) == []

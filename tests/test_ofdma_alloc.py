@@ -1248,7 +1248,7 @@ def test_complete_allocation_and_audit_clean():
     assert done.beams.shape == (ch.n_sc, ch.m)
     norms = np.linalg.norm(done.beams, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
-    assert done.total_power_w == pytest.approx(done.power_sum / ch.m, rel=1e-12)
+    assert done.power_sum == alloc.power_sum
     assert audit_allocation(done, ch, messages) == []
 
 
@@ -1343,7 +1343,7 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
                 if rate[mi, n] <= 0:
                     continue
                 g = ch.beta[idx] * np.abs(ch.h[n, idx, :].conj() @ alloc.beams[n]) ** 2
-                snr = power[mi, n] * g / (ch.m * ch.noise_w)
+                snr = power[mi, n] * g / ch.noise_w
                 user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
                 if np.any(user_rates < rate[mi, n] * (1.0 - rel)):
                     problems.append(f"user rate below message rate at ({mi}, {n})")
