@@ -9,10 +9,9 @@ planner quotes each pair on its max-min-fair beam (closed form up to two
 users, a convex-concave procedure beyond) and allocates on those quotes.
 """
 
-from .geometry import TileId, TilingConfig, ViewDirection, compute_tile_set, \
-    tile_coverage
-from .partition import Message, QualityLadder, TilePartition, \
-    build_messages, build_partition, unicast_messages
+from .geometry import TileId, TilingConfig, ViewDirection, compute_tile_set
+from .partition import Message, QualityLadder, build_messages, \
+    build_partition, unicast_messages
 from .channel import ChannelState, derive_trial_seed, sample_channel
 from .beamforming import BeamPlan, beam_plan_asymptotic, beam_plan_maxmin, \
     beam_plan_mrt
@@ -29,9 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TileId", "TilingConfig", "ViewDirection", "compute_tile_set",
-    "tile_coverage",
-    "Message", "QualityLadder", "TilePartition", "build_messages",
-    "build_partition", "unicast_messages",
+    "Message", "QualityLadder", "build_messages", "build_partition",
+    "unicast_messages",
     "ChannelState", "derive_trial_seed", "sample_channel",
     "BeamPlan", "beam_plan_asymptotic", "beam_plan_maxmin", "beam_plan_mrt",
     "Allocation", "InfeasibleAllocationError", "audit_allocation",

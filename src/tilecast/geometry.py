@@ -106,20 +106,6 @@ def _check_direction(d: ViewDirection):
         raise ValueError(f"pitch_deg {d.pitch_deg} outside [0, 180]")
 
 
-def tile_coverage(tile: TileId, cfg: TilingConfig):
-    """Angular rectangle covered by a tile.
-
-    Returns ((yaw_lo, yaw_hi), (pitch_lo, pitch_hi)) with
-    yaw in [0, 360] and pitch in [0, 180].
-    """
-    col, row = tile
-    if not (1 <= col <= cfg.u_h and 1 <= row <= cfg.u_v):
-        raise ValueError(f"tile {tile} outside {cfg.u_h}x{cfg.u_v} grid")
-    w = cfg.tile_width_deg
-    h = cfg.tile_height_deg
-    return ((col - 1) * w, col * w), ((row - 1) * h, row * h)
-
-
 def _wrap_intervals(center: float, width: float):
     """Yaw intervals (possibly two) covered by [center-width/2, center+width/2] mod 360."""
     if width >= 360.0:

@@ -862,7 +862,7 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
 
     power = power * q_ref
     power_sum = float(power.sum())
-    diagnostics = {"dual_steps": steps, "dual_evaluations": evaluations,
+    diagnostics = {"dual_evaluations": evaluations,
                    "dual_predictions": predictions, "start": start,
                    "local_search_passes": passes, "local_search_moves": moves,
                    "local_search_exact_passes": exact_passes,

@@ -9,7 +9,7 @@ level, and its rate demand is that tile count times the per-tile encoding
 rate of the level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import _as_float
 
@@ -40,49 +40,21 @@ class QualityLadder:
         return self.rates[level - 1]
 
 
-@dataclass
-class TilePartition:
-    """Tiles grouped by the exact set of users that need them.
-
-    groups maps a sorted user tuple S to the nonempty tile set needed by
-    exactly the users in S; index_set lists the keys in deterministic order
-    (by subset size, then lexicographically).
-    """
-
-    groups: dict = field(default_factory=dict)
-
-    @property
-    def index_set(self) -> list:
-        return sorted(self.groups.keys(), key=lambda s: (len(s), s))
-
-    @property
-    def empty(self) -> bool:
-        return not self.groups
-
-
 @dataclass(frozen=True)
 class Message:
-    """One multicast message: every tile one audience needs at one level.
+    """One multicast message: every tile one audience needs at one level."""
 
-    subset is the first partition group (in index_set order) whose tiles
-    the message carries; the message may carry tiles of later groups with
-    the same audience too.
-    """
-
-    subset: tuple          # first contributing group, sorted
     level: int             # quality level l
-    audience: tuple        # members of subset requesting exactly level l
+    audience: tuple        # the users of a group at level l
     tile_count: int
     demand_bits_per_s: float
 
     def __post_init__(self):
         if len(self.audience) == 0:
             raise ValueError("message audience must be nonempty")
-        if not set(self.audience) <= set(self.subset):
-            raise ValueError("audience must be a subset of the group")
 
 
-def build_partition(tile_sets: dict) -> TilePartition:
+def build_partition(tile_sets: dict) -> dict:
     """Group tiles by the exact user subset needing them.
 
     Parameters
@@ -90,9 +62,9 @@ def build_partition(tile_sets: dict) -> TilePartition:
     tile_sets : dict
         Maps user id (int) to that user's tile set.
 
-    Each tile in the union lands in exactly one group, keyed by the sorted
-    tuple of users whose sets contain it. All-empty input yields an empty
-    partition (flagged via .empty).
+    Returns a dict from the sorted tuple of users whose sets contain a
+    tile to the set of those tiles; each tile in the union lands in
+    exactly one group. All-empty input yields an empty dict.
     """
     if len(tile_sets) < 1:
         raise ValueError("need at least one user")
@@ -104,30 +76,31 @@ def build_partition(tile_sets: dict) -> TilePartition:
     for tile, users in owners.items():
         key = tuple(sorted(users))
         groups.setdefault(key, set()).add(tile)
-    return TilePartition(groups=groups)
+    return groups
 
 
-def build_messages(part: TilePartition, qualities: dict, ladder: QualityLadder) -> list:
+def build_messages(groups: dict, qualities: dict, ladder: QualityLadder) -> list:
     """One message per distinct audience {k in S : r_k = l} over the groups
-    S of `part` and the levels l requested within them.
+    S of `groups` (as `build_partition` returns) and the levels l
+    requested within them.
 
     qualities maps user id to its level r_k. A message's tile count is the
     sum of |P_S| over the groups that give its audience, and its demand is
-    that count times D_l. Returned in order of first appearance: groups as
-    in part.index_set, levels ascending within a group.
+    that count times D_l. Returned in order of first appearance, whatever
+    order `groups` iterates in: groups by size, then by their users, and
+    levels ascending within a group.
     """
     for user, r in qualities.items():
         if not (1 <= r <= ladder.levels):
             raise ValueError(f"user {user} quality {r} outside ladder 1..{ladder.levels}")
-    merged = {}             # audience -> [first group, level, tile count]
-    for subset in part.index_set:
+    merged = {}             # audience -> [level, tile count]
+    for subset in sorted(groups, key=lambda s: (len(s), s)):
         for lvl in sorted({qualities[k] for k in subset}):
             audience = tuple(k for k in subset if qualities[k] == lvl)
-            entry = merged.setdefault(audience, [subset, lvl, 0])
-            entry[2] += len(part.groups[subset])
-    return [Message(subset=first, level=lvl, audience=audience, tile_count=n,
+            merged.setdefault(audience, [lvl, 0])[1] += len(groups[subset])
+    return [Message(level=lvl, audience=audience, tile_count=n,
                     demand_bits_per_s=n * ladder.rate(lvl))
-            for audience, (first, lvl, n) in merged.items()]
+            for audience, (lvl, n) in merged.items()]
 
 
 def unicast_messages(tile_sets: dict, qualities: dict, ladder: QualityLadder) -> list:
@@ -136,6 +109,5 @@ def unicast_messages(tile_sets: dict, qualities: dict, ladder: QualityLadder) ->
 
     Users with empty tile sets are omitted (nothing to send).
     """
-    part = TilePartition({(user,): tiles
-                          for user, tiles in tile_sets.items() if tiles})
-    return build_messages(part, qualities, ladder)
+    return build_messages({(user,): tiles for user, tiles in tile_sets.items()
+                           if tiles}, qualities, ladder)

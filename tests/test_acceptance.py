@@ -24,9 +24,8 @@ from tilecast import dc_solver, ofdma_alloc
 from tilecast.beamforming import _ccp_start
 from tilecast.cli import main as cli_main
 from tilecast.dc_solver import initial_point
-from tilecast.harness import (SWEEP_M_VALUES, UserSpec, _trial_subsets,
-                              config_to_dict, default_config, run_experiment,
-                              run_trial)
+from tilecast.harness import (SWEEP_M_VALUES, UserSpec, config_to_dict,
+                              default_config, run_experiment, run_trial)
 
 B = 39e3
 MULTICAST_SCHEMES = ("proposed-asymptotic", "proposed-dc",
@@ -56,21 +55,18 @@ def paired_pairs_config(trials):
         n_sc=16, m=4, trials=trials)
 
 
-def collect(cfg, schemes, sweep_points, trials):
-    """Power matrix power[scheme][point] as arrays over trials; sweep_points
-    is a list of (kwargs, subset_k) pairs applied per point."""
-    out = {s: [] for s in schemes}
-    for s in schemes:
-        for kwargs, subset_k in sweep_points:
-            cfg_pt = replace(cfg, **kwargs) if kwargs else cfg
-            vals = []
-            for t in range(trials):
-                subset = (_trial_subsets(cfg, t)[subset_k]
-                          if subset_k is not None else None)
-                r = run_trial(cfg_pt, s, t, user_subset=subset)
-                vals.append(r.total_power_w)
-            out[s].append(np.asarray(vals))
-    return out
+def collect(cfg, schemes, sweep):
+    """Power matrix power[scheme][point] as arrays over trials, read from
+    the per-trial rows of `run_experiment`'s CSV for `sweep`, planned with
+    `schemes`."""
+    text = run_experiment(replace(cfg, schemes=schemes), sweep=sweep)
+    out = {s: {} for s in schemes}
+    for line in text.splitlines()[1:]:
+        scheme, _, value, trial, _, power = line.split(",")[:6]
+        if trial.isdigit():     # not a mean or stderr row
+            out[scheme].setdefault(value, []).append(float(power))
+    return {s: [np.asarray(v) for v in points.values()]
+            for s, points in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +82,7 @@ def test_criterion_1_partition_exactness():
     g3 = {(4, 2), (5, 2), (6, 2), (7, 2), (4, 3), (5, 3), (6, 3), (7, 3),
           (4, 4), (5, 4), (6, 4), (7, 4)}
     part = build_partition({1: g1, 2: g2, 3: g3})
-    assert dict(part.groups) == {
+    assert part == {
         (1,): {(2, 1), (3, 1), (4, 1), (5, 1)},
         (2,): {(2, 4), (3, 4)},
         (3,): {(6, 2), (6, 3), (6, 4), (7, 2), (7, 3), (7, 4)},
@@ -95,11 +91,8 @@ def test_criterion_1_partition_exactness():
         (1, 2, 3): {(4, 2), (4, 3), (5, 2), (5, 3)},
     }
     msgs = build_messages(part, {1: 1, 2: 1, 3: 2}, QualityLadder((1e6, 2e6)))
-    audiences = {(m.subset, m.level): set(m.audience) for m in msgs}
-    assert audiences[((1,), 1)] == {1}
-    assert audiences[((1, 2), 1)] == {1, 2}
-    assert audiences[((2,), 1)] == {2}
-    assert audiences[((3,), 2)] == {3}
+    assert sorted((m.audience, m.level) for m in msgs) == [
+        ((1,), 1), ((1, 2), 1), ((2,), 1), ((3,), 2)]
     assert time.perf_counter() - start < 1.0
 
 
@@ -114,7 +107,7 @@ def one_subcarrier(builder, h_aud, beta, noise_w):
     users = tuple(range(1, a + 1))
     ch = ChannelState(m=m, n_sc=1, k_users=a, bandwidth_hz=B, noise_w=noise_w,
                       beta=np.broadcast_to(beta, (a,)), h=h_aud[None])
-    plan = builder(ch, [Message(subset=users, level=1, audience=users,
+    plan = builder(ch, [Message(level=1, audience=users,
                                 tile_count=1, demand_bits_per_s=B)])
     return plan.w[0, 0], plan.q[0, 0]
 
@@ -239,10 +232,7 @@ def test_criterion_4_planner_monotone_and_feasible():
 
 @pytest.fixture(scope="module")
 def ksweep():
-    trials = 50
-    cfg = paired_pairs_config(trials)
-    points = [({}, k) for k in range(1, 6)]
-    data = collect(cfg, ALL_SCHEMES, points, trials)
+    data = collect(paired_pairs_config(50), ALL_SCHEMES, "k")
     for s, arrs in data.items():
         for k, a in enumerate(arrs, 1):
             assert np.all(np.isfinite(a)), (s, k)
@@ -280,10 +270,7 @@ def test_criterion_6_power_grows_with_users(ksweep):
 
 @pytest.fixture(scope="module")
 def msweep():
-    trials = 30
-    cfg = paired_pairs_config(trials)
-    points = [({"m": m}, None) for m in SWEEP_M_VALUES]
-    data = collect(cfg, ALL_SCHEMES, points, trials)
+    data = collect(paired_pairs_config(30), ALL_SCHEMES, "m")
     for s, arrs in data.items():
         for a in arrs:
             assert np.all(np.isfinite(a)), s
@@ -316,11 +303,8 @@ def test_criterion_7_power_falls_with_antennas(msweep):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_power_falls_as_views_concentrate():
-    trials = 6
-    cfg = replace(default_config(), trials=trials)
-    step = cfg.tiling.tile_width_deg
-    points = [({"delta_deg": i * step}, None) for i in range(6)]
-    data = collect(cfg, MULTICAST_SCHEMES, points, trials)
+    data = collect(replace(default_config(), trials=6), MULTICAST_SCHEMES,
+                   "delta")
     for s, arrs in data.items():
         for a in arrs:
             assert np.all(np.isfinite(a)), s

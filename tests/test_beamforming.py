@@ -33,8 +33,8 @@ def align(a, b):
     return abs(np.vdot(a, b))
 
 
-def _msg(subset, audience):
-    return Message(subset=subset, level=1, audience=audience, tile_count=1,
+def _msg(audience):
+    return Message(level=1, audience=audience, tile_count=1,
                    demand_bits_per_s=1e5)
 
 
@@ -47,7 +47,7 @@ def one_subcarrier(builder, h_aud, beta=1.0, noise_w=1e-9):
                       noise_w=noise_w, beta=np.broadcast_to(beta, (a,)),
                       h=h[None])
     users = tuple(range(1, a + 1))
-    plan = builder(ch, [_msg(users, users)])
+    plan = builder(ch, [_msg(users)])
     return plan.w[0, 0], plan.q[0, 0]
 
 
@@ -90,7 +90,7 @@ def test_two_orthogonal_users_hand_case():
     h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_asymptotic, h, 1.0, 1.0)
     np.testing.assert_allclose(w, np.array([1.0, 1.0]) / np.sqrt(2))
-    assert q == pytest.approx(2.0, rel=1e-12)
+    assert q == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
 
 def test_orthogonal_channels_equalize_weighted_gains():
@@ -172,13 +172,13 @@ def test_mrt_multicast_single_user():
     # single-user audiences keep the closed form h/|h| (real, positive
     # h^H w), also next to multi-user audiences in one plan
     ch = sample_channel(6, m=5, n_sc=3, k_users=3)
-    plan = beam_plan_mrt(ch, [_msg((1, 2), (1, 2)), _msg((3,), (3,)),
-                              _msg((1, 2, 3), (1,))])
+    plan = beam_plan_mrt(ch, [_msg((1, 2)), _msg((3,)), _msg((1,))])
     for i, k in ((1, 2), (2, 0)):
         for n in range(ch.n_sc):
             h = ch.h[n, k]
             ip = np.vdot(h, plan.w[i, n])
-            assert ip.real == pytest.approx(np.linalg.norm(h), rel=1e-12)
+            assert ip.real == pytest.approx(np.linalg.norm(h), rel=1e-12,
+                                            abs=0.0)
             assert abs(ip.imag) <= 1e-12 * ip.real
 
 
@@ -284,7 +284,7 @@ def test_mrt_eigh_only_for_three_or_more_users(monkeypatch):
     counts = count_eigh(monkeypatch)
     ch = sample_channel(6, m=4, n_sc=3, k_users=5)
     audiences = [(1,), (1, 2), (1, 2, 3), (2, 3, 4, 5), (4, 5)]
-    beam_plan_mrt(ch, [_msg(aud, aud) for aud in audiences])
+    beam_plan_mrt(ch, [_msg(aud) for aud in audiences])
     assert counts == [2 * ch.n_sc]
 
 
@@ -336,7 +336,7 @@ def padded_instances(draw):
     audiences = draw(st.lists(
         st.sets(st.integers(1, k), min_size=1).map(lambda s: tuple(sorted(s))),
         min_size=1, max_size=6))
-    return ch, [_msg(aud, aud) for aud in audiences]
+    return ch, [_msg(aud) for aud in audiences]
 
 
 @settings(max_examples=300, deadline=None)
@@ -383,7 +383,7 @@ def test_plan_marks_degenerate_slots_infinite():
     h[0, 1] = [-1.0, -2.0]    # cancels the first user exactly
     ch = ChannelState(m=2, n_sc=1, k_users=2, bandwidth_hz=39e3, noise_w=1e-9,
                       beta=np.array([1.0, 1.0]), h=h)
-    msg = _msg((1, 2), (1, 2))
+    msg = _msg((1, 2))
     plan = beam_plan_asymptotic(ch, [msg])
     assert np.isinf(plan.q[0, 0])
     assert np.all(plan.w[0, 0] == 0)
@@ -426,7 +426,7 @@ def test_maxmin_two_users_match_dense_grid():
         rho = abs(np.vdot(ht[0], ht[1]))
         if rho < min(a, b):
             assert gmin == pytest.approx((a * b - rho ** 2) / (a + b - 2 * rho),
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0.0)
 
 
 def test_maxmin_two_user_hand_cases():
@@ -434,11 +434,11 @@ def test_maxmin_two_user_hand_cases():
     # the other: the weaker user's MRT; a zero channel quotes inf
     h = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
-    assert q == pytest.approx(0.5 * (1.0 + 4.0) / 4.0, rel=1e-12)
+    assert q == pytest.approx(0.5 * (1.0 + 4.0) / 4.0, rel=1e-12, abs=0.0)
     h = np.array([[1.0, 1.0j], [2.0, 2.0j]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
     assert align(w, h[0] / np.linalg.norm(h[0])) == pytest.approx(1.0, abs=1e-12)
-    assert q == pytest.approx(0.25, rel=1e-12)
+    assert q == pytest.approx(0.25, rel=1e-12, abs=0.0)
     h = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     w, q = one_subcarrier(beam_plan_maxmin, h, 1.0, 0.5)
     assert q == np.inf and abs(np.linalg.norm(w) - 1.0) <= 1e-12
@@ -471,7 +471,7 @@ def test_maxmin_quotes_below_both_menu_plans_on_default_trials():
 def test_maxmin_single_user_is_mrt_bitwise():
     ch = sample_channel(6, m=4, n_sc=3, k_users=5)
     audiences = [(1,), (1, 2), (1, 2, 3), (4,), (2, 3, 4, 5)]
-    messages = [_msg(aud, aud) for aud in audiences]
+    messages = [_msg(aud) for aud in audiences]
     plan, mrt = beam_plan_maxmin(ch, messages), beam_plan_mrt(ch, messages)
     for i in (0, 3):
         assert plan.w[i].tobytes() == mrt.w[i].tobytes()
@@ -490,7 +490,7 @@ def test_asymptotic_beam_approaches_maxmin_as_antennas_grow(beta):
         ch = ChannelState(m=m, n_sc=n, k_users=2, bandwidth_hz=39e3,
                           noise_w=1e-9, beta=np.array(beta),
                           h=crandn(rng, n, 2, m))
-        messages = [_msg((1, 2), (1, 2))]
+        messages = [_msg((1, 2))]
         ratio = (beam_plan_maxmin(ch, messages).q
                  / beam_plan_asymptotic(ch, messages).q)
         assert np.all(ratio <= 1 + 1e-12), m

@@ -38,8 +38,8 @@ from tilecast.ofdma_alloc import GAP_TOL
 B = 39e3
 
 
-def _msg(subset, audience, demand):
-    return Message(subset=subset, level=1, audience=audience, tile_count=1,
+def _msg(audience, demand):
+    return Message(level=1, audience=audience, tile_count=1,
                    demand_bits_per_s=demand)
 
 
@@ -51,9 +51,9 @@ def three_user_instance():
     """A unicast, a two-user and a three-user message on 3 users x 6
     subcarriers: the three-user pairs run the CCP."""
     ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (1, 2, 3), 1.0 * B)]
+    messages = [_msg((1,), 1.5 * B),
+                _msg((2, 3), 2.0 * B),
+                _msg((1, 2, 3), 1.0 * B)]
     return ch, messages
 
 
@@ -96,7 +96,7 @@ def test_price_step_projects_to_zero():
     e = np.array([[1.0, 1.0], [0.0, 1.0]])
     y = prices(e.T @ e, e.T @ np.array([1.0, 0.0]))
     assert y[1] == 0.0
-    assert y[0] == pytest.approx(1.0, rel=1e-15)
+    assert y[0] == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_price_step_zero_residuals_unchanged():
@@ -354,7 +354,7 @@ def test_ccp_single_user_reaches_mrt_in_one_sweep():
                                rtol=1e-12)
 
     ch = sample_channel(45, m=3, n_sc=4, k_users=1)
-    messages = [_msg((1,), (1,), 2.0 * B)]
+    messages = [_msg((1,), 2.0 * B)]
     ref = solve_quoted_allocation(messages, beam_plan_mrt(ch, messages).q,
                                   ch.bandwidth_hz)
     assert dc_solve(ch, messages).power_sum == ref.power_sum
@@ -395,7 +395,7 @@ def test_ccp_gains_never_fall_sweep_by_sweep():
 
 def test_initial_point_energy_matches_quoted_solution():
     ch = sample_channel(41, m=4, n_sc=6, k_users=2)
-    messages = [_msg((1,), (1,), 1.5 * B), _msg((1, 2), (1, 2), 2.0 * B)]
+    messages = [_msg((1,), 1.5 * B), _msg((1, 2), 2.0 * B)]
     plan = beam_plan_maxmin(ch, messages)
     start = initial_point(ch, messages, plan)
     alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
@@ -408,7 +408,7 @@ def test_initial_point_energy_matches_quoted_solution():
 
 def test_initial_point_single_user_beams_are_mrt():
     ch = sample_channel(42, m=3, n_sc=4, k_users=1)
-    messages = [_msg((1,), (1,), 2.5 * B)]
+    messages = [_msg((1,), 2.5 * B)]
     start = initial_point(ch, messages, beam_plan_maxmin(ch, messages))
     np.testing.assert_array_equal(start.beams,
                                   beam_plan_mrt(ch, messages).w[0])
@@ -507,8 +507,8 @@ def test_dc_solve_diagnostics():
     alloc = dc_solve(ch, messages)
     diag = alloc.diagnostics
     assert diag["start"] == "dual"
-    assert diag["dual_steps"] == alloc.iterations > 0
-    assert diag["dual_evaluations"] >= diag["dual_steps"]
+    assert alloc.iterations > 0
+    assert diag["dual_evaluations"] >= alloc.iterations
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert diag["outer_iterations"] == beam_plan_maxmin(ch, messages).sweeps
     assert diag["outer_iterations"] >= 1
@@ -523,8 +523,8 @@ def test_capped_pass_search_is_not_converged(monkeypatch):
     # and the search ends in one pass below its cap, so only the CCP's cap
     # can clear `converged`
     ch = sample_channel(47, m=4, n_sc=6, k_users=3)
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((1, 2, 3), (1, 2, 3), 2.0 * B)]
+    messages = [_msg((1,), 1.5 * B),
+                _msg((1, 2, 3), 2.0 * B)]
     assert dc_solve(ch, messages).converged
     monkeypatch.setattr(beamforming, "CCP_MAX_SWEEPS", 1)
     assert beam_plan_maxmin(ch, messages).capped
@@ -537,9 +537,9 @@ def test_dc_solve_inf_masked_menu_without_warnings():
     # allocation runs over inf quotes
     ch = sample_channel(50, m=4, n_sc=8, k_users=3)
     ch.h[:3, 1] = 0.0
-    messages = [_msg((1,), (1,), 1.5 * B),
-                _msg((2, 3), (2, 3), 2.0 * B),
-                _msg((1, 2, 3), (1, 2, 3), 1.0 * B)]
+    messages = [_msg((1,), 1.5 * B),
+                _msg((2, 3), 2.0 * B),
+                _msg((1, 2, 3), 1.0 * B)]
     menu_q = np.minimum(beam_plan_asymptotic(ch, messages).q,
                         beam_plan_mrt(ch, messages).q)
     assert np.isinf(menu_q[1:, :3]).all() and np.isfinite(menu_q[0]).all()
@@ -553,7 +553,7 @@ def test_dc_solve_inf_masked_menu_without_warnings():
 
 def test_dc_solve_single_user_matches_asymptotic():
     ch = sample_channel(49, m=4, n_sc=6, k_users=1)
-    messages = [_msg((1,), (1,), 3.0 * B)]
+    messages = [_msg((1,), 3.0 * B)]
     alloc = dc_solve(ch, messages)
     plan = beam_plan_asymptotic(ch, messages)
     ref = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
@@ -590,7 +590,7 @@ def test_single_pair_power_is_noise_over_gain_times_snr():
     # 2^(d/B) - 1 over the user's matched gain beta |h|^2, in watts
     ch = sample_channel(43, m=3, n_sc=1, k_users=1)
     demand = 2.5 * ch.bandwidth_hz
-    messages = [_msg((1,), (1,), demand)]
+    messages = [_msg((1,), demand)]
     alloc = dc_solve(ch, messages)
     h = ch.h[0, 0]
     gain = ch.beta[0] * np.vdot(h, h).real

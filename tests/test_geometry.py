@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecast import TileId, TilingConfig, ViewDirection, compute_tile_set, tile_coverage
+from tilecast import TileId, TilingConfig, ViewDirection, compute_tile_set
 
 
 def oracle_tile_set(direction, cfg):
@@ -37,37 +37,6 @@ def oracle_tile_set(direction, cfg):
             if max(b0, p0) < min(b1, p1):
                 out.add(TileId(col, row))
     return out
-
-
-# ---------------------------------------------------------------------------
-# tile_coverage
-# ---------------------------------------------------------------------------
-
-def test_coverage_first_cell():
-    cfg = TilingConfig(u_h=8, u_v=4, fov_h_deg=90.0, fov_v_deg=90.0)
-    assert tile_coverage(TileId(1, 1), cfg) == ((0.0, 45.0), (0.0, 45.0))
-
-
-def test_coverage_last_cell():
-    cfg = TilingConfig(u_h=8, u_v=4, fov_h_deg=90.0, fov_v_deg=90.0)
-    assert tile_coverage(TileId(8, 4), cfg) == ((315.0, 360.0), (135.0, 180.0))
-
-
-def test_coverage_interior_cell_fine_grid():
-    cfg = TilingConfig(u_h=30, u_v=15, fov_h_deg=90.0, fov_v_deg=90.0)
-    (y0, y1), (pp0, pp1) = tile_coverage(TileId(5, 2), cfg)
-    assert (y0, y1) == pytest.approx((48.0, 60.0))
-    assert (pp0, pp1) == pytest.approx((12.0, 24.0))
-
-
-def test_coverage_out_of_range_tile():
-    cfg = TilingConfig(u_h=8, u_v=4, fov_h_deg=90.0, fov_v_deg=90.0)
-    with pytest.raises(ValueError):
-        tile_coverage(TileId(9, 1), cfg)
-    with pytest.raises(ValueError):
-        tile_coverage(TileId(0, 1), cfg)
-    with pytest.raises(ValueError):
-        tile_coverage(TileId(1, 5), cfg)
 
 
 def test_config_validation():

@@ -591,9 +591,9 @@ def test_shared_allocation_handed_out_as_is(monkeypatch):
 
 def test_plans_are_values(monkeypatch):
     ch = sample_channel(5, m=3, n_sc=6, k_users=2)
-    messages = [Message(subset=(1,), level=1, audience=(1,), tile_count=2,
+    messages = [Message(level=1, audience=(1,), tile_count=2,
                         demand_bits_per_s=1.5 * ch.bandwidth_hz),
-                Message(subset=(1, 2), level=2, audience=(2,), tile_count=1,
+                Message(level=2, audience=(2,), tile_count=1,
                         demand_bits_per_s=0.8 * ch.bandwidth_hz)]
     plan = beam_plan_asymptotic(ch, messages)
     alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)

@@ -5,6 +5,7 @@ overlap pairwise and triple-wise; every group and audience is written out
 by hand so the expected values are independent of the implementation.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -43,26 +44,34 @@ LADDER2 = QualityLadder((1.0e6, 2.5e6))
 
 
 def test_three_viewer_groups_exact():
-    part = build_partition({1: G1, 2: G2, 3: G3})
-    assert dict(part.groups) == EXPECTED_GROUPS
+    assert build_partition({1: G1, 2: G2, 3: G3}) == EXPECTED_GROUPS
 
 
 def test_index_set_order():
-    part = build_partition({1: G1, 2: G2, 3: G3})
-    assert part.index_set == [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]
+    # messages follow the groups by size, then by their users, whatever
+    # order the dict's keys were inserted in
+    qualities = {1: 1, 2: 1, 3: 2}
+    want = build_messages(EXPECTED_GROUPS, qualities, LADDER2)
+    assert [m.audience for m in want] == [(1,), (2,), (3,), (1, 2)]
+    for keys in itertools.permutations(EXPECTED_GROUPS):
+        groups = {s: EXPECTED_GROUPS[s] for s in keys}
+        assert build_messages(groups, qualities, LADDER2) == want
+    # unicast messages follow user order
+    msgs = unicast_messages({3: G3, 1: G1, 2: G2}, qualities, LADDER2)
+    assert [m.audience for m in msgs] == [(1,), (2,), (3,)]
 
 
 def test_three_viewer_audiences():
     # (2, 3) gives (2,) at level 1 and (3,) at level 2, and (1, 2, 3)
     # gives (1, 2) and (3,): their tiles join the messages of those
-    # audiences, each keyed by its first group
+    # audiences, each placed where its first group puts it
     part = build_partition({1: G1, 2: G2, 3: G3})
     msgs = build_messages(part, {1: 1, 2: 1, 3: 2}, LADDER2)
-    assert [(m.audience, m.level, m.tile_count, m.subset) for m in msgs] == [
-        ((1,), 1, 4, (1,)),
-        ((2,), 1, 2 + 2, (2,)),
-        ((3,), 2, 6 + 2 + 4, (3,)),
-        ((1, 2), 1, 4 + 4, (1, 2)),
+    assert [(m.audience, m.level, m.tile_count) for m in msgs] == [
+        ((1,), 1, 4),
+        ((2,), 1, 2 + 2),
+        ((3,), 2, 6 + 2 + 4),
+        ((1, 2), 1, 4 + 4),
     ]
 
 
@@ -91,17 +100,16 @@ def test_unicast_demands():
     msgs = unicast_messages({1: G1, 2: G2, 3: G3}, {1: 1, 2: 1, 3: 2}, LADDER2)
     d1, d2 = LADDER2.rates
     assert [m.demand_bits_per_s for m in msgs] == [12 * d1, 12 * d1, 12 * d2]
-    assert all(m.subset == m.audience == (k,) for m, k in zip(msgs, (1, 2, 3)))
+    assert [m.audience for m in msgs] == [(1,), (2,), (3,)]
 
 
 def test_unicast_skips_empty_sets():
     msgs = unicast_messages({1: G1, 2: set()}, {1: 2, 2: 1}, LADDER2)
-    assert [m.subset for m in msgs] == [(1,)]
+    assert [m.audience for m in msgs] == [(1,)]
 
 
 def test_single_user_partition():
-    part = build_partition({1: G1})
-    assert dict(part.groups) == {(1,): G1}
+    assert build_partition({1: G1}) == {(1,): G1}
 
 
 def test_single_user_unicast_equals_multicast():
@@ -113,7 +121,7 @@ def test_single_user_unicast_equals_multicast():
 
 def test_disjoint_sets_give_singletons_only():
     part = build_partition({1: {(1, 1)}, 2: {(2, 1)}, 3: {(3, 1)}})
-    assert set(part.groups) == {(1,), (2,), (3,)}
+    assert set(part) == {(1,), (2,), (3,)}
 
 
 def test_identical_sets_same_level_single_message():
@@ -121,19 +129,13 @@ def test_identical_sets_same_level_single_message():
     msgs = build_messages(part, {1: 2, 2: 2, 3: 2}, LADDER2)
     assert len(msgs) == 1
     (m,) = msgs
-    assert m.subset == m.audience == (1, 2, 3)
+    assert m.audience == (1, 2, 3)
     assert m.demand_bits_per_s == 12 * LADDER2.rates[1]
 
 
 def test_empty_input_rejected():
     with pytest.raises(ValueError, match="at least one user"):
         build_partition({})
-
-
-def test_all_empty_sets_flagged():
-    part = build_partition({1: set(), 2: set()})
-    assert part.empty
-    assert part.index_set == []
 
 
 def test_quality_out_of_range():
@@ -162,11 +164,7 @@ def test_ladder_validation():
 
 def test_message_validation():
     with pytest.raises(ValueError):
-        Message(subset=(1, 2), level=1, audience=(), tile_count=1,
-                demand_bits_per_s=1.0)
-    with pytest.raises(ValueError):
-        Message(subset=(1, 2), level=1, audience=(3,), tile_count=1,
-                demand_bits_per_s=1.0)
+        Message(level=1, audience=(), tile_count=1, demand_bits_per_s=1.0)
 
 
 @st.composite
@@ -186,7 +184,7 @@ def test_partition_matches_membership_oracle(tile_sets):
     part = build_partition(tile_sets)
     union = set().union(*tile_sets.values()) if tile_sets else set()
     seen = set()
-    for subset, tiles in part.groups.items():
+    for subset, tiles in part.items():
         assert tiles
         assert list(subset) == sorted(subset)
         for t in tiles:
@@ -214,20 +212,16 @@ def test_messages_cover_demands_exactly(tile_sets, quals):
         for lvl in {qualities[k] for k in owners}:
             audience = tuple(k for k in owners if qualities[k] == lvl)
             expected[audience] = expected.get(audience, 0) + 1
-    assert [m.audience for m in msgs] == list(dict.fromkeys(
-        m.audience for m in msgs))
     assert {m.audience: m.tile_count for m in msgs} == expected
-    order = part.index_set
     for m in msgs:
         assert {qualities[k] for k in m.audience} == {m.level}
         assert m.demand_bits_per_s == m.tile_count * ladder.rate(m.level)
-        # the first group, in index_set order, that gives this audience
-        assert m.subset == next(
-            s for s in order
-            if tuple(k for k in s if qualities[k] == m.level) == m.audience)
-    # messages come in order of their first group, levels ascending
-    keys = [(order.index(m.subset), m.level) for m in msgs]
-    assert keys == sorted(keys)
+    # one message per audience, in order of its first group (by size,
+    # then by users), levels ascending within a group
+    firsts = [tuple(k for k in s if qualities[k] == lvl)
+              for s in sorted(part, key=lambda g: (len(g), g))
+              for lvl in sorted({qualities[k] for k in s})]
+    assert [m.audience for m in msgs] == list(dict.fromkeys(firsts))
     # each user hears its whole tile set once, at its own level
     for k, g in tile_sets.items():
         mine = [m for m in msgs if k in m.audience]
@@ -241,11 +235,11 @@ def test_messages_cover_demands_exactly(tile_sets, quals):
 
 def _split_messages(part, qualities, ladder):
     """One message per group S and level l within S: the paper's rule."""
-    return [Message(subset=s, level=lvl,
+    return [Message(level=lvl,
                     audience=tuple(k for k in s if qualities[k] == lvl),
-                    tile_count=len(part.groups[s]),
-                    demand_bits_per_s=len(part.groups[s]) * ladder.rate(lvl))
-            for s in part.index_set
+                    tile_count=len(part[s]),
+                    demand_bits_per_s=len(part[s]) * ladder.rate(lvl))
+            for s in sorted(part, key=lambda g: (len(g), g))
             for lvl in sorted({qualities[k] for k in s})]
 
 
@@ -283,7 +277,7 @@ def test_merged_messages_relax_the_split_plan(rule):
     for i, m in enumerate(split):
         own = _bisect_waterfill(plan.q[i, alloc.assign[i] == 1],
                                 m.demand_bits_per_s / cfg.bandwidth_hz, 1.0)[0]
-        assert own == pytest.approx(alloc.power[i].sum(), rel=1e-9)
+        assert own == pytest.approx(alloc.power[i].sum(), rel=1e-9, abs=0.0)
 
     merged_q = rule(ch, merged).q
     cost = 0.0
