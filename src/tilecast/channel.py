@@ -26,24 +26,23 @@ class ChannelState:
     """Channel realization plus the link parameters the solvers need;
     hashed by identity, so a trial scope can key shared work by it."""
 
-    m: int                 # antennas at the transmitter
-    n_sc: int              # subcarriers
-    k_users: int
-    bandwidth_hz: float    # per-subcarrier bandwidth
-    noise_w: float         # noise power per subcarrier
-    beta: np.ndarray       # per-user large-scale gain, shape (k_users,)
     h: np.ndarray          # complex, shape (n_sc, k_users, m)
+    beta: np.ndarray       # per-user large-scale gain, shape (k_users,)
+    noise_w: float         # noise power per subcarrier
+    bandwidth_hz: float    # per-subcarrier bandwidth
 
     def __post_init__(self):
-        if min(self.m, self.n_sc, self.k_users) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        if self.h.ndim != 3 or min(self.h.shape) < 1:
+            raise ValueError("h shape must be (n_sc, k_users, m), each >= 1")
         if self.noise_w <= 0 or self.bandwidth_hz <= 0:
             raise ValueError("noise and bandwidth must be positive")
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.shape != (self.k_users,) or np.any(self.beta <= 0):
             raise ValueError("beta must be positive with one entry per user")
-        if self.h.shape != (self.n_sc, self.k_users, self.m):
-            raise ValueError("h shape must be (n_sc, k_users, m)")
+
+    n_sc = property(lambda self: self.h.shape[0])      # subcarriers
+    k_users = property(lambda self: self.h.shape[1])
+    m = property(lambda self: self.h.shape[2])         # antennas
 
 
 def _box_muller(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -72,9 +71,8 @@ def sample_channel(seed: int, m: int, n_sc: int, k_users: int,
     im = _box_muller(rng, n)
     h = ((re + 1j * im) / np.sqrt(2.0)).reshape(n_sc, k_users, m)
     beta_arr = np.broadcast_to(np.asarray(beta, dtype=float), (k_users,)).copy()
-    return ChannelState(m=m, n_sc=n_sc, k_users=k_users,
-                        bandwidth_hz=float(bandwidth_hz),
-                        noise_w=float(noise_w), beta=beta_arr, h=h)
+    return ChannelState(h=h, beta=beta_arr, noise_w=float(noise_w),
+                        bandwidth_hz=float(bandwidth_hz))
 
 
 def _audience(ch: ChannelState, messages):

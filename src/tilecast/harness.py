@@ -297,7 +297,7 @@ def run_trial(cfg: ScenarioConfig, scheme: str, trial_index: int,
                 plan = beam_plan_asymptotic(ch, messages)
             else:
                 plan = beam_plan_mrt(ch, messages)
-            alloc = solve_quoted_allocation(messages, plan.q, cfg.bandwidth_hz)
+            alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
             alloc = complete_allocation(alloc, plan)
     except InfeasibleAllocationError:
         return _failed(scheme, trial_index, seed)

@@ -115,19 +115,20 @@ class Allocation:
     assign/power/rate have shape (n_messages, n_sc). Since quotes are in
     watts per unit SNR, power, power_sum and dual_bound are in watts and
     gamma in watts per bit/s. complete_allocation returns the plan with
-    its beams.
+    its beams. The claim fields, converged to dual_bound, have no
+    defaults, so every plan states them.
     """
 
     assign: np.ndarray
     power: np.ndarray
     rate: np.ndarray
     power_sum: float
+    converged: bool
+    unique_argmax: bool
+    iterations: int
+    duality_gap: float
+    dual_bound: float
     beams: np.ndarray = None
-    converged: bool = True
-    unique_argmax: bool = True
-    iterations: int = 0
-    duality_gap: float = 0.0
-    dual_bound: float = 0.0
     gamma: np.ndarray = None
     diagnostics: MappingProxyType = field(default_factory=dict)
 
@@ -442,6 +443,8 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
     message, then swaps and then rotations, each by tuple in
     `itertools.combinations` order, then by direction), a later kind only
     with a strictly greater gain.
+    `assigned` gives every message a column it can use, as
+    `_repair_starvation`'s output does, so every total is finite.
     Deterministic. At most max_passes scans run (default
     PASSES_PER_SUBCARRIER * n_sc, a safety bound). Returns (assigned,
     passes, moves, exact_passes): the improved assignment, the
@@ -547,10 +550,6 @@ def _local_search(assigned: np.ndarray, qn: np.ndarray, dn: np.ndarray,
         return (i, g) if g > thresh else (None, thresh)
 
     rebuild(msgs)
-    if not np.isfinite(totals).all():
-        # a message holds no usable column: the acceptance threshold is
-        # inf, so no step can win, and the gains would be inf - inf
-        return assigned, min(1, max_passes), 0, 0
     passes = moves = exact_passes = 0
     for _ in range(max_passes):
         passes += 1
@@ -964,20 +963,15 @@ def brute_force_allocation(messages, quotes, bandwidth: float) -> Allocation:
     unique = not (math.isfinite(second) and second - best_total <= 1e-12 * best_total)
     return Allocation(assign=assign, power=power, rate=rate,
                       power_sum=float(best_total), iterations=n_msg ** n_sc,
-                      unique_argmax=unique, duality_gap=0.0,
+                      converged=True, unique_argmax=unique, duality_gap=0.0,
                       dual_bound=float(best_total))
 
 
 def complete_allocation(alloc: Allocation, plan) -> Allocation:
     """`alloc` with per-subcarrier beams, each the assigned message's
-    direction; `alloc` itself is left as it is."""
+    direction, which `audit_allocation` checks; `alloc` is left as it is."""
     n_sc = alloc.assign.shape[1]
-    assigned = np.argmax(alloc.assign, axis=0)
-    beams = plan.w[assigned, np.arange(n_sc)]
-    bad = np.abs(np.linalg.norm(beams, axis=1) - 1.0) > 1e-9
-    if bad.any():
-        n = int(np.argmax(bad))
-        raise ValueError(f"missing or non-unit beam for message {assigned[n]}, subcarrier {n}")
+    beams = plan.w[np.argmax(alloc.assign, axis=0), np.arange(n_sc)]
     return replace(alloc, beams=beams)
 
 
@@ -985,6 +979,7 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
     """Check a finished plan against every model constraint.
 
     Returns a list of violation descriptions; empty means the plan is valid.
+    The only beam check: it names the first non-unit beam's pair.
     """
     assign, power, rate = alloc.assign, alloc.power, alloc.rate
     off = assign == 0
@@ -1005,8 +1000,10 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
             problems.append("positive rate but no beams")
     else:
         norms = np.linalg.norm(alloc.beams, axis=1)
-        if np.any(np.abs(norms - 1.0) > AUDIT_TOL):
-            problems.append("non-unit beam")
+        off_unit = ~(np.abs(norms - 1.0) <= AUDIT_TOL)      # NaN too
+        if off_unit.any():
+            n = int(np.argmax(off_unit))
+            problems.append(f"non-unit beam at ({np.argmax(assign[:, n])}, {n})")
         h, beta, mask = _audience(ch, messages)
         mi, n = np.nonzero((assign == 1) & (rate > 0))   # the pairs that carry
         g = beta[mi] * np.abs(

@@ -103,10 +103,10 @@ def test_criterion_1_partition_exactness():
 def one_subcarrier(builder, h_aud, beta, noise_w):
     """(w, q) of `builder` for one message whose audience is every row of
     h_aud, on a one-subcarrier channel with just those users."""
-    a, m = h_aud.shape
+    a = len(h_aud)
     users = tuple(range(1, a + 1))
-    ch = ChannelState(m=m, n_sc=1, k_users=a, bandwidth_hz=B, noise_w=noise_w,
-                      beta=np.broadcast_to(beta, (a,)), h=h_aud[None])
+    ch = ChannelState(h=h_aud[None], beta=np.broadcast_to(beta, (a,)),
+                      noise_w=noise_w, bandwidth_hz=B)
     plan = builder(ch, [Message(level=1, audience=users,
                                 tile_count=1, demand_bits_per_s=B)])
     return plan.w[0, 0], plan.q[0, 0]

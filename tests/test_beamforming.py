@@ -42,10 +42,9 @@ def one_subcarrier(builder, h_aud, beta=1.0, noise_w=1e-9):
     """(w, q) of `builder` for one message whose audience is every row of
     h_aud, on a one-subcarrier channel with just those users."""
     h = np.asarray(h_aud, dtype=complex)
-    a, m = h.shape
-    ch = ChannelState(m=m, n_sc=1, k_users=a, bandwidth_hz=39e3,
-                      noise_w=noise_w, beta=np.broadcast_to(beta, (a,)),
-                      h=h[None])
+    a = len(h)
+    ch = ChannelState(h=h[None], beta=np.broadcast_to(beta, (a,)),
+                      noise_w=noise_w, bandwidth_hz=39e3)
     users = tuple(range(1, a + 1))
     plan = builder(ch, [_msg(users)])
     return plan.w[0, 0], plan.q[0, 0]
@@ -381,8 +380,8 @@ def test_plan_marks_degenerate_slots_infinite():
     h = np.zeros((1, 2, 2), dtype=complex)
     h[0, 0] = [1.0, 2.0]
     h[0, 1] = [-1.0, -2.0]    # cancels the first user exactly
-    ch = ChannelState(m=2, n_sc=1, k_users=2, bandwidth_hz=39e3, noise_w=1e-9,
-                      beta=np.array([1.0, 1.0]), h=h)
+    ch = ChannelState(h=h, beta=np.array([1.0, 1.0]), noise_w=1e-9,
+                      bandwidth_hz=39e3)
     msg = _msg((1, 2))
     plan = beam_plan_asymptotic(ch, [msg])
     assert np.isinf(plan.q[0, 0])
@@ -487,9 +486,8 @@ def test_asymptotic_beam_approaches_maxmin_as_antennas_grow(beta):
     medians = []
     for m in (16, 64, 256):
         n = 400
-        ch = ChannelState(m=m, n_sc=n, k_users=2, bandwidth_hz=39e3,
-                          noise_w=1e-9, beta=np.array(beta),
-                          h=crandn(rng, n, 2, m))
+        ch = ChannelState(h=crandn(rng, n, 2, m), beta=np.array(beta),
+                          noise_w=1e-9, bandwidth_hz=39e3)
         messages = [_msg((1, 2))]
         ratio = (beam_plan_maxmin(ch, messages).q
                  / beam_plan_asymptotic(ch, messages).q)

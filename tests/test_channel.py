@@ -103,15 +103,20 @@ def test_beta_validation():
 
 def test_state_validation():
     ch = sample_channel(1, m=2, n_sc=3, k_users=2)
+    # the dimensions are h's
+    assert (ch.n_sc, ch.k_users, ch.m) == ch.h.shape == (3, 2, 2)
+    ok = ChannelState(h=ch.h[:, :1], beta=[0.5], noise_w=1e-9,
+                      bandwidth_hz=1e3)
+    assert (ok.n_sc, ok.k_users, ok.m) == (3, 1, 2)
+    for h, beta in ((ch.h[:, :, :0], ch.beta),     # no antenna
+                    (ch.h[0], ch.beta),            # not 3-D
+                    (ch.h[:, :1], ch.beta),        # one user, two gains
+                    (ch.h, ch.beta[:1]),           # two users, one gain
+                    (ch.h, -ch.beta)):
+        with pytest.raises(ValueError):
+            ChannelState(h=h, beta=beta, noise_w=1e-9, bandwidth_hz=1e3)
     with pytest.raises(ValueError):
-        ChannelState(m=0, n_sc=3, k_users=2, bandwidth_hz=1e3, noise_w=1e-9,
-                     beta=ch.beta, h=ch.h)
-    with pytest.raises(ValueError):
-        ChannelState(m=2, n_sc=3, k_users=2, bandwidth_hz=1e3, noise_w=0.0,
-                     beta=ch.beta, h=ch.h)
-    with pytest.raises(ValueError):
-        ChannelState(m=2, n_sc=3, k_users=2, bandwidth_hz=1e3, noise_w=1e-9,
-                     beta=ch.beta, h=ch.h[:, :1, :])
+        ChannelState(h=ch.h, beta=ch.beta, noise_w=0.0, bandwidth_hz=1e3)
 
 
 def test_trial_seed_deterministic_and_distinct():

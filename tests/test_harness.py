@@ -412,6 +412,28 @@ def test_run_trial_audit_rejection_gives_nan(monkeypatch):
         assert r.iterations == 0
 
 
+def test_non_unit_beam_gives_nan_row_and_sweep_goes_on(monkeypatch):
+    # MRT beams 1.5 long on every subcarrier, those that carry too: the
+    # audit rejects the plan, so its rows are nan and the other scheme's
+    # are not, and the sweep runs to the end
+    real = harness.beam_plan_mrt
+
+    def long_mrt(ch, messages):
+        plan = real(ch, messages)
+        return replace(plan, w=1.5 * plan.w)
+
+    monkeypatch.setattr(harness, "beam_plan_mrt", long_mrt)
+    cfg = tiny_config(schemes=("baseline2-multicast", "proposed-asymptotic"))
+    r = run_trial(cfg, "baseline2-multicast", 0)
+    assert math.isnan(r.total_power_w) and not r.converged
+    rows = list(csv.DictReader(run_experiment(cfg, sweep="k").splitlines()))
+    data = [row for row in rows if row["trial"] not in ("mean", "stderr")]
+    assert len(data) == 2 * 2 * cfg.trials
+    for row in data:
+        failed = row["scheme"] == "baseline2-multicast"
+        assert (row["total_power_w"] == "nan") == failed
+
+
 @pytest.mark.parametrize("middle_rate", [1e6, 5e5])
 def test_diverged_allocator_dual_gives_nan_rows(middle_rate):
     # 16 messages on 16 subcarriers at one antenna, the largest asking for

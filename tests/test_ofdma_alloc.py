@@ -664,9 +664,9 @@ def test_local_search_counts_passes_and_moves():
 
 
 def test_inf_masked_instance_plans_without_warnings():
-    # message 2 starts on column 3, which no message can use: its set has
-    # no finite quote, so its totals are inf and the move, swap and
-    # rotation gains would all be inf - inf
+    # column 3 is usable by no message, so whoever holds it gains nothing
+    # from it; the repaired start gives every message a usable column, so
+    # no total is inf and no gain inf - inf
     inf = math.inf
     qn = np.array([[1.987, inf, 1.301, inf, 0.03, 0.434],
                    [inf, 0.115, 0.058, inf, 1.09, inf],
@@ -674,12 +674,8 @@ def test_inf_masked_instance_plans_without_warnings():
     dn = np.array([1.7, 0.85, 0.98])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assigned, passes, moves, _ = _local_search(
-            np.array([0, 0, 0, 2, 1, 1]), qn, dn)
         alloc = solve_quoted_allocation(dn, qn, 1.0)
-    # the assignments and counts the search gave when it still warned
-    assert assigned.tolist() == [0, 0, 0, 2, 1, 1]
-    assert (passes, moves) == (1, 0)
+    # the assignment the allocator gave when the search still warned
     assert np.argmax(alloc.assign, axis=0).tolist() == [2, 0, 1, 0, 0, 0]
 
 
@@ -1258,14 +1254,20 @@ def test_complete_allocation_and_audit_clean():
     assert audit_allocation(done, ch, messages) == []
 
 
-def test_complete_allocation_rejects_unnormalized_beam():
+def test_audit_rejects_unnormalized_beam():
+    # completion attaches the beams as they are; the audit names the
+    # first one off unit norm by its (message, subcarrier)
     ch = sample_channel(32, m=3, n_sc=4, k_users=2)
     messages = _two_messages(ch)
     plan = beam_plan_asymptotic(ch, messages)
     alloc = solve_quoted_allocation(messages, plan.q, ch.bandwidth_hz)
-    bad = types.SimpleNamespace(w=plan.w * 2.0, q=plan.q)
-    with pytest.raises(ValueError):
-        complete_allocation(alloc, bad)
+    bad = complete_allocation(
+        alloc, types.SimpleNamespace(w=plan.w * 2.0, q=plan.q))
+    assert np.array_equal(bad.beams, 2.0 * complete_allocation(
+        alloc, plan).beams)
+    owner = np.argmax(alloc.assign, axis=0)
+    assert audit_allocation(bad, ch, messages) == [
+        f"non-unit beam at ({owner[0]}, 0)"]
 
 
 def test_audit_flags_tampering():
@@ -1289,7 +1291,9 @@ def test_audit_flags_tampering():
 
     # doubled beams only raise the users' rates
     doubled = replace(alloc, beams=alloc.beams * 2.0)
-    assert audit_allocation(doubled, ch, messages) == ["non-unit beam"]
+    owner = np.argmax(alloc.assign, axis=0)
+    assert audit_allocation(doubled, ch, messages) == [
+        f"non-unit beam at ({owner[0]}, 0)"]
 
     # lower claimed rates stay within the users' reach but fall short of
     # the demands: of both messages, then of the second alone
@@ -1302,7 +1306,9 @@ def test_audit_flags_tampering():
         "demand not met for messages [1]"]
 
 
-def test_complete_allocation_names_first_bad_subcarrier():
+def test_audit_names_first_bad_subcarrier():
+    # a missing (zero) beam at subcarrier 4 and a long one at 2: the audit
+    # names subcarrier 2 and its message, and a NaN beam counts as bad
     ch = sample_channel(34, m=3, n_sc=6, k_users=2)
     messages = _two_messages(ch)
     plan = beam_plan_asymptotic(ch, messages)
@@ -1311,10 +1317,13 @@ def test_complete_allocation_names_first_bad_subcarrier():
     w = plan.w.copy()
     w[owner[4], 4] = 0.0
     w[owner[2], 2] *= 1.5
-    bad = types.SimpleNamespace(w=w, q=plan.q)
-    with pytest.raises(ValueError, match=(
-            f"^missing or non-unit beam for message {owner[2]}, subcarrier 2$")):
-        complete_allocation(alloc, bad)
+    bad = complete_allocation(alloc, types.SimpleNamespace(w=w, q=plan.q))
+    assert audit_allocation(bad, ch, messages)[0] == \
+        f"non-unit beam at ({owner[2]}, 2)"
+    w[owner[1], 1] = math.nan
+    bad = complete_allocation(alloc, types.SimpleNamespace(w=w, q=plan.q))
+    assert audit_allocation(bad, ch, messages)[0] == \
+        f"non-unit beam at ({owner[1]}, 1)"
 
 
 def audit_reference(alloc, ch, messages, rel=1e-6):
@@ -1339,9 +1348,11 @@ def audit_reference(alloc, ch, messages, rel=1e-6):
         if np.any(rate > 0):
             problems.append("positive rate but no beams")
     else:
-        norms = np.linalg.norm(alloc.beams, axis=1)
-        if np.any(np.abs(norms - 1.0) > rel):
-            problems.append("non-unit beam")
+        for n, beam in enumerate(alloc.beams):
+            if not abs(np.linalg.norm(beam) - 1.0) <= rel:
+                owner = int(np.argmax(assign[:, n]))
+                problems.append(f"non-unit beam at ({owner}, {n})")
+                break
         for mi, msg in enumerate(messages):
             idx = [k - 1 for k in msg.audience]
             cols = np.flatnonzero(alloc.assign[mi] == 1)
@@ -1390,6 +1401,7 @@ def test_audit_matches_loop_reference():
             for alloc in (clean, bare, replace(clean, power=clean.power * 0.5),
                           replace(clean, assign=doubled),
                           replace(clean, beams=rotated),
+                          replace(clean, beams=clean.beams * 1.5),
                           replace(clean, rate=nan_rate)):
                 got = audit_allocation(alloc, ch, messages)
                 assert got == audit_reference(alloc, ch, messages)
