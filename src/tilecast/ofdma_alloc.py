@@ -16,10 +16,16 @@ damped Newton steps in gamma, each one n_msg x n_msg solve with its
 curvature. The multipliers start at one per-subcarrier rate for every
 message, the total demand over the subcarriers, so each message's share
 of them follows its demand, and the temperature, in units of the
-start's mean top gain, is annealed down to a fixed floor, each level
-warm-started from the last and solved to DUAL_TOL. At the floor, the
-smoothing's allowance n_sc*tau*ln(n_msg) stays below GAP_TOL of the
-bound on the default and paired scenarios. A level after the first
+start's mean top gain, is annealed through the planning levels, each
+warm-started from the last and solved to DUAL_TOL. Their plan, of cost
+P, ends the solve when their exact dual certifies it (within GAP_TOL of
+P, "certified") or when no multipliers can: P exceeds the smoothed
+value, the smoothing's allowance n_sc*tau*ln(n_msg) and the last squared
+Newton decrement by more than GAP_TOL of P ("uncertifiable"). Otherwise
+the certificate levels go on to the floor ("floor"), where the allowance
+stays below GAP_TOL of the bound on the default and paired scenarios.
+The plan reports the stop, and its multipliers, bound and temperature
+are that level's. A level after the first
 starts at a predictor point, the last level's optimum moved along the
 path's tangent in the temperature (Euler continuation), whenever its
 smoothed value is finite; only otherwise is the last point valued at
@@ -36,11 +42,12 @@ the problem's integrality gap, which no dual method closes, so
 would pass the water-fill's 2^1000 cap is refused as infeasible, before
 the dual when the demands alone force such a level.
 
-The argmax assignment at the final multipliers, repaired so that every
+The argmax assignment at a level's multipliers, repaired so that every
 message holds a subcarrier it can use (each starved message by a
 shortest augmenting path, every taker trying its columns cheapest first,
 so a one-column path steals the cheapest spare one), is then polished by
-one best-improvement local search.
+one best-improvement local search; the floor's only when it differs
+from the planning levels', and the cheaper plan is kept.
 The search's passes score the whole neighbourhood with array operations
 on two per-message tables of water-fill totals: the flip table (one
 column added to or removed from the message's set) and the exchange
@@ -63,10 +70,10 @@ rotations of three. The search runs to a local optimum; its pass bound
 is a safety cap whose hit is reported.
 `_waterfill_rows` is the one implementation of the water-fill rule, and
 `_waterfill_sets` applies it to any batch of column sets: the search's
-exact table entries (its totals) and the final fill (its power and rate
-rows, and its water levels for the 2^1000 check). A batch packs itself,
-with one stable argsort per row of its quotes masked to the set, and is
-filled only as wide as its largest set.
+exact table entries (its totals) and each plan's one fill (its cost,
+power and rate rows, and its water levels for the 2^1000 check). A
+batch packs itself, with one stable argsort per row of its quotes masked
+to the set, and is filled only as wide as its largest set.
 
 A brute-force oracle enumerates all assignments for small instances,
 filling each (message, column set) once by bisection; the allocator
@@ -86,9 +93,10 @@ from .scope import shared
 
 LN2 = math.log(2.0)
 # smoothing temperatures, in units of the start's mean per-subcarrier top
-# gain, which the demand-proportional start puts near the optimum's; the
-# last one is the floor the returned multipliers are optimal for
-TEMPERATURES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+# gain: the planning levels, whose plan the stop rule judges, then the
+# certificate levels down to the floor, which only tighten the bound
+PLANNING_TEMPERATURES = (1e-1, 1e-2, 1e-3)
+CERTIFICATE_TEMPERATURES = (1e-4, 1e-5)
 DUAL_TOL = 1e-2             # a level ends when Newton predicts a rise
                             # below DUAL_TOL * n_sc * temperature
 MAX_DUAL_STEPS = 2000       # safety cap on Newton steps per solve
@@ -205,7 +213,7 @@ def _median(values: np.ndarray) -> float:
 def _assignment_ties(gain: np.ndarray) -> bool:
     """True when every subcarrier has a strict argmax over two or more
     messages."""
-    part = np.sort(gain, axis=0)
+    part = np.partition(gain, -2, axis=0)
     top, second = part[-1, :], part[-2, :]
     return bool(np.all(top - second > 1e-12 * (np.abs(top) + 1e-300)))
 
@@ -651,17 +659,19 @@ def _dual_tau_slope(tau: float, parts):
     return np.add.reduce(spread * grate, axis=1) / tau ** 2
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _dual_solve(qn: np.ndarray, dn: np.ndarray):
+def _dual_solve(qn: np.ndarray, dn: np.ndarray, stop=None):
     """Maximize the smoothed dual by damped Newton steps in gamma.
 
     Starts every message where its cheapest quote carries the same rate,
     the total demand over n_sc (at most 500), so its share of the
     subcarriers follows its demand, and anneals the temperature through
-    TEMPERATURES (times the start's mean per-subcarrier top gain),
-    warm-starting each level. Every level, the floor too, ends at
-    DUAL_TOL: the floor's smoothing already costs up to
-    n_sc*tau*ln(n_msg) of the dual, so a tighter stop buys nothing. A
+    PLANNING_TEMPERATURES, then CERTIFICATE_TEMPERATURES (times the
+    start's mean per-subcarrier top gain), warm-starting each level. Every
+    level ends at DUAL_TOL: its smoothing already costs up to
+    n_sc*tau*ln(n_msg) of the dual, so a tighter stop buys nothing. The
+    last planning level's point is judged by stop(gamma, gain, value,
+    decrement, tau), the decrement inf past the step cap: a name it
+    returns ends the solve, None anneals on to the floor. A
     step solves (A + floor I) delta = grad, A being `_dual_derivatives`'
     curvature, and tries the Newton point gamma (1 + delta), or the point
     of that segment, along which the dual is concave, where a log
@@ -669,99 +679,107 @@ def _dual_solve(qn: np.ndarray, dn: np.ndarray):
     smoothed value rises enough: to the peak of the quadratic through the
     value, the slope and the rejected trial's value, kept within
     [0.1, 0.5] of the trial (a halving when it is not finite).
-    A level that ends above the floor leaves the tangent of the path of
-    optima, du/dtau = (A + floor I)^-1 d grad/d tau, from its last
-    curvature and softmax; the next level values the point moved along
+    A level after the first starts from the tangent of the path of
+    optima, du/dtau = (A + floor I)^-1 d grad/d tau, from the last
+    level's final curvature and softmax: it values the point moved along
     it to the new temperature (capped at MAX_LOG_STEP per coordinate) and
-    starts there whenever that value is finite. Only otherwise, and at
-    the first level, is the last point valued at the new temperature.
-    Returns (gamma, gain, steps, evaluations, predictions, tau): the
+    starts there whenever that value is finite. Only otherwise, at the
+    first level and past the step cap, is the last point valued at the
+    new temperature.
+    Returns (gamma, gain, steps, evaluations, predictions, tau, end): the
     final multipliers, their `_gains` gain, the steps taken, the
-    smoothed-dual values computed, the predictor points kept and the
-    floor temperature. Raises InfeasibleAllocationError when the smoothed
-    value, its gradient or its curvature is not finite, as when the
-    demands need multipliers past floating point; the overflows on the
-    way there are not warned about.
+    smoothed-dual values computed, the predictor points kept, the last
+    level's temperature and stop's name, or "floor". Raises
+    InfeasibleAllocationError when the smoothed value, its gradient or
+    its curvature is not finite, as when the demands need multipliers
+    past floating point; the overflows on the way there are not warned
+    about, but stop runs with the caller's floating-point error state.
     """
     n_msg, n_sc = qn.shape
-    log2q = np.log2(qn)
-    gamma = np.exp(np.log(LN2 * qn.min(axis=1))
-                   + LN2 * min(float(dn.sum()) / n_sc, 500.0))
-    gains = _gains(gamma, qn, log2q)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log2q = np.log2(qn)
+        gamma = np.exp(np.log(LN2 * qn.min(axis=1))
+                       + LN2 * min(float(dn.sum()) / n_sc, 500.0))
+        gains = _gains(gamma, qn, log2q)
     scale = float(gains[0].max(axis=0).mean())
     steps = evaluations = predictions = 0
-    tau = tangent = None
+    tau = end = None
     # the relative rise and fall that move a log multiplier MAX_LOG_STEP
     rise, fall = math.expm1(MAX_LOG_STEP), -math.expm1(-MAX_LOG_STEP)
-    for rel in TEMPERATURES:
+    for rel in PLANNING_TEMPERATURES + CERTIFICATE_TEMPERATURES:
         last_tau, tau = tau, rel * scale
         value = None
-        if tangent is not None:
-            du = (tau - last_tau) * tangent
-            du *= MAX_LOG_STEP / max(MAX_LOG_STEP, np.abs(du).max())
-            pred_gamma = gamma * np.exp(du)
-            pred_gains = _gains(pred_gamma, qn, log2q)
-            pred, pred_parts = _dual_value(pred_gamma, pred_gains, dn, tau)
-            evaluations += 1
-            if math.isfinite(pred):
-                gamma, gains = pred_gamma, pred_gains
-                value, parts = pred, pred_parts
-                predictions += 1
-        if value is None:
-            # the first level, or a predictor point past floating point:
-            # the last point at the new temperature
-            value, parts = _dual_value(gamma, gains, dn, tau)
-            evaluations += 1
-        while steps < MAX_DUAL_STEPS:
-            grad, curv = _dual_derivatives(dn, tau, parts)
-            floor = 1e-12 * curv.diagonal().max() + 1e-300
-            curv.flat[::n_msg + 1] += floor
-            try:
-                delta = np.linalg.solve(curv, grad)
-            except np.linalg.LinAlgError:           # a singular curvature
-                delta = np.full(n_msg, math.nan)
-            # squared Newton decrement: twice the rise the step predicts
-            decrement = float(grad @ delta)
-            # a non-finite value, gradient or curvature shows in these
-            if not (math.isfinite(value) and math.isfinite(decrement)
-                    and math.isfinite(floor)):
-                raise InfeasibleAllocationError(
-                    f"the allocator's dual diverged after {steps} Newton "
-                    f"steps: its smoothed value, gradient or curvature at "
-                    f"temperature {tau:.3g} is not finite")
-            if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
-                break
-            # the trial gamma (1 + t delta), where the value's slope in t
-            # is the decrement
-            t = min(1.0, float(np.min(np.where(delta > 0.0, rise, fall)
-                                      / np.abs(delta))))
-            steps += 1
-            for _ in range(40):
-                slope = decrement * t
-                trial_gamma = gamma * (1.0 + t * delta)
-                trial_gains = _gains(trial_gamma, qn, log2q)
-                trial, trial_parts = _dual_value(trial_gamma, trial_gains,
-                                                 dn, tau)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # along the path's tangent du/dtau = (A + floor I)^-1 d grad/d tau
+            # from the last level's end, unless past the step cap
+            if last_tau is not None and steps < MAX_DUAL_STEPS:
+                du = (tau - last_tau) * np.linalg.solve(
+                    curv, _dual_tau_slope(last_tau, parts))
+                du *= MAX_LOG_STEP / max(MAX_LOG_STEP, np.abs(du).max())
+                pred_gamma = gamma * np.exp(du)
+                pred_gains = _gains(pred_gamma, qn, log2q)
+                pred, pred_parts = _dual_value(pred_gamma, pred_gains, dn, tau)
                 evaluations += 1
-                if trial >= value + 1e-4 * slope:
+                if math.isfinite(pred):
+                    gamma, gains = pred_gamma, pred_gains
+                    value, parts = pred, pred_parts
+                    predictions += 1
+            if value is None:
+                # the first level, the step cap, or a predictor point past
+                # floating point: the last point at the new temperature
+                value, parts = _dual_value(gamma, gains, dn, tau)
+                evaluations += 1
+            while steps < MAX_DUAL_STEPS:
+                grad, curv = _dual_derivatives(dn, tau, parts)
+                floor = 1e-12 * curv.diagonal().max() + 1e-300
+                curv.flat[::n_msg + 1] += floor
+                try:
+                    delta = np.linalg.solve(curv, grad)
+                except np.linalg.LinAlgError:       # a singular curvature
+                    delta = np.full(n_msg, math.nan)
+                # squared Newton decrement: twice the rise the step predicts
+                decrement = float(grad @ delta)
+                # a non-finite value, gradient or curvature shows in these
+                if not (math.isfinite(value) and math.isfinite(decrement)
+                        and math.isfinite(floor)):
+                    raise InfeasibleAllocationError(
+                        f"the allocator's dual diverged after {steps} Newton "
+                        f"steps: its smoothed value, gradient or curvature "
+                        f"at temperature {tau:.3g} is not finite")
+                if decrement <= 2.0 * DUAL_TOL * n_sc * tau:
                     break
-                # the peak of value + slope s + c s^2 through the trial at
-                # s = 1, s in units of t, where c = trial - value - slope < 0
-                shrink = (min(0.5, max(0.1, 0.5 * slope
-                                       / (value + slope - trial)))
-                          if math.isfinite(trial) else 0.5)
-                t *= shrink
-            else:
-                break                               # no rise left to find
-            gamma, gains = trial_gamma, trial_gains
-            value, parts = trial, trial_parts
-        # the path's tangent du/dtau = (A + floor I)^-1 d grad/d tau, for
-        # the next level's predictor; past the step cap no level moves
-        # again, and the last curvature may not be this point's
-        tangent = None
-        if steps < MAX_DUAL_STEPS and rel != TEMPERATURES[-1]:
-            tangent = np.linalg.solve(curv, _dual_tau_slope(tau, parts))
-    return gamma, gains[0], steps, evaluations, predictions, tau
+                # the trial gamma (1 + t delta), where the value's slope in
+                # t is the decrement
+                t = min([1.0] + [(rise if d > 0.0 else fall) / abs(d)
+                                 for d in delta.tolist() if d])
+                steps += 1
+                for _ in range(40):
+                    slope = decrement * t
+                    trial_gamma = gamma * (1.0 + t * delta)
+                    trial_gains = _gains(trial_gamma, qn, log2q)
+                    trial, trial_parts = _dual_value(trial_gamma, trial_gains,
+                                                     dn, tau)
+                    evaluations += 1
+                    if trial >= value + 1e-4 * slope:
+                        break
+                    # the peak of value + slope s + c s^2 through the trial
+                    # at s = 1 (s in units of t, c = trial - value - slope)
+                    shrink = (min(0.5, max(0.1, 0.5 * slope
+                                           / (value + slope - trial)))
+                              if math.isfinite(trial) else 0.5)
+                    t *= shrink
+                else:
+                    break                           # no rise left to find
+                gamma, gains = trial_gamma, trial_gains
+                value, parts = trial, trial_parts
+        if rel == PLANNING_TEMPERATURES[-1] and stop is not None:
+            # a decrement from before the step cap is not this point's
+            end = stop(gamma, gains[0], value,
+                       decrement if steps < MAX_DUAL_STEPS else math.inf, tau)
+            if end is not None:
+                break
+    end = end or "floor"
+    return gamma, gains[0], steps, evaluations, predictions, tau, end
 
 
 def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
@@ -779,8 +797,9 @@ def solve_quoted_allocation(messages, quotes, bandwidth: float) -> Allocation:
 
     One message takes every subcarrier, an optimum with gap 0. Two or
     more start from the dual's repaired argmax assignment and its local
-    search. The plan is flagged converged when its relative duality gap
-    is at most GAP_TOL and the local search ended below its safety cap.
+    search, diagnostics["dual_stop"] naming the dual's stop. The plan is
+    flagged converged when its relative duality gap is at most GAP_TOL
+    and the local search ended below its safety cap.
     Raises ValueError when a demand or the bandwidth is not finite and
     positive, when the quote rows do not match the demands, or when a
     quote is not positive (+inf marks an unusable pair). Inside a
@@ -829,35 +848,59 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
         raise InfeasibleAllocationError(
             "each plan needs a water level past 2^1000 times the median quote")
 
+    def fill(assigned, passes=0, moves=0):
+        # cost, rows and levels from one water-fill, feasible as every start
+        # gives each message a usable column, unless a level passes 2^1000
+        power, rate, _, level = _waterfill_sets(qn, dn, msgs,
+                                                assigned == msgs[:, None])
+        if (level >= 1000.0).any():
+            raise InfeasibleAllocationError(
+                f"message {int(np.argmax(level))} needs a water level past "
+                f"2^1000 times the median quote")
+        return float(power.sum()), assigned, power, rate, 0 < passes == moves
+
+    # the searches' summed counts, and each repaired argmax's plan
+    counts, plans = np.zeros(3, dtype=int), {}
+
+    def plan(gain):
+        # a level's repaired argmax, searched and filled once; its cost
+        repaired = _repair_starvation(np.argmax(gain, axis=0), qn)
+        if repaired is None:
+            raise InfeasibleAllocationError("no feasible assignment found")
+        key = repaired.tobytes()
+        if key not in plans:
+            assigned, *searched = _local_search(repaired, qn, dn)
+            counts[:] += searched
+            plans[key] = fill(assigned, *searched[:2])
+        return plans[key][0]
+
+    def stop(gamma, gain, value, decrement, tau):
+        # no multipliers lift the exact dual past the smoothing allowance
+        # above the smoothed maximum, taken as the value plus the decrement
+        cost = plan(gain)
+        if cost - (gamma @ dn - gain.max(axis=0).sum()) <= GAP_TOL * cost:
+            return "certified"
+        reach = value + n_sc * tau * math.log(n_msg) + decrement
+        return "uncertifiable" if cost - reach > GAP_TOL * cost else None
+
     gamma = None
-    steps = evaluations = predictions = passes = moves = exact_passes = 0
+    steps = evaluations = predictions = 0
     if n_msg == 1:
         # the one message holds every subcarrier: no assignment to choose
-        assigned = np.zeros(n_sc, dtype=int)
+        plans[None] = fill(np.zeros(n_sc, dtype=int))
         unique, start = True, "one-message"
     else:
-        gamma, gain, steps, evaluations, predictions, tau = _dual_solve(
-            qn, dn)
+        gamma, gain, steps, evaluations, predictions, tau, dual_stop = (
+            _dual_solve(qn, dn, stop))
+        if dual_stop == "floor":
+            plan(gain)
         # the exact dual at any gamma >= 0 bounds the optimum from below
         bound = float(gamma @ dn - gain.max(axis=0).sum())
         unique = _assignment_ties(gain)
-        assigned = _repair_starvation(np.argmax(gain, axis=0), qn)
-        if assigned is None:
-            raise InfeasibleAllocationError("no feasible assignment found")
-        assigned, passes, moves, exact_passes = _local_search(assigned, qn,
-                                                              dn)
         start = "dual"
-    capped = 0 < passes == moves
-    # every start gives each message a column it can use, and no search
-    # step takes the last one away, so every row's water-fill is feasible
-    power, rate, _, level = _waterfill_sets(qn, dn, msgs,
-                                            assigned == msgs[:, None])
-    # `_waterfill_rows` cuts a level past 2^1000, and the power then falls
-    # short of the rate the row claims
-    if (level >= 1000.0).any():
-        raise InfeasibleAllocationError(
-            f"message {int(np.argmax(level))} needs a water level past "
-            f"2^1000 times the median quote")
+    # the cheaper plan, the first on a tie
+    _, assigned, power, rate, capped = min(plans.values(), key=lambda p: p[0])
+    passes, moves, exact_passes = counts.tolist()
 
     power = power * q_ref
     power_sum = float(power.sum())
@@ -872,7 +915,7 @@ def _solve_quoted(demands: np.ndarray, quotes: np.ndarray,
         # any plan costs at least 0, a bound the dual can fall below
         dual_bound = max(bound, 0.0) * q_ref
         gamma = gamma * q_ref / bandwidth
-        diagnostics["dual_temperature"] = tau * q_ref
+        diagnostics.update(dual_temperature=tau * q_ref, dual_stop=dual_stop)
     gap = float(max(0.0, (power_sum - dual_bound) / max(power_sum, 1e-300)))
     return Allocation(
         assign=(assigned == msgs[:, None]).astype(int),
@@ -979,31 +1022,21 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
     """Check a finished plan against every model constraint.
 
     Returns a list of violation descriptions; empty means the plan is valid.
-    The only beam check: it names the first non-unit beam's pair.
+    The only beam check: it names the first non-unit beam's pair. Every
+    check flags its pairs, and one reduction finds the flagged checks.
     """
     assign, power, rate = alloc.assign, alloc.power, alloc.rate
-    off = assign == 0
-    # the elementwise checks, each flagged per pair, reduced at once
-    texts, flags = zip(
-        ("assignment not binary", ~(off | (assign == 1))),
-        ("some subcarrier not assigned exactly once",
-         np.broadcast_to(assign.sum(axis=0) != 1, assign.shape)),
-        ("negative or non-finite power", (power < 0) | ~np.isfinite(power)),
-        ("negative or non-finite rate", (rate < 0) | ~np.isfinite(rate)),
-        ("power on unassigned pair", off & (power > 0)),
-        ("rate on unassigned pair", off & (rate > 0)))
-    bad = np.stack(flags).any(axis=(1, 2)).tolist()
-    problems = [text for text, flagged in zip(texts, bad) if flagged]
-
+    off, values = assign == 0, np.stack((power, rate))
+    flags = np.zeros((9,) + assign.shape, dtype=bool)
+    flags[0] = ~(off | (assign == 1))
+    flags[1] = assign.sum(axis=0) != 1
+    flags[2:4] = ~((values >= 0) & (values < math.inf))     # NaN too
+    flags[4:6] = off & (values > 0)
     if alloc.beams is None:
-        if np.any(rate > 0):
-            problems.append("positive rate but no beams")
+        flags[6] = rate > 0
     else:
         norms = np.linalg.norm(alloc.beams, axis=1)
-        off_unit = ~(np.abs(norms - 1.0) <= AUDIT_TOL)      # NaN too
-        if off_unit.any():
-            n = int(np.argmax(off_unit))
-            problems.append(f"non-unit beam at ({np.argmax(assign[:, n])}, {n})")
+        flags[6] = off_unit = ~(np.abs(norms - 1.0) <= AUDIT_TOL)  # NaN too
         h, beta, mask = _audience(ch, messages)
         mi, n = np.nonzero((assign == 1) & (rate > 0))   # the pairs that carry
         g = beta[mi] * np.abs(
@@ -1011,12 +1044,25 @@ def audit_allocation(alloc: Allocation, ch, messages) -> list:
         snr = power[mi, n, None] * g / ch.noise_w
         with np.errstate(invalid="ignore"):  # negative power is flagged above
             user_rates = ch.bandwidth_hz * np.log2(1.0 + snr)
-        below = (user_rates < rate[mi, n, None] * (1.0 - AUDIT_TOL)) & mask[mi]
-        for p in np.flatnonzero(below.any(axis=1)):
-            problems.append(f"user rate below message rate at ({mi[p]}, {n[p]})")
-
-    demands = _demands(messages)
-    short = rate.sum(axis=1) < demands * (1.0 - AUDIT_TOL)
-    if np.any(short):
-        problems.append(f"demand not met for messages {np.flatnonzero(short).tolist()}")
+        below = user_rates < rate[mi, n, None] * (1.0 - AUDIT_TOL)
+        flags[7, mi, n] = (below & mask[mi]).any(axis=1)
+    short = rate.sum(axis=1) < _demands(messages) * (1.0 - AUDIT_TOL)
+    flags[8] = short[:, None]
+    bad = flags.any(axis=(1, 2)).tolist()
+    problems = [text for text, flagged in zip((
+        "assignment not binary", "some subcarrier not assigned exactly once",
+        "negative or non-finite power", "negative or non-finite rate",
+        "power on unassigned pair", "rate on unassigned pair"), bad)
+        if flagged]
+    if bad[6] and alloc.beams is None:
+        problems.append("positive rate but no beams")
+    elif bad[6]:                            # the first non-unit beam's pair
+        n = int(np.argmax(off_unit))
+        problems.append(f"non-unit beam at ({np.argmax(assign[:, n])}, {n})")
+    if bad[7]:
+        problems += [f"user rate below message rate at ({mi}, {n})"
+                     for mi, n in zip(*np.nonzero(flags[7]))]
+    if bad[8]:
+        problems.append(
+            f"demand not met for messages {np.flatnonzero(short).tolist()}")
     return problems

@@ -349,7 +349,7 @@ def test_criterion_9_run_byte_determinism(tmp_path):
 # the bytes did not drift from the build before. A change that alters output
 # bytes on purpose updates the digest and says so in CHANGES.md.
 PAIRED_KSWEEP_SHA256 = (
-    "b16e6ded636e84f38d79712dac5a3a8d5b2f838dd002cfac8d1ddd9c0cb3830f")
+    "26207399b9934c41860edf69e34f367927075dd84600e37fc2f6f6fc7c38911b")
 
 
 def test_paired_ksweep_csv_bytes_pinned():
@@ -363,7 +363,7 @@ def test_paired_ksweep_csv_bytes_pinned():
 # always adds swaps; the default config's 64 subcarriers run its move-only
 # neighbourhood, so its bytes are pinned too.
 DEFAULT_ONE_TRIAL_SHA256 = (
-    "7bfc927ea89b8d41a5eedf9270d69d9ff6a682a1d417b24367e2e08a88aa19a5")
+    "5987c22c7ec68b8c0135a60ae49532d72def68b084bd342dc257241f007de807")
 
 
 def test_default_config_csv_bytes_pinned():
@@ -376,7 +376,7 @@ def test_default_config_csv_bytes_pinned():
 # Per-user large-scale gains under the user-count sweep: every subset must
 # read its own users' channel rows and gains, so a wrong row shows here.
 BETA_KSWEEP_SHA256 = (
-    "9863cfec508d9965304f35a1f0f30ccef3a0a7366f01a49571907e146a523936")
+    "5c919a8339de4e09fd5b59bb0bd92fb106baeb8d9a41b7900950f071015440ac")
 
 
 def test_per_user_beta_ksweep_csv_bytes_pinned():
@@ -390,7 +390,7 @@ def test_per_user_beta_ksweep_csv_bytes_pinned():
 # The antenna sweep at two trials: five antenna counts at 64 subcarriers,
 # where the local search reads its flip tables in closed form.
 M_SWEEP_SHA256 = (
-    "17e9f9d371d5812b2788a3c537553ff9cb27cd9d69f268c3298d5110b6563ca6")
+    "68ceac658b3afe205e4d9770a40ae05ad1296d69c4633e6e5cb56d463fdd814a")
 
 
 def m_sweep_text():
@@ -408,7 +408,7 @@ def test_m_sweep_csv_bytes_pinned():
 # input whose audiences reach three users, so its bytes cover the CCP, its
 # start and the `eigh` branch of MRT.
 THREE_VIEWER_KSWEEP_SHA256 = (
-    "65d4406fd591d8ab419ebab047052250b9cf067e93a1ed209d12e43ecad30e46")
+    "d14cc0770b300d57a2fb6d79e44dea303d80ccf885f7c8e512689cf73f92fd2e")
 
 
 def test_three_viewer_ksweep_csv_bytes_pinned():
@@ -426,32 +426,96 @@ def test_three_viewer_ksweep_csv_bytes_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the dual's smoothing floor, measured on the gains of real instances
+# the dual's stop rule and smoothing floor, on the gains of real instances
 # ---------------------------------------------------------------------------
+
+def judged_calls(monkeypatch, full_ladder=False):
+    """Every multi-message allocator call of the headline scenario's trial 0
+    and of the paired user-count sweep's trial 0: its arguments, its plan
+    and what the dual's stop rule read and returned (None when the rule
+    did not run). With full_ladder, every call anneals to the floor."""
+    solve, dual = ofdma_alloc._solve_quoted, ofdma_alloc._dual_solve
+    calls = []
+
+    def recorded(demands, quotes, bandwidth):
+        call = {"args": (demands, quotes, bandwidth), "judged": None}
+        if quotes.shape[0] > 1:
+            calls.append(call)
+        call["alloc"] = solve(demands, quotes, bandwidth)
+        return call["alloc"]
+
+    def watched(qn, dn, stop=None):
+        def judge(*read):
+            name = stop(*read)
+            calls[-1]["judged"] = read + (name,)
+            return name
+        return dual(qn, dn, None if full_ladder else judge)
+
+    monkeypatch.setattr(ofdma_alloc, "_solve_quoted", recorded)
+    monkeypatch.setattr(ofdma_alloc, "_dual_solve", watched)
+    run_experiment(replace(default_config(), trials=1))
+    run_experiment(paired_pairs_config(1), sweep="k")
+    monkeypatch.undo()
+    return calls
+
 
 def test_dual_floor_smoothing_within_gap_tol(monkeypatch):
     # the smoothed dual sits at most n_sc * tau * ln(n_msg) below the exact
-    # one, so at the floor temperature that allowance must stay within
-    # GAP_TOL of the bound, on every allocator call of the headline
-    # scenario and of the paired user-count sweep
-    solve = ofdma_alloc._solve_quoted
-    seen = []
-
-    def recorded(demands, quotes, bandwidth):
-        alloc = solve(demands, quotes, bandwidth)
-        n_msg, n_sc = quotes.shape
-        if n_msg > 1:
-            tau = alloc.diagnostics["dual_temperature"]
-            seen.append((n_sc * tau * math.log(n_msg), alloc.dual_bound))
-        return alloc
-
-    monkeypatch.setattr(ofdma_alloc, "_solve_quoted", recorded)
-    run_experiment(replace(default_config(), trials=1))
-    run_experiment(paired_pairs_config(1), sweep="k")
-    assert len(seen) > 10
-    over = [(allowance, bound) for allowance, bound in seen
-            if allowance > ofdma_alloc.GAP_TOL * bound]
+    # one. Wherever the dual anneals to the floor, here forced on every
+    # call, that allowance stays within GAP_TOL of the bound
+    floored = judged_calls(monkeypatch, full_ladder=True)
+    assert len(floored) > 10
+    over = []
+    for call in floored:
+        alloc, (n_msg, n_sc) = call["alloc"], call["args"][1].shape
+        assert alloc.diagnostics["dual_stop"] == "floor"
+        allowance = (n_sc * alloc.diagnostics["dual_temperature"]
+                     * math.log(n_msg))
+        if allowance > ofdma_alloc.GAP_TOL * alloc.dual_bound:
+            over.append((allowance, alloc.dual_bound))
     assert not over, over
+    # every early stop satisfies the inequality it names, on the plan the
+    # call returns: P - D <= GAP_TOL P when certified, and when
+    # uncertifiable P - (D_tau + n_sc tau ln(n_msg) + decrement) >
+    # GAP_TOL P, the rule's normalized values in watts
+    calls = judged_calls(monkeypatch)
+    assert len(calls) == len(floored)
+    names = set()
+    for call in calls:
+        alloc, (n_msg, n_sc) = call["alloc"], call["args"][1].shape
+        gamma, gain, value, decrement, tau, name = call["judged"]
+        names.add(name)
+        stop = alloc.diagnostics["dual_stop"]
+        assert stop == (name or "floor")
+        power, tol = alloc.power_sum, ofdma_alloc.GAP_TOL
+        if stop == "certified":
+            assert power - alloc.dual_bound <= tol * power
+        elif stop == "uncertifiable":
+            q_ref = alloc.diagnostics["dual_temperature"] / tau
+            reach = q_ref * (value + n_sc * tau * math.log(n_msg)
+                             + decrement)
+            assert power - reach > tol * power
+        else:
+            allowance = (n_sc * alloc.diagnostics["dual_temperature"]
+                         * math.log(n_msg))
+            assert allowance <= tol * alloc.dual_bound
+    assert names >= {"certified", "uncertifiable"}
+
+
+def test_uncertifiable_stop_hides_no_certificate(monkeypatch):
+    # a call the rule stops as uncertifiable is not converged with the full
+    # ladder either: annealing to the floor would not have certified it
+    calls = [call for call in judged_calls(monkeypatch)
+             if call["alloc"].diagnostics["dual_stop"] == "uncertifiable"]
+    assert len(calls) > 10
+    dual = ofdma_alloc._dual_solve
+    monkeypatch.setattr(ofdma_alloc, "_dual_solve",
+                        lambda qn, dn, stop=None: dual(qn, dn))
+    for call in calls:
+        assert not call["alloc"].converged
+        full = ofdma_alloc._solve_quoted(*call["args"])
+        assert full.diagnostics["dual_stop"] == "floor"
+        assert not full.converged, call["args"][1].shape
 
 
 def test_dc_gap_does_not_grow_with_antennas(monkeypatch):

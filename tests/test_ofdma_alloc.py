@@ -18,7 +18,7 @@ from tilecast import (InfeasibleAllocationError, Message, audit_allocation,
                       solve_quoted_allocation)
 from tilecast import harness, ofdma_alloc
 from tilecast.ofdma_alloc import (EPS, GAP_TOL, LN2,
-                                  PASSES_PER_SUBCARRIER, TEMPERATURES,
+                                  PASSES_PER_SUBCARRIER, PLANNING_TEMPERATURES,
                                   _bisect_waterfill, _demands,
                                   _dual_derivatives, _dual_tau_slope,
                                   _dual_value, _gains,
@@ -703,15 +703,18 @@ def test_solver_reports_search_counts():
     assert diag["start"] == "dual"
     assert alloc.iterations > 0
     # one value per level start (the predictor point, else the last
-    # point) and per trial step, each step tried once at least; 21 values
-    # in 8 steps, 26 in 10 with Newton steps on the Hessian in log gamma
-    # (eigenvalues flipped negative), 32 in 14 from a fair-share start down
-    # to a 1e-6 floor solved to 1e-6, 37 when each level also valued its
-    # warm start, 60 in 21 without the predictor, 94 with 1e-6 at every
-    # level and plain halving
-    assert diag["dual_evaluations"] >= alloc.iterations + len(TEMPERATURES)
-    assert diag["dual_evaluations"] == 21
-    assert 1 <= diag["dual_predictions"] <= len(TEMPERATURES) - 1
+    # point) and per trial step, each step tried once at least; 19 values
+    # in 8 steps when the planning levels' plan is uncertifiable, 21 in 8
+    # annealing every call to the 1e-5 floor, 26 in 10 with Newton steps on
+    # the Hessian in log gamma (eigenvalues flipped negative), 32 in 14 from
+    # a fair-share start down to a 1e-6 floor solved to 1e-6, 37 when each
+    # level also valued its warm start, 60 in 21 without the predictor, 94
+    # with 1e-6 at every level and plain halving
+    assert diag["dual_stop"] == "uncertifiable"
+    assert (diag["dual_evaluations"]
+            >= alloc.iterations + len(PLANNING_TEMPERATURES))
+    assert diag["dual_evaluations"] == 19
+    assert 1 <= diag["dual_predictions"] <= len(PLANNING_TEMPERATURES) - 1
     # one search, ending on a pass that finds nothing better
     assert diag["local_search_passes"] == diag["local_search_moves"] + 1
     assert not diag["local_search_capped"]
@@ -720,13 +723,15 @@ def test_solver_reports_search_counts():
     # pass from the start, not after bounds that could not
     assert diag["local_search_exact_passes"] == 0
     # two messages go through the dual and the search at any size; at
-    # 2 x 6 the repaired argmax is already a local optimum (5 steps in 11
-    # values, 10 with steps in log gamma)
+    # 2 x 6 the repaired argmax is already a local optimum, certified at
+    # the last planning level (4 steps in 8 values; 5 in 11 annealing to
+    # the floor, 10 with steps in log gamma)
     small = solve_quoted_allocation(demands[:2], quotes[:2, :6], B)
     diag = small.diagnostics
     assert diag["start"] == "dual"
-    assert small.iterations == 5
-    assert diag["dual_evaluations"] == 11
+    assert diag["dual_stop"] == "certified"
+    assert small.iterations == 4
+    assert diag["dual_evaluations"] == 8
     assert diag["local_search_passes"] == 1
     assert diag["local_search_moves"] == 0
     # moves only, on closed-form totals: equal quotes in a row tie every
@@ -744,6 +749,41 @@ def test_solver_reports_search_counts():
                                   "local_search_moves": 0,
                                   "local_search_exact_passes": 0,
                                   "local_search_capped": False}
+
+
+def test_dual_stop_names_each_rule(monkeypatch):
+    # the last planning level's plan is certified, cannot be, or is left
+    # open, so that the certificate levels anneal on to the floor; at
+    # 5 x 10 the floor's repaired argmax differs from the planning one's,
+    # so it is searched too, and the cheaper plan is kept
+    def solve(shape, seed):
+        rng = np.random.default_rng(seed)
+        quotes = 10.0 ** rng.uniform(-10, -8, size=shape)
+        demands = B * rng.uniform(0.5, 3.0, size=shape[0])
+        return solve_quoted_allocation(demands, quotes, B)
+
+    certified, uncertifiable = solve((2, 4), 1), solve((2, 4), 0)
+    floor = solve((5, 10), 758)
+    assert [a.diagnostics["dual_stop"] for a in
+            (certified, uncertifiable, floor)] == [
+                "certified", "uncertifiable", "floor"]
+    assert certified.converged and not uncertifiable.converged
+    # the same call stopped at the last planning level, whatever the rule
+    dual = ofdma_alloc._dual_solve
+    monkeypatch.setattr(
+        ofdma_alloc, "_dual_solve",
+        lambda qn, dn, stop: dual(qn, dn, lambda *read: stop(*read) or "cut"))
+    planned = solve((5, 10), 758)
+    assert planned.diagnostics["dual_stop"] == "cut"
+    assert (floor.diagnostics["dual_temperature"]
+            == pytest.approx(1e-2 * planned.diagnostics["dual_temperature"],
+                             rel=1e-12, abs=0.0))
+    assert floor.diagnostics["dual_evaluations"] > (
+        planned.diagnostics["dual_evaluations"])
+    assert floor.diagnostics["local_search_passes"] > (
+        planned.diagnostics["local_search_passes"])
+    assert floor.power_sum <= planned.power_sum
+    assert floor.dual_bound >= planned.dual_bound
 
 
 def test_capped_local_search_is_not_converged(monkeypatch):
